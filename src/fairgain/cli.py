@@ -1,7 +1,8 @@
 """Command line interface: solve, compare, frontier, riskset, converge.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for degenerate
-bargaining frames, 4 for unsupported dimensionality. Output files are written
+Exit codes: 0 on success, 2 for configuration problems, 3 for a degenerate
+bargaining frame or when no point gives every group a strictly positive gain
+(nash), 4 for unsupported dimensionality. Output files are written
 atomically and are byte-identical across runs with the same inputs and seed.
 """
 
@@ -41,7 +42,13 @@ from fairgain.risk_models import (
     load_problem_spec,
     population_frame,
 )
-from fairgain.solvers import METHODS, SolverConfig, group_risk_model, solve
+from fairgain.solvers import (
+    METHODS,
+    SolverConfig,
+    criterion_value,
+    group_risk_model,
+    solve,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,9 +97,14 @@ class RunConfig:
             raise ValueError("pass exactly one of --spec or --data")
         if args.command in ("frontier", "riskset", "converge") and not spec_path:
             raise ValueError(f"{args.command} needs --spec")
-        tol = float(getattr(args, "tol", 1e-6) or 1e-6)
-        if tol <= 0:
+        tol = float(getattr(args, "tol", cls.tol))
+        if not tol > 0:
             raise ValueError("--tol must be positive")
+        minimums = {"weights": 2, "grid": 2, "trials": 1}
+        counts = {name: getattr(args, name, getattr(cls, name)) for name in minimums}
+        for name, low in minimums.items():
+            if counts[name] < low:
+                raise ValueError(f"--{name} must be at least {low}, got {counts[name]}")
         return cls(
             command=args.command,
             spec_path=spec_path,
@@ -102,12 +114,10 @@ class RunConfig:
             seed=getattr(args, "seed", None),
             tol=tol,
             oracle_grid=getattr(args, "oracle_grid", None),
-            weights=getattr(args, "weights", 200) or 200,
-            grid=getattr(args, "grid", 101) or 101,
-            trials=getattr(args, "trials", 50) or 50,
             ns=ns,
-            loss=getattr(args, "loss", "squared") or "squared",
+            loss=getattr(args, "loss", "squared"),
             radius=getattr(args, "radius", None),
+            **counts,
         )
 
     def solver_config(self) -> SolverConfig:
@@ -222,27 +232,20 @@ def _oracle_objectives(
         thetas = thetas[np.linalg.norm(thetas, axis=1) <= ball]
     else:
         raise UnsupportedDimensionError("--oracle-grid covers d <= 2")
-    risks = population_risks(spec, thetas)
-    dset = DiscreteFeasibleSet(risks, frame)
-    rho = dset.improvements()
-    out: dict[str, float] = {}
-    for method in methods:
-        if method in ("ri", "leximin"):
-            idx, _ = oracle_ks(dset)
-            out[method] = float(rho[idx].min())
-        elif method == "gdro":
-            idx, prof = oracle_gdro(dset)
-            out[method] = float(prof.as_array().max())
-        elif method == "mmv":
-            idx, prof = oracle_mmv(dset)
-            out[method] = float((frame.baseline_array() - prof.as_array()).min())
-        elif method == "mmr":
-            idx, prof = oracle_mmr(dset)
-            out[method] = float((prof.as_array() - frame.ideal_array()).max())
-        elif method == "nash":
-            idx, prof = oracle_nash(dset)
-            out[method] = float(np.log(frame.baseline_array() - prof.as_array()).sum())
-    return out
+    dset = DiscreteFeasibleSet(population_risks(spec, thetas), frame)
+    # looked up per call, so a wrapped oracle binding is the one that runs
+    oracles = {
+        "ri": oracle_ks,
+        "leximin": oracle_ks,
+        "gdro": oracle_gdro,
+        "mmv": oracle_mmv,
+        "mmr": oracle_mmr,
+        "nash": oracle_nash,
+    }
+    return {
+        method: criterion_value(method, frame, oracles[method](dset)[1].as_array())
+        for method in methods
+    }
 
 
 def cmd_compare(cfg: RunConfig) -> int:

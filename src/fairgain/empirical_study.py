@@ -13,9 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairgain.core import BargainingFrame
-from fairgain.risk_models import ProblemSpec, minimize_quadratic_ball, population_frame
-from fairgain.solvers import QuadraticGroupRisks, SolverConfig, solve_maximin_ri
+from fairgain.core import BargainingFrame, relative_improvements
+from fairgain.risk_models import (
+    ProblemSpec,
+    draw_dataset,
+    minimize_quadratic_ball,
+    population_frame,
+)
+from fairgain.solvers import QuadraticGroupRisks, SolverConfig, solve
 
 _GAP_FLOOR = 1e-8  # keeps log-log slope fits finite when a trial lands exactly
 
@@ -56,54 +61,54 @@ def fit_rate_slope(sample_sizes, gaps: np.ndarray) -> float:
     return float(coef[0])
 
 
-def _draw_group_stats(
-    model, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
-    s, V = np.linalg.eigh(model.cov)
-    factor = V * np.sqrt(np.clip(s, 0.0, None))
-    X = rng.standard_normal((n, model.dim)) @ factor.T
-    y = X @ model.beta + rng.normal(0.0, np.sqrt(model.sigma2), n)
-    return X.T @ X / n, X.T @ y / n, float(np.mean(y**2))
+def _population_target(
+    spec: ProblemSpec, cfg: SolverConfig
+) -> tuple[QuadraticGroupRisks, BargainingFrame, float]:
+    """Population risks, frame and maximin value that every trial is scored against."""
+    model = QuadraticGroupRisks.from_problem_spec(spec)
+    frame = population_frame(spec)
+    value = float(solve("ri", model, frame, spec.radius, cfg).objective_value)
+    return model, frame, value
 
 
 def _trial_gap(
     spec: ProblemSpec,
     n: int,
-    rng: np.random.Generator,
+    trial: int,
+    seed: int,
     cfg: SolverConfig,
-    pop_model: QuadraticGroupRisks,
-    pop_frame: BargainingFrame,
-    pop_value: float,
-    min_gap_required: float,
-) -> float | None:
-    """One empirical solve scored under the population; None when the draw is
-    too degenerate to define a stable empirical frame (caller resamples)."""
-    m = spec.num_groups
-    A = np.empty((m, spec.dim, spec.dim))
-    c = np.empty((m, spec.dim))
-    k = np.empty(m)
-    ideal = np.empty(m)
-    for g, model in enumerate(spec.groups):
-        A[g], c[g], k[g] = _draw_group_stats(model, n, rng)
-        _, value = minimize_quadratic_ball(A[g], c[g], spec.radius)
-        ideal[g] = value + k[g]
-    emp_gaps = k - ideal
-    if emp_gaps.min() <= min_gap_required:
-        return None
-    emp_frame = BargainingFrame(tuple(k), tuple(ideal))
-    emp_model = QuadraticGroupRisks(A, c, k)
-    report = solve_maximin_ri(emp_model, emp_frame, spec.radius, cfg)
+    target: tuple[QuadraticGroupRisks, BargainingFrame, float],
+) -> tuple[float, int]:
+    """One empirical solve scored under the population, and the draws rejected first.
+
+    A draw whose empirical baseline-to-ideal gap falls below half the
+    population gap is too degenerate to define a stable empirical frame, so
+    it is resampled under the next attempt's seed.
+    """
+    pop_model, pop_frame, pop_value = target
+    min_gap_required = 0.5 * float(pop_frame.gap_array().min())
+    for attempt in range(200):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(n, trial, attempt))
+        )
+        emp = QuadraticGroupRisks.from_dataset(draw_dataset(spec, n, rng))
+        ideal = emp.k + np.array(
+            [minimize_quadratic_ball(A, c, spec.radius)[1] for A, c in zip(emp.A, emp.c)]
+        )
+        if (emp.k - ideal).min() > min_gap_required:
+            break
+    else:
+        raise RuntimeError(f"could not draw a usable sample of size {n} in 200 attempts")
+    report = solve("ri", emp, BargainingFrame(tuple(emp.k), tuple(ideal)), spec.radius, cfg)
     theta = np.asarray(report.parameter)
-    pop_rho = (
-        pop_frame.baseline_array() - pop_model.values(theta)
-    ) / pop_frame.gap_array()
+    pop_rho = relative_improvements(pop_model.values(theta), pop_frame)
     raw = pop_value - float(pop_rho.min())
     if raw < -10.0 * cfg.tol:
         raise RuntimeError(
             f"empirical point beat the population optimum by {-raw:.3e}; "
             "the population solve is inconsistent"
         )
-    return max(raw, 0.0)
+    return max(raw, 0.0), attempt
 
 
 def run_convergence(
@@ -126,31 +131,13 @@ def run_convergence(
     if trials < 1:
         raise ValueError("trials must be positive")
     cfg = cfg or SolverConfig()
-    pop_model = QuadraticGroupRisks.from_problem_spec(spec)
-    pop_frame = population_frame(spec)
-    pop_report = solve_maximin_ri(pop_model, pop_frame, spec.radius, cfg)
-    pop_value = float(pop_report.objective_value)
-    min_gap_required = 0.5 * float(pop_frame.gap_array().min())
-
+    target = _population_target(spec, cfg)
     gaps = np.empty((len(sizes), trials))
     rejected = [0] * len(sizes)
     for i, n in enumerate(sizes):
         for trial in range(trials):
-            for attempt in range(200):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(n, trial, attempt))
-                )
-                gap = _trial_gap(
-                    spec, n, rng, cfg, pop_model, pop_frame, pop_value, min_gap_required
-                )
-                if gap is not None:
-                    gaps[i, trial] = gap
-                    break
-                rejected[i] += 1
-            else:
-                raise RuntimeError(
-                    f"could not draw a usable sample of size {n} in 200 attempts"
-                )
+            gaps[i, trial], skipped = _trial_gap(spec, n, trial, seed, cfg, target)
+            rejected[i] += skipped
     slope = fit_rate_slope(sizes, gaps)
     return ConvergenceResult(
         sample_sizes=tuple(sizes),
@@ -159,7 +146,7 @@ def run_convergence(
         trials=trials,
         seed=seed,
         rejected=tuple(rejected),
-        population_value=pop_value,
+        population_value=target[2],
     )
 
 
@@ -168,20 +155,7 @@ def single_trial_gap(
 ) -> float:
     """One gap draw at one sample size; useful for large-n sanity checks."""
     cfg = cfg or SolverConfig()
-    pop_model = QuadraticGroupRisks.from_problem_spec(spec)
-    pop_frame = population_frame(spec)
-    pop_value = float(solve_maximin_ri(pop_model, pop_frame, spec.radius, cfg).objective_value)
-    min_gap_required = 0.5 * float(pop_frame.gap_array().min())
-    for attempt in range(200):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(n, 0, attempt))
-        )
-        gap = _trial_gap(
-            spec, n, rng, cfg, pop_model, pop_frame, pop_value, min_gap_required
-        )
-        if gap is not None:
-            return gap
-    raise RuntimeError(f"could not draw a usable sample of size {n} in 200 attempts")
+    return _trial_gap(spec, n, 0, seed, cfg, _population_target(spec, cfg))[0]
 
 
 def gap_certificate(result: ConvergenceResult, delta: float = 0.1) -> GapCertificate:

@@ -6,10 +6,10 @@ linear predictor theta has group risk (theta-beta)' cov (theta-beta) + sigma2.
 The baseline predictor is theta = 0 and the parameter class is the Euclidean
 ball of a given radius.
 
-Empirical side: per-group (X, y) samples under squared or logistic loss, with
-an optional kernel expansion for squared loss. Group-optimal fits produce the
-ideal risks of a bargaining frame; the baseline is the zero predictor for
-regression and the pooled base rate for classification.
+Empirical side: per-group (X, y) samples under squared or logistic loss.
+Group-optimal fits produce the ideal risks of a bargaining frame; the
+baseline is the zero predictor for regression and the pooled base rate for
+classification.
 """
 
 from __future__ import annotations
@@ -197,47 +197,18 @@ def population_frame(spec: ProblemSpec) -> BargainingFrame:
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Kernel expansion settings for squared-loss fits."""
-
-    name: str
-    bandwidth: float = 1.0
-    norm_bound: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.name not in ("gaussian", "linear"):
-            raise ValueError(f"unknown kernel {self.name!r}; use 'gaussian' or 'linear'")
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive")
-        if not (np.isfinite(self.norm_bound) and self.norm_bound > 0):
-            raise ValueError("norm_bound must be positive")
-
-    def matrix(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        if self.name == "linear":
-            return xa @ xb.T
-        sq = (
-            np.sum(xa**2, axis=1)[:, None]
-            + np.sum(xb**2, axis=1)[None, :]
-            - 2.0 * xa @ xb.T
-        )
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.bandwidth**2))
-
-
-@dataclass(frozen=True)
 class GroupedDataset:
     """Per-group samples under one loss.
 
     labels for 'logistic' must be 0/1. `radius` bounds the linear parameter
-    ball for fits and solves; `kernel` switches squared-loss fits to a kernel
-    expansion with an RKHS-norm bound. `label_offset` records the pooled mean
-    removed from regression labels at ingestion time.
+    ball for fits and solves. `label_offset` records the pooled mean removed
+    from regression labels at ingestion time.
     """
 
     features: tuple[np.ndarray, ...]
     labels: tuple[np.ndarray, ...]
     loss: str = "squared"
     radius: float | None = None
-    kernel: KernelSpec | None = None
     group_names: tuple[str, ...] = ()
     label_offset: float = 0.0
 
@@ -259,8 +230,6 @@ class GroupedDataset:
         if self.loss not in ("squared", "logistic"):
             raise ValueError(f"loss must be 'squared' or 'logistic', got {self.loss!r}")
         if self.loss == "logistic":
-            if self.kernel is not None:
-                raise ValueError("kernel expansions are only supported for squared loss")
             for g, y in enumerate(labs):
                 if not np.all((y == 0) | (y == 1)):
                     raise ValueError(f"group {g}: logistic labels must be 0 or 1")
@@ -310,35 +279,13 @@ class ConstantPredictor:
         return np.full(X.shape[0], float(self.value))
 
 
-@dataclass(frozen=True)
-class KernelPredictor:
-    """f(x) = sum_i alpha_i k(anchor_i, x)."""
-
-    alpha: np.ndarray
-    anchors: np.ndarray
-    kernel: KernelSpec
-
-    def __post_init__(self) -> None:
-        alpha = _readonly(np.atleast_1d(self.alpha))
-        anchors = _readonly(np.atleast_2d(self.anchors))
-        if alpha.shape[0] != anchors.shape[0]:
-            raise ValueError("alpha and anchors must have matching length")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "anchors", anchors)
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return self.kernel.matrix(X, self.anchors) @ self.alpha
-
-
-Predictor = LinearPredictor | ConstantPredictor | KernelPredictor
+Predictor = LinearPredictor | ConstantPredictor
 
 
 def _group_loss(ds: GroupedDataset, predictor: Predictor, g: int) -> float:
     X, y = ds.features[g], ds.labels[g]
     if ds.loss == "squared":
         return float(np.mean((y - predictor.scores(X)) ** 2))
-    if isinstance(predictor, KernelPredictor):
-        raise ValueError("kernel predictors are only supported for squared loss")
     if isinstance(predictor, ConstantPredictor):
         p = float(predictor.value)
         if not 0.0 < p < 1.0:
@@ -362,7 +309,8 @@ def _fit_squared_linear(X: np.ndarray, y: np.ndarray, radius: float | None) -> n
     return theta
 
 
-def _project_ball(theta: np.ndarray, radius: float | None) -> np.ndarray:
+def project_ball(theta: np.ndarray, radius: float | None) -> np.ndarray:
+    """Nearest point of the ball (no-op without a radius)."""
     if radius is None:
         return theta
     nrm = np.linalg.norm(theta)
@@ -383,14 +331,14 @@ def _fit_logistic(
         p = expit(X @ t)
         g = X.T @ (p - y) / n
         # stationarity through the ball projection, reduces to |grad| inside
-        return float(np.linalg.norm(t - _project_ball(t - g, radius)))
+        return float(np.linalg.norm(t - project_ball(t - g, radius)))
 
     cur = loss(theta)
     resid = np.inf
     for _ in range(max_iters):
         p = expit(X @ theta)
         grad = X.T @ (p - y) / n
-        resid = float(np.linalg.norm(theta - _project_ball(theta - grad, radius)))
+        resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
         if resid <= 1e-8:
             return theta
         w = np.maximum(p * (1.0 - p), 1e-12)
@@ -398,7 +346,7 @@ def _fit_logistic(
         step = np.linalg.solve(H, grad)
         t = 1.0
         while t > 2.0**-50:
-            cand = _project_ball(theta - t * step, radius)
+            cand = project_ball(theta - t * step, radius)
             val = loss(cand)
             if val < cur:
                 theta, cur = cand, val
@@ -409,8 +357,8 @@ def _fit_logistic(
             # the optimum; accept whichever step still shrinks the residual
             advanced = False
             for cand in (
-                _project_ball(theta - step, radius),
-                _project_ball(theta - grad, radius),
+                project_ball(theta - step, radius),
+                project_ball(theta - grad, radius),
             ):
                 if residual_at(cand) < resid:
                     theta, cur = cand, loss(cand)
@@ -420,44 +368,12 @@ def _fit_logistic(
                 break
     p = expit(X @ theta)
     grad = X.T @ (p - y) / n
-    resid = float(np.linalg.norm(theta - _project_ball(theta - grad, radius)))
+    resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
     if resid <= 1e-8:
         return theta
     raise ConvergenceError(
         f"logistic fit stalled with stationarity residual {resid:.3e}", residual=resid
     )
-
-
-def _fit_kernel(
-    X: np.ndarray, y: np.ndarray, kernel: KernelSpec, max_iters: int = 100_000
-) -> tuple[np.ndarray, float]:
-    n = X.shape[0]
-    K = kernel.matrix(X, X)
-    R2 = kernel.norm_bound**2
-    lam_max = float(np.linalg.eigvalsh(K).max())
-    if lam_max <= 0:
-        return np.zeros(n), float(np.mean(y**2))
-    L = 2.0 * lam_max**2 / n
-    alpha = np.zeros(n)
-
-    def project(a: np.ndarray) -> np.ndarray:
-        q = float(a @ (K @ a))
-        return a if q <= R2 else a * np.sqrt(R2 / q)
-
-    resid = np.inf
-    for _ in range(max_iters):
-        grad = 2.0 * K @ (K @ alpha - y) / n
-        nxt = project(alpha - grad / L)
-        resid = float(np.linalg.norm(nxt - alpha)) * L
-        alpha = nxt
-        if resid <= 1e-8 * max(1.0, float(np.linalg.norm(y))):
-            break
-    if resid > 1e-4 * max(1.0, float(np.linalg.norm(y))):
-        raise ConvergenceError(
-            f"kernel fit stalled with stationarity residual {resid:.3e}", residual=resid
-        )
-    risk = float(np.mean((K @ alpha - y) ** 2))
-    return alpha, risk
 
 
 def fit_group_optimal(ds: GroupedDataset, g: int) -> tuple[Predictor, float]:
@@ -466,15 +382,11 @@ def fit_group_optimal(ds: GroupedDataset, g: int) -> tuple[Predictor, float]:
     Squared loss uses exact least squares (pseudo-inverse truncation at
     1e-10 of the top singular value), switching to the ball-constrained exact
     solve when the fit leaves the parameter ball. Logistic loss runs projected
-    damped Newton to stationarity 1e-8; kernel datasets run projected gradient
-    in the dual with norm-rescaling projection.
+    damped Newton to stationarity 1e-8.
     """
     if not 0 <= g < ds.num_groups:
         raise IndexError(f"group index {g} out of range")
     X, y = ds.features[g], ds.labels[g]
-    if ds.kernel is not None:
-        alpha, risk = _fit_kernel(X, y, ds.kernel)
-        return KernelPredictor(alpha, X, ds.kernel), risk
     if ds.loss == "squared":
         theta = _fit_squared_linear(X, y, ds.radius)
         pred = LinearPredictor(theta)
@@ -538,7 +450,6 @@ def load_dataset_csv(
     path: str | Path,
     loss: str = "squared",
     radius: float | None = None,
-    kernel: KernelSpec | None = None,
 ) -> GroupedDataset:
     """Read group,y,x1..xd rows; groups keep first-appearance order.
 
@@ -594,7 +505,6 @@ def load_dataset_csv(
         labels=tuple(labels),
         loss=loss,
         radius=radius,
-        kernel=kernel,
         group_names=tuple(order),
         label_offset=offset,
     )

@@ -27,11 +27,17 @@ from scipy.special import expit
 from fairgain.core import (
     BargainingFrame,
     DegenerateBargainError,
-    ImprovementProfile,
     RiskProfile,
     SolverReport,
+    relative_improvements,
+    to_improvement,
 )
-from fairgain.risk_models import GroupedDataset, ProblemSpec, minimize_quadratic_ball
+from fairgain.risk_models import (
+    GroupedDataset,
+    ProblemSpec,
+    minimize_quadratic_ball,
+    project_ball,
+)
 
 METHODS = ("ri", "leximin", "gdro", "mmv", "mmr", "nash")
 
@@ -47,7 +53,7 @@ class SolverConfig:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1 or self.master_iters < 0:
-            raise ValueError("iteration budgets must be at least 1")
+            raise ValueError("iteration budgets need max_iters >= 1 and master_iters >= 0")
 
 
 class QuadraticGroupRisks:
@@ -70,8 +76,8 @@ class QuadraticGroupRisks:
 
     @classmethod
     def from_dataset(cls, ds: GroupedDataset) -> "QuadraticGroupRisks":
-        if ds.loss != "squared" or ds.kernel is not None:
-            raise ValueError("sufficient-statistic risks need plain squared loss")
+        if ds.loss != "squared":
+            raise ValueError("sufficient-statistic risks need squared loss")
         A = np.stack([X.T @ X / X.shape[0] for X in ds.features])
         c = np.stack([X.T @ y / X.shape[0] for X, y in zip(ds.features, ds.labels)])
         k = np.array([float(np.mean(y**2)) for y in ds.labels])
@@ -119,26 +125,17 @@ def group_risk_model(source: ProblemSpec | GroupedDataset):
     if isinstance(source, ProblemSpec):
         return QuadraticGroupRisks.from_problem_spec(source)
     if isinstance(source, GroupedDataset):
-        if ds_kernel := source.kernel:
-            raise ValueError(
-                f"kernel datasets ({ds_kernel.name}) are fit per group; shared solves need a parametric class"
-            )
         if source.loss == "squared":
             return QuadraticGroupRisks.from_dataset(source)
         return LogisticGroupRisks.from_dataset(source)
     raise TypeError(f"cannot build group risks from {type(source).__name__}")
 
 
-def _project(theta: np.ndarray, radius: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(theta))
-    return theta if nrm <= radius else theta * (radius / nrm)
-
-
 def _initial_point(dim: int, radius: float, cfg: SolverConfig) -> np.ndarray:
     if cfg.seed is None:
         return np.zeros(dim)
     rng = np.random.default_rng(cfg.seed)
-    return _project(rng.normal(0.0, radius / 2.0, dim), radius)
+    return project_ball(rng.normal(0.0, radius / 2.0, dim), radius)
 
 
 def _weighted_min(model, w: np.ndarray, ball: float) -> tuple[np.ndarray, float, float]:
@@ -161,7 +158,7 @@ def _weighted_min(model, w: np.ndarray, ball: float) -> tuple[np.ndarray, float,
         grad = w @ model.gradients(theta)
         moved = False
         while step > 1e-18:
-            cand = _project(theta - step * grad, ball)
+            cand = project_ball(theta - step * grad, ball)
             cand_val = float(w @ model.values(cand))
             if cand_val < val:
                 theta, val = cand, cand_val
@@ -242,7 +239,7 @@ def _hinge_feasible(
             break
         moved = False
         while step > 1e-18:
-            cand = _project(theta - step * grad, ball)
+            cand = project_ball(theta - step * grad, ball)
             hc = hinges(cand)
             pc = float(hc @ hc)
             if pc < pen - 1e-4 * step * gn2:
@@ -374,79 +371,51 @@ def _report(
     certificate: float,
 ) -> SolverReport:
     risks = RiskProfile(tuple(np.maximum(model.values(theta), 0.0)))
-    rhos = (frame.baseline_array() - risks.as_array()) / frame.gap_array()
     return SolverReport(
         parameter=tuple(theta),
         risk_profile=risks,
-        improvement_profile=ImprovementProfile(tuple(rhos)),
+        improvement_profile=to_improvement(risks, frame),
         objective_value=float(objective),
         iterations=iterations,
         certificate_gap=float(certificate),
     )
 
 
-def solve_maximin_ri(
-    model, frame: BargainingFrame, ball: float, cfg: SolverConfig = SolverConfig()
+# Every worst-group criterion is sign * max_g (R_g - shifts_g) / scales_g: one
+# minimax with its own reference point and unit. Each entry maps a frame to
+# (shifts, scales, floor, sign), floor being an a priori lower bound on the max.
+_WORST_GROUP: dict[str, Callable[[BargainingFrame], tuple]] = {
+    # maximize the worst relative improvement: F = -min_g rho_g, which cannot
+    # go below -1 when ideals are true optima
+    "ri": lambda f: (f.baseline_array(), f.gap_array(), -1.0, -1.0),
+    # minimize the worst per-group risk
+    "gdro": lambda f: (
+        np.zeros(f.num_groups), np.ones(f.num_groups), float(f.ideal_array().max()), 1.0
+    ),
+    # maximize the worst absolute gain (baseline minus risk)
+    "mmv": lambda f: (
+        f.baseline_array(),
+        np.ones(f.num_groups),
+        float((f.ideal_array() - f.baseline_array()).max()),
+        -1.0,
+    ),
+    # minimize the worst regret against the ideal risks
+    "mmr": lambda f: (f.ideal_array(), np.ones(f.num_groups), 0.0, 1.0),
+}
+
+
+def _solve_worst_group(
+    method: str, model, frame: BargainingFrame, ball: float, cfg: SolverConfig
 ) -> SolverReport:
-    """Maximize the worst relative improvement over the parameter ball."""
-    shifts = frame.baseline_array()
-    scales = frame.gap_array()
-    # F = -min_g rho_g; its minimum cannot go below -1 when ideals are true optima
+    """Optimize one worst-group criterion (ri, gdro, mmv, mmr) over the ball."""
+    shifts, scales, floor, sign = _WORST_GROUP[method](frame)
     theta, hi, lo, iters = _dual_minimax(
-        model, shifts, scales, ball, cfg, floor=-1.0,
+        model, shifts, scales, ball, cfg, floor=floor,
         warm=(_initial_point(model.dim, ball, cfg),),
     )
-    return _report(model, frame, theta, objective=-hi, iterations=iters, certificate=hi - lo)
-
-
-def solve_gdro(
-    model, frame: BargainingFrame, ball: float, cfg: SolverConfig = SolverConfig()
-) -> SolverReport:
-    """Minimize the worst per-group risk over the parameter ball."""
-    m = frame.num_groups
-    theta, hi, lo, iters = _dual_minimax(
-        model,
-        np.zeros(m),
-        np.ones(m),
-        ball,
-        cfg,
-        floor=float(frame.ideal_array().max()),
-        warm=(_initial_point(model.dim, ball, cfg),),
+    return _report(
+        model, frame, theta, objective=sign * hi, iterations=iters, certificate=hi - lo
     )
-    return _report(model, frame, theta, objective=hi, iterations=iters, certificate=hi - lo)
-
-
-def solve_mmv(
-    model, frame: BargainingFrame, ball: float, cfg: SolverConfig = SolverConfig()
-) -> SolverReport:
-    """Maximize the worst absolute gain (baseline minus risk) over the ball."""
-    base = frame.baseline_array()
-    theta, hi, lo, iters = _dual_minimax(
-        model,
-        base,
-        np.ones(frame.num_groups),
-        ball,
-        cfg,
-        floor=float((frame.ideal_array() - base).max()),
-        warm=(_initial_point(model.dim, ball, cfg),),
-    )
-    return _report(model, frame, theta, objective=-hi, iterations=iters, certificate=hi - lo)
-
-
-def solve_mmr(
-    model, frame: BargainingFrame, ball: float, cfg: SolverConfig = SolverConfig()
-) -> SolverReport:
-    """Minimize the worst regret against the ideal risks over the ball."""
-    theta, hi, lo, iters = _dual_minimax(
-        model,
-        frame.ideal_array(),
-        np.ones(frame.num_groups),
-        ball,
-        cfg,
-        floor=0.0,
-        warm=(_initial_point(model.dim, ball, cfg),),
-    )
-    return _report(model, frame, theta, objective=hi, iterations=iters, certificate=hi - lo)
 
 
 def solve_nash(
@@ -458,7 +427,7 @@ def solve_nash(
     gains whenever any point does. The certificate is the exact maximum of
     the linearized objective over the ball.
     """
-    seed = solve_maximin_ri(model, frame, ball, cfg)
+    seed = _solve_worst_group("ri", model, frame, ball, cfg)
     theta = np.asarray(seed.parameter)
     base = frame.baseline_array()
     gains = base - model.values(theta)
@@ -482,7 +451,7 @@ def solve_nash(
             break
         moved = False
         while step > 1e-18:
-            cand = _project(theta + step * grad, ball)
+            cand = project_ball(theta + step * grad, ball)
             cand_gains = base - model.values(cand)
             if cand_gains.min() > 0.0:
                 cand_obj = objective(cand_gains)
@@ -498,10 +467,6 @@ def solve_nash(
     return _report(model, frame, theta, objective=obj, iterations=iters, certificate=bound)
 
 
-def _improvements_at(model, frame: BargainingFrame, theta: np.ndarray) -> np.ndarray:
-    return (frame.baseline_array() - model.values(theta)) / frame.gap_array()
-
-
 def solve_leximin_ri(
     model, frame: BargainingFrame, ball: float, cfg: SolverConfig = SolverConfig()
 ) -> SolverReport:
@@ -512,13 +477,12 @@ def solve_leximin_ri(
     the rest, handing the pinned floors to the dual as hard constraints. The
     reported objective is the first-stage (worst-group) value.
     """
-    first = solve_maximin_ri(model, frame, ball, cfg)
+    first = _solve_worst_group("ri", model, frame, ball, cfg)
     m = frame.num_groups
     band = 10.0 * cfg.tol
-    base = frame.baseline_array()
-    gaps = frame.gap_array()
+    base, gaps, floor, _ = _WORST_GROUP["ri"](frame)
     theta = np.asarray(first.parameter)
-    rho = _improvements_at(model, frame, theta)
+    rho = relative_improvements(model.values(theta), frame)
     stage_val = float(first.objective_value)
     pins: dict[int, float] = {
         g: stage_val for g in range(m) if rho[g] <= stage_val + band
@@ -531,13 +495,13 @@ def solve_leximin_ri(
         # rho_j >= pin - band reads as f_j <= band - pin in normalized risk units
         caps = np.array([band - pins[g] for g in pin_idx])
         theta, hi, lo, used = _dual_minimax(
-            model, base, gaps, ball, cfg, floor=-1.0, warm=(theta,),
+            model, base, gaps, ball, cfg, floor=floor, warm=(theta,),
             pin_idx=pin_idx, pin_caps=caps,
         )
         val = -hi
         iters += used
         cert = max(cert, hi - lo)
-        rho = _improvements_at(model, frame, theta)
+        rho = relative_improvements(model.values(theta), frame)
         newly = [g for g in remaining if rho[g] <= val + band]
         if not newly:
             # numerical guard: pin the worst remaining group to force progress
@@ -549,16 +513,6 @@ def solve_leximin_ri(
     )
 
 
-_SOLVERS: dict[str, Callable] = {
-    "ri": solve_maximin_ri,
-    "leximin": solve_leximin_ri,
-    "gdro": solve_gdro,
-    "mmv": solve_mmv,
-    "mmr": solve_mmr,
-    "nash": solve_nash,
-}
-
-
 def solve(
     method: str,
     model,
@@ -567,9 +521,33 @@ def solve(
     cfg: SolverConfig = SolverConfig(),
 ) -> SolverReport:
     """Dispatch one of the named criteria."""
-    if method not in _SOLVERS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    return _SOLVERS[method](model, frame, ball, cfg)
+    if method in _WORST_GROUP:
+        return _solve_worst_group(method, model, frame, ball, cfg)
+    if method == "leximin":
+        return solve_leximin_ri(model, frame, ball, cfg)
+    if method == "nash":
+        return solve_nash(model, frame, ball, cfg)
+    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+
+
+def criterion_value(method: str, frame: BargainingFrame, risks) -> float:
+    """Objective of a named criterion at one risk profile.
+
+    leximin scores its first stage, the worst relative improvement; nash is
+    the sum of log gains and needs every gain strictly positive.
+    """
+    risks = np.asarray(risks, dtype=float)
+    if method == "nash":
+        gains = frame.baseline_array() - risks
+        if gains.min() <= 0.0:
+            raise ValueError("the log-gains objective needs strictly positive gains")
+        return float(np.log(gains).sum())
+    if method == "leximin":
+        method = "ri"
+    if method not in _WORST_GROUP:
+        raise ValueError(f"unknown objective {method!r}")
+    shifts, scales, _, sign = _WORST_GROUP[method](frame)
+    return sign * float(((risks - shifts) / scales).max())
 
 
 def objective_and_supergradient(
@@ -579,31 +557,16 @@ def objective_and_supergradient(
 
     For the worst-group criteria the vector returned is the active group's
     gradient contribution, which is a valid supergradient wherever the active
-    group is unique.
+    group is unique. leximin has no single objective to differentiate.
     """
+    if method == "leximin":
+        raise ValueError(f"unknown objective {method!r}")
     theta = np.asarray(theta, dtype=float)
     vals = model.values(theta)
     grads = model.gradients(theta)
-    base = frame.baseline_array()
-    gaps = frame.gap_array()
-    if method == "ri":
-        rho = (base - vals) / gaps
-        a = int(rho.argmin())
-        return float(rho[a]), -grads[a] / gaps[a]
-    if method == "gdro":
-        a = int(vals.argmax())
-        return float(vals[a]), grads[a]
-    if method == "mmv":
-        gains = base - vals
-        a = int(gains.argmin())
-        return float(gains[a]), -grads[a]
-    if method == "mmr":
-        regrets = vals - frame.ideal_array()
-        a = int(regrets.argmax())
-        return float(regrets[a]), grads[a]
+    value = criterion_value(method, frame, vals)
     if method == "nash":
-        gains = base - vals
-        if gains.min() <= 0.0:
-            raise ValueError("the log-gains objective needs strictly positive gains")
-        return float(np.log(gains).sum()), -(grads / gains[:, None]).sum(axis=0)
-    raise ValueError(f"unknown objective {method!r}")
+        return value, -(grads / (frame.baseline_array() - vals)[:, None]).sum(axis=0)
+    shifts, scales, _, sign = _WORST_GROUP[method](frame)
+    a = int(((vals - shifts) / scales).argmax())
+    return value, sign * grads[a] / scales[a]

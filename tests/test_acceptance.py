@@ -32,8 +32,7 @@ from fairgain.solvers import (
     QuadraticGroupRisks,
     SolverConfig,
     objective_and_supergradient,
-    solve_maximin_ri,
-    solve_mmr,
+    solve,
 )
 
 TOL = SolverConfig().tol
@@ -98,10 +97,10 @@ def test_criterion_03_no_harm_sweep():
             spec = random_problem_spec(rng, m=m, d=2, radius=3.0)
             model = QuadraticGroupRisks.from_problem_spec(spec)
             frame = population_frame(spec)
-            rep = solve_maximin_ri(model, frame, spec.radius)
+            rep = solve("ri", model, frame, spec.radius)
             min_rho = min(min_rho, float(rep.improvement_profile.as_array().min()))
             if i < 60:
-                mrep = solve_mmr(model, frame, spec.radius)
+                mrep = solve("mmr", model, frame, spec.radius)
                 if float(mrep.improvement_profile.as_array().min()) < -0.1:
                     mmr_harm += 1
         elapsed = time.perf_counter() - start
@@ -119,7 +118,7 @@ def test_criterion_04_diagonal_equals_maximin():
             spec = random_problem_spec(rng, m=2, d=2, radius=3.0, separated=True)
             model = QuadraticGroupRisks.from_problem_spec(spec)
             frame = population_frame(spec)
-            rep = solve_maximin_ri(model, frame, spec.radius)
+            rep = solve("ri", model, frame, spec.radius)
             trace = trace_frontier(spec, 200)
             rho_star, _ = diagonal_intersection(trace)
             worst = max(worst, abs(rep.objective_value - rho_star))
@@ -223,8 +222,8 @@ def test_criterion_06_bargaining_axioms():
             big = ProblemSpec(groups=spec.groups, radius=4.0)
             frame = population_frame(big)
             model = QuadraticGroupRisks.from_problem_spec(spec)
-            small_rho = solve_maximin_ri(model, frame, 2.0).improvement_profile.as_array()
-            big_rho = solve_maximin_ri(model, frame, 4.0).improvement_profile.as_array()
+            small_rho = solve("ri", model, frame, 2.0).improvement_profile.as_array()
+            big_rho = solve("ri", model, frame, 4.0).improvement_profile.as_array()
             assert float((small_rho - big_rho).max()) <= 10.0 * TOL
 
         # (d) IIA: dropping a losing option never moves the Nash winner,
@@ -333,7 +332,7 @@ def test_criterion_10_supergradients_match_finite_differences():
                 ri_center = None
                 if method == "nash":
                     ri_center = np.asarray(
-                        solve_maximin_ri(model, frame, spec.radius).parameter
+                        solve("ri", model, frame, spec.radius).parameter
                     )
                 accepted = 0
                 attempts = 0

@@ -80,6 +80,11 @@ def test_exit_code_config_errors(tmp_path, spec_file):
     assert main(["solve", "--spec", spec_file, "--data", "x.csv"]) == 2
     assert main(["solve", "--spec", spec_file, "--methods", "bogus"]) == 2
     assert main(["solve", "--spec", spec_file, "--tol", "-1"]) == 2
+    assert main(["solve", "--spec", spec_file, "--tol", "0"]) == 2
+    assert main(["converge", "--spec", spec_file, "--trials", "0"]) == 2
+    assert main(["frontier", "--spec", spec_file, "--weights", "0"]) == 2
+    assert main(["frontier", "--spec", spec_file, "--weights", "1"]) == 2
+    assert main(["riskset", "--spec", spec_file, "--grid", "0"]) == 2
     assert main(["bogus-command"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

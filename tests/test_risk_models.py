@@ -10,7 +10,6 @@ from fairgain.risk_models import (
     ConstantPredictor,
     GroupedDataset,
     GroupLinearModel,
-    KernelSpec,
     LinearPredictor,
     ProblemSpec,
     default_baseline,
@@ -258,42 +257,6 @@ def test_logistic_fit_non_convergence_raises():
     with pytest.raises(ConvergenceError) as err:
         _fit_logistic(X, y, radius=2.0, max_iters=0)
     assert err.value.residual is not None and err.value.residual > 1e-8
-
-
-def test_kernel_fit_interpolates_smooth_target():
-    rng = np.random.default_rng(8)
-    X = np.linspace(-1, 1, 40)[:, None]
-    y = np.sin(2.0 * X[:, 0])
-    kern = KernelSpec(name="gaussian", bandwidth=0.5, norm_bound=20.0)
-    ds = GroupedDataset(
-        features=(X, X), labels=(y, y), loss="squared", kernel=kern
-    )
-    pred, risk = fit_group_optimal(ds, 0)
-    assert risk < 0.01
-    scores = pred.scores(X)
-    assert float(np.mean((scores - y) ** 2)) == pytest.approx(risk, abs=1e-9)
-
-
-def test_kernel_linear_matches_linear_model():
-    rng = np.random.default_rng(12)
-    X = rng.normal(size=(60, 2))
-    y = X @ np.array([0.5, -0.25])
-    kern = KernelSpec(name="linear", norm_bound=10.0)
-    ds = GroupedDataset(features=(X, X), labels=(y, y), kernel=kern)
-    pred, risk = fit_group_optimal(ds, 0)
-    assert risk < 1e-6
-
-
-def test_kernel_requires_squared_loss():
-    X = np.ones((4, 1))
-    y = np.array([0.0, 1.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        GroupedDataset(
-            features=(X, X),
-            labels=(y, y),
-            loss="logistic",
-            kernel=KernelSpec(name="linear"),
-        )
 
 
 def test_dataset_validation():

@@ -11,14 +11,11 @@ from fairgain.solvers import (
     METHODS,
     QuadraticGroupRisks,
     SolverConfig,
+    criterion_value,
     group_risk_model,
     objective_and_supergradient,
     solve,
-    solve_gdro,
     solve_leximin_ri,
-    solve_maximin_ri,
-    solve_mmr,
-    solve_mmv,
     solve_nash,
 )
 from tests.conftest import random_problem_spec
@@ -32,7 +29,7 @@ def _setup(spec):
 
 def test_maximin_ri_motivating(motivating):
     model, frame = _setup(motivating)
-    rep = solve_maximin_ri(model, frame, motivating.radius, CFG)
+    rep = solve("ri", model, frame, motivating.radius, CFG)
     assert rep.certified(1e-5)
     assert rep.parameter[0] == pytest.approx(28.0 / 9.0, abs=2e-3)
     assert rep.objective_value == pytest.approx(56.0 / 81.0, abs=1e-5)
@@ -42,14 +39,14 @@ def test_maximin_ri_motivating(motivating):
 
 def test_gdro_motivating(motivating):
     model, frame = _setup(motivating)
-    rep = solve_gdro(model, frame, motivating.radius, CFG)
+    rep = solve("gdro", model, frame, motivating.radius, CFG)
     assert rep.parameter[0] == pytest.approx(5.3, abs=2e-3)
     assert rep.objective_value == pytest.approx(11.89, abs=1e-4)
 
 
 def test_mmv_motivating(motivating):
     model, frame = _setup(motivating)
-    rep = solve_mmv(model, frame, motivating.radius, CFG)
+    rep = solve("mmv", model, frame, motivating.radius, CFG)
     assert rep.parameter[0] == pytest.approx(2.0, abs=2e-3)
     # worst absolute gain equals group 1's full gap at theta = beta_1
     assert rep.objective_value == pytest.approx(4.0, abs=1e-5)
@@ -57,7 +54,7 @@ def test_mmv_motivating(motivating):
 
 def test_mmr_motivating(motivating):
     model, frame = _setup(motivating)
-    rep = solve_mmr(model, frame, motivating.radius, CFG)
+    rep = solve("mmr", model, frame, motivating.radius, CFG)
     assert rep.parameter[0] == pytest.approx(4.5, abs=2e-3)
     assert rep.objective_value == pytest.approx(6.25, abs=1e-5)
     rho = rep.improvement_profile.as_array()
@@ -76,7 +73,7 @@ def test_nash_motivating(motivating):
 
 def test_leximin_equals_maximin_with_two_groups(motivating):
     model, frame = _setup(motivating)
-    a = solve_maximin_ri(model, frame, motivating.radius, CFG)
+    a = solve("ri", model, frame, motivating.radius, CFG)
     b = solve_leximin_ri(model, frame, motivating.radius, CFG)
     assert b.objective_value == pytest.approx(a.objective_value, abs=1e-5)
     assert b.parameter[0] == pytest.approx(a.parameter[0], abs=2e-3)
@@ -84,7 +81,7 @@ def test_leximin_equals_maximin_with_two_groups(motivating):
 
 def test_leximin_lifts_slack_group(three_group):
     model, frame = _setup(three_group)
-    base = solve_maximin_ri(model, frame, three_group.radius, CFG)
+    base = solve("ri", model, frame, three_group.radius, CFG)
     rep = solve_leximin_ri(model, frame, three_group.radius, CFG)
     rho = rep.improvement_profile.as_array()
     # crossing of groups 1 and 2 sits at theta_1 = 124/41 with value 1240/1681
@@ -100,7 +97,7 @@ def test_equal_improvement_on_separated_pairs():
     for k in range(30):
         spec = random_problem_spec(rng, m=2, d=2, radius=3.0, separated=True)
         model, frame = _setup(spec)
-        rep = solve_maximin_ri(model, frame, spec.radius, CFG)
+        rep = solve("ri", model, frame, spec.radius, CFG)
         assert rep.certified(1e-5), f"case {k} uncertified"
         rho = rep.improvement_profile.as_array()
         assert rho.min() >= -1e-5
@@ -116,7 +113,7 @@ def test_maximin_never_harms():
         m = int(rng.integers(2, 5))
         spec = random_problem_spec(rng, m=m, d=int(rng.integers(1, 4)))
         model, frame = _setup(spec)
-        rep = solve_maximin_ri(model, frame, spec.radius, CFG)
+        rep = solve("ri", model, frame, spec.radius, CFG)
         assert rep.improvement_profile.as_array().min() >= -1e-5
 
 
@@ -128,7 +125,7 @@ def test_regret_criterion_can_harm():
     for _ in range(60):
         spec = random_problem_spec(rng, m=2, d=2, separated=True)
         model, frame = _setup(spec)
-        rep = solve_mmr(model, frame, spec.radius, CFG)
+        rep = solve("mmr", model, frame, spec.radius, CFG)
         if rep.improvement_profile.as_array().min() < -0.1:
             found = True
             break
@@ -142,15 +139,15 @@ def test_value_monotone_in_ball_with_fixed_frame():
         big = type(spec)(groups=spec.groups, radius=4.0)
         frame = population_frame(big)  # one frame for both feasible sets
         model = QuadraticGroupRisks.from_problem_spec(spec)
-        lo = solve_maximin_ri(model, frame, 2.0, CFG)
-        hi = solve_maximin_ri(model, frame, 4.0, CFG)
+        lo = solve("ri", model, frame, 2.0, CFG)
+        hi = solve("ri", model, frame, 4.0, CFG)
         assert hi.objective_value >= lo.objective_value - 1e-5
 
 
 def test_solution_unique_across_random_starts(motivating):
     model, frame = _setup(motivating)
     reps = [
-        solve_maximin_ri(model, frame, motivating.radius, SolverConfig(seed=s))
+        solve("ri", model, frame, motivating.radius, SolverConfig(seed=s))
         for s in (1, 2, 7)
     ]
     for rep in reps[1:]:
@@ -160,7 +157,7 @@ def test_solution_unique_across_random_starts(motivating):
 def test_uncertified_when_budget_is_tiny(motivating):
     model, frame = _setup(motivating)
     cfg = SolverConfig(tol=1e-6, max_iters=40, master_iters=1)
-    rep = solve_maximin_ri(model, frame, motivating.radius, cfg)
+    rep = solve("ri", model, frame, motivating.radius, cfg)
     assert not rep.certified(1e-6)
     assert rep.certificate_gap > 1e-6
 
@@ -214,7 +211,7 @@ def test_logistic_model_solvable():
     ds = GroupedDataset(features=(X1, X2), labels=(y1, y2), loss="logistic", radius=4.0)
     frame = empirical_frame(ds)
     model = group_risk_model(ds)
-    rep = solve_maximin_ri(model, frame, 4.0, CFG)
+    rep = solve("ri", model, frame, 4.0, CFG)
     rho = rep.improvement_profile.as_array()
     assert rho.min() >= -1e-4
     assert rep.certificate_gap < 1e-4
@@ -244,7 +241,28 @@ def test_gradients_match_finite_differences(motivating):
 def test_seeded_runs_are_deterministic(motivating):
     model, frame = _setup(motivating)
     cfg = SolverConfig(seed=123)
-    a = solve_maximin_ri(model, frame, motivating.radius, cfg)
-    b = solve_maximin_ri(model, frame, motivating.radius, cfg)
+    a = solve("ri", model, frame, motivating.radius, cfg)
+    b = solve("ri", model, frame, motivating.radius, cfg)
     assert a.parameter == b.parameter
     assert a.objective_value == b.objective_value
+
+
+@pytest.mark.parametrize("fixture", ["motivating", "three_group", "planar"])
+def test_criterion_value_matches_reported_objective(fixture, request):
+    spec = request.getfixturevalue(fixture)
+    model, frame = _setup(spec)
+    for method in METHODS:
+        rep = solve(method, model, frame, spec.radius, CFG)
+        value = criterion_value(method, frame, rep.risk_profile.as_array())
+        if method == "leximin":
+            # the reported objective is the first stage, pinned within 10 * tol
+            assert abs(value - rep.objective_value) <= 10.0 * CFG.tol
+            continue
+        if method == "ri":
+            # the dual loop applies 1 / gap as a multiplier, criterion_value
+            # divides by the gap; the two roundings can part by one ulp
+            assert abs(value - rep.objective_value) <= np.spacing(abs(value))
+        else:
+            assert value == rep.objective_value
+        theta = np.asarray(rep.parameter)
+        assert objective_and_supergradient(method, model, frame, theta)[0] == value
