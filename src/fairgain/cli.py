@@ -100,6 +100,9 @@ class RunConfig:
         tol = float(getattr(args, "tol", cls.tol))
         if not tol > 0:
             raise ValueError("--tol must be positive")
+        oracle_grid = getattr(args, "oracle_grid", None)
+        if oracle_grid is not None and not oracle_grid > 0:
+            raise ValueError(f"--oracle-grid step must be positive, got {oracle_grid}")
         minimums = {"weights": 2, "grid": 2, "trials": 1}
         counts = {name: getattr(args, name, getattr(cls, name)) for name in minimums}
         for name, low in minimums.items():
@@ -113,7 +116,7 @@ class RunConfig:
             out=getattr(args, "out", None),
             seed=getattr(args, "seed", None),
             tol=tol,
-            oracle_grid=getattr(args, "oracle_grid", None),
+            oracle_grid=oracle_grid,
             ns=ns,
             loss=getattr(args, "loss", "squared"),
             radius=getattr(args, "radius", None),
@@ -254,7 +257,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     scfg = cfg.solver_config()
     oracle = (
         _oracle_objectives(source, frame, ball, cfg.oracle_grid, cfg.methods)
-        if cfg.oracle_grid
+        if cfg.oracle_grid is not None
         else None
     )
     d = model.dim

@@ -6,13 +6,14 @@ That minimax is solved in primal-dual form. Every weighting of the normalized
 group objectives on the simplex yields a one-shot weighted risk minimization
 over the ball whose optimum is a certified lower bound on the minimax value;
 cutting planes over the weightings push that bound up while the weighted
-minimizers double as primal candidates. When weighted minimizers are
-non-unique (flat directions) a smooth squared-hinge feasibility pass closes
-the primal side at the proven bound. The reported certificate is the true
-primal-dual gap, so it never understates the remaining error. The
-product-of-gains criterion is smooth and concave where defined, so it runs
-projected gradient ascent from the maximin-improvement point with an exact
-linear optimality bound over the ball as its certificate.
+minimizers double as primal candidates. The master LP's dual weights on the
+cuts combine the stored candidates into one more point whose worst normalized
+risk is at most the master value, so the primal side closes with the dual
+even when weighted minimizers are non-unique (flat directions). The reported
+certificate is the true primal-dual gap, so it never understates the
+remaining error. The product-of-gains criterion is smooth and concave where
+defined, so it runs projected gradient ascent from the maximin-improvement
+point with an exact linear optimality bound over the ball as its certificate.
 """
 
 from __future__ import annotations
@@ -175,11 +176,13 @@ def _weighted_min(model, w: np.ndarray, ball: float) -> tuple[np.ndarray, float,
 
 def _best_weights(
     cuts: list[np.ndarray], m_free: int, n_pin: int, mu_cap: float
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Multipliers maximizing the worst recorded cut.
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
+    """Multipliers maximizing the worst recorded cut, and the cuts' weights.
 
     Solves max t over lam on the simplex and 0 <= mu <= mu_cap subject to
-    t <= cut_i . (lam, mu) for every stored cut.
+    t <= cut_i . (lam, mu) for every stored cut. The LP's dual weights alpha
+    on those constraints lie on the simplex (t is free), and by LP duality
+    max((alpha @ cuts)[:m_free]) is at most the master value.
     """
     n = m_free + n_pin
     cost = np.zeros(n + 1)
@@ -204,56 +207,9 @@ def _best_weights(
     lam = np.maximum(res.x[:m_free], 0.0)
     total = lam.sum()
     lam = lam / total if total > 0.0 else np.full(m_free, 1.0 / m_free)
-    return lam, np.maximum(res.x[m_free:n], 0.0), float(-res.fun)
-
-
-def _hinge_feasible(
-    model,
-    shifts: np.ndarray,
-    scales: np.ndarray,
-    caps: np.ndarray,
-    theta0: np.ndarray,
-    ball: float,
-    budget: int,
-) -> tuple[np.ndarray, int]:
-    """Seek a ball point with (R_g - shifts_g)/scales_g <= caps_g for all g.
-
-    Minimizes the smooth convex squared-hinge surplus by projected gradient
-    with an adaptive step; the optimum value is zero exactly when the cap
-    vector is attainable, so no kinked-max descent is involved.
-    """
-    theta = np.asarray(theta0, dtype=float)
-
-    def hinges(th: np.ndarray) -> np.ndarray:
-        return np.maximum((model.values(th) - shifts) / scales - caps, 0.0)
-
-    h = hinges(theta)
-    pen = float(h @ h)
-    best_theta, best_pen = theta, pen
-    step = 1.0
-    it = 0
-    while pen > 0.0 and it < budget:
-        grad = 2.0 * ((h / scales) @ model.gradients(theta))
-        gn2 = float(grad @ grad)
-        if gn2 <= 1e-32:
-            break
-        moved = False
-        while step > 1e-18:
-            cand = project_ball(theta - step * grad, ball)
-            hc = hinges(cand)
-            pc = float(hc @ hc)
-            if pc < pen - 1e-4 * step * gn2:
-                theta, h, pen = cand, hc, pc
-                step *= 1.6
-                moved = True
-                break
-            step *= 0.5
-        it += 1
-        if not moved:
-            break
-        if pen < best_pen:
-            best_theta, best_pen = theta, pen
-    return (theta if pen <= best_pen else best_theta), it
+    alpha = np.maximum(-res.ineqlin.marginals, 0.0)
+    alpha /= alpha.sum()
+    return lam, np.maximum(res.x[m_free:n], 0.0), float(-res.fun), alpha
 
 
 _MU_CAP = 1e8
@@ -275,9 +231,14 @@ def _dual_minimax(
 
     Pinned groups, when given, are hard constraints
     (R_j - shifts_j)/scales_j <= pin_caps_j; their multipliers live on
-    [0, _MU_CAP] next to the simplex weights of the free groups. Returns
+    [0, _MU_CAP] next to the simplex weights of the free groups. Each cut
+    keeps the point it was taken at; before every dual evaluation the master
+    LP's dual weights combine those points into one more candidate, which
+    lies in the ball and by convexity scores at most the master value, so
+    the master's saturation closes the primal side too. Returns
     (theta, upper, lower, evals) where upper - lower is a sound certificate
-    by weak duality and floor is a caller-supplied a priori lower bound.
+    by weak duality, evals counts the starting points and dual evaluations,
+    and floor is a caller-supplied a priori lower bound.
     """
     m = model.num_groups
     pin_idx = np.array([], dtype=int) if pin_idx is None else np.asarray(pin_idx, int)
@@ -286,17 +247,19 @@ def _dual_minimax(
     inv_scales = 1.0 / scales
 
     def f_of(theta: np.ndarray) -> np.ndarray:
-        return (model.values(theta) - shifts) * inv_scales
+        return (model.values(theta) - shifts) / scales
 
     best_upper = np.inf
     best_theta: np.ndarray | None = None
     fallback = (np.inf, np.inf, np.zeros(model.dim))
     cuts: list[np.ndarray] = []
+    points: list[np.ndarray] = []
 
     def track(theta: np.ndarray) -> None:
         nonlocal best_upper, best_theta, fallback
         f = f_of(theta)
         cuts.append(np.concatenate([f[free], f[pin_idx] - pin_caps]))
+        points.append(theta)
         value = float(f[free].max())
         viol = float(np.maximum(f[pin_idx] - pin_caps, 0.0).max()) if len(pin_idx) else 0.0
         if viol <= _FEAS_TOL:
@@ -337,23 +300,12 @@ def _dual_minimax(
         picked = _best_weights(cuts, len(free), len(pin_idx), _MU_CAP)
         if picked is None:
             break
-        lam, mu, master_val = picked
+        lam, mu, master_val, alpha = picked
+        track(alpha @ np.asarray(points))
         best_lower = max(best_lower, dual_at(lam, mu))
         evals += 1
         if master_val - best_lower <= saturation:
             break
-
-    gap = best_upper - best_lower
-    if gap > 0.5 * cfg.tol and evals < cfg.max_iters:
-        caps = np.empty(m)
-        caps[free] = best_lower + 0.25 * cfg.tol
-        caps[pin_idx] = pin_caps
-        start = best_theta if best_theta is not None else fallback[2]
-        polished, used = _hinge_feasible(
-            model, shifts, scales, caps, start, ball, min(4000, cfg.max_iters - evals)
-        )
-        evals += used
-        track(polished)
 
     if best_theta is None:
         # no candidate met the pinned floors; report the least-violating point

@@ -85,6 +85,8 @@ def test_exit_code_config_errors(tmp_path, spec_file):
     assert main(["frontier", "--spec", spec_file, "--weights", "0"]) == 2
     assert main(["frontier", "--spec", spec_file, "--weights", "1"]) == 2
     assert main(["riskset", "--spec", spec_file, "--grid", "0"]) == 2
+    assert main(["compare", "--spec", spec_file, "--oracle-grid", "0"]) == 2
+    assert main(["compare", "--spec", spec_file, "--oracle-grid", "-0.1"]) == 2
     assert main(["bogus-command"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
