@@ -2,13 +2,13 @@
 
 Every operation takes a DiscreteFeasibleSet and returns (index, RiskProfile)
 for the winning candidate. Candidate sets can be large (millions of grid
-rows), so risks live in one (N, m) array and all criteria are vectorized.
+rows), so risks live in one (N, m) array and every pick reads the vectorized
+criterion scores of fairgain.core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -16,6 +16,8 @@ from fairgain.core import (
     BargainingFrame,
     DegenerateBargainError,
     RiskProfile,
+    criterion_scores,
+    group_scores,
     relative_improvements,
 )
 
@@ -45,24 +47,11 @@ class DiscreteFeasibleSet:
         arr.setflags(write=False)
         object.__setattr__(self, "risks", arr)
 
-    @classmethod
-    def from_profiles(
-        cls, profiles: Iterable[RiskProfile], frame: BargainingFrame
-    ) -> "DiscreteFeasibleSet":
-        rows = [p.as_array() for p in profiles]
-        if not rows:
-            raise ValueError("a feasible set needs at least one risk profile")
-        return cls(np.stack(rows), frame)
-
     def __len__(self) -> int:
         return self.risks.shape[0]
 
     def profile(self, i: int) -> RiskProfile:
         return RiskProfile(tuple(self.risks[i]))
-
-    @property
-    def points(self) -> tuple[RiskProfile, ...]:
-        return tuple(self.profile(i) for i in range(len(self)))
 
     def improvements(self) -> np.ndarray:
         return relative_improvements(self.risks, self.frame)
@@ -84,75 +73,67 @@ def _leximin_best(rows: np.ndarray) -> int:
     return int(np.flatnonzero(alive)[0])
 
 
-def _pick(vals: np.ndarray, maximize: bool) -> int:
-    best = vals.max() if maximize else vals.min()
-    return int(np.flatnonzero(vals == best)[0])
+def _leximin_pick(s: DiscreteFeasibleSet, method: str) -> tuple[int, RiskProfile]:
+    """Leximin over a worst-group criterion's group scores, lowest index on exact ties.
+
+    Rows are first filtered by their worst score, so only the tied rows are
+    scored group by group and sorted, however large the set.
+    """
+    worst = criterion_scores(method, s.frame, s.risks)
+    tied = np.flatnonzero(worst == worst.max())
+    best = _leximin_best(group_scores(method, s.frame, s.risks[tied])) if len(tied) > 1 else 0
+    idx = int(tied[best])
+    return idx, s.profile(idx)
 
 
-def ks_maximin(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
-    """Maximize the worst relative improvement; ties break by leximin, then index."""
-    rho = s.improvements()
-    mins = rho.min(axis=1)
-    tied = np.flatnonzero(mins == mins.max())
-    if len(tied) > 1:
-        tied_local = _leximin_best(rho[tied])
-        idx = int(tied[tied_local])
-    else:
-        idx = int(tied[0])
+def _pick(s: DiscreteFeasibleSet, method: str) -> tuple[int, RiskProfile]:
+    """The first row with the best score under a named criterion."""
+    scores = criterion_scores(method, s.frame, s.risks)
+    idx = int(np.argmax(scores))
+    if scores[idx] == -np.inf:  # only nash scores -inf, where some gain is not positive
+        raise DegenerateBargainError(
+            "no candidate strictly improves on the baseline for every group"
+        )
     return idx, s.profile(idx)
 
 
 def leximin(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
     """Lexicographic maximin over sorted relative improvements."""
-    idx = _leximin_best(s.improvements())
-    return idx, s.profile(idx)
+    return _leximin_pick(s, "ri")
+
+
+# the worst relative improvement with its leximin tie-break is the leximin pick
+ks_maximin = leximin
 
 
 def gdro(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
     """Minimize the worst per-group risk."""
-    idx = _pick(s.risks.max(axis=1), maximize=False)
-    return idx, s.profile(idx)
+    return _pick(s, "gdro")
 
 
 def mmv(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
     """Maximize the worst absolute gain over the baseline."""
-    gains = s.frame.baseline_array() - s.risks
-    idx = _pick(gains.min(axis=1), maximize=True)
-    return idx, s.profile(idx)
+    return _pick(s, "mmv")
 
 
 def mmr(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
     """Minimize the worst regret against the ideal risks."""
-    regrets = s.risks - s.frame.ideal_array()
-    idx = _pick(regrets.max(axis=1), maximize=False)
-    return idx, s.profile(idx)
+    return _pick(s, "mmr")
 
 
 def nash(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
     """Maximize the product of absolute gains over candidates that help every group."""
-    gains = s.frame.baseline_array() - s.risks
-    ok = (gains > 0).all(axis=1)
-    if not ok.any():
-        raise DegenerateBargainError(
-            "no candidate strictly improves on the baseline for every group"
-        )
-    score = np.where(ok, np.log(np.where(ok[:, None], gains, 1.0)).sum(axis=1), -np.inf)
-    idx = _pick(score, maximize=True)
-    return idx, s.profile(idx)
+    return _pick(s, "nash")
 
 
 def egalitarian(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
     """Leximin over absolute gains (baseline minus risk)."""
-    gains = s.frame.baseline_array() - s.risks
-    idx = _leximin_best(gains)
-    return idx, s.profile(idx)
+    return _leximin_pick(s, "mmv")
 
 
 def equal_loss(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
     """Minimize the worst regret, refining ties leximin-style down the regret vector."""
-    regrets = s.risks - s.frame.ideal_array()
-    idx = _leximin_best(-regrets)
-    return idx, s.profile(idx)
+    return _leximin_pick(s, "mmr")
 
 
 def _baseline_index(s: DiscreteFeasibleSet) -> int:

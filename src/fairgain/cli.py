@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for a degenerate
 bargaining frame or when no point gives every group a strictly positive gain
-(nash), 4 for unsupported dimensionality. Output files are written
+(nash), 4 for unsupported dimensionality, 5 when an iterative fit or the
+convergence study stops without converging. Output files are written
 atomically and are byte-identical across runs with the same inputs and seed.
 """
 
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,11 @@ from fairgain.bargain_discrete import (
 )
 from fairgain.core import (
     BargainingFrame,
+    ConvergenceError,
     DegenerateBargainError,
     DegenerateFrameError,
     UnsupportedDimensionError,
+    criterion_value,
 )
 from fairgain.empirical_study import gap_certificate, run_convergence
 from fairgain.geometry import sample_risk_set, trace_frontier
@@ -38,22 +41,19 @@ from fairgain.risk_models import (
     GroupedDataset,
     ProblemSpec,
     empirical_frame,
+    fit_group_optimal,
     load_dataset_csv,
     load_problem_spec,
     population_frame,
+    population_risks,
 )
-from fairgain.solvers import (
-    METHODS,
-    SolverConfig,
-    criterion_value,
-    group_risk_model,
-    solve,
-)
+from fairgain.solvers import METHODS, SolverConfig, group_risk_model, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_DIMENSION = 4
+EXIT_CONVERGENCE = 5
 
 
 @dataclass
@@ -160,29 +160,12 @@ def _load_source(cfg: RunConfig) -> tuple[ProblemSpec | GroupedDataset, Bargaini
     ball = cfg.radius
     if ball is None:
         # generous default: twice the largest per-group fit, found without a ball
-        from fairgain.risk_models import fit_group_optimal
-
-        unbounded = GroupedDataset(
-            features=ds.features,
-            labels=ds.labels,
-            loss=ds.loss,
-            radius=None,
-            group_names=ds.group_names,
-            label_offset=ds.label_offset,
-        )
         norms = [
-            float(np.linalg.norm(fit_group_optimal(unbounded, g)[0].theta))
+            float(np.linalg.norm(fit_group_optimal(ds, g)[0].theta))
             for g in range(ds.num_groups)
         ]
         ball = max(1.0, 2.0 * max(norms))
-        ds = GroupedDataset(
-            features=ds.features,
-            labels=ds.labels,
-            loss=ds.loss,
-            radius=ball,
-            group_names=ds.group_names,
-            label_offset=ds.label_offset,
-        )
+        ds = replace(ds, radius=ball)
     return ds, empirical_frame(ds), ball
 
 
@@ -221,8 +204,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 def _oracle_objectives(
     spec_or_ds, frame: BargainingFrame, ball: float, step: float, methods
 ) -> dict[str, float]:
-    from fairgain.risk_models import population_risks
-
     if not isinstance(spec_or_ds, ProblemSpec):
         raise ValueError("--oracle-grid needs --spec (population grids)")
     spec = spec_or_ds
@@ -282,9 +263,9 @@ def cmd_compare(cfg: RunConfig) -> int:
             + [_fmt(v) for v in risks]
             + [_fmt(v) for v in rho]
             + [
-                _fmt(rho.min()),
-                _fmt(risks.max()),
-                _fmt((risks - frame.ideal_array()).max()),
+                _fmt(criterion_value("ri", frame, risks)),
+                _fmt(criterion_value("gdro", frame, risks)),
+                _fmt(criterion_value("mmr", frame, risks)),
                 _fmt(rep.objective_value),
             ]
         )
@@ -409,6 +390,15 @@ _COMMANDS = {
 }
 
 
+# the first matching entry wins, so the ValueError subclasses come first
+_EXIT_CODES = (
+    (ConvergenceError, EXIT_CONVERGENCE),
+    (UnsupportedDimensionError, EXIT_DIMENSION),
+    ((DegenerateFrameError, DegenerateBargainError), EXIT_DEGENERATE),
+    ((ValueError, OSError), EXIT_CONFIG),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -418,15 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig.from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except UnsupportedDimensionError as exc:
+    except (ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (DegenerateFrameError, DegenerateBargainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

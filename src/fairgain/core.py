@@ -1,4 +1,5 @@
-"""Shared value types: risk profiles, bargaining frames, improvement transforms.
+"""Shared value types: risk profiles, bargaining frames, improvement transforms,
+and the one table of bargaining criteria that every solver and oracle scores by.
 
 Risks are per-group expected losses, lower is better. A bargaining frame fixes,
 for every group, the risk of the status-quo predictor (baseline) and the best
@@ -9,8 +10,9 @@ relative improvement of a candidate rescales its risk into [.., 1] units where
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -164,6 +166,83 @@ def relative_improvements(risks: np.ndarray, frame: BargainingFrame) -> np.ndarr
             f"risk rows have {risks.shape[-1]} groups, frame has {frame.num_groups}"
         )
     return (frame.baseline_array() - risks) / frame.gap_array()
+
+
+# Every worst-group criterion scores a risk profile by its worst group,
+# min_g (shifts_g - R_g) / scales_g: one maximin with its own reference point
+# and unit. Each entry maps a frame to (shifts, scales, floor, sign): floor is
+# an a priori lower bound on the minimax max_g (R_g - shifts_g) / scales_g that
+# the solvers run, and sign * score is the reported objective.
+WORST_GROUP: dict[str, Callable[[BargainingFrame], tuple]] = {
+    # the worst relative improvement (Kalai-Smorodinsky); the minimax cannot go
+    # below -1 when ideals are true optima
+    "ri": lambda f: (f.baseline_array(), f.gap_array(), -1.0, 1.0),
+    # the worst per-group risk, reported as a risk
+    "gdro": lambda f: (
+        np.zeros(f.num_groups), np.ones(f.num_groups), float(f.ideal_array().max()), -1.0
+    ),
+    # the worst absolute gain (baseline minus risk)
+    "mmv": lambda f: (
+        f.baseline_array(),
+        np.ones(f.num_groups),
+        float((f.ideal_array() - f.baseline_array()).max()),
+        1.0,
+    ),
+    # the worst regret against the ideal risks, reported as a regret
+    "mmr": lambda f: (f.ideal_array(), np.ones(f.num_groups), 0.0, -1.0),
+}
+
+
+def _worst_group_terms(method: str, frame: BargainingFrame) -> tuple:
+    # leximin's first stage is the worst relative improvement
+    terms = WORST_GROUP.get("ri" if method == "leximin" else method)
+    if terms is None:
+        raise ValueError(f"unknown objective {method!r}")
+    return terms(frame)
+
+
+def group_scores(method: str, frame: BargainingFrame, risks) -> np.ndarray:
+    """Per-group (shifts - R) / scales of a worst-group criterion; last axis indexes groups."""
+    shifts, scales, _, _ = _worst_group_terms(method, frame)
+    scores = shifts - np.asarray(risks, dtype=float)
+    scores /= scales
+    return scores
+
+
+def _worst(scores: np.ndarray) -> np.ndarray:
+    # group by group: numpy's reduction over a short last axis is many times
+    # slower on millions of rows
+    return functools.reduce(np.minimum, scores.T).T
+
+
+def criterion_scores(method: str, frame: BargainingFrame, risks) -> np.ndarray:
+    """Score of a named criterion over the last axis of risks; higher is better.
+
+    A worst-group criterion (leximin scores its first stage) takes the minimum
+    of its group scores; nash takes the sum of log gains, -inf where some gain
+    is not positive.
+    """
+    if method != "nash":
+        return _worst(group_scores(method, frame, risks))
+    gains = frame.baseline_array() - np.asarray(risks, dtype=float)
+    logs = np.full(gains.shape, -np.inf)
+    np.log(gains, out=logs, where=gains > 0.0)
+    return logs.sum(axis=-1)
+
+
+def criterion_value(method: str, frame: BargainingFrame, risks) -> float:
+    """Reported objective of a named criterion at one risk profile.
+
+    That is sign * score from WORST_GROUP, or the log-gains sum for nash,
+    which needs every gain strictly positive.
+    """
+    score = float(criterion_scores(method, frame, risks))
+    if method == "nash":
+        if score == -np.inf:
+            raise ValueError("the log-gains objective needs strictly positive gains")
+        return score
+    # sign -1 makes -0.0 of a zero score; + 0.0 reports it as 0.0
+    return _worst_group_terms(method, frame)[3] * score + 0.0
 
 
 def risks_from_improvements(rhos: np.ndarray, frame: BargainingFrame) -> np.ndarray:

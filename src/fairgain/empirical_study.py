@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairgain.core import BargainingFrame, relative_improvements
+from fairgain.core import BargainingFrame, ConvergenceError, relative_improvements
 from fairgain.risk_models import (
     ProblemSpec,
     draw_dataset,
@@ -98,13 +98,13 @@ def _trial_gap(
         if (emp.k - ideal).min() > min_gap_required:
             break
     else:
-        raise RuntimeError(f"could not draw a usable sample of size {n} in 200 attempts")
+        raise ConvergenceError(f"could not draw a usable sample of size {n} in 200 attempts")
     report = solve("ri", emp, BargainingFrame(tuple(emp.k), tuple(ideal)), spec.radius, cfg)
     theta = np.asarray(report.parameter)
     pop_rho = relative_improvements(pop_model.values(theta), pop_frame)
     raw = pop_value - float(pop_rho.min())
     if raw < -10.0 * cfg.tol:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"empirical point beat the population optimum by {-raw:.3e}; "
             "the population solve is inconsistent"
         )

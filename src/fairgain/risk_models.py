@@ -327,20 +327,19 @@ def _fit_logistic(
         z = X @ t
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
-    def residual_at(t: np.ndarray) -> float:
+    def stationarity(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         p = expit(X @ t)
         g = X.T @ (p - y) / n
         # stationarity through the ball projection, reduces to |grad| inside
-        return float(np.linalg.norm(t - project_ball(t - g, radius)))
+        return p, g, float(np.linalg.norm(t - project_ball(t - g, radius)))
 
     cur = loss(theta)
-    resid = np.inf
-    for _ in range(max_iters):
-        p = expit(X @ theta)
-        grad = X.T @ (p - y) / n
-        resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
+    for it in range(max_iters + 1):
+        p, grad, resid = stationarity(theta)
         if resid <= 1e-8:
             return theta
+        if it == max_iters:
+            break
         w = np.maximum(p * (1.0 - p), 1e-12)
         H = (X * w[:, None]).T @ X / n + 1e-12 * np.eye(d)
         step = np.linalg.solve(H, grad)
@@ -360,17 +359,12 @@ def _fit_logistic(
                 project_ball(theta - step, radius),
                 project_ball(theta - grad, radius),
             ):
-                if residual_at(cand) < resid:
+                if stationarity(cand)[2] < resid:
                     theta, cur = cand, loss(cand)
                     advanced = True
                     break
             if not advanced:
                 break
-    p = expit(X @ theta)
-    grad = X.T @ (p - y) / n
-    resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
-    if resid <= 1e-8:
-        return theta
     raise ConvergenceError(
         f"logistic fit stalled with stationarity residual {resid:.3e}", residual=resid
     )

@@ -19,18 +19,21 @@ point with an exact linear optimality bound over the ball as its certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.special import expit
 
 from fairgain.core import (
+    WORST_GROUP,
     BargainingFrame,
     DegenerateBargainError,
     RiskProfile,
     SolverReport,
-    relative_improvements,
+    criterion_scores,
+    criterion_value,
+    group_scores,
     to_improvement,
 )
 from fairgain.risk_models import (
@@ -333,40 +336,17 @@ def _report(
     )
 
 
-# Every worst-group criterion is sign * max_g (R_g - shifts_g) / scales_g: one
-# minimax with its own reference point and unit. Each entry maps a frame to
-# (shifts, scales, floor, sign), floor being an a priori lower bound on the max.
-_WORST_GROUP: dict[str, Callable[[BargainingFrame], tuple]] = {
-    # maximize the worst relative improvement: F = -min_g rho_g, which cannot
-    # go below -1 when ideals are true optima
-    "ri": lambda f: (f.baseline_array(), f.gap_array(), -1.0, -1.0),
-    # minimize the worst per-group risk
-    "gdro": lambda f: (
-        np.zeros(f.num_groups), np.ones(f.num_groups), float(f.ideal_array().max()), 1.0
-    ),
-    # maximize the worst absolute gain (baseline minus risk)
-    "mmv": lambda f: (
-        f.baseline_array(),
-        np.ones(f.num_groups),
-        float((f.ideal_array() - f.baseline_array()).max()),
-        -1.0,
-    ),
-    # minimize the worst regret against the ideal risks
-    "mmr": lambda f: (f.ideal_array(), np.ones(f.num_groups), 0.0, 1.0),
-}
-
-
 def _solve_worst_group(
     method: str, model, frame: BargainingFrame, ball: float, cfg: SolverConfig
 ) -> SolverReport:
     """Optimize one worst-group criterion (ri, gdro, mmv, mmr) over the ball."""
-    shifts, scales, floor, sign = _WORST_GROUP[method](frame)
+    shifts, scales, floor, sign = WORST_GROUP[method](frame)
     theta, hi, lo, iters = _dual_minimax(
         model, shifts, scales, ball, cfg, floor=floor,
         warm=(_initial_point(model.dim, ball, cfg),),
     )
     return _report(
-        model, frame, theta, objective=sign * hi, iterations=iters, certificate=hi - lo
+        model, frame, theta, objective=-sign * hi, iterations=iters, certificate=hi - lo
     )
 
 
@@ -382,36 +362,31 @@ def solve_nash(
     seed = _solve_worst_group("ri", model, frame, ball, cfg)
     theta = np.asarray(seed.parameter)
     base = frame.baseline_array()
-    gains = base - model.values(theta)
-    if gains.min() <= 0.0:
+    vals = model.values(theta)
+    obj = float(criterion_scores("nash", frame, vals))
+    if obj == -np.inf:
         raise DegenerateBargainError(
             "no parameter with strictly positive gains for every group was found; "
             f"best worst-improvement is {seed.objective_value:.3e}"
         )
-
-    def objective(g: np.ndarray) -> float:
-        return float(np.log(g).sum())
-
-    obj = objective(gains)
     iters = seed.iterations
     step = 1.0
     bound = np.inf
     while iters < max(cfg.max_iters, seed.iterations + 1000):
-        grad = -(model.gradients(theta) / gains[:, None]).sum(axis=0)
+        grad = -(model.gradients(theta) / (base - vals)[:, None]).sum(axis=0)
         bound = ball * float(np.linalg.norm(grad)) - float(grad @ theta)
         if bound <= cfg.tol:
             break
         moved = False
         while step > 1e-18:
             cand = project_ball(theta + step * grad, ball)
-            cand_gains = base - model.values(cand)
-            if cand_gains.min() > 0.0:
-                cand_obj = objective(cand_gains)
-                if cand_obj > obj:
-                    theta, gains, obj = cand, cand_gains, cand_obj
-                    step *= 1.5
-                    moved = True
-                    break
+            cand_vals = model.values(cand)
+            cand_obj = float(criterion_scores("nash", frame, cand_vals))
+            if cand_obj > obj:
+                theta, vals, obj = cand, cand_vals, cand_obj
+                step *= 1.5
+                moved = True
+                break
             step *= 0.5
         iters += 1
         if not moved:
@@ -432,9 +407,9 @@ def solve_leximin_ri(
     first = _solve_worst_group("ri", model, frame, ball, cfg)
     m = frame.num_groups
     band = 10.0 * cfg.tol
-    base, gaps, floor, _ = _WORST_GROUP["ri"](frame)
+    base, gaps, floor, _ = WORST_GROUP["ri"](frame)
     theta = np.asarray(first.parameter)
-    rho = relative_improvements(model.values(theta), frame)
+    rho = group_scores("ri", frame, model.values(theta))
     stage_val = float(first.objective_value)
     pins: dict[int, float] = {
         g: stage_val for g in range(m) if rho[g] <= stage_val + band
@@ -453,7 +428,7 @@ def solve_leximin_ri(
         val = -hi
         iters += used
         cert = max(cert, hi - lo)
-        rho = relative_improvements(model.values(theta), frame)
+        rho = group_scores("ri", frame, model.values(theta))
         newly = [g for g in remaining if rho[g] <= val + band]
         if not newly:
             # numerical guard: pin the worst remaining group to force progress
@@ -473,33 +448,13 @@ def solve(
     cfg: SolverConfig = SolverConfig(),
 ) -> SolverReport:
     """Dispatch one of the named criteria."""
-    if method in _WORST_GROUP:
+    if method in WORST_GROUP:
         return _solve_worst_group(method, model, frame, ball, cfg)
     if method == "leximin":
         return solve_leximin_ri(model, frame, ball, cfg)
     if method == "nash":
         return solve_nash(model, frame, ball, cfg)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-
-
-def criterion_value(method: str, frame: BargainingFrame, risks) -> float:
-    """Objective of a named criterion at one risk profile.
-
-    leximin scores its first stage, the worst relative improvement; nash is
-    the sum of log gains and needs every gain strictly positive.
-    """
-    risks = np.asarray(risks, dtype=float)
-    if method == "nash":
-        gains = frame.baseline_array() - risks
-        if gains.min() <= 0.0:
-            raise ValueError("the log-gains objective needs strictly positive gains")
-        return float(np.log(gains).sum())
-    if method == "leximin":
-        method = "ri"
-    if method not in _WORST_GROUP:
-        raise ValueError(f"unknown objective {method!r}")
-    shifts, scales, _, sign = _WORST_GROUP[method](frame)
-    return sign * float(((risks - shifts) / scales).max())
 
 
 def objective_and_supergradient(
@@ -519,6 +474,6 @@ def objective_and_supergradient(
     value = criterion_value(method, frame, vals)
     if method == "nash":
         return value, -(grads / (frame.baseline_array() - vals)[:, None]).sum(axis=0)
-    shifts, scales, _, sign = _WORST_GROUP[method](frame)
-    a = int(((vals - shifts) / scales).argmax())
-    return value, sign * grads[a] / scales[a]
+    _, scales, _, sign = WORST_GROUP[method](frame)
+    a = int(group_scores(method, frame, vals).argmin())
+    return value, -sign * grads[a] / scales[a]

@@ -17,7 +17,14 @@ from fairgain.bargain_discrete import (
     mmv,
     nash,
 )
-from fairgain.core import BargainingFrame, DegenerateBargainError
+from fairgain.core import (
+    WORST_GROUP,
+    BargainingFrame,
+    DegenerateBargainError,
+    criterion_scores,
+    criterion_value,
+    group_scores,
+)
 
 UNIT_FRAME = BargainingFrame(baseline_risks=(4.0, 4.0), ideal_risks=(1.0, 1.0))
 
@@ -165,3 +172,47 @@ def test_closure_leximin_hand_example():
     s = _menu(rows)
     idx, prof = comprehensive_closure_leximin(s)
     assert idx == 1 and prof.values == (2.0, 2.0)
+
+
+def test_picks_follow_the_core_criterion_scores():
+    # integer rows and frames make exact ties, zero gains and -inf nash rows common
+    rng = np.random.default_rng(21)
+    argmax_picks = {"gdro": gdro, "mmv": mmv, "mmr": mmr, "nash": nash}
+    leximin_picks = {"ri": ks_maximin, "leximin": leximin, "mmv": egalitarian, "mmr": equal_loss}
+    for _ in range(200):
+        m = int(rng.integers(2, 5))
+        base = rng.integers(5, 8, size=m).astype(float)
+        ideal = rng.integers(0, 3, size=m).astype(float)
+        frame = BargainingFrame(tuple(base), tuple(ideal))
+        rows = rng.integers(0, 8, size=(int(rng.integers(5, 40)), m)).astype(float)
+        s = DiscreteFeasibleSet(rows, frame)
+        for method in ("ri", "leximin", "gdro", "mmv", "mmr", "nash"):
+            scores = criterion_scores(method, frame, rows)
+            terms = WORST_GROUP.get(method.replace("leximin", "ri"))
+            sign = 1.0 if method == "nash" else terms(frame)[3]
+            for row, score in zip(rows, scores):
+                assert criterion_scores(method, frame, row) == score
+                if score == -np.inf:
+                    with pytest.raises(ValueError):
+                        criterion_value(method, frame, row)
+                else:
+                    assert criterion_value(method, frame, row) == sign * score
+            if method == "nash":
+                helps = (base - rows > 0).all(axis=1)
+                assert np.array_equal(scores == -np.inf, ~helps)
+                reference = [np.log(g).sum() for g in base - rows[helps]]
+                assert np.array_equal(scores[helps], reference)
+            else:
+                reference = group_scores(method, frame, rows).min(axis=1)
+                assert np.array_equal(scores, reference)
+            if method in argmax_picks:
+                if scores.max() == -np.inf:
+                    with pytest.raises(DegenerateBargainError):
+                        argmax_picks[method](s)
+                else:
+                    assert argmax_picks[method](s)[0] == int(np.argmax(scores))
+            if method in leximin_picks:
+                keys = [tuple(sorted(r)) for r in group_scores(method, frame, rows)]
+                idx = leximin_picks[method](s)[0]
+                assert idx == keys.index(max(keys))
+                assert scores[idx] == scores.max()

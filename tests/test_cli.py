@@ -9,8 +9,15 @@ import jsonschema
 import numpy as np
 import pytest
 
+from fairgain import risk_models
 from fairgain.cli import main
-from fairgain.risk_models import draw_dataset, save_problem_spec, write_dataset_csv
+from fairgain.core import ConvergenceError
+from fairgain.risk_models import (
+    GroupedDataset,
+    draw_dataset,
+    save_problem_spec,
+    write_dataset_csv,
+)
 from tests.conftest import motivating_spec, planar_spec
 
 SCHEMA_PATH = (
@@ -114,6 +121,22 @@ def test_exit_code_dimension(tmp_path):
     assert main(["compare", "--spec", str(path), "--oracle-grid", "0.5"]) == 4
 
 
+def test_exit_code_convergence(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(5)
+    ds = draw_dataset(motivating_spec(), n_per_group=50, rng=rng)
+    labels = tuple((y > 0).astype(float) for y in ds.labels)
+    data = tmp_path / "labels.csv"
+    write_dataset_csv(GroupedDataset(ds.features, labels, loss="logistic"), data)
+
+    def stalled(X, y, radius, max_iters=500):
+        raise ConvergenceError("logistic fit stalled with stationarity residual 1.000e-03")
+
+    monkeypatch.setattr(risk_models, "_fit_logistic", stalled)
+    code = main(["solve", "--data", str(data), "--loss", "logistic", "--methods", "ri"])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("error: logistic fit stalled")
+
+
 def test_frontier_row_near_equal_improvement(spec_file, tmp_path):
     out = tmp_path / "frontier.csv"
     assert main(["frontier", "--spec", spec_file, "--weights", "200", "--out", str(out)]) == 0
@@ -166,6 +189,21 @@ def test_compare_oracle_agreement(spec_file, tmp_path):
     for line in lines[1:]:
         cells = line.split(",")
         assert float(cells[i_obj]) == pytest.approx(float(cells[i_oracle]), abs=1e-3)
+
+
+def test_compare_prints_an_exact_zero_unsigned(tmp_path, capsys):
+    # both groups share their optimum, so mmr reaches zero regret exactly
+    path = tmp_path / "shared.json"
+    path.write_text(
+        '{"radius": 1.0, "groups": ['
+        '{"beta": [0.5], "sigma2": 1.0},'
+        '{"beta": [0.5], "sigma2": 2.0, "cov": [[4.0]]}]}'
+    )
+    assert main(["compare", "--spec", str(path), "--methods", "mmr", "--oracle-grid", "0.5"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["max_regret"] == "0.0"
+    assert cells["oracle_objective"] == "0.0"
 
 
 def test_compare_oracle_needs_spec(tmp_path):

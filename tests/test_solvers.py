@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairgain.core import DegenerateBargainError
+from fairgain.core import DegenerateBargainError, criterion_value
 from fairgain.risk_models import population_frame, population_risks
 from fairgain.solvers import (
     _MU_CAP,
@@ -13,7 +13,6 @@ from fairgain.solvers import (
     QuadraticGroupRisks,
     SolverConfig,
     _best_weights,
-    criterion_value,
     group_risk_model,
     objective_and_supergradient,
     solve,
