@@ -227,7 +227,8 @@ def criterion_scores(method: str, frame: BargainingFrame, risks) -> np.ndarray:
     gains = frame.baseline_array() - np.asarray(risks, dtype=float)
     logs = np.full(gains.shape, -np.inf)
     np.log(gains, out=logs, where=gains > 0.0)
-    return logs.sum(axis=-1)
+    # group by group like _worst; left to right is numpy's own order below eight groups
+    return functools.reduce(np.add, logs.T).T
 
 
 def criterion_value(method: str, frame: BargainingFrame, risks) -> float:

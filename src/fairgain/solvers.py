@@ -9,11 +9,14 @@ cutting planes over the weightings push that bound up while the weighted
 minimizers double as primal candidates. The master LP's dual weights on the
 cuts combine the stored candidates into one more point whose worst normalized
 risk is at most the master value, so the primal side closes with the dual
-even when weighted minimizers are non-unique (flat directions). The reported
-certificate is the true primal-dual gap, so it never understates the
-remaining error. The product-of-gains criterion is smooth and concave where
-defined, so it runs projected gradient ascent from the maximin-improvement
-point with an exact linear optimality bound over the ball as its certificate.
+even when weighted minimizers are non-unique (flat directions). A master whose
+multipliers form a segment (two free groups, or one free group and one pin) is
+a maximum of a lower envelope of lines and is solved exactly by walking it;
+larger masters go to HiGHS. The reported certificate is the true primal-dual
+gap, so it never understates the remaining error. The product-of-gains
+criterion is smooth and concave where defined, so it runs projected gradient
+ascent from the maximin-improvement point with an exact linear optimality
+bound over the ball as its certificate.
 """
 
 from __future__ import annotations
@@ -183,10 +186,58 @@ def _best_weights(
     """Multipliers maximizing the worst recorded cut, and the cuts' weights.
 
     Solves max t over lam on the simplex and 0 <= mu <= mu_cap subject to
-    t <= cut_i . (lam, mu) for every stored cut. The LP's dual weights alpha
+    t <= cut_i . (lam, mu) for every stored cut. Its dual weights alpha
     on those constraints lie on the simplex (t is free), and by LP duality
-    max((alpha @ cuts)[:m_free]) is at most the master value.
+    max((alpha @ cuts)[:m_free]) is at most the master value. Multipliers on
+    a segment, (s, 1 - s) or (1, s) with one pin, go to
+    :func:`_envelope_master` and larger masters to HiGHS.
     """
+    if m_free + n_pin != 2:
+        return _lp_master(cuts, m_free, n_pin, mu_cap)
+    if m_free == 2:
+        start, step, cap = np.array([0.0, 1.0]), np.array([1.0, -1.0]), 1.0
+    else:
+        start, step, cap = np.array([1.0, 0.0]), np.array([0.0, 1.0]), mu_cap
+    x, value, alpha = _envelope_master(np.asarray(cuts), start, step, cap)
+    return x[:m_free], x[m_free:], value, alpha
+
+
+def _envelope_master(
+    cuts: np.ndarray, start: np.ndarray, step: np.ndarray, cap: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Maximize min_i cuts_i . (start + s step) over s in [0, cap] exactly.
+
+    Each cut is a line a_i + b_i s; their minimum is concave. The walk starts
+    on the lowest line at s = 0 (the flattest among ties) and moves right to
+    the first crossing with a line of smaller slope until the slope stops
+    being positive. The dual weights alpha sit on the line active there, or
+    mix the last rising line with the falling one it meets so that their
+    slopes cancel; either way max((alpha @ cuts)[:m_free]) is at most the value.
+    """
+    a, b = cuts @ start, cuts @ step
+    i = int(np.lexsort((b, a))[0])
+    s, weights = 0.0, {i: 1.0}
+    while b[i] > 0.0:
+        lower = np.flatnonzero(b < b[i])
+        cross = (a[lower] - a[i]) / (b[i] - b[lower])
+        if len(lower) == 0 or cross.min() >= cap:
+            s, weights = cap, {i: 1.0}
+            break
+        k = np.lexsort((b[lower], cross))[0]
+        j, s = int(lower[k]), max(s, float(cross[k]))
+        # cancels the two slopes; all on j when j is flat, and moot when it rises
+        mix = b[i] / (b[i] - b[j])
+        weights, i = {i: 1.0 - mix, j: mix}, j
+    alpha = np.zeros(len(a))
+    alpha[list(weights)] = list(weights.values())
+    x = start + s * step
+    return x, float((cuts @ x).min()), alpha
+
+
+def _lp_master(
+    cuts: list[np.ndarray], m_free: int, n_pin: int, mu_cap: float
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
+    """The master of :func:`_best_weights` as a HiGHS LP; None if it fails."""
     n = m_free + n_pin
     cost = np.zeros(n + 1)
     cost[-1] = -1.0
@@ -345,8 +396,9 @@ def _solve_worst_group(
         model, shifts, scales, ball, cfg, floor=floor,
         warm=(_initial_point(model.dim, ball, cfg),),
     )
+    # -sign * hi is -0.0 at a zero score for sign +1; + 0.0 reports it as 0.0
     return _report(
-        model, frame, theta, objective=-sign * hi, iterations=iters, certificate=hi - lo
+        model, frame, theta, objective=-sign * hi + 0.0, iterations=iters, certificate=hi - lo
     )
 
 

@@ -206,6 +206,23 @@ def test_compare_prints_an_exact_zero_unsigned(tmp_path, capsys):
     assert cells["oracle_objective"] == "0.0"
 
 
+def test_solve_reports_a_zero_worst_group_unsigned(tmp_path, capsys):
+    # opposing groups on a unit ball: the best worst group sits exactly at its baseline
+    path = tmp_path / "opposing.json"
+    path.write_text(
+        '{"radius": 1.0, "groups": ['
+        '{"beta": [1.0], "sigma2": 1.0}, {"beta": [-1.0], "sigma2": 1.0}]}'
+    )
+    assert main(["solve", "--spec", str(path), "--methods", "ri,mmv"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('"objective_value": 0.0,') == 2
+    assert main(["compare", "--spec", str(path), "--methods", "ri,mmv"]) == 0
+    header, *rows = capsys.readouterr().out.strip().split("\n")
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["objective"] == cells["min_rho"] == "0.0"
+
+
 def test_compare_oracle_needs_spec(tmp_path):
     rng = np.random.default_rng(0)
     ds = draw_dataset(motivating_spec(), n_per_group=50, rng=rng)

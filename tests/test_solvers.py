@@ -13,6 +13,7 @@ from fairgain.solvers import (
     QuadraticGroupRisks,
     SolverConfig,
     _best_weights,
+    _lp_master,
     group_risk_model,
     objective_and_supergradient,
     solve,
@@ -187,6 +188,62 @@ def test_master_dual_weights_bound_the_recovered_point(seed, n_pin):
     assert alpha.min() >= 0.0
     assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
     assert float((alpha @ np.asarray(cuts))[:m_free].max()) <= master_val + 1e-12
+
+
+def _segment_cut_sets():
+    # (intercept, slope) of each cut along the segment: seeded random sets and
+    # the degenerate shapes a cutting-plane master meets
+    rng = np.random.default_rng(5)
+    sets = [rng.normal(size=(int(rng.integers(1, 16)), 2)) for _ in range(300)]
+    sets += [
+        np.zeros((1, 2)),                                     # the theta = 0 cut alone
+        np.array([[0.0, 0.0], [-0.5, 1.0], [0.8, -1.0]]),     # flat optimum on [0.5, 0.8]
+        np.array([[0.3, 1.0], [0.3, 1.0], [1.0, -2.0]]),      # duplicate cuts
+        np.array([[0.0, 0.5], [0.4, 0.5], [-0.1, 0.5]]),      # parallel rising cuts
+        np.array([[0.0, -0.5], [0.4, -0.5], [-0.1, -0.5]]),   # parallel falling cuts
+        np.array([[0.0, 1e-13], [0.1, -1e-13], [0.0, 0.0]]),  # slopes near zero
+        np.array([[0.2, 1e-300], [0.5, -3.0]]),
+        np.array([[0.7, 2.0]]),                               # a single cut
+        np.array([[-0.4, -1.0]]),
+    ]
+    return sets
+
+
+@pytest.mark.parametrize("m_free,n_pin", [(2, 0), (1, 1)])
+def test_segment_master_matches_linprog(m_free, n_pin):
+    # the exact envelope walk against HiGHS on one-dimensional masters
+    for lines in _segment_cut_sets():
+        a, b = lines[:, 0], lines[:, 1]
+        # two free groups: cut . (s, 1 - s) = a + b s; one free, one pin: cut . (1, s)
+        cuts = np.column_stack([a + b, a] if m_free == 2 else [a, b])
+        lam, mu, value, alpha = _best_weights(list(cuts), m_free, n_pin, _MU_CAP)
+        _, _, lp_value, _ = _lp_master(list(cuts), m_free, n_pin, _MU_CAP)
+        scale = max(1.0, abs(lp_value))
+        assert abs(value - lp_value) <= 1e-12 * scale, (lines, value, lp_value)
+        assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-15)
+        assert len(mu) == n_pin and np.all((0.0 <= mu) & (mu <= _MU_CAP))
+        achieved = float((cuts @ np.concatenate([lam, mu])).min())
+        assert abs(achieved - lp_value) <= 1e-12 * scale
+        assert alpha.min() >= 0.0
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert float((alpha @ cuts)[:m_free].max()) <= value + 1e-12
+
+
+def test_two_group_solves_certify():
+    # every cutting-plane master here is one-dimensional; a master that reads
+    # its point off a flat active cut (the theta = 0 cut of ri) fails to certify
+    rng = np.random.default_rng(11)
+    specs = [random_problem_spec(rng, m=2, d=2, radius=3.0, separated=True) for _ in range(100)]
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        spec = random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0)
+        if len(spec.groups) == 2:
+            specs.append(spec)
+    for i, spec in enumerate(specs):
+        model, frame = _setup(spec)
+        for method in ("ri", "leximin", "gdro", "mmv", "mmr"):
+            rep = solve(method, model, frame, spec.radius, CFG)
+            assert rep.certified(CFG.tol), (i, method, rep.certificate_gap)
 
 
 def test_nash_degenerate_when_no_common_gain():
