@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
 
 from fairgain.core import (
     BargainingFrame,
@@ -320,6 +319,8 @@ def _pareto_face_points_2d(risks: np.ndarray, per_face: int) -> tuple[np.ndarray
 
 
 def _pareto_face_points_3d(risks: np.ndarray, per_face: int) -> tuple[np.ndarray, int]:
+    from scipy.spatial import ConvexHull  # here, so that the CLI loads no scipy
+
     hull = ConvexHull(risks)
     probes = []
     faces = 0
@@ -364,6 +365,8 @@ def hull_pareto_check(
     if probes.shape[0] == 0:
         max_violation = 0.0
     else:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(unique)
         dists, _ = tree.query(probes, k=1)
         max_violation = float(dists.max())

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from fairgain.core import (
     BargainingFrame,
@@ -317,6 +316,12 @@ def project_ball(theta: np.ndarray, radius: float | None) -> np.ndarray:
     return theta if nrm <= radius else theta * (radius / nrm)
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) elementwise, as exp(z) / (1 + exp(z)) for z < 0 so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _fit_logistic(
     X: np.ndarray, y: np.ndarray, radius: float | None, max_iters: int = 500
 ) -> np.ndarray:
@@ -328,7 +333,7 @@ def _fit_logistic(
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
     def stationarity(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        p = expit(X @ t)
+        p = sigmoid(X @ t)
         g = X.T @ (p - y) / n
         # stationarity through the ball projection, reduces to |grad| inside
         return p, g, float(np.linalg.norm(t - project_ball(t - g, radius)))

@@ -9,10 +9,10 @@ cutting planes over the weightings push that bound up while the weighted
 minimizers double as primal candidates. The master LP's dual weights on the
 cuts combine the stored candidates into one more point whose worst normalized
 risk is at most the master value, so the primal side closes with the dual
-even when weighted minimizers are non-unique (flat directions). A master whose
-multipliers form a segment (two free groups, or one free group and one pin) is
-a maximum of a lower envelope of lines and is solved exactly by walking it;
-larger masters go to HiGHS. The reported certificate is the true primal-dual
+even when weighted minimizers are non-unique (flat directions). The master is
+a matrix game over the free groups' weights, with unbounded multipliers on
+pinned groups, and one warm-started revised simplex solves it exactly for any
+number of groups. The reported certificate is the true primal-dual
 gap, so it never understates the remaining error. The product-of-gains
 criterion is smooth and concave where defined, so it runs projected gradient
 ascent from the maximin-improvement point with an exact linear optimality
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import expit
 
 from fairgain.core import (
     WORST_GROUP,
@@ -44,6 +42,7 @@ from fairgain.risk_models import (
     ProblemSpec,
     minimize_quadratic_ball,
     project_ball,
+    sigmoid,
 )
 
 METHODS = ("ri", "leximin", "gdro", "mmv", "mmr", "nash")
@@ -123,7 +122,7 @@ class LogisticGroupRisks:
     def gradients(self, theta: np.ndarray) -> np.ndarray:
         out = np.empty((self.num_groups, self.dim))
         for g, (X, y) in enumerate(zip(self.features, self.labels)):
-            out[g] = X.T @ (expit(X @ theta) - y) / X.shape[0]
+            out[g] = X.T @ (sigmoid(X @ theta) - y) / X.shape[0]
         return out
 
 
@@ -180,93 +179,81 @@ def _weighted_min(model, w: np.ndarray, ball: float) -> tuple[np.ndarray, float,
     return theta, val, lower
 
 
-def _best_weights(
-    cuts: list[np.ndarray], m_free: int, n_pin: int, mu_cap: float
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
-    """Multipliers maximizing the worst recorded cut, and the cuts' weights.
+class _GameMaster:
+    """The cutting-plane master of one :func:`_dual_minimax` call, solved exactly.
 
-    Solves max t over lam on the simplex and 0 <= mu <= mu_cap subject to
-    t <= cut_i . (lam, mu) for every stored cut. Its dual weights alpha
-    on those constraints lie on the simplex (t is free), and by LP duality
-    max((alpha @ cuts)[:m_free]) is at most the master value. Multipliers on
-    a segment, (s, 1 - s) or (1, s) with one pin, go to
-    :func:`_envelope_master` and larger masters to HiGHS.
+    The master is max t over lam on the simplex and mu >= 0 subject to
+    t <= cut_i . (lam, mu) for every stored cut i. Its value is at least the
+    caller's a priori bound floor, so with the free entries shifted by
+    K = 1 - floor, (lam, mu) / (t + K) solves min 1'x subject to
+    (C_F + K) x + C_P z >= 1 and x, z >= 0, whose dual max 1'y subject to
+    (C_F + K)^T y <= 1, C_P^T y <= 0 and y >= 0 has one row per group and one
+    column per cut. Its slack basis is feasible and a new cut enters at zero,
+    so each solve starts from the last optimal basis and its inverse. The
+    revised simplex prices by Bland's rule and inverts each new basis afresh.
+    The recovered point's cut nearly repeats the best cut; on such near-singular
+    bases rounding in the reduced costs passes the 1e-12 that reaches the exact
+    vertex elsewhere and the pivots cycle, so a warm solve that runs out of
+    pivots starts once more from the slack basis at 1e-9.
     """
-    if m_free + n_pin != 2:
-        return _lp_master(cuts, m_free, n_pin, mu_cap)
-    if m_free == 2:
-        start, step, cap = np.array([0.0, 1.0]), np.array([1.0, -1.0]), 1.0
-    else:
-        start, step, cap = np.array([1.0, 0.0]), np.array([0.0, 1.0]), mu_cap
-    x, value, alpha = _envelope_master(np.asarray(cuts), start, step, cap)
-    return x[:m_free], x[m_free:], value, alpha
 
+    def __init__(self, m_free: int, n_pin: int, floor: float):
+        n = m_free + n_pin
+        self.m_free, self.shift = m_free, 1.0 - floor
+        self.rhs = np.concatenate([np.ones(m_free), np.zeros(n_pin)])
+        # slack columns first, then one column per stored cut
+        self.cols, self.basis, self.inv = np.eye(n), np.arange(n), np.eye(n)
 
-def _envelope_master(
-    cuts: np.ndarray, start: np.ndarray, step: np.ndarray, cap: float
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Maximize min_i cuts_i . (start + s step) over s in [0, cap] exactly.
+    def solve(self, cuts: list) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
+        """(lam, mu, value, alpha) over all cuts stored so far, or None.
 
-    Each cut is a line a_i + b_i s; their minimum is concave. The walk starts
-    on the lowest line at s = 0 (the flattest among ties) and moves right to
-    the first crossing with a line of smaller slope until the slope stops
-    being positive. The dual weights alpha sit on the line active there, or
-    mix the last rising line with the falling one it meets so that their
-    slopes cancel; either way max((alpha @ cuts)[:m_free]) is at most the value.
-    """
-    a, b = cuts @ start, cuts @ step
-    i = int(np.lexsort((b, a))[0])
-    s, weights = 0.0, {i: 1.0}
-    while b[i] > 0.0:
-        lower = np.flatnonzero(b < b[i])
-        cross = (a[lower] - a[i]) / (b[i] - b[lower])
-        if len(lower) == 0 or cross.min() >= cap:
-            s, weights = cap, {i: 1.0}
-            break
-        k = np.lexsort((b[lower], cross))[0]
-        j, s = int(lower[k]), max(s, float(cross[k]))
-        # cancels the two slopes; all on j when j is flat, and moot when it rises
-        mix = b[i] / (b[i] - b[j])
-        weights, i = {i: 1.0 - mix, j: mix}, j
-    alpha = np.zeros(len(a))
-    alpha[list(weights)] = list(weights.values())
-    x = start + s * step
-    return x, float((cuts @ x).min()), alpha
+        value is min_i cut_i . (lam, mu); alpha >= 0 sums to 1, and by LP duality
+        max((alpha @ cuts)[:m_free]) is at most the value. None: no mix of the
+        stored points meets every pin (mu is unbounded), or the simplex failed.
+        """
+        n = len(self.rhs)
+        new = np.array(cuts[self.cols.shape[1] - n :]).reshape(-1, n).T
+        new[: self.m_free] += self.shift
+        self.cols = np.concatenate([self.cols, new], axis=1)
+        cost = np.concatenate([np.zeros(n), np.ones(len(cuts))])
+        found = self._pivot(cost, self.basis, self.inv, 1e-12)
+        if found is None:
+            found = self._pivot(cost, np.arange(n), np.eye(n), 1e-9)
+        if found is None:
+            return None
+        self.basis, self.inv = found
+        pi = np.maximum(cost[self.basis] @ self.inv, 0.0)
+        y = np.zeros(len(cost))
+        y[self.basis] = np.maximum(self.inv @ self.rhs, 0.0)
+        y, total = y[n:], pi[: self.m_free].sum()
+        if y.sum() <= 0.0 or total <= 0.0:
+            return None
+        # cut_i . (lam, mu) is column i weighed by pi over total, less the shift
+        value = float((pi @ self.cols[:, n:]).min()) / total - self.shift
+        return pi[: self.m_free] / total, pi[self.m_free :] / total, value, y / y.sum()
 
-
-def _lp_master(
-    cuts: list[np.ndarray], m_free: int, n_pin: int, mu_cap: float
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
-    """The master of :func:`_best_weights` as a HiGHS LP; None if it fails."""
-    n = m_free + n_pin
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    A_ub = np.empty((len(cuts), n + 1))
-    A_ub[:, :n] = -np.asarray(cuts)
-    A_ub[:, n] = 1.0
-    A_eq = np.zeros((1, n + 1))
-    A_eq[0, :m_free] = 1.0
-    bounds = [(0.0, 1.0)] * m_free + [(0.0, mu_cap)] * n_pin + [(None, None)]
-    res = linprog(
-        cost,
-        A_ub=A_ub,
-        b_ub=np.zeros(len(cuts)),
-        A_eq=A_eq,
-        b_eq=np.ones(1),
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
+    def _pivot(self, cost, basis, inv, tol) -> tuple[np.ndarray, np.ndarray] | None:
+        """Optimal basis and inverse from a feasible basis; None if unbounded or out of pivots."""
+        cols, basis = self.cols, basis.copy()
+        for _ in range(2 * cols.shape[1]):
+            reduced = cost - (cost[basis] @ inv) @ cols
+            reduced[basis] = 0.0
+            improving = reduced > tol
+            j = improving.argmax()  # Bland: the first improving column
+            if not improving[j]:
+                return basis, inv
+            step = inv @ cols[:, j]
+            x_b = np.maximum(inv @ self.rhs, 0.0)
+            ratios = np.divide(x_b, step, out=np.full(len(step), np.inf), where=step > _PIVOT_TOL)
+            row = np.lexsort((basis, ratios))[0]  # and the first basic index among tied rows
+            if ratios[row] == np.inf:
+                return None
+            basis[row] = j
+            inv = np.linalg.inv(cols[:, basis])
         return None
-    lam = np.maximum(res.x[:m_free], 0.0)
-    total = lam.sum()
-    lam = lam / total if total > 0.0 else np.full(m_free, 1.0 / m_free)
-    alpha = np.maximum(-res.ineqlin.marginals, 0.0)
-    alpha /= alpha.sum()
-    return lam, np.maximum(res.x[m_free:n], 0.0), float(-res.fun), alpha
 
 
-_MU_CAP = 1e8
+_PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-11
 
 
@@ -284,8 +271,8 @@ def _dual_minimax(
     """Minimize F(theta) = max over free groups of (R_g - shifts_g)/scales_g.
 
     Pinned groups, when given, are hard constraints
-    (R_j - shifts_j)/scales_j <= pin_caps_j; their multipliers live on
-    [0, _MU_CAP] next to the simplex weights of the free groups. Each cut
+    (R_j - shifts_j)/scales_j <= pin_caps_j; their multipliers are any
+    mu >= 0 next to the simplex weights of the free groups. Each cut
     keeps the point it was taken at; before every dual evaluation the master
     LP's dual weights combine those points into one more candidate, which
     lies in the ball and by convexity scores at most the master value, so
@@ -306,6 +293,7 @@ def _dual_minimax(
     best_upper = np.inf
     best_theta: np.ndarray | None = None
     fallback = (np.inf, np.inf, np.zeros(model.dim))
+    master = _GameMaster(len(free), len(pin_idx), floor)
     cuts: list[np.ndarray] = []
     points: list[np.ndarray] = []
 
@@ -325,12 +313,10 @@ def _dual_minimax(
     def dual_at(lam: np.ndarray, mu: np.ndarray) -> float:
         w = np.zeros(m)
         w[free] = lam * inv_scales[free]
-        if len(pin_idx):
-            w[pin_idx] = mu * inv_scales[pin_idx]
+        w[pin_idx] = mu * inv_scales[pin_idx]
         theta_hat, _, low = _weighted_min(model, w, ball)
         const = -float(lam @ (shifts[free] * inv_scales[free]))
-        if len(pin_idx):
-            const -= float(mu @ (shifts[pin_idx] * inv_scales[pin_idx] + pin_caps))
+        const -= float(mu @ (shifts[pin_idx] * inv_scales[pin_idx] + pin_caps))
         track(theta_hat)
         return low + const
 
@@ -351,7 +337,7 @@ def _dual_minimax(
     for _ in range(cfg.master_iters):
         if best_upper - best_lower <= 0.5 * cfg.tol or evals >= cfg.max_iters:
             break
-        picked = _best_weights(cuts, len(free), len(pin_idx), _MU_CAP)
+        picked = master.solve(cuts)
         if picked is None:
             break
         lam, mu, master_val, alpha = picked
@@ -409,11 +395,17 @@ def solve_nash(
 
     Started at the maximin-improvement point, which has strictly positive
     gains whenever any point does. The certificate is the exact maximum of
-    the linearized objective over the ball.
+    the linearized objective over the ball. A step is taken where it raises
+    the objective or where the objective, being concave, still rises at its
+    end, which holds even when the rise is below the rounding of the log sum.
     """
     seed = _solve_worst_group("ri", model, frame, ball, cfg)
     theta = np.asarray(seed.parameter)
     base = frame.baseline_array()
+
+    def ascent(theta: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        return -(model.gradients(theta) / (base - vals)[:, None]).sum(axis=0)
+
     vals = model.values(theta)
     obj = float(criterion_scores("nash", frame, vals))
     if obj == -np.inf:
@@ -423,25 +415,25 @@ def solve_nash(
         )
     iters = seed.iterations
     step = 1.0
+    grad = ascent(theta, vals)
     bound = np.inf
     while iters < max(cfg.max_iters, seed.iterations + 1000):
-        grad = -(model.gradients(theta) / (base - vals)[:, None]).sum(axis=0)
         bound = ball * float(np.linalg.norm(grad)) - float(grad @ theta)
         if bound <= cfg.tol:
             break
-        moved = False
+        iters += 1
         while step > 1e-18:
             cand = project_ball(theta + step * grad, ball)
             cand_vals = model.values(cand)
             cand_obj = float(criterion_scores("nash", frame, cand_vals))
-            if cand_obj > obj:
-                theta, vals, obj = cand, cand_vals, cand_obj
-                step *= 1.5
-                moved = True
-                break
+            if cand_obj > -np.inf:
+                cand_grad = ascent(cand, cand_vals)
+                if cand_obj > obj or float(cand_grad @ (cand - theta)) > 0.0:
+                    theta, obj, grad = cand, cand_obj, cand_grad
+                    step *= 1.5
+                    break
             step *= 0.5
-        iters += 1
-        if not moved:
+        else:
             break
     return _report(model, frame, theta, objective=obj, iterations=iters, certificate=bound)
 

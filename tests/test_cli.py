@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -302,3 +305,22 @@ def test_solve_from_dataset_default_ball(tmp_path):
     report = json.loads(out.read_text())
     # twice the largest single-group fit comfortably covers both betas
     assert 7.0 <= report["ball"] <= 20.0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves the hull check and the tests only; the CLI starts on numpy alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, fairgain.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        timeout=120,
+    )
+    assert run.stdout.strip() == "[]"

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fairgain.core import ConvergenceError, DegenerateFrameError
 from fairgain.risk_models import (
@@ -25,6 +28,7 @@ from fairgain.risk_models import (
     population_risk,
     population_risks,
     save_problem_spec,
+    sigmoid,
     write_dataset_csv,
 )
 from tests.conftest import motivating_spec, random_problem_spec
@@ -210,6 +214,14 @@ def test_default_baseline_squared_is_zero_predictor():
     assert base.value == 0.0
     r = empirical_risk(ds, base)
     assert r.values == (1.0, 0.0)
+
+
+def test_sigmoid_matches_expit_without_overflow():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-np.inf, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = sigmoid(z)
+    assert float(np.abs(p - expit(z)).max()) <= 2.3e-16
 
 
 def test_logistic_baseline_and_fit():
