@@ -9,7 +9,10 @@ ball of a given radius.
 Empirical side: per-group (X, y) samples under squared or logistic loss.
 Group-optimal fits produce the ideal risks of a bargaining frame; the
 baseline is the zero predictor for regression and the pooled base rate for
-classification.
+classification. Logistic group risks carry one projected damped Newton
+routine for any nonnegative weighting of the groups over the ball: a
+group's ideal fit is its one-hot case, and the solvers' logistic dual
+evaluations are the others.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -127,8 +131,8 @@ def minimize_quadratic_ball(
 ) -> tuple[np.ndarray, float]:
     """Minimize theta' A theta - 2 c' theta over the Euclidean ball.
 
-    A must be symmetric PSD with c in its range (all callers build c = A-type
-    moments, which guarantees that). Solved exactly through the eigenbasis;
+    A must be symmetric PSD with c in its range (moment callers' c is; the
+    logistic Newton step's A is definite). Solved exactly through the eigenbasis;
     when the unconstrained minimizer leaves the ball, the boundary multiplier
     is found by Newton with a bisection safeguard to |norm - radius| <= 1e-10.
     """
@@ -250,10 +254,6 @@ class GroupedDataset:
     def dim(self) -> int:
         return self.features[0].shape[1]
 
-    @property
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(X.shape[0] for X in self.features)
-
 
 @dataclass(frozen=True)
 class LinearPredictor:
@@ -322,57 +322,87 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _fit_logistic(
-    X: np.ndarray, y: np.ndarray, radius: float | None, max_iters: int = 500
-) -> np.ndarray:
-    n, d = X.shape
-    theta = np.zeros(d)
+class LogisticGroupRisks:
+    """Per-group mean logistic loss of a linear score."""
 
-    def loss(t: np.ndarray) -> float:
-        z = X @ t
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+    def __init__(self, features: Sequence[np.ndarray], labels: Sequence[np.ndarray]):
+        self.features = [np.asarray(X, dtype=float) for X in features]
+        self.labels = [np.asarray(y, dtype=float) for y in labels]
+        self.num_groups = len(self.features)
+        self.dim = self.features[0].shape[1]
 
-    def stationarity(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        p = sigmoid(X @ t)
-        g = X.T @ (p - y) / n
-        # stationarity through the ball projection, reduces to |grad| inside
-        return p, g, float(np.linalg.norm(t - project_ball(t - g, radius)))
+    @classmethod
+    def from_dataset(cls, ds: GroupedDataset) -> "LogisticGroupRisks":
+        if ds.loss != "logistic":
+            raise ValueError("expected a logistic-loss dataset")
+        return cls(ds.features, ds.labels)
 
-    cur = loss(theta)
-    for it in range(max_iters + 1):
-        p, grad, resid = stationarity(theta)
-        if resid <= 1e-8:
-            return theta
-        if it == max_iters:
-            break
-        w = np.maximum(p * (1.0 - p), 1e-12)
-        H = (X * w[:, None]).T @ X / n + 1e-12 * np.eye(d)
-        step = np.linalg.solve(H, grad)
-        t = 1.0
-        while t > 2.0**-50:
-            cand = project_ball(theta - t * step, radius)
-            val = loss(cand)
-            if val < cur:
-                theta, cur = cand, val
+    def values(self, theta: np.ndarray) -> np.ndarray:
+        out = np.empty(self.num_groups)
+        for g, (X, y) in enumerate(zip(self.features, self.labels)):
+            z = X @ theta
+            out[g] = np.mean(np.logaddexp(0.0, z) - y * z)
+        return out
+
+    def gradients(self, theta: np.ndarray) -> np.ndarray:
+        out = np.empty((self.num_groups, self.dim))
+        for g, (X, y) in enumerate(zip(self.features, self.labels)):
+            out[g] = X.T @ (sigmoid(X @ theta) - y) / X.shape[0]
+        return out
+
+    def minimize(
+        self, w: np.ndarray, radius: float | None, max_iters: int = 500
+    ) -> tuple[np.ndarray, float, np.ndarray]:
+        """Minimize sum_g w_g R_g(theta) over the ball (no ball without a radius), w >= 0.
+
+        Damped Newton from theta = 0 on the Hessian of the groups with
+        w_g > 0: each step heads for the second-order model's minimizer over
+        the ball and is halved until the value drops. Returns (theta, value,
+        gradient) with |theta - P(theta - gradient)| at most 1e-8, P the ball
+        projection; raises ConvergenceError when no step shrinks it.
+        """
+        w = np.asarray(w, dtype=float)
+        theta = np.zeros(self.dim)
+        cur = float(w @ self.values(theta))
+        for it in range(max_iters + 1):
+            grad = w @ self.gradients(theta)
+            resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
+            if resid <= 1e-8:
+                return theta, cur, grad
+            if it == max_iters:
                 break
-            t *= 0.5
-        else:
-            # loss decrease per step is below float resolution this close to
-            # the optimum; accept whichever step still shrinks the residual
-            advanced = False
-            for cand in (
-                project_ball(theta - step, radius),
-                project_ball(theta - grad, radius),
-            ):
-                if stationarity(cand)[2] < resid:
-                    theta, cur = cand, loss(cand)
-                    advanced = True
+            H = 1e-12 * np.eye(self.dim)
+            for g in np.flatnonzero(w > 0.0):
+                X = self.features[g]
+                p = sigmoid(X @ theta)
+                h = np.maximum(p * (1.0 - p), 1e-12)
+                H += w[g] * ((X * h[:, None]).T @ X / X.shape[0])
+            step = np.linalg.solve(H, grad)
+            if radius is not None and np.linalg.norm(theta - step) > radius:
+                # projecting the free Newton point crawls along the sphere;
+                # step to the second-order model's own minimizer over the ball
+                step = theta - minimize_quadratic_ball(H, H @ theta - grad, radius)[0]
+            t = 1.0
+            while t > 2.0**-50:
+                cand = project_ball(theta - t * step, radius)
+                val = float(w @ self.values(cand))
+                if val < cur:
+                    theta, cur = cand, val
                     break
-            if not advanced:
-                break
-    raise ConvergenceError(
-        f"logistic fit stalled with stationarity residual {resid:.3e}", residual=resid
-    )
+                t *= 0.5
+            else:
+                # the value's decrease per step is below float resolution this
+                # close to the optimum; take whichever step shrinks the residual
+                for cand in (theta - step, theta - grad):
+                    cand = project_ball(cand, radius)
+                    cand_grad = w @ self.gradients(cand)
+                    if np.linalg.norm(cand - project_ball(cand - cand_grad, radius)) < resid:
+                        theta, cur = cand, float(w @ self.values(cand))
+                        break
+                else:
+                    break
+        msg = f"logistic minimization stalled with stationarity residual {resid:.3e}"
+        raise ConvergenceError(msg, residual=resid)
 
 
 def fit_group_optimal(ds: GroupedDataset, g: int) -> tuple[Predictor, float]:
@@ -380,17 +410,17 @@ def fit_group_optimal(ds: GroupedDataset, g: int) -> tuple[Predictor, float]:
 
     Squared loss uses exact least squares (pseudo-inverse truncation at
     1e-10 of the top singular value), switching to the ball-constrained exact
-    solve when the fit leaves the parameter ball. Logistic loss runs projected
-    damped Newton to stationarity 1e-8.
+    solve when the fit leaves the parameter ball. Logistic loss runs
+    LogisticGroupRisks.minimize on the group alone to stationarity 1e-8.
     """
     if not 0 <= g < ds.num_groups:
         raise IndexError(f"group index {g} out of range")
     X, y = ds.features[g], ds.labels[g]
     if ds.loss == "squared":
         theta = _fit_squared_linear(X, y, ds.radius)
-        pred = LinearPredictor(theta)
     else:
-        pred = LinearPredictor(_fit_logistic(X, y, ds.radius))
+        theta = LogisticGroupRisks((X,), (y,)).minimize(np.ones(1), ds.radius)[0]
+    pred = LinearPredictor(theta)
     return pred, _group_loss(ds, pred, g)
 
 

@@ -1,19 +1,20 @@
 """Continuous solvers over a Euclidean parameter ball.
 
 The worst-group criteria (relative improvement, raw risk, absolute gain,
-regret) all reduce to minimizing a max of shifted, scaled convex group risks.
-That minimax is solved in primal-dual form. Every weighting of the normalized
-group objectives on the simplex yields a one-shot weighted risk minimization
-over the ball whose optimum is a certified lower bound on the minimax value;
-cutting planes over the weightings push that bound up while the weighted
-minimizers double as primal candidates. The master LP's dual weights on the
-cuts combine the stored candidates into one more point whose worst normalized
-risk is at most the master value, so the primal side closes with the dual
-even when weighted minimizers are non-unique (flat directions). The master is
-a matrix game over the free groups' weights, with unbounded multipliers on
-pinned groups, and one warm-started revised simplex solves it exactly for any
-number of groups. The reported certificate is the true primal-dual
-gap, so it never understates the remaining error. The product-of-gains
+regret) all reduce to minimizing a max of shifted, scaled convex group risks,
+solved in primal-dual form. Every weighting of the normalized group
+objectives yields a weighted risk minimization over the ball whose optimum
+is a certified lower bound on the minimax value: exact for quadratic risks,
+and for logistic ones the linearization bound at the Newton minimizer of
+LogisticGroupRisks.minimize (stationarity 1e-8, not a step budget). Cutting
+planes over the weightings push that bound up while the weighted minimizers
+double as primal candidates. The master's dual weights on the cuts combine
+the stored candidates into one more point whose worst normalized risk is at
+most the master value, so the primal side closes with the dual even when
+weighted minimizers are non-unique. The master is a matrix game over the
+free groups' weights, with unbounded multipliers on pinned groups, solved
+exactly for any number of groups by one warm-started revised simplex. The
+reported certificate is the true primal-dual gap. The product-of-gains
 criterion is smooth and concave where defined, so it runs projected gradient
 ascent from the maximin-improvement point with an exact linear optimality
 bound over the ball as its certificate.
@@ -39,10 +40,10 @@ from fairgain.core import (
 )
 from fairgain.risk_models import (
     GroupedDataset,
+    LogisticGroupRisks,
     ProblemSpec,
     minimize_quadratic_ball,
     project_ball,
-    sigmoid,
 )
 
 METHODS = ("ri", "leximin", "gdro", "mmv", "mmr", "nash")
@@ -97,35 +98,6 @@ class QuadraticGroupRisks:
         return 2.0 * (self.A @ theta - self.c)
 
 
-class LogisticGroupRisks:
-    """Per-group mean logistic loss of a linear score."""
-
-    def __init__(self, features: Sequence[np.ndarray], labels: Sequence[np.ndarray]):
-        self.features = [np.asarray(X, dtype=float) for X in features]
-        self.labels = [np.asarray(y, dtype=float) for y in labels]
-        self.num_groups = len(self.features)
-        self.dim = self.features[0].shape[1]
-
-    @classmethod
-    def from_dataset(cls, ds: GroupedDataset) -> "LogisticGroupRisks":
-        if ds.loss != "logistic":
-            raise ValueError("expected a logistic-loss dataset")
-        return cls(ds.features, ds.labels)
-
-    def values(self, theta: np.ndarray) -> np.ndarray:
-        out = np.empty(self.num_groups)
-        for g, (X, y) in enumerate(zip(self.features, self.labels)):
-            z = X @ theta
-            out[g] = np.mean(np.logaddexp(0.0, z) - y * z)
-        return out
-
-    def gradients(self, theta: np.ndarray) -> np.ndarray:
-        out = np.empty((self.num_groups, self.dim))
-        for g, (X, y) in enumerate(zip(self.features, self.labels)):
-            out[g] = X.T @ (sigmoid(X @ theta) - y) / X.shape[0]
-        return out
-
-
 def group_risk_model(source: ProblemSpec | GroupedDataset):
     """Build the risk evaluator a continuous solver needs."""
     if isinstance(source, ProblemSpec):
@@ -148,8 +120,8 @@ def _weighted_min(model, w: np.ndarray, ball: float) -> tuple[np.ndarray, float,
     """Minimize sum_g w_g R_g(theta) over the ball, w >= 0.
 
     Returns (theta, value, lower) with lower a certified bound on the true
-    minimum: exact for quadratic risks, a convexity linearization bound for
-    smooth ones (tight when the minimizer sits strictly inside the ball).
+    minimum: exact for quadratic risks, and for logistic ones the convexity
+    linearization bound at the Newton minimizer, tight at its 1e-8 stationarity.
     """
     if isinstance(model, QuadraticGroupRisks):
         A = np.tensordot(w, model.A, axes=1)
@@ -157,24 +129,7 @@ def _weighted_min(model, w: np.ndarray, ball: float) -> tuple[np.ndarray, float,
         theta, quad = minimize_quadratic_ball(A, c, ball)
         val = quad + float(w @ model.k)
         return theta, val, val
-    theta = np.zeros(model.dim)
-    val = float(w @ model.values(theta))
-    step = 1.0
-    for _ in range(200):
-        grad = w @ model.gradients(theta)
-        moved = False
-        while step > 1e-18:
-            cand = project_ball(theta - step * grad, ball)
-            cand_val = float(w @ model.values(cand))
-            if cand_val < val:
-                theta, val = cand, cand_val
-                step *= 1.6
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    grad = w @ model.gradients(theta)
+    theta, val, grad = model.minimize(w, ball)
     lower = val - ball * float(np.linalg.norm(grad)) - float(grad @ theta)
     return theta, val, lower
 
@@ -193,8 +148,8 @@ class _GameMaster:
     revised simplex prices by Bland's rule and inverts each new basis afresh.
     The recovered point's cut nearly repeats the best cut; on such near-singular
     bases rounding in the reduced costs passes the 1e-12 that reaches the exact
-    vertex elsewhere and the pivots cycle, so a warm solve that runs out of
-    pivots starts once more from the slack basis at 1e-9.
+    vertex elsewhere and the pivots cycle or stop below the caller's dual bound,
+    so such a warm solve starts once more from the slack basis at 1e-9.
     """
 
     def __init__(self, m_free: int, n_pin: int, floor: float):
@@ -202,35 +157,45 @@ class _GameMaster:
         self.m_free, self.shift = m_free, 1.0 - floor
         self.rhs = np.concatenate([np.ones(m_free), np.zeros(n_pin)])
         # slack columns first, then one column per stored cut
-        self.cols, self.basis, self.inv = np.eye(n), np.arange(n), np.eye(n)
+        self.cols, self.slack = np.eye(n), (np.arange(n), np.eye(n))
+        self.basis, self.inv = self.slack
 
-    def solve(self, cuts: list) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
+    def solve(
+        self, cuts: list, lower: float
+    ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
         """(lam, mu, value, alpha) over all cuts stored so far, or None.
 
         value is min_i cut_i . (lam, mu); alpha >= 0 sums to 1, and by LP duality
-        max((alpha @ cuts)[:m_free]) is at most the value. None: no mix of the
-        stored points meets every pin (mu is unbounded), or the simplex failed.
+        max((alpha @ cuts)[:m_free]) is at most the value. A warm vertex more than
+        1e-9 below lower, a certified bound on the game's value, is not optimal:
+        the solve restarts and keeps the higher of the two vertices. None: no mix
+        of the stored points meets every pin (mu is unbounded), or the simplex failed.
         """
         n = len(self.rhs)
         new = np.array(cuts[self.cols.shape[1] - n :]).reshape(-1, n).T
         new[: self.m_free] += self.shift
         self.cols = np.concatenate([self.cols, new], axis=1)
         cost = np.concatenate([np.zeros(n), np.ones(len(cuts))])
-        found = self._pivot(cost, self.basis, self.inv, 1e-12)
-        if found is None:
-            found = self._pivot(cost, np.arange(n), np.eye(n), 1e-9)
-        if found is None:
-            return None
-        self.basis, self.inv = found
-        pi = np.maximum(cost[self.basis] @ self.inv, 0.0)
-        y = np.zeros(len(cost))
-        y[self.basis] = np.maximum(self.inv @ self.rhs, 0.0)
-        y, total = y[n:], pi[: self.m_free].sum()
-        if y.sum() <= 0.0 or total <= 0.0:
-            return None
-        # cut_i . (lam, mu) is column i weighed by pi over total, less the shift
-        value = float((pi @ self.cols[:, n:]).min()) / total - self.shift
-        return pi[: self.m_free] / total, pi[self.m_free :] / total, value, y / y.sum()
+        picked = None
+        for basis, inv, tol in ((self.basis, self.inv, 1e-12), (*self.slack, 1e-9)):
+            found = self._pivot(cost, basis, inv, tol)
+            if found is None:
+                continue
+            basis, inv = found
+            pi = np.maximum(cost[basis] @ inv, 0.0)
+            y = np.zeros(len(cost))
+            y[basis] = np.maximum(inv @ self.rhs, 0.0)
+            y, total = y[n:], pi[: self.m_free].sum()
+            if y.sum() <= 0.0 or total <= 0.0:
+                break  # a restart that ends here keeps the warm vertex
+            # cut_i . (lam, mu) is column i weighed by pi over total, less the shift
+            value = float((pi @ self.cols[:, n:]).min()) / total - self.shift
+            if picked is None or value > picked[2]:
+                self.basis, self.inv = basis, inv
+                picked = pi[: self.m_free] / total, pi[self.m_free :] / total, value, y / y.sum()
+            if value >= lower - 1e-9:
+                break
+        return picked
 
     def _pivot(self, cost, basis, inv, tol) -> tuple[np.ndarray, np.ndarray] | None:
         """Optimal basis and inverse from a feasible basis; None if unbounded or out of pivots."""
@@ -337,7 +302,7 @@ def _dual_minimax(
     for _ in range(cfg.master_iters):
         if best_upper - best_lower <= 0.5 * cfg.tol or evals >= cfg.max_iters:
             break
-        picked = master.solve(cuts)
+        picked = master.solve(cuts, best_lower)
         if picked is None:
             break
         lam, mu, master_val, alpha = picked
@@ -444,13 +409,16 @@ def solve_leximin_ri(
     """Lexicographically maximize sorted relative improvements over the ball.
 
     Stage k fixes the groups that bound stage k-1 at its certified value (an
-    equality band of width 10*tol) and re-maximizes the worst improvement of
+    equality band of width tol/4) and re-maximizes the worst improvement of
     the rest, handing the pinned floors to the dual as hard constraints. The
-    reported objective is the first-stage (worst-group) value.
+    reported objective is the worst improvement at the returned point. The
+    certificate is the largest stage gap, or the first stage's bound on the
+    worst improvement less that objective where this is larger, since the
+    later stages may give up part of the band.
     """
     first = _solve_worst_group("ri", model, frame, ball, cfg)
     m = frame.num_groups
-    band = 10.0 * cfg.tol
+    band = cfg.tol / 4.0
     base, gaps, floor, _ = WORST_GROUP["ri"](frame)
     theta = np.asarray(first.parameter)
     rho = group_scores("ri", frame, model.values(theta))
@@ -479,9 +447,9 @@ def solve_leximin_ri(
             newly = [remaining[int(np.argmin(rho[remaining]))]]
         for g in newly:
             pins[g] = val
-    return _report(
-        model, frame, theta, objective=stage_val, iterations=iters, certificate=cert
-    )
+    value = criterion_value("ri", frame, np.maximum(model.values(theta), 0.0))
+    cert = max(cert, stage_val + first.certificate_gap - value)
+    return _report(model, frame, theta, objective=value, iterations=iters, certificate=cert)
 
 
 def solve(

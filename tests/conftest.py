@@ -3,7 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairgain.risk_models import GroupLinearModel, ProblemSpec
+from fairgain.core import DegenerateFrameError
+from fairgain.risk_models import (
+    GroupedDataset,
+    GroupLinearModel,
+    ProblemSpec,
+    empirical_frame,
+    population_frame,
+    sigmoid,
+)
 
 
 def motivating_spec() -> ProblemSpec:
@@ -83,14 +91,35 @@ def random_problem_spec(
         if separated and np.linalg.norm(groups[0].beta - groups[1].beta) < 0.5:
             continue
         spec = ProblemSpec(groups=tuple(groups), radius=radius)
-        from fairgain.core import DegenerateFrameError
-        from fairgain.risk_models import population_frame
-
         try:
             population_frame(spec)
         except DegenerateFrameError:
             continue
         return spec
+
+
+def random_logistic_dataset(
+    rng: np.random.Generator, m: int = 3, d: int = 3, n: int = 300, radius: float = 3.0
+) -> GroupedDataset:
+    """Draw a logistic dataset whose groups all gain from their own fit.
+
+    Each group's features are Gaussian around a random shift and its labels
+    follow a logistic model with its own random coefficients, so several
+    groups' ideal fits sit on the ball's boundary.
+    """
+    while True:
+        features, labels = [], []
+        for _ in range(m):
+            X = rng.normal(size=(n, d)) + rng.normal(scale=0.5, size=d)
+            w = rng.normal(size=d) * 1.5
+            features.append(X)
+            labels.append((rng.uniform(size=n) < sigmoid(X @ w)).astype(float))
+        ds = GroupedDataset(tuple(features), tuple(labels), loss="logistic", radius=radius)
+        try:
+            empirical_frame(ds)
+        except DegenerateFrameError:
+            continue
+        return ds
 
 
 @pytest.fixture

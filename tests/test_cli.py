@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fairgain import risk_models
+from fairgain import cli, risk_models
 from fairgain.cli import main
 from fairgain.core import ConvergenceError
 from fairgain.risk_models import (
@@ -124,20 +124,41 @@ def test_exit_code_dimension(tmp_path):
     assert main(["compare", "--spec", str(path), "--oracle-grid", "0.5"]) == 4
 
 
-def test_exit_code_convergence(tmp_path, monkeypatch, capsys):
+def _logistic_csv(tmp_path) -> str:
     rng = np.random.default_rng(5)
     ds = draw_dataset(motivating_spec(), n_per_group=50, rng=rng)
     labels = tuple((y > 0).astype(float) for y in ds.labels)
     data = tmp_path / "labels.csv"
     write_dataset_csv(GroupedDataset(ds.features, labels, loss="logistic"), data)
+    return str(data)
 
-    def stalled(X, y, radius, max_iters=500):
-        raise ConvergenceError("logistic fit stalled with stationarity residual 1.000e-03")
 
-    monkeypatch.setattr(risk_models, "_fit_logistic", stalled)
-    code = main(["solve", "--data", str(data), "--loss", "logistic", "--methods", "ri"])
+def _stalled(self, w, radius, max_iters=500):
+    raise ConvergenceError("logistic minimization stalled with stationarity residual 1.000e-03")
+
+
+def test_exit_code_convergence(tmp_path, monkeypatch, capsys):
+    data = _logistic_csv(tmp_path)
+    monkeypatch.setattr(risk_models.LogisticGroupRisks, "minimize", _stalled)
+    code = main(["solve", "--data", data, "--loss", "logistic", "--methods", "ri"])
     assert code == 5
-    assert capsys.readouterr().err.startswith("error: logistic fit stalled")
+    assert capsys.readouterr().err.startswith("error: logistic minimization stalled")
+
+
+def test_exit_code_convergence_in_a_dual_evaluation(tmp_path, monkeypatch, capsys):
+    # the frame fits converge; the first weighted minimization of the solve stalls
+    data = _logistic_csv(tmp_path)
+    fit_frame = cli.empirical_frame
+
+    def fit_then_stall(ds, baseline=None):
+        frame = fit_frame(ds, baseline)
+        monkeypatch.setattr(risk_models.LogisticGroupRisks, "minimize", _stalled)
+        return frame
+
+    monkeypatch.setattr(cli, "empirical_frame", fit_then_stall)
+    code = main(["solve", "--data", data, "--loss", "logistic", "--methods", "ri"])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("error: logistic minimization stalled")
 
 
 def test_frontier_row_near_equal_improvement(spec_file, tmp_path):

@@ -14,6 +14,7 @@ from fairgain.risk_models import (
     GroupedDataset,
     GroupLinearModel,
     LinearPredictor,
+    LogisticGroupRisks,
     ProblemSpec,
     default_baseline,
     draw_dataset,
@@ -264,10 +265,9 @@ def test_logistic_fit_non_convergence_raises():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(200, 2))
     y = (rng.uniform(size=200) < 0.4).astype(float)
-    from fairgain.risk_models import _fit_logistic
-
+    model = LogisticGroupRisks((X,), (y,))
     with pytest.raises(ConvergenceError) as err:
-        _fit_logistic(X, y, radius=2.0, max_iters=0)
+        model.minimize(np.ones(1), radius=2.0, max_iters=0)
     assert err.value.residual is not None and err.value.residual > 1e-8
 
 
