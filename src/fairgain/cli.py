@@ -1,11 +1,10 @@
 """Command line interface: solve, compare, frontier, riskset, converge.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for a degenerate
-bargaining frame or when no point gives every group a strictly positive gain
-(nash), 4 for unsupported dimensionality, 5 when a logistic minimization (an
-ideal fit or a solve's weighted minimization) or the convergence study stops
-without converging. Output files are written atomically and are
-byte-identical across runs with the same inputs and seed.
+frame or when nash shows no point lifts every group above tol, 4 for unsupported
+dimensionality, 5 when a logistic minimization (an ideal fit or a solve's
+weighted minimization), a nash solve or the convergence study stops without
+converging. Outputs are written atomically, byte-identical for fixed inputs.
 """
 
 from __future__ import annotations

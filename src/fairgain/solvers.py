@@ -15,9 +15,8 @@ weighted minimizers are non-unique. The master is a matrix game over the
 free groups' weights, with unbounded multipliers on pinned groups, solved
 exactly for any number of groups by one warm-started revised simplex. The
 reported certificate is the true primal-dual gap. The product-of-gains
-criterion is smooth and concave where defined, so it runs projected gradient
-ascent from the maximin-improvement point with an exact linear optimality
-bound over the ball as its certificate.
+criterion minimizes an AM-GM bound on its log-gain sum over the weightings,
+with the same weighted minimizations as its candidate points.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import numpy as np
 from fairgain.core import (
     WORST_GROUP,
     BargainingFrame,
+    ConvergenceError,
     DegenerateBargainError,
     RiskProfile,
     SolverReport,
@@ -52,15 +52,14 @@ METHODS = ("ri", "leximin", "gdro", "mmv", "mmr", "nash")
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-6
-    max_iters: int = 100_000
-    master_iters: int = 120
+    max_iters: int = 120
     seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_iters < 1 or self.master_iters < 0:
-            raise ValueError("iteration budgets need max_iters >= 1 and master_iters >= 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 class QuadraticGroupRisks:
@@ -198,7 +197,7 @@ class _GameMaster:
         return picked
 
     def _pivot(self, cost, basis, inv, tol) -> tuple[np.ndarray, np.ndarray] | None:
-        """Optimal basis and inverse from a feasible basis; None if unbounded or out of pivots."""
+        """Optimal basis and its inverse, or None: unbounded, singular or out of pivots."""
         cols, basis = self.cols, basis.copy()
         for _ in range(2 * cols.shape[1]):
             reduced = cost - (cost[basis] @ inv) @ cols
@@ -214,7 +213,10 @@ class _GameMaster:
             if ratios[row] == np.inf:
                 return None
             basis[row] = j
-            inv = np.linalg.inv(cols[:, basis])
+            try:
+                inv = np.linalg.inv(cols[:, basis])
+            except np.linalg.LinAlgError:  # rounding made the new basis singular
+                return None
         return None
 
 
@@ -299,8 +301,8 @@ def _dual_minimax(
         evals += 1
 
     saturation = max(1e-12, 0.05 * cfg.tol)
-    for _ in range(cfg.master_iters):
-        if best_upper - best_lower <= 0.5 * cfg.tol or evals >= cfg.max_iters:
+    for _ in range(cfg.max_iters):
+        if best_upper - best_lower <= 0.5 * cfg.tol:
             break
         picked = master.solve(cuts, best_lower)
         if picked is None:
@@ -358,49 +360,58 @@ def solve_nash(
 ) -> SolverReport:
     """Maximize the sum of log absolute gains over the ball.
 
-    Started at the maximin-improvement point, which has strictly positive
-    gains whenever any point does. The certificate is the exact maximum of
-    the linearized objective over the ball. A step is taken where it raises
-    the objective or where the objective, being concave, still rises at its
-    end, which holds even when the rise is below the rounding of the log sum.
+    By AM-GM, U(w) = m log(h(w)/m) - sum_g log w_g bounds the log-gain sum for any
+    w > 0, where h(w) = w.b - lower(w) and lower is the weighted minimization's
+    certified bound. BFGS minimizes U over z = log w; the weighted minimizers are
+    the candidates and the gap is the least U less the best candidate's score. A w
+    with h(w) <= tol * (w . gaps) bounds every point's worst relative improvement by
+    tol, and the solve refuses. iterations counts the weighted minimizations.
     """
-    seed = _solve_worst_group("ri", model, frame, ball, cfg)
-    theta = np.asarray(seed.parameter)
-    base = frame.baseline_array()
+    m = frame.num_groups
+    base, gaps = frame.baseline_array(), frame.gap_array()
+    best, best_theta, least, evals = -np.inf, None, np.inf, 0
 
-    def ascent(theta: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        return -(model.gradients(theta) / (base - vals)[:, None]).sum(axis=0)
+    def bound(z: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal best, best_theta, least, evals
+        log_w = z - z.max()  # U is scale-free; this keeps w <= 1 and log w finite
+        w = np.exp(log_w)
+        theta, _, low = _weighted_min(model, w, ball)
+        evals += 1
+        h = float(w @ base) - low
+        if h <= cfg.tol * float(w @ gaps):
+            raise DegenerateBargainError(
+                f"no point gives every group a gain: every worst improvement is <= {cfg.tol:.1e}"
+            )
+        vals = model.values(theta)
+        score = float(criterion_scores("nash", frame, vals))
+        if score > best:
+            best, best_theta = score, theta
+        value = m * np.log(h / m) - float(log_w.sum())
+        least = min(least, value)
+        return value, m * w * (base - vals) / h - 1.0
 
-    vals = model.values(theta)
-    obj = float(criterion_scores("nash", frame, vals))
-    if obj == -np.inf:
-        raise DegenerateBargainError(
-            "no parameter with strictly positive gains for every group was found; "
-            f"best worst-improvement is {seed.objective_value:.3e}"
-        )
-    iters = seed.iterations
-    step = 1.0
-    grad = ascent(theta, vals)
-    bound = np.inf
-    while iters < max(cfg.max_iters, seed.iterations + 1000):
-        bound = ball * float(np.linalg.norm(grad)) - float(grad @ theta)
-        if bound <= cfg.tol:
-            break
-        iters += 1
-        while step > 1e-18:
-            cand = project_ball(theta + step * grad, ball)
-            cand_vals = model.values(cand)
-            cand_obj = float(criterion_scores("nash", frame, cand_vals))
-            if cand_obj > -np.inf:
-                cand_grad = ascent(cand, cand_vals)
-                if cand_obj > obj or float(cand_grad @ (cand - theta)) > 0.0:
-                    theta, obj, grad = cand, cand_obj, cand_grad
-                    step *= 1.5
-                    break
+    z = -np.log(gaps)
+    value, grad = bound(z)
+    inv_hess, step = np.eye(m), 1.0
+    while least - best > cfg.tol and evals < cfg.max_iters:
+        direction = -inv_hess @ grad
+        trial = z + step * direction
+        trial_value, trial_grad = bound(trial)
+        if trial_value > value + 1e-4 * step * float(grad @ direction):
             step *= 0.5
-        else:
-            break
-    return _report(model, frame, theta, objective=obj, iterations=iters, certificate=bound)
+            continue
+        s, y = trial - z, trial_grad - grad
+        if float(s @ y) > 0.0:
+            shrink = np.eye(m) - np.outer(s, y) / float(s @ y)
+            inv_hess = shrink @ inv_hess @ shrink.T + np.outer(s, s) / float(s @ y)
+        z, value, grad, step = trial, trial_value, trial_grad, 1.0
+    if best_theta is None:
+        raise ConvergenceError(
+            f"nash found no point with every gain positive in {evals} weighted minimizations"
+        )
+    # U bounds every attained score, so a negative difference is rounding
+    gap = max(least - best, 0.0)
+    return _report(model, frame, best_theta, objective=best, iterations=evals, certificate=gap)
 
 
 def solve_leximin_ri(

@@ -98,6 +98,30 @@ def random_problem_spec(
         return spec
 
 
+def rank_deficient_spec(rng: np.random.Generator) -> ProblemSpec | None:
+    """Draw one instance whose group covariances have random rank; None if degenerate.
+
+    m is 2-5 and d is 1-6. Group g's covariance is F F'/r for an r-column
+    Gaussian F with r drawn from 1..d, so most groups see only part of the
+    feature space and weighted minimizers are often flat.
+    """
+    m, d = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+    groups = []
+    for _ in range(m):
+        r = int(rng.integers(1, d + 1))
+        f = rng.normal(size=(d, r))
+        cov = f @ f.T / r
+        cov = (cov + cov.T) / 2.0
+        beta = 2.0 * rng.normal(size=d)
+        groups.append(GroupLinearModel(beta=beta, sigma2=rng.uniform(0.1, 2.0), cov=cov))
+    spec = ProblemSpec(groups=tuple(groups), radius=rng.uniform(0.5, 4.0))
+    try:
+        population_frame(spec)
+    except DegenerateFrameError:
+        return None
+    return spec
+
+
 def random_logistic_dataset(
     rng: np.random.Generator, m: int = 3, d: int = 3, n: int = 300, radius: float = 3.0
 ) -> GroupedDataset:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from fairgain.core import DegenerateBargainError, criterion_value
+from fairgain.core import ConvergenceError, DegenerateBargainError, criterion_scores, criterion_value
 from fairgain.risk_models import (
+    ProblemSpec,
     empirical_frame,
     fit_group_optimal,
     population_frame,
@@ -29,7 +30,7 @@ from fairgain.solvers import (
     solve_leximin_ri,
     solve_nash,
 )
-from tests.conftest import random_logistic_dataset, random_problem_spec
+from tests.conftest import rank_deficient_spec, random_logistic_dataset, random_problem_spec
 
 CFG = SolverConfig(tol=1e-6)
 
@@ -167,7 +168,7 @@ def test_solution_unique_across_random_starts(motivating):
 
 def test_uncertified_when_budget_is_tiny(motivating):
     model, frame = _setup(motivating)
-    cfg = SolverConfig(tol=1e-6, max_iters=40, master_iters=1)
+    cfg = SolverConfig(tol=1e-6, max_iters=1)
     rep = solve("ri", model, frame, motivating.radius, cfg)
     assert not rep.certified(1e-6)
     assert rep.certificate_gap > 1e-6
@@ -363,18 +364,43 @@ def test_two_group_solves_certify():
     # specs certifies; a master that reads its point off a flat active cut
     # (the theta = 0 cut of ri) fails here, and so does a simplex master that
     # keeps its 1e-12 reduced-cost tolerance on near-singular bases, where it
-    # cycles (no-harm spec 17 mmr among ten solves)
+    # cycles (no-harm spec 17 mmr among ten solves). nash refuses 12 no-harm
+    # specs, each where the ri certificate shows that no point gains for all
     rng = np.random.default_rng(11)
     specs = [random_problem_spec(rng, m=2, d=2, radius=3.0, separated=True) for _ in range(100)]
     rng = np.random.default_rng(7)
     specs += [
         random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0) for _ in range(60)
     ]
+    refused = []
     for i, spec in enumerate(specs):
         model, frame = _setup(spec)
-        for method in ("ri", "leximin", "gdro", "mmv", "mmr"):
-            rep = solve(method, model, frame, spec.radius, CFG)
+        for method in METHODS:
+            try:
+                rep = solve(method, model, frame, spec.radius, CFG)
+            except DegenerateBargainError:
+                assert method == "nash", (i, method)
+                assert ri.objective_value + ri.certificate_gap <= CFG.tol, i
+                refused.append(i)
+                continue
             assert rep.certified(CFG.tol), (i, method, rep.certificate_gap)
+            if method == "ri":
+                ri = rep
+        if i == 109:
+            # no-harm spec 9 needs the most weighted minimizations of these (22)
+            assert rep.iterations < 100, rep.iterations
+    assert len(refused) == 12 and min(refused) >= 100
+
+
+def test_nash_budget_stop_without_a_positive_point_is_a_convergence_error():
+    # on no-harm spec 9 the first weighted minimizers each leave some group a loss
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        spec = random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0)
+    model, frame = _setup(spec)
+    with pytest.raises(ConvergenceError):
+        solve_nash(model, frame, spec.radius, SolverConfig(max_iters=2))
+    assert solve_nash(model, frame, spec.radius, CFG).certified(CFG.tol)
 
 
 def test_nash_degenerate_when_no_common_gain():
@@ -392,6 +418,17 @@ def test_nash_degenerate_when_no_common_gain():
     model, frame = _setup(spec)
     with pytest.raises(DegenerateBargainError):
         solve_nash(model, frame, spec.radius, CFG)
+    # a slight shared direction gives both a gain (best worst relative
+    # improvement 1.2e-5, 12 tol), which nash must certify instead of refusing
+    spec = ProblemSpec(
+        groups=(
+            GroupLinearModel(beta=np.array([1.0, 0.003]), sigma2=1.0, cov=np.eye(2)),
+            GroupLinearModel(beta=np.array([-1.0, 0.003]), sigma2=1.0, cov=np.eye(2)),
+        ),
+        radius=0.5,
+    )
+    model, frame = _setup(spec)
+    assert solve_nash(model, frame, spec.radius, CFG).certified(CFG.tol)
 
 
 def test_dispatcher_and_method_list(motivating):
@@ -543,3 +580,62 @@ def test_logistic_solves_certify():
                 continue
             gap = reports[method].certificate_gap
             assert reports[method].certified(CFG.tol), (seed, method, gap)
+
+
+def _nash_bound(model, frame, w: np.ndarray, ball: float) -> float:
+    # U(w) = m log(h(w)/m) - sum_g log w_g with h(w) = w.b - lower(w)
+    _, _, lower = _weighted_min(model, w, ball)
+    h = float(w @ frame.baseline_array()) - lower
+    return len(w) * np.log(h / len(w)) - float(np.log(w).sum())
+
+
+def _probe_scores(method: str, source, model, frame, rng) -> np.ndarray:
+    probes = _ball_points(rng, 2000, model.dim, source.radius)
+    if isinstance(source, ProblemSpec):
+        return criterion_scores(method, frame, population_risks(source, probes))
+    return criterion_scores(method, frame, np.array([model.values(p) for p in probes]))
+
+
+def test_nash_dual_bound_is_sound(motivating, three_group, planar):
+    # at random weightings, and at the solve's own certificate, U bounds the
+    # log-gain sum of every probe point, for quadratic and for logistic risks
+    rng = np.random.default_rng(5)
+    sources = [motivating, three_group, planar]
+    sources += [random_logistic_dataset(np.random.default_rng(seed)) for seed in range(6)]
+    for source in sources:
+        model = group_risk_model(source)
+        spec = isinstance(source, ProblemSpec)
+        frame = population_frame(source) if spec else empirical_frame(source)
+        top = float(_probe_scores("nash", source, model, frame, rng).max())
+        for _ in range(6):
+            w = np.exp(rng.normal(scale=2.0, size=frame.num_groups))
+            assert _nash_bound(model, frame, w, source.radius) >= top
+        rep = solve_nash(model, frame, source.radius, CFG)
+        assert rep.certified(CFG.tol) and rep.objective_value + rep.certificate_gap >= top
+
+
+def test_rank_deficient_specs_report_or_refuse():
+    # group covariances of random rank 1..d (m 2-5, d 1-6): the first 40
+    # draws and draw 134, whose ri and leximin masters meet a basis that
+    # rounding makes singular
+    draws, rng = np.random.default_rng(123), np.random.default_rng(0)
+    for k in range(135):
+        spec = rank_deficient_spec(draws)
+        if spec is None or (k >= 40 and k != 134):
+            continue
+        model, frame = _setup(spec)
+        reports = {m: solve(m, model, frame, spec.radius, CFG) for m in METHODS if m != "nash"}
+        for method, rep in reports.items():
+            assert np.isfinite(rep.objective_value) and rep.certificate_gap >= 0.0, (k, method)
+        worst_ri = _probe_scores("ri", spec, model, frame, rng)
+        ri = reports["ri"]
+        assert ri.objective_value + ri.certificate_gap >= float(worst_ri.max()), k
+        try:
+            rep = solve_nash(model, frame, spec.radius, CFG)
+        except DegenerateBargainError:
+            # the refusal's weighting bounds every point's worst improvement by tol
+            assert max(ri.objective_value, float(worst_ri.max())) <= CFG.tol, k
+            continue
+        assert 0.0 <= rep.certificate_gap <= CFG.tol, (k, rep.certificate_gap)
+        top = float(_probe_scores("nash", spec, model, frame, rng).max())
+        assert rep.objective_value + rep.certificate_gap >= top, k
