@@ -158,13 +158,18 @@ class SolverReport:
         return self.certificate_gap <= tol
 
 
-def relative_improvements(risks: np.ndarray, frame: BargainingFrame) -> np.ndarray:
-    """Vectorized risk -> improvement transform; last axis indexes groups."""
+def _risk_rows(risks, frame: BargainingFrame) -> np.ndarray:
     risks = np.asarray(risks, dtype=float)
     if risks.shape[-1] != frame.num_groups:
         raise ValueError(
             f"risk rows have {risks.shape[-1]} groups, frame has {frame.num_groups}"
         )
+    return risks
+
+
+def relative_improvements(risks: np.ndarray, frame: BargainingFrame) -> np.ndarray:
+    """Vectorized risk -> improvement transform; last axis indexes groups."""
+    risks = _risk_rows(risks, frame)
     return (frame.baseline_array() - risks) / frame.gap_array()
 
 
@@ -204,7 +209,7 @@ def _worst_group_terms(method: str, frame: BargainingFrame) -> tuple:
 def group_scores(method: str, frame: BargainingFrame, risks) -> np.ndarray:
     """Per-group (shifts - R) / scales of a worst-group criterion; last axis indexes groups."""
     shifts, scales, _, _ = _worst_group_terms(method, frame)
-    scores = shifts - np.asarray(risks, dtype=float)
+    scores = shifts - _risk_rows(risks, frame)
     scores /= scales
     return scores
 
@@ -224,8 +229,8 @@ def criterion_scores(method: str, frame: BargainingFrame, risks) -> np.ndarray:
     """
     if method != "nash":
         return _worst(group_scores(method, frame, risks))
-    gains = frame.baseline_array() - np.asarray(risks, dtype=float)
-    logs = np.full(gains.shape, -np.inf)
+    gains = frame.baseline_array() - _risk_rows(risks, frame)
+    logs = np.full_like(gains, -np.inf)
     np.log(gains, out=logs, where=gains > 0.0)
     # group by group like _worst; left to right is numpy's own order below eight groups
     return functools.reduce(np.add, logs.T).T

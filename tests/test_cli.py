@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -18,10 +19,17 @@ from fairgain.core import ConvergenceError
 from fairgain.risk_models import (
     GroupedDataset,
     draw_dataset,
+    population_frame,
     save_problem_spec,
     write_dataset_csv,
 )
-from tests.conftest import motivating_spec, planar_spec
+from fairgain.solvers import METHODS
+from tests.conftest import motivating_spec, planar_spec, three_group_spec
+
+OPPOSING_SPEC = (
+    '{"radius": 1.0, "groups": ['
+    '{"beta": [1.0], "sigma2": 1.0}, {"beta": [-1.0], "sigma2": 1.0}]}'
+)
 
 SCHEMA_PATH = (
     Path(__file__).resolve().parents[1]
@@ -233,10 +241,7 @@ def test_compare_prints_an_exact_zero_unsigned(tmp_path, capsys):
 def test_solve_reports_a_zero_worst_group_unsigned(tmp_path, capsys):
     # opposing groups on a unit ball: the best worst group sits exactly at its baseline
     path = tmp_path / "opposing.json"
-    path.write_text(
-        '{"radius": 1.0, "groups": ['
-        '{"beta": [1.0], "sigma2": 1.0}, {"beta": [-1.0], "sigma2": 1.0}]}'
-    )
+    path.write_text(OPPOSING_SPEC)
     assert main(["solve", "--spec", str(path), "--methods", "ri,mmv"]) == 0
     out = capsys.readouterr().out
     assert out.count('"objective_value": 0.0,') == 2
@@ -245,6 +250,76 @@ def test_solve_reports_a_zero_worst_group_unsigned(tmp_path, capsys):
     for row in rows:
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["objective"] == cells["min_rho"] == "0.0"
+
+
+def test_oracle_grid_without_a_point_in_the_ball_is_a_config_error(planar_file, capsys):
+    # step 5 on the unit ball leaves only (-1, -1), which lies outside it
+    assert main(["compare", "--spec", planar_file, "--oracle-grid", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --oracle-grid step 5.0 leaves no grid point")
+
+
+def test_oracle_grid_blocks_cover_the_grid_in_order(monkeypatch):
+    for ball, step in ((1.0, 0.02), (1.0, 0.3), (1.0, 1.0), (5.0, 0.05)):
+        axis = np.arange(-ball, ball + step / 2.0, step)
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        plane = np.column_stack([xx.ravel(), yy.ravel()])
+        plane = plane[np.linalg.norm(plane, axis=1) <= ball]
+        # block 7 slices the x-rows of every grid but the coarsest two
+        for block in (1, 7, 64, cli._ORACLE_BLOCK):
+            monkeypatch.setattr(cli, "_ORACLE_BLOCK", block)
+            for dim, grid in ((1, axis[:, None]), (2, plane)):
+                blocks = list(cli._oracle_grid_blocks(dim, ball, step))
+                np.testing.assert_array_equal(np.concatenate(blocks), grid)
+                # a block of one or two rows only where it is the whole grid
+                assert blocks == blocks[:1] or min(map(len, blocks)) >= 3
+                if block >= 3:
+                    assert max(map(len, blocks)) <= 2 * block
+
+
+def test_oracle_blocks_change_no_output(tmp_path, monkeypatch):
+    # at the default block each of these grids is one block: the whole grid at once
+    opposing = tmp_path / "opposing.json"
+    opposing.write_text(OPPOSING_SPEC)
+    specs = {}
+    for name, spec in (
+        ("motivating", motivating_spec()),
+        ("planar", planar_spec()),
+        ("three_group", three_group_spec()),
+    ):
+        specs[name] = tmp_path / f"{name}.json"
+        save_problem_spec(spec, specs[name])
+    runs = [
+        (specs["motivating"], "1e-3", ",".join(METHODS)),
+        (specs["planar"], "0.02", ",".join(METHODS)),
+        (specs["three_group"], "0.05", ",".join(METHODS)),
+        # ri and leximin tie at 0 in every block; nash finds no row helping both
+        (opposing, "0.5", "ri,leximin,gdro,mmv,mmr"),
+        (opposing, "0.5", ",".join(METHODS)),
+    ]
+    seen = {}
+    for block in (1, 7, 64, cli._ORACLE_BLOCK):
+        monkeypatch.setattr(cli, "_ORACLE_BLOCK", block)
+        for i, (path, step, methods) in enumerate(runs):
+            out = tmp_path / f"run{i}-{block}.csv"
+            argv = ["compare", "--spec", str(path), "--oracle-grid", step, "--methods", methods]
+            code = main(argv + ["--out", str(out)])
+            got = (code, out.read_bytes() if out.exists() else None)
+            assert seen.setdefault(i, got) == got, (path.name, step, block)
+    assert [seen[i][0] for i in range(len(runs))] == [0, 0, 0, 0, 3]
+
+
+def test_oracle_memory_is_bounded_by_the_block():
+    # 785K points in the ball, which take 69 MB to score all at once
+    spec = planar_spec()
+    frame = population_frame(spec)
+    tracemalloc.start()
+    try:
+        cli._oracle_objectives(spec, frame, spec.radius, 2e-3, METHODS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def test_compare_oracle_needs_spec(tmp_path):

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairgain.core import (
+    WORST_GROUP,
     BargainingFrame,
     DegenerateFrameError,
     ImprovementProfile,
     RiskProfile,
+    criterion_scores,
     from_improvement,
+    group_scores,
     nondominated_mask,
     pareto_filter,
     relative_improvements,
@@ -112,6 +115,27 @@ def test_lower_risk_means_higher_improvement(pair, drop):
     lowered = RiskProfile(tuple(max(v - drop, 0.0) for v in risks.values))
     rho2 = to_improvement(lowered, frame).as_array()
     assert np.all(rho2 >= rho - 1e-12)
+
+
+def test_scores_of_a_column_major_block_are_the_row_formula_exactly():
+    # the streamed oracle grid scores column-major blocks
+    rng = np.random.default_rng(19)
+    for m in (2, 3, 4):
+        frame = BargainingFrame(
+            tuple(rng.uniform(3.0, 6.0, m)), tuple(rng.uniform(0.0, 2.0, m))
+        )
+        risks = rng.uniform(0.0, 7.0, size=(1000, m))
+        block = np.asfortranarray(risks)
+        for method in (*WORST_GROUP, "leximin"):
+            shifts, scales, _, _ = WORST_GROUP[method.replace("leximin", "ri")](frame)
+            np.testing.assert_array_equal(
+                group_scores(method, frame, block), (shifts - risks) / scales
+            )
+        for method in (*WORST_GROUP, "nash"):
+            row_by_row = [criterion_scores(method, frame, row) for row in risks]
+            np.testing.assert_array_equal(criterion_scores(method, frame, block), row_by_row)
+            with pytest.raises(ValueError, match="groups"):
+                criterion_scores(method, frame, risks[:, :1])
 
 
 def test_nondominated_mask_two_groups_matches_naive():

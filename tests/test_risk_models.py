@@ -49,6 +49,24 @@ def test_population_risks_batch(motivating):
     np.testing.assert_allclose(risks[:, 1], [58.0, 34.0, 9.0])
 
 
+def test_population_risks_rows_do_not_depend_on_the_batch():
+    # the streamed oracle grid relies on this: a row scores the same in any
+    # block of three or more rows
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        for m in (2, 3, 4):
+            spec = random_problem_spec(rng, m=m, d=d)
+            batch = rng.uniform(-spec.radius, spec.radius, size=(1000, d))
+            risks = population_risks(spec, batch)
+            assert risks.shape == (1000, m)
+            for i in range(len(batch) - 2):
+                got = population_risks(spec, batch[i : i + 3])
+                np.testing.assert_array_equal(got, risks[i : i + 3])
+            # np.einsum sums one or two d = 2 rows in another order
+            for i in range(len(batch)):
+                np.testing.assert_allclose(population_risks(spec, batch[i]), risks[i], rtol=1e-14)
+
+
 def test_population_frame_motivating(motivating):
     frame = population_frame(motivating)
     assert frame.baseline_risks == (5.0, 58.0)
