@@ -213,14 +213,15 @@ _ORACLE_BLOCK = 1 << 16
 def _oracle_grid_blocks(dim: int, ball: float, step: float):
     """The oracle grid in blocks of about _ORACLE_BLOCK points, in meshgrid("ij") row order.
 
-    The d = 2 grid keeps the points within the ball; the d = 1 grid keeps
-    every axis point. A block is never empty, and has at least three points
-    unless it is the whole grid: np.einsum sums a batch of one or two d = 2
-    rows in another order, so population_risks gives every row of a block
-    the bits it has in the whole grid.
+    Both grids keep only the points within the ball. A block is never
+    empty, and has at least three points unless it is the whole grid:
+    np.einsum sums a batch of one or two d = 2 rows in another order, so
+    population_risks gives every row of a block the bits it has in the
+    whole grid.
     """
     axis = np.arange(-ball, ball + step / 2.0, step)
     if dim == 1:
+        axis = axis[np.abs(axis) <= ball]
         pieces = (axis[i : i + _ORACLE_BLOCK, None] for i in range(0, len(axis), _ORACLE_BLOCK))
     else:
         pieces = _ball_grid_pieces(axis, ball)

@@ -16,11 +16,11 @@ import numpy as np
 from fairgain.core import BargainingFrame, ConvergenceError, relative_improvements
 from fairgain.risk_models import (
     ProblemSpec,
+    QuadraticGroupRisks,
     draw_dataset,
-    minimize_quadratic_ball,
     population_frame,
 )
-from fairgain.solvers import QuadraticGroupRisks, SolverConfig, solve
+from fairgain.solvers import SolverConfig, solve
 
 _GAP_FLOOR = 1e-8  # keeps log-log slope fits finite when a trial lands exactly
 
@@ -92,9 +92,7 @@ def _trial_gap(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, trial, attempt))
         )
         emp = QuadraticGroupRisks.from_dataset(draw_dataset(spec, n, rng))
-        ideal = emp.k + np.array(
-            [minimize_quadratic_ball(A, c, spec.radius)[1] for A, c in zip(emp.A, emp.c)]
-        )
+        ideal = emp.ideal_risks(spec.radius)
         if (emp.k - ideal).min() > min_gap_required:
             break
     else:

@@ -20,7 +20,7 @@ from fairgain.core import (
 )
 from fairgain.risk_models import (
     ProblemSpec,
-    minimize_quadratic_ball,
+    QuadraticGroupRisks,
     population_frame,
     population_risks,
 )
@@ -90,23 +90,19 @@ class HullParetoReport:
 
 
 def weighted_improvement_argmax(
-    spec: ProblemSpec, frame: BargainingFrame, lam: float
+    model: QuadraticGroupRisks, frame: BargainingFrame, lam: float, radius: float
 ) -> np.ndarray:
     """Exact in-ball maximizer of lam*rho_1 + (1-lam)*rho_2."""
-    if spec.num_groups != 2:
+    if model.num_groups != 2:
         raise UnsupportedDimensionError("scalarized tracing is defined for two groups")
-    gaps = frame.gap_array()
-    w = np.array([lam / gaps[0], (1.0 - lam) / gaps[1]])
-    A = w[0] * spec.groups[0].cov + w[1] * spec.groups[1].cov
-    c = w[0] * spec.groups[0].cov @ spec.groups[0].beta + w[1] * spec.groups[1].cov @ spec.groups[1].beta
-    theta, _ = minimize_quadratic_ball(A, c, spec.radius)
-    return theta
+    w = np.array([lam, 1.0 - lam]) / frame.gap_array()
+    return model.minimize(w, radius)[0]
 
 
 def _trace_point(
-    spec: ProblemSpec, frame: BargainingFrame, lam: float
+    spec: ProblemSpec, model: QuadraticGroupRisks, frame: BargainingFrame, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    theta = weighted_improvement_argmax(spec, frame, lam)
+    theta = weighted_improvement_argmax(model, frame, lam, spec.radius)
     risks = population_risks(spec, theta)
     return risks, relative_improvements(risks, frame)
 
@@ -125,11 +121,12 @@ def trace_frontier(spec: ProblemSpec, n_weights: int) -> FrontierTrace:
         )
     if n_weights < 2:
         raise ValueError("n_weights must be at least 2")
+    model = QuadraticGroupRisks.from_problem_spec(spec)
     frame = population_frame(spec)
     entries: list[tuple[float, np.ndarray, np.ndarray]] = []
     for i in range(n_weights):
         lam = (i + 1) / (n_weights + 1)
-        risks, rho = _trace_point(spec, frame, lam)
+        risks, rho = _trace_point(spec, model, frame, lam)
         entries.append((lam, risks, rho))
 
     # refine the diagonal crossing: rho_1 rises with lam, rho_2 falls
@@ -143,7 +140,7 @@ def trace_frontier(spec: ProblemSpec, n_weights: int) -> FrontierTrace:
                 ):
                     break
                 mid_lam = 0.5 * (lo[0] + hi[0])
-                risks, rho = _trace_point(spec, frame, mid_lam)
+                risks, rho = _trace_point(spec, model, frame, mid_lam)
                 entry = (mid_lam, risks, rho)
                 entries.append(entry)
                 if gap_of(rho) > 0.0:

@@ -9,10 +9,12 @@ ball of a given radius.
 Empirical side: per-group (X, y) samples under squared or logistic loss.
 Group-optimal fits produce the ideal risks of a bargaining frame; the
 baseline is the zero predictor for regression and the pooled base rate for
-classification. Logistic group risks carry one projected damped Newton
-routine for any nonnegative weighting of the groups over the ball: a
-group's ideal fit is its one-hot case, and the solvers' logistic dual
-evaluations are the others.
+classification. Both risk models, QuadraticGroupRisks (specs and squared
+loss, solved exactly) and LogisticGroupRisks (projected damped Newton), have
+one contract for any weighting w >= 0 of the groups: minimize(w, radius)
+returns (theta, value, lower) for sum_g w_g R_g over the ball, lower a
+certified bound on its minimum. A group's ideal risk is the one-hot case,
+and the solvers' dual evaluations are the others.
 """
 
 from __future__ import annotations
@@ -173,12 +175,51 @@ def minimize_quadratic_ball(
     return V @ theta_eig, value
 
 
-def group_ideal_risk(model: GroupLinearModel, radius: float) -> tuple[np.ndarray, float]:
-    """Best in-ball parameter and risk for a single group population."""
-    c = model.cov @ model.beta
-    theta, value = minimize_quadratic_ball(model.cov, c, radius)
-    offset = float(model.beta @ c) + model.sigma2
-    return theta, value + offset
+class QuadraticGroupRisks:
+    """Group risks of the form theta' A_g theta - 2 c_g' theta + k_g."""
+
+    def __init__(self, A: np.ndarray, c: np.ndarray, k: np.ndarray):
+        self.A = np.asarray(A, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+        self.k = np.asarray(k, dtype=float)
+        if self.A.ndim != 3 or self.c.ndim != 2 or self.k.ndim != 1:
+            raise ValueError("expected stacked per-group quadratic coefficients")
+        self.num_groups, self.dim = self.c.shape
+
+    @classmethod
+    def from_problem_spec(cls, spec: ProblemSpec) -> "QuadraticGroupRisks":
+        A = np.stack([g.cov for g in spec.groups])
+        c = np.stack([g.cov @ g.beta for g in spec.groups])
+        k = np.array([float(g.beta @ (g.cov @ g.beta)) + g.sigma2 for g in spec.groups])
+        return cls(A, c, k)
+
+    @classmethod
+    def from_dataset(cls, ds: GroupedDataset) -> "QuadraticGroupRisks":
+        if ds.loss != "squared":
+            raise ValueError("sufficient-statistic risks need squared loss")
+        A = np.stack([X.T @ X / X.shape[0] for X in ds.features])
+        c = np.stack([X.T @ y / X.shape[0] for X, y in zip(ds.features, ds.labels)])
+        k = np.array([float(np.mean(y**2)) for y in ds.labels])
+        return cls(A, c, k)
+
+    def values(self, theta: np.ndarray) -> np.ndarray:
+        At = self.A @ theta
+        return theta @ At.T - 2.0 * self.c @ theta + self.k
+
+    def gradients(self, theta: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.A @ theta - self.c)
+
+    def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
+        """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value."""
+        w = np.asarray(w, dtype=float)
+        A = np.tensordot(w, self.A, axes=1)
+        theta, quad = minimize_quadratic_ball(A, w @ self.c, radius)
+        value = quad + float(w @ self.k)
+        return theta, value, value
+
+    def ideal_risks(self, radius: float) -> np.ndarray:
+        """Each group's least risk over the ball: minimize at each one-hot weight."""
+        return np.array([self.minimize(w, radius)[1] for w in np.eye(self.num_groups)])
 
 
 def population_frame(spec: ProblemSpec) -> BargainingFrame:
@@ -187,12 +228,8 @@ def population_frame(spec: ProblemSpec) -> BargainingFrame:
     Raises DegenerateFrameError when some group cannot improve on the
     baseline at all (for example beta in the null space of cov).
     """
-    baseline = []
-    ideal = []
-    for g in spec.groups:
-        baseline.append(float(g.beta @ (g.cov @ g.beta)) + g.sigma2)
-        ideal.append(group_ideal_risk(g, spec.radius)[1])
-    return BargainingFrame(tuple(baseline), tuple(ideal))
+    model = QuadraticGroupRisks.from_problem_spec(spec)
+    return BargainingFrame(tuple(model.k), tuple(model.ideal_risks(spec.radius)))
 
 
 # --------------------------------------------------------------------------
@@ -352,14 +389,17 @@ class LogisticGroupRisks:
 
     def minimize(
         self, w: np.ndarray, radius: float | None, max_iters: int = 500
-    ) -> tuple[np.ndarray, float, np.ndarray]:
+    ) -> tuple[np.ndarray, float, float]:
         """Minimize sum_g w_g R_g(theta) over the ball (no ball without a radius), w >= 0.
 
         Damped Newton from theta = 0 on the Hessian of the groups with
         w_g > 0: each step heads for the second-order model's minimizer over
         the ball and is halved until the value drops. Returns (theta, value,
-        gradient) with |theta - P(theta - gradient)| at most 1e-8, P the ball
-        projection; raises ConvergenceError when no step shrinks it.
+        lower) with |theta - P(theta - gradient)| at most 1e-8, P the ball
+        projection, and lower the linearization bound at theta: the least
+        value + gradient . (x - theta) over the ball, which without a ball is
+        value where the gradient is exactly 0 and -inf otherwise. Raises
+        ConvergenceError when no step shrinks the residual.
         """
         w = np.asarray(w, dtype=float)
         theta = np.zeros(self.dim)
@@ -368,7 +408,9 @@ class LogisticGroupRisks:
             grad = w @ self.gradients(theta)
             resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
             if resid <= 1e-8:
-                return theta, cur, grad
+                if radius is None:
+                    return theta, cur, cur if not grad.any() else -np.inf
+                return theta, cur, cur - radius * float(np.linalg.norm(grad)) - float(grad @ theta)
             if it == max_iters:
                 break
             H = 1e-12 * np.eye(self.dim)
@@ -453,14 +495,24 @@ def load_problem_spec(path: str | Path) -> ProblemSpec:
         raw = json.load(fh)
     if not isinstance(raw, dict) or "groups" not in raw or "radius" not in raw:
         raise ValueError("problem spec JSON needs 'radius' and 'groups'")
+    if not isinstance(raw["groups"], list):
+        raise ValueError("problem spec 'groups' must be a list")
     groups = []
     for i, entry in enumerate(raw["groups"]):
-        if "beta" not in entry or "sigma2" not in entry:
+        if not isinstance(entry, dict) or "beta" not in entry or "sigma2" not in entry:
             raise ValueError(f"group {i}: needs 'beta' and 'sigma2'")
-        beta = np.asarray(entry["beta"], dtype=float)
+        beta = np.atleast_1d(np.asarray(entry["beta"], dtype=float))
         cov = np.asarray(entry.get("cov", np.eye(beta.shape[0])), dtype=float)
-        groups.append(GroupLinearModel(beta=beta, sigma2=float(entry["sigma2"]), cov=cov))
-    return ProblemSpec(groups=tuple(groups), radius=float(raw["radius"]))
+        sigma2 = _spec_number(entry["sigma2"], f"group {i}: 'sigma2'")
+        groups.append(GroupLinearModel(beta=beta, sigma2=sigma2, cov=cov))
+    return ProblemSpec(groups=tuple(groups), radius=_spec_number(raw["radius"], "'radius'"))
+
+
+def _spec_number(value, name: str) -> float:
+    try:
+        return float(value)
+    except TypeError:  # null, a list or an object where the spec needs a number
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def save_problem_spec(spec: ProblemSpec, path: str | Path) -> None:

@@ -3,10 +3,10 @@
 The worst-group criteria (relative improvement, raw risk, absolute gain,
 regret) all reduce to minimizing a max of shifted, scaled convex group risks,
 solved in primal-dual form. Every weighting of the normalized group
-objectives yields a weighted risk minimization over the ball whose optimum
-is a certified lower bound on the minimax value: exact for quadratic risks,
-and for logistic ones the linearization bound at the Newton minimizer of
-LogisticGroupRisks.minimize (stationarity 1e-8, not a step budget). Cutting
+objectives yields a weighted risk minimization over the ball, the risk
+model's minimize(w, radius), whose certified bound bounds the minimax value:
+exact for quadratic risks, and for logistic ones the linearization bound at
+the Newton minimizer (stationarity 1e-8, not a step budget). Cutting
 planes over the weightings push that bound up while the weighted minimizers
 double as primal candidates. The master's dual weights on the cuts combine
 the stored candidates into one more point whose worst normalized risk is at
@@ -42,7 +42,7 @@ from fairgain.risk_models import (
     GroupedDataset,
     LogisticGroupRisks,
     ProblemSpec,
-    minimize_quadratic_ball,
+    QuadraticGroupRisks,
     project_ball,
 )
 
@@ -62,41 +62,6 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-class QuadraticGroupRisks:
-    """Group risks of the form theta' A_g theta - 2 c_g' theta + k_g."""
-
-    def __init__(self, A: np.ndarray, c: np.ndarray, k: np.ndarray):
-        self.A = np.asarray(A, dtype=float)
-        self.c = np.asarray(c, dtype=float)
-        self.k = np.asarray(k, dtype=float)
-        if self.A.ndim != 3 or self.c.ndim != 2 or self.k.ndim != 1:
-            raise ValueError("expected stacked per-group quadratic coefficients")
-        self.num_groups, self.dim = self.c.shape
-
-    @classmethod
-    def from_problem_spec(cls, spec: ProblemSpec) -> "QuadraticGroupRisks":
-        A = np.stack([g.cov for g in spec.groups])
-        c = np.stack([g.cov @ g.beta for g in spec.groups])
-        k = np.array([float(g.beta @ (g.cov @ g.beta)) + g.sigma2 for g in spec.groups])
-        return cls(A, c, k)
-
-    @classmethod
-    def from_dataset(cls, ds: GroupedDataset) -> "QuadraticGroupRisks":
-        if ds.loss != "squared":
-            raise ValueError("sufficient-statistic risks need squared loss")
-        A = np.stack([X.T @ X / X.shape[0] for X in ds.features])
-        c = np.stack([X.T @ y / X.shape[0] for X, y in zip(ds.features, ds.labels)])
-        k = np.array([float(np.mean(y**2)) for y in ds.labels])
-        return cls(A, c, k)
-
-    def values(self, theta: np.ndarray) -> np.ndarray:
-        At = self.A @ theta
-        return theta @ At.T - 2.0 * self.c @ theta + self.k
-
-    def gradients(self, theta: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.A @ theta - self.c)
-
-
 def group_risk_model(source: ProblemSpec | GroupedDataset):
     """Build the risk evaluator a continuous solver needs."""
     if isinstance(source, ProblemSpec):
@@ -113,24 +78,6 @@ def _initial_point(dim: int, radius: float, cfg: SolverConfig) -> np.ndarray:
         return np.zeros(dim)
     rng = np.random.default_rng(cfg.seed)
     return project_ball(rng.normal(0.0, radius / 2.0, dim), radius)
-
-
-def _weighted_min(model, w: np.ndarray, ball: float) -> tuple[np.ndarray, float, float]:
-    """Minimize sum_g w_g R_g(theta) over the ball, w >= 0.
-
-    Returns (theta, value, lower) with lower a certified bound on the true
-    minimum: exact for quadratic risks, and for logistic ones the convexity
-    linearization bound at the Newton minimizer, tight at its 1e-8 stationarity.
-    """
-    if isinstance(model, QuadraticGroupRisks):
-        A = np.tensordot(w, model.A, axes=1)
-        c = w @ model.c
-        theta, quad = minimize_quadratic_ball(A, c, ball)
-        val = quad + float(w @ model.k)
-        return theta, val, val
-    theta, val, grad = model.minimize(w, ball)
-    lower = val - ball * float(np.linalg.norm(grad)) - float(grad @ theta)
-    return theta, val, lower
 
 
 class _GameMaster:
@@ -281,7 +228,7 @@ def _dual_minimax(
         w = np.zeros(m)
         w[free] = lam * inv_scales[free]
         w[pin_idx] = mu * inv_scales[pin_idx]
-        theta_hat, _, low = _weighted_min(model, w, ball)
+        theta_hat, _, low = model.minimize(w, ball)
         const = -float(lam @ (shifts[free] * inv_scales[free]))
         const -= float(mu @ (shifts[pin_idx] * inv_scales[pin_idx] + pin_caps))
         track(theta_hat)
@@ -375,7 +322,7 @@ def solve_nash(
         nonlocal best, best_theta, least, evals
         log_w = z - z.max()  # U is scale-free; this keeps w <= 1 and log w finite
         w = np.exp(log_w)
-        theta, _, low = _weighted_min(model, w, ball)
+        theta, _, low = model.minimize(w, ball)
         evals += 1
         h = float(w @ base) - low
         if h <= cfg.tol * float(w @ gaps):

@@ -109,6 +109,15 @@ def test_exit_code_config_errors(tmp_path, spec_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", "--spec", str(bad)]) == 2
+    group = '{"beta": [1.0], "sigma2": 1.0}'
+    for text in (
+        '{"radius": 1.0, "groups": 5}',
+        '{"radius": 1.0, "groups": [1, 2]}',
+        '{"radius": null, "groups": [%s, %s]}' % (group, group),
+        '{"radius": 1.0, "groups": [{"beta": [1.0], "sigma2": null}, %s]}' % group,
+    ):
+        bad.write_text(text)
+        assert main(["solve", "--spec", str(bad)]) == 2, text
 
 
 def test_exit_code_degenerate(tmp_path):
@@ -259,6 +268,30 @@ def test_oracle_grid_without_a_point_in_the_ball_is_a_config_error(planar_file, 
     assert err.startswith("error: --oracle-grid step 5.0 leaves no grid point")
 
 
+def test_one_dimensional_oracle_grid_stays_in_the_ball(tmp_path, capsys):
+    # at step 0.3 the radius-1 axis runs on to 1.1, closer to both betas than
+    # any point of the ball; no oracle may score a point there
+    path = tmp_path / "beyond.json"
+    path.write_text(
+        '{"radius": 1.0, "groups": ['
+        '{"beta": [2.0], "sigma2": 1.0}, {"beta": [3.0], "sigma2": 1.0}]}'
+    )
+    assert main(["solve", "--spec", str(path)]) == 0
+    reports = json.loads(capsys.readouterr().out)["methods"]
+    assert main(["compare", "--spec", str(path), "--oracle-grid", "0.3"]) == 0
+    header, *rows = capsys.readouterr().out.strip().split("\n")
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        rep = reports[cells["method"]]
+        assert rep["certified"]
+        # gdro reports a risk and mmr a regret, both better lower
+        sign = -1.0 if cells["method"] in ("gdro", "mmr") else 1.0
+        bound = sign * rep["objective_value"] + rep["certificate_gap"]
+        assert sign * float(cells["oracle_objective"]) <= bound, cells["method"]
+    # at step 1e-3 the axis ends at 1.0000000000000018
+    assert np.abs(np.concatenate(list(cli._oracle_grid_blocks(1, 1.0, 1e-3)))).max() <= 1.0
+
+
 def test_oracle_grid_blocks_cover_the_grid_in_order(monkeypatch):
     for ball, step in ((1.0, 0.02), (1.0, 0.3), (1.0, 1.0), (5.0, 0.05)):
         axis = np.arange(-ball, ball + step / 2.0, step)
@@ -266,9 +299,10 @@ def test_oracle_grid_blocks_cover_the_grid_in_order(monkeypatch):
         plane = np.column_stack([xx.ravel(), yy.ravel()])
         plane = plane[np.linalg.norm(plane, axis=1) <= ball]
         # block 7 slices the x-rows of every grid but the coarsest two
+        line = axis[np.abs(axis) <= ball][:, None]
         for block in (1, 7, 64, cli._ORACLE_BLOCK):
             monkeypatch.setattr(cli, "_ORACLE_BLOCK", block)
-            for dim, grid in ((1, axis[:, None]), (2, plane)):
+            for dim, grid in ((1, line), (2, plane)):
                 blocks = list(cli._oracle_grid_blocks(dim, ball, step))
                 np.testing.assert_array_equal(np.concatenate(blocks), grid)
                 # a block of one or two rows only where it is the whole grid

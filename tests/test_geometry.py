@@ -22,6 +22,7 @@ from fairgain.geometry import (
 from fairgain.risk_models import (
     GroupLinearModel,
     ProblemSpec,
+    QuadraticGroupRisks,
     population_frame,
     population_risks,
 )
@@ -33,11 +34,12 @@ def test_trace_is_monotone_and_feasible(motivating):
     # second group's improvement falls as the first rises along the frontier
     assert np.all(np.diff(trace.points[:, 1]) < 1e-10)
     frame = population_frame(motivating)
+    model = QuadraticGroupRisks.from_problem_spec(motivating)
     risks_again = population_risks(
         motivating,
         np.array(
             [
-                weighted_improvement_argmax(motivating, frame, lam)
+                weighted_improvement_argmax(model, frame, lam, motivating.radius)
                 for lam in trace.lambdas
             ]
         ),
@@ -61,7 +63,8 @@ def test_trace_passes_near_regret_point(motivating):
 
 def test_extreme_weight_favours_group_one(motivating):
     frame = population_frame(motivating)
-    theta = weighted_improvement_argmax(motivating, frame, 1.0 - 1e-8)
+    model = QuadraticGroupRisks.from_problem_spec(motivating)
+    theta = weighted_improvement_argmax(model, frame, 1.0 - 1e-8, motivating.radius)
     risks = population_risks(motivating, theta[None, :])[0]
     rho1 = (5.0 - risks[0]) / 4.0
     rho2 = (58.0 - risks[1]) / 49.0

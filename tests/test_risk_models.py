@@ -16,12 +16,12 @@ from fairgain.risk_models import (
     LinearPredictor,
     LogisticGroupRisks,
     ProblemSpec,
+    QuadraticGroupRisks,
     default_baseline,
     draw_dataset,
     empirical_frame,
     empirical_risk,
     fit_group_optimal,
-    group_ideal_risk,
     load_dataset_csv,
     load_problem_spec,
     minimize_quadratic_ball,
@@ -119,7 +119,8 @@ def test_group_ideal_matches_monte_carlo():
         sigma2=0.5,
         cov=np.array([[1.0, 0.3], [0.3, 0.7]]),
     )
-    theta, ideal = group_ideal_risk(model, radius=0.6)
+    risks = QuadraticGroupRisks.from_problem_spec(ProblemSpec(groups=(model, model), radius=0.6))
+    theta, ideal, _ = risks.minimize(np.array([1.0, 0.0]), 0.6)
     # simulate the generative model and score theta by sample average
     f = np.linalg.cholesky(model.cov)
     X = rng.normal(size=(100_000, 2)) @ f.T

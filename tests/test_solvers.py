@@ -23,7 +23,6 @@ from fairgain.solvers import (
     QuadraticGroupRisks,
     SolverConfig,
     _GameMaster,
-    _weighted_min,
     group_risk_model,
     objective_and_supergradient,
     solve,
@@ -533,6 +532,28 @@ def _ball_points(rng: np.random.Generator, n: int, d: int, radius: float) -> np.
     return u * radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
 
 
+@pytest.mark.parametrize("fixture", ["motivating", "three_group", "planar"])
+def test_quadratic_minimize_is_exact(fixture, request):
+    # the quadratic side of the minimize contract: lower is the exact value,
+    # no ball probe beats it, and the one-hot values are the frame's ideals
+    spec = request.getfixturevalue(fixture)
+    model, frame = _setup(spec)
+    m = spec.num_groups
+    rng = np.random.default_rng(31)
+    probe_vals = population_risks(spec, _ball_points(rng, 2000, spec.dim, spec.radius))
+    weights = [rng.uniform(size=m) * 10.0 ** rng.uniform(-1, 1) for _ in range(6)]
+    weights += list(np.eye(m))
+    for w in weights:
+        theta, value, lower = model.minimize(w, spec.radius)
+        assert np.linalg.norm(theta) <= spec.radius * (1.0 + 1e-9)
+        assert lower == value
+        assert value == pytest.approx(float(w @ model.values(theta)), rel=1e-12, abs=1e-12)
+        assert value <= float((probe_vals @ w).min())
+    ideal = tuple(model.minimize(w, spec.radius)[1] for w in np.eye(m))
+    assert frame.ideal_risks == ideal
+    assert tuple(model.ideal_risks(spec.radius)) == ideal
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_one_newton_routine_serves_fits_and_dual_evaluations(m):
     rng = np.random.default_rng(20 + m)
@@ -544,19 +565,23 @@ def test_one_newton_routine_serves_fits_and_dual_evaluations(m):
     weights += list(np.eye(m))
     for w in weights:
         # a few Newton steps, also where the minimizer sits on the sphere
-        theta, value, grad = model.minimize(w, ds.radius, max_iters=20)
+        theta, value, lower = model.minimize(w, ds.radius, max_iters=20)
         assert value == float(w @ model.values(theta))
-        np.testing.assert_array_equal(grad, w @ model.gradients(theta))
+        grad = w @ model.gradients(theta)
         assert np.linalg.norm(theta - project_ball(theta - grad, ds.radius)) <= 1e-8
-        _, val, lower = _weighted_min(model, w, ds.radius)
-        assert val == value and value - 1e-7 <= lower <= value
+        # the linearization bound at theta, min over the ball of value + grad . (x - theta)
+        assert lower == value - ds.radius * float(np.linalg.norm(grad)) - float(grad @ theta)
+        assert value - 1e-7 <= lower <= value
         assert value <= float((probe_vals @ w).min())
     for g in range(m):
         fit = fit_group_optimal(ds, g)[0].theta
         np.testing.assert_array_equal(model.minimize(np.eye(m)[g], ds.radius)[0], fit)
         # without a radius the fit is stationary unprojected; half its norm binds
-        theta, _, grad = model.minimize(np.eye(m)[g], None)
+        theta, value, lower = model.minimize(np.eye(m)[g], None)
+        grad = np.eye(m)[g] @ model.gradients(theta)
         assert np.linalg.norm(grad) <= 1e-8
+        # without a ball the bound is value at an exact zero gradient, else -inf
+        assert lower == (value if not grad.any() else -np.inf)
         free_fit = fit_group_optimal(replace(ds, radius=None), g)[0].theta
         np.testing.assert_array_equal(theta, free_fit)
         half = 0.5 * float(np.linalg.norm(theta))
@@ -584,7 +609,7 @@ def test_logistic_solves_certify():
 
 def _nash_bound(model, frame, w: np.ndarray, ball: float) -> float:
     # U(w) = m log(h(w)/m) - sum_g log w_g with h(w) = w.b - lower(w)
-    _, _, lower = _weighted_min(model, w, ball)
+    _, _, lower = model.minimize(w, ball)
     h = float(w @ frame.baseline_array()) - lower
     return len(w) * np.log(h / len(w)) - float(np.log(w).sum())
 
