@@ -6,10 +6,12 @@ dimensionality, 5 when a logistic minimization (an ideal fit or a solve's
 weighted minimization), a nash solve or the convergence study stops without
 converging. Outputs are written atomically, byte-identical for fixed inputs.
 
-`compare --oracle-grid STEP` streams the ball grid in blocks of about 65K
-points, so its memory is one block plus each block's winning risk rows, and
-its time grows as (2r/STEP)^d: the radius-5 three-group spec at 1e-3 has
-78.5M points and takes about 30 s on a 2-vCPU host.
+`compare --oracle-grid STEP` scores the ball grid with the run's risk model,
+for --spec and --data alike, in blocks of about 65K points, so its memory is
+one block plus each block's winning risk rows, and its time grows as
+(2r/STEP)^d: the radius-5 three-group spec at 1e-3 has 78.5M points and takes
+about 30 s on a 2-vCPU host. A logistic model scores a point in 40-60 us
+(three groups of 60-200 rows), so a logistic grid is far slower per point.
 """
 
 from __future__ import annotations
@@ -43,14 +45,13 @@ from fairgain.core import (
 from fairgain.empirical_study import gap_certificate, run_convergence
 from fairgain.geometry import sample_risk_set, trace_frontier
 from fairgain.risk_models import (
-    GroupedDataset,
-    ProblemSpec,
+    LogisticGroupRisks,
+    QuadraticGroupRisks,
     empirical_frame,
     fit_group_optimal,
     load_dataset_csv,
     load_problem_spec,
     population_frame,
-    population_risks,
 )
 from fairgain.solvers import METHODS, SolverConfig, group_risk_model, solve
 
@@ -157,10 +158,13 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _load_source(cfg: RunConfig) -> tuple[ProblemSpec | GroupedDataset, BargainingFrame, float]:
+def _load_source(
+    cfg: RunConfig,
+) -> tuple[QuadraticGroupRisks | LogisticGroupRisks, BargainingFrame, float]:
+    """(risk model, frame, ball) of the run's --spec or --data input."""
     if cfg.spec_path:
         spec = load_problem_spec(cfg.spec_path)
-        return spec, population_frame(spec), spec.radius
+        return group_risk_model(spec), population_frame(spec), spec.radius
     ds = load_dataset_csv(cfg.data_path, loss=cfg.loss, radius=cfg.radius)
     ball = cfg.radius
     if ball is None:
@@ -171,12 +175,11 @@ def _load_source(cfg: RunConfig) -> tuple[ProblemSpec | GroupedDataset, Bargaini
         ]
         ball = max(1.0, 2.0 * max(norms))
         ds = replace(ds, radius=ball)
-    return ds, empirical_frame(ds), ball
+    return group_risk_model(ds), empirical_frame(ds), ball
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    source, frame, ball = _load_source(cfg)
-    model = group_risk_model(source)
+    model, frame, ball = _load_source(cfg)
     scfg = cfg.solver_config()
     results = {}
     for method in cfg.methods:
@@ -213,27 +216,13 @@ _ORACLE_BLOCK = 1 << 16
 def _oracle_grid_blocks(dim: int, ball: float, step: float):
     """The oracle grid in blocks of about _ORACLE_BLOCK points, in meshgrid("ij") row order.
 
-    Both grids keep only the points within the ball. A block is never
-    empty, and has at least three points unless it is the whole grid:
-    np.einsum sums a batch of one or two d = 2 rows in another order, so
-    population_risks gives every row of a block the bits it has in the
-    whole grid.
+    Both grids keep only the points within the ball, and no block is empty.
     """
     axis = np.arange(-ball, ball + step / 2.0, step)
     if dim == 1:
         axis = axis[np.abs(axis) <= ball]
-        pieces = (axis[i : i + _ORACLE_BLOCK, None] for i in range(0, len(axis), _ORACLE_BLOCK))
-    else:
-        pieces = _ball_grid_pieces(axis, ball)
-    held = np.empty((0, dim))
-    for piece in pieces:
-        if len(held) >= 3 and len(piece) >= 3:
-            yield held
-            held = piece
-        else:
-            held = np.concatenate([held, piece])
-    if len(held):
-        yield held
+        return (axis[i : i + _ORACLE_BLOCK, None] for i in range(0, len(axis), _ORACLE_BLOCK))
+    return _ball_grid_pieces(axis, ball)
 
 
 def _ball_grid_pieces(axis: np.ndarray, ball: float):
@@ -247,23 +236,22 @@ def _ball_grid_pieces(axis: np.ndarray, ball: float):
             ys = axis[first : first + cols]
             # sqrt(x*x + y*y) is bit for bit np.linalg.norm of an (x, y) row
             i, j = np.nonzero(np.sqrt((xs * xs)[:, None] + ys * ys) <= ball)
-            yield np.column_stack([xs[i], ys[j]])
+            if len(i):
+                yield np.column_stack([xs[i], ys[j]])
 
 
 def _oracle_objectives(
-    spec_or_ds, frame: BargainingFrame, ball: float, step: float, methods
+    model, frame: BargainingFrame, ball: float, step: float, methods
 ) -> dict[str, float]:
     """Each method's discrete oracle value over the ball grid of the given step.
 
     Every oracle picks the first maximum of a total preorder (a score, or
-    leximin's sorted score vector), so running it over each block's winner,
+    leximin's sorted score vector), and the model scores each row with the
+    bits it has in any batch, so running the oracle over each block's winner,
     in block order, picks the row it would pick over the whole grid. A block
     where nash finds no row that helps every group has no winner.
     """
-    if not isinstance(spec_or_ds, ProblemSpec):
-        raise ValueError("--oracle-grid needs --spec (population grids)")
-    spec = spec_or_ds
-    if spec.dim > 2:
+    if model.dim > 2:
         raise UnsupportedDimensionError("--oracle-grid covers d <= 2")
     # looked up per call, so a wrapped oracle binding is the one that runs
     oracles = {
@@ -277,11 +265,11 @@ def _oracle_objectives(
     winners = {oracles[method]: [] for method in methods}
     refusal = None
     blocks = 0
-    for thetas in _oracle_grid_blocks(spec.dim, ball, step):
+    for thetas in _oracle_grid_blocks(model.dim, ball, step):
         blocks += 1
         # column-major: scoring broadcasts along each group's column, which is
         # many times faster than along a short row
-        risks = np.asfortranarray(population_risks(spec, thetas))
+        risks = np.asfortranarray(model.values(thetas))
         dset = DiscreteFeasibleSet(risks, frame)
         for oracle, rows in winners.items():
             try:
@@ -301,11 +289,10 @@ def _oracle_objectives(
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    source, frame, ball = _load_source(cfg)
-    model = group_risk_model(source)
+    model, frame, ball = _load_source(cfg)
     scfg = cfg.solver_config()
     oracle = (
-        _oracle_objectives(source, frame, ball, cfg.oracle_grid, cfg.methods)
+        _oracle_objectives(model, frame, ball, cfg.oracle_grid, cfg.methods)
         if cfg.oracle_grid is not None
         else None
     )
@@ -345,8 +332,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_frontier(cfg: RunConfig) -> int:
-    spec = load_problem_spec(cfg.spec_path)
-    trace = trace_frontier(spec, cfg.weights)
+    model, frame, ball = _load_source(cfg)
+    trace = trace_frontier(model, frame, ball, cfg.weights)
     lines = ["lambda,rho1,rho2,r1,r2"]
     for lam, rho, risks in zip(trace.lambdas, trace.points, trace.risks):
         lines.append(
@@ -357,9 +344,9 @@ def cmd_frontier(cfg: RunConfig) -> int:
 
 
 def cmd_riskset(cfg: RunConfig) -> int:
-    spec = load_problem_spec(cfg.spec_path)
-    population_frame(spec)  # surfaces degenerate frames before the big sample
-    sample = sample_risk_set(spec, grid=cfg.grid)
+    # the frame is built first, so a degenerate one surfaces before the big sample
+    model, _, ball = _load_source(cfg)
+    sample = sample_risk_set(model, ball, grid=cfg.grid)
     d = sample.thetas.shape[1]
     m = sample.risks.shape[1]
     header = [f"theta_{j}" for j in range(1, d + 1)] + [f"r_{g}" for g in range(1, m + 1)]
@@ -431,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-grid",
         dest="oracle_grid",
         type=float,
-        help="grid step for a discrete enumeration oracle column (needs --spec)",
+        help="grid step for a discrete enumeration oracle column (d <= 2)",
     )
 
     p_fr = sub.add_parser("frontier", help="trace the two-group improvement frontier")

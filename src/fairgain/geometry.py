@@ -1,9 +1,11 @@
 """Risk-set geometry: frontier traces, diagonal crossings, hull realizability.
 
-Everything here works on population specs. The two-group frontier is traced
-by scalarizing in improvement space (maximize lam*rho_1 + (1-lam)*rho_2),
-which keeps the trace invariant under per-group affine risk rescaling; each
-scalarized problem is a quadratic over the ball and is solved exactly.
+Everything here reads a group risk model (quadratic or logistic): its batched
+values score parameters and its minimize solves the scalarized problems. The
+two-group frontier is traced by scalarizing in improvement space (maximize
+lam*rho_1 + (1-lam)*rho_2), which keeps the trace invariant under per-group
+affine risk rescaling; each scalarized problem is one weighted minimization
+over the ball, exact for quadratic risks.
 """
 
 from __future__ import annotations
@@ -17,12 +19,6 @@ from fairgain.core import (
     UnsupportedDimensionError,
     nondominated_mask,
     relative_improvements,
-)
-from fairgain.risk_models import (
-    ProblemSpec,
-    QuadraticGroupRisks,
-    population_frame,
-    population_risks,
 )
 
 
@@ -90,24 +86,16 @@ class HullParetoReport:
 
 
 def weighted_improvement_argmax(
-    model: QuadraticGroupRisks, frame: BargainingFrame, lam: float, radius: float
+    model, frame: BargainingFrame, lam: float, radius: float
 ) -> np.ndarray:
-    """Exact in-ball maximizer of lam*rho_1 + (1-lam)*rho_2."""
+    """In-ball maximizer of lam*rho_1 + (1-lam)*rho_2, by the model's minimize."""
     if model.num_groups != 2:
         raise UnsupportedDimensionError("scalarized tracing is defined for two groups")
     w = np.array([lam, 1.0 - lam]) / frame.gap_array()
     return model.minimize(w, radius)[0]
 
 
-def _trace_point(
-    spec: ProblemSpec, model: QuadraticGroupRisks, frame: BargainingFrame, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    theta = weighted_improvement_argmax(model, frame, lam, spec.radius)
-    risks = population_risks(spec, theta)
-    return risks, relative_improvements(risks, frame)
-
-
-def trace_frontier(spec: ProblemSpec, n_weights: int) -> FrontierTrace:
+def trace_frontier(model, frame: BargainingFrame, radius: float, n_weights: int) -> FrontierTrace:
     """Walk the two-group improvement frontier on a uniform weight grid.
 
     After the grid pass the interval where rho_2 - rho_1 changes sign is
@@ -115,19 +103,18 @@ def trace_frontier(spec: ProblemSpec, n_weights: int) -> FrontierTrace:
     on the equal-improvement diagonal; a uniform grid alone can step over it
     by far more than the tolerances downstream consumers use.
     """
-    if spec.num_groups != 2:
+    if model.num_groups != 2:
         raise UnsupportedDimensionError(
-            f"frontier tracing needs exactly two groups, got {spec.num_groups}"
+            f"frontier tracing needs exactly two groups, got {model.num_groups}"
         )
     if n_weights < 2:
         raise ValueError("n_weights must be at least 2")
-    model = QuadraticGroupRisks.from_problem_spec(spec)
-    frame = population_frame(spec)
-    entries: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for i in range(n_weights):
-        lam = (i + 1) / (n_weights + 1)
-        risks, rho = _trace_point(spec, model, frame, lam)
-        entries.append((lam, risks, rho))
+
+    def entry(lam: float) -> tuple[float, np.ndarray, np.ndarray]:
+        risks = model.values(weighted_improvement_argmax(model, frame, lam, radius))
+        return lam, risks, relative_improvements(risks, frame)
+
+    entries = [entry((i + 1) / (n_weights + 1)) for i in range(n_weights)]
 
     # refine the diagonal crossing: rho_1 rises with lam, rho_2 falls
     gap_of = lambda rho: rho[1] - rho[0]
@@ -139,14 +126,12 @@ def trace_frontier(spec: ProblemSpec, n_weights: int) -> FrontierTrace:
                     np.abs(lo[2] - hi[2]).max() < 1e-5
                 ):
                     break
-                mid_lam = 0.5 * (lo[0] + hi[0])
-                risks, rho = _trace_point(spec, model, frame, mid_lam)
-                entry = (mid_lam, risks, rho)
-                entries.append(entry)
-                if gap_of(rho) > 0.0:
-                    lo = entry
+                mid = entry(0.5 * (lo[0] + hi[0]))
+                entries.append(mid)
+                if gap_of(mid[2]) > 0.0:
+                    lo = mid
                 else:
-                    hi = entry
+                    hi = mid
             break
 
     entries.sort(key=lambda e: e[2][0])
@@ -207,7 +192,8 @@ def diagonal_intersection(trace: FrontierTrace) -> tuple[float, tuple[float, flo
 
 
 def sample_risk_set(
-    spec: ProblemSpec,
+    model,
+    radius: float,
     grid: int | None = None,
     count: int | None = None,
     seed: int | None = None,
@@ -218,8 +204,7 @@ def sample_risk_set(
     rows), d = 3 a spherical grid; higher dimensions need `count` random
     points instead.
     """
-    d = spec.dim
-    r = spec.radius
+    d, r = model.dim, radius
     if count is not None:
         if count < 1:
             raise ValueError("count must be positive")
@@ -255,7 +240,7 @@ def sample_risk_set(
                 (rr * np.cos(pp)).ravel(),
             ]
         )
-    return RiskSetSample(thetas, population_risks(spec, thetas))
+    return RiskSetSample(thetas, model.values(thetas))
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
@@ -377,25 +362,24 @@ def hull_pareto_check(
     )
 
 
-def risk_lipschitz_bound(spec: ProblemSpec) -> float:
-    """Upper bound on any group's risk gradient norm over the ball."""
-    worst = 0.0
-    for g in spec.groups:
-        spectral = float(np.abs(np.linalg.eigvalsh(g.cov)).max())
-        reach = spec.radius + float(np.linalg.norm(g.beta))
-        worst = max(worst, 2.0 * spectral * reach)
-    return worst
+def risk_lipschitz_bound(model, radius: float) -> float:
+    """Upper bound on any group's risk gradient norm over the ball, for quadratic risks.
+
+    The gradient 2 (A_g theta - c_g) has norm at most 2 (lmax(A_g) r + |c_g|).
+    """
+    spectral = np.abs(np.linalg.eigvalsh(model.A)).max(axis=1)
+    return float(2.0 * np.max(spectral * radius + np.linalg.norm(model.c, axis=1)))
 
 
-def sample_grid_spacing(spec: ProblemSpec, grid: int) -> float:
+def sample_grid_spacing(dim: int, radius: float, grid: int) -> float:
     """Coarsest distance between adjacent grid points of sample_risk_set."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    r = spec.radius
-    if spec.dim == 1:
+    r = radius
+    if dim == 1:
         return 2.0 * r / (grid - 1)
-    if spec.dim == 2:
+    if dim == 2:
         return max(r / (grid - 1), r * 2.0 * np.pi / grid)
-    if spec.dim == 3:
+    if dim == 3:
         return max(r / (grid - 1), r * np.pi / (grid - 1), r * 2.0 * np.pi / grid)
     raise UnsupportedDimensionError("grid spacing is defined for d <= 3")

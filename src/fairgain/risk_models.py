@@ -14,7 +14,9 @@ loss, solved exactly) and LogisticGroupRisks (projected damped Newton), have
 one contract for any weighting w >= 0 of the groups: minimize(w, radius)
 returns (theta, value, lower) for sum_g w_g R_g over the ball, lower a
 certified bound on its minimum. A group's ideal risk is the one-hot case,
-and the solvers' dual evaluations are the others.
+and the solvers' dual evaluations are the others. Their values(theta) scores
+one parameter or a batch of them, each batch row with the same bits in a
+batch of any size.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class GroupLinearModel:
         d = beta.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"cov must be {d}x{d}, got {cov.shape}")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("cov must be finite")
         scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > 1e-10 * scale:
             raise ValueError("cov must be symmetric")
@@ -106,26 +110,6 @@ class ProblemSpec:
     @property
     def dim(self) -> int:
         return self.groups[0].dim
-
-
-def population_risks(spec: ProblemSpec, thetas: np.ndarray) -> np.ndarray:
-    """Risk rows for a batch of parameters; shape (..., m)."""
-    thetas = np.asarray(thetas, dtype=float)
-    squeeze = thetas.ndim == 1
-    pts = np.atleast_2d(thetas)
-    if pts.shape[1] != spec.dim:
-        raise ValueError(f"parameters must have dimension {spec.dim}")
-    cols = []
-    for g in spec.groups:
-        diff = pts - g.beta
-        cols.append(np.einsum("ij,jk,ik->i", diff, g.cov, diff) + g.sigma2)
-    out = np.stack(cols, axis=1)
-    return out[0] if squeeze else out
-
-
-def population_risk(spec: ProblemSpec, theta: np.ndarray) -> RiskProfile:
-    """Per-group population risk of one parameter vector."""
-    return RiskProfile(tuple(population_risks(spec, np.asarray(theta, dtype=float))))
 
 
 def minimize_quadratic_ball(
@@ -203,6 +187,13 @@ class QuadraticGroupRisks:
         return cls(A, c, k)
 
     def values(self, theta: np.ndarray) -> np.ndarray:
+        """Risks (m,) at one parameter (d,), or (n, m) at each row of a batch (n, d)."""
+        if theta.ndim == 2:
+            # einsum gives each row the same bits in a batch of any size, which
+            # the streamed oracle grid needs; one point keeps the matmul form,
+            # whose bits the solvers' runs depend on
+            q = np.einsum("gjk,nk->ngj", self.A, theta) - 2.0 * self.c
+            return np.einsum("ngj,nj->ng", q, theta) + self.k
         At = self.A @ theta
         return theta @ At.T - 2.0 * self.c @ theta + self.k
 
@@ -375,6 +366,14 @@ class LogisticGroupRisks:
         return cls(ds.features, ds.labels)
 
     def values(self, theta: np.ndarray) -> np.ndarray:
+        """Risks (m,) at one parameter (d,), or (n, m) at each row of a batch (n, d)."""
+        if theta.ndim == 2:
+            # row by row: a batched X @ theta' would round a row by the batch
+            # size and hold n * n_g scores per group
+            out = np.empty((len(theta), self.num_groups))
+            for i, row in enumerate(theta):
+                out[i] = self.values(row)
+            return out
         out = np.empty(self.num_groups)
         for g, (X, y) in enumerate(zip(self.features, self.labels)):
             z = X @ theta

@@ -58,6 +58,19 @@ def three_group_spec() -> ProblemSpec:
     )
 
 
+def centred_risks(spec: ProblemSpec, thetas: np.ndarray) -> np.ndarray:
+    """Reference risk rows (theta - beta)' cov (theta - beta) + sigma2, shape (n, m).
+
+    The centred form of the population risks, independent of the expanded
+    theta' A theta - 2 c' theta + k that the risk models evaluate.
+    """
+    cols = []
+    for g in spec.groups:
+        diff = thetas - g.beta
+        cols.append(np.einsum("ij,jk,ik->i", diff, g.cov, diff) + g.sigma2)
+    return np.stack(cols, axis=1)
+
+
 def _random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
     f = rng.normal(size=(d, d))
     cov = f @ f.T / d + 0.05 * np.eye(d)

@@ -13,7 +13,7 @@ from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 
-from conftest import motivating_spec, planar_spec, random_problem_spec
+from conftest import motivating_spec, planar_spec, random_logistic_dataset, random_problem_spec
 from fairgain import bargain_discrete as bd
 from fairgain import cli
 from fairgain.core import BargainingFrame
@@ -27,7 +27,13 @@ from fairgain.geometry import (
     sample_risk_set,
     trace_frontier,
 )
-from fairgain.risk_models import ProblemSpec, population_frame, save_problem_spec
+from fairgain.risk_models import (
+    LogisticGroupRisks,
+    ProblemSpec,
+    empirical_frame,
+    population_frame,
+    save_problem_spec,
+)
 from fairgain.solvers import (
     QuadraticGroupRisks,
     SolverConfig,
@@ -110,19 +116,26 @@ def test_criterion_03_no_harm_sweep():
 
 
 def test_criterion_04_diagonal_equals_maximin():
-    with criterion(4, "frontier diagonal crossing equals the maximin solve on 100 specs, < 60s"):
+    headline = "frontier diagonal crossing equals the maximin solve on 100 specs and 6 classifiers"
+    with criterion(4, headline + ", < 60s"):
         start = time.perf_counter()
         rng = np.random.default_rng(11)
-        worst = 0.0
+        problems = []
         for _ in range(100):
             spec = random_problem_spec(rng, m=2, d=2, radius=3.0, separated=True)
-            model = QuadraticGroupRisks.from_problem_spec(spec)
-            frame = population_frame(spec)
-            rep = solve("ri", model, frame, spec.radius)
-            trace = trace_frontier(spec, 200)
+            problems.append((QuadraticGroupRisks.from_problem_spec(spec), population_frame(spec)))
+        # the paper's own case, the Kalai-Smorodinsky reading on a logistic classifier
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            ds = random_logistic_dataset(rng, m=2, d=2, n=300, radius=3.0)
+            problems.append((LogisticGroupRisks.from_dataset(ds), empirical_frame(ds)))
+        worst = 0.0
+        for i, (model, frame) in enumerate(problems):
+            rep = solve("ri", model, frame, 3.0)
+            trace = trace_frontier(model, frame, 3.0, 200)
             rho_star, _ = diagonal_intersection(trace)
             worst = max(worst, abs(rep.objective_value - rho_star))
-            assert count_diagonal_crossings(trace) == 1
+            assert count_diagonal_crossings(trace) == 1, i
         elapsed = time.perf_counter() - start
         assert worst <= 2e-3, f"worst deviation {worst:.3e}"
         assert elapsed < 60.0, f"{elapsed:.1f}s"
@@ -271,8 +284,10 @@ def test_criterion_07_closure_invariance():
 def test_criterion_08_hull_pareto_geometry():
     with criterion(8, "risk-set hull is efficient-convex on the planar grid; crescent flagged"):
         spec = planar_spec()
-        sample = sample_risk_set(spec, grid=201)
-        tol = 2.0 * sample_grid_spacing(spec, 201) * risk_lipschitz_bound(spec)
+        model = QuadraticGroupRisks.from_problem_spec(spec)
+        sample = sample_risk_set(model, spec.radius, grid=201)
+        spacing = sample_grid_spacing(spec.dim, spec.radius, 201)
+        tol = 2.0 * spacing * risk_lipschitz_bound(model, spec.radius)
         report = hull_pareto_check(sample, tolerance=tol)
         assert report.ok, f"violation {report.max_violation:.3e} > {tol:.3e}"
         # hollow negative control: a quarter circle bulging away from the hull

@@ -19,12 +19,18 @@ from fairgain.core import ConvergenceError
 from fairgain.risk_models import (
     GroupedDataset,
     draw_dataset,
+    empirical_frame,
     population_frame,
     save_problem_spec,
     write_dataset_csv,
 )
-from fairgain.solvers import METHODS
-from tests.conftest import motivating_spec, planar_spec, three_group_spec
+from fairgain.solvers import METHODS, group_risk_model
+from tests.conftest import (
+    motivating_spec,
+    planar_spec,
+    random_logistic_dataset,
+    three_group_spec,
+)
 
 OPPOSING_SPEC = (
     '{"radius": 1.0, "groups": ['
@@ -92,7 +98,7 @@ def test_solve_writes_stdout_without_out(spec_file, capsys):
     assert report["command"] == "solve"
 
 
-def test_exit_code_config_errors(tmp_path, spec_file):
+def test_exit_code_config_errors(tmp_path, spec_file, capsys):
     assert main(["solve", "--spec", str(tmp_path / "missing.json")]) == 2
     assert main(["solve"]) == 2
     assert main(["solve", "--spec", spec_file, "--data", "x.csv"]) == 2
@@ -118,6 +124,11 @@ def test_exit_code_config_errors(tmp_path, spec_file):
     ):
         bad.write_text(text)
         assert main(["solve", "--spec", str(bad)]) == 2, text
+    for cov in ("null", "[[NaN]]", "[[Infinity]]"):
+        bad.write_text('{"radius": 1.0, "groups": [{"beta": [1.0], "sigma2": 1.0, "cov": %s}, %s]}' % (cov, group))
+        capsys.readouterr()
+        assert main(["solve", "--spec", str(bad)]) == 2, cov
+        assert "cov" in capsys.readouterr().err, cov
 
 
 def test_exit_code_degenerate(tmp_path):
@@ -268,6 +279,19 @@ def test_oracle_grid_without_a_point_in_the_ball_is_a_config_error(planar_file, 
     assert err.startswith("error: --oracle-grid step 5.0 leaves no grid point")
 
 
+def _assert_no_oracle_beats_its_certificate(reports: dict, compare_csv: str) -> None:
+    header, *rows = compare_csv.strip().split("\n")
+    assert len(rows) == len(reports)
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        rep = reports[cells["method"]]
+        assert rep["certified"], cells["method"]
+        # gdro reports a risk and mmr a regret, both better lower
+        sign = -1.0 if cells["method"] in ("gdro", "mmr") else 1.0
+        bound = sign * rep["objective_value"] + rep["certificate_gap"]
+        assert sign * float(cells["oracle_objective"]) <= bound, cells["method"]
+
+
 def test_one_dimensional_oracle_grid_stays_in_the_ball(tmp_path, capsys):
     # at step 0.3 the radius-1 axis runs on to 1.1, closer to both betas than
     # any point of the ball; no oracle may score a point there
@@ -279,15 +303,7 @@ def test_one_dimensional_oracle_grid_stays_in_the_ball(tmp_path, capsys):
     assert main(["solve", "--spec", str(path)]) == 0
     reports = json.loads(capsys.readouterr().out)["methods"]
     assert main(["compare", "--spec", str(path), "--oracle-grid", "0.3"]) == 0
-    header, *rows = capsys.readouterr().out.strip().split("\n")
-    for row in rows:
-        cells = dict(zip(header.split(","), row.split(",")))
-        rep = reports[cells["method"]]
-        assert rep["certified"]
-        # gdro reports a risk and mmr a regret, both better lower
-        sign = -1.0 if cells["method"] in ("gdro", "mmr") else 1.0
-        bound = sign * rep["objective_value"] + rep["certificate_gap"]
-        assert sign * float(cells["oracle_objective"]) <= bound, cells["method"]
+    _assert_no_oracle_beats_its_certificate(reports, capsys.readouterr().out)
     # at step 1e-3 the axis ends at 1.0000000000000018
     assert np.abs(np.concatenate(list(cli._oracle_grid_blocks(1, 1.0, 1e-3)))).max() <= 1.0
 
@@ -305,10 +321,7 @@ def test_oracle_grid_blocks_cover_the_grid_in_order(monkeypatch):
             for dim, grid in ((1, line), (2, plane)):
                 blocks = list(cli._oracle_grid_blocks(dim, ball, step))
                 np.testing.assert_array_equal(np.concatenate(blocks), grid)
-                # a block of one or two rows only where it is the whole grid
-                assert blocks == blocks[:1] or min(map(len, blocks)) >= 3
-                if block >= 3:
-                    assert max(map(len, blocks)) <= 2 * block
+                assert max(map(len, blocks)) <= block
 
 
 def test_oracle_blocks_change_no_output(tmp_path, monkeypatch):
@@ -344,27 +357,38 @@ def test_oracle_blocks_change_no_output(tmp_path, monkeypatch):
 
 
 def test_oracle_memory_is_bounded_by_the_block():
-    # 785K points in the ball, which take 69 MB to score all at once
+    # planar: 785K points in the ball, which take 69 MB to score all at once;
+    # logistic: 10K points, whose scores against each group's 500 rows, taken
+    # all at once, would hold 41 MB
     spec = planar_spec()
-    frame = population_frame(spec)
-    tracemalloc.start()
-    try:
-        cli._oracle_objectives(spec, frame, spec.radius, 2e-3, METHODS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"
-
-
-def test_compare_oracle_needs_spec(tmp_path):
-    rng = np.random.default_rng(0)
-    ds = draw_dataset(motivating_spec(), n_per_group=50, rng=rng)
-    data = tmp_path / "tiny.csv"
-    write_dataset_csv(ds, data)
-    code = main(
-        ["compare", "--data", str(data), "--radius", "10", "--oracle-grid", "0.1"]
+    ds = random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=500, radius=2.0)
+    jobs = (
+        (group_risk_model(spec), population_frame(spec), spec.radius, 2e-3),
+        (group_risk_model(ds), empirical_frame(ds), ds.radius, 0.035),
     )
-    assert code == 2
+    for model, frame, ball, step in jobs:
+        tracemalloc.start()
+        try:
+            cli._oracle_objectives(model, frame, ball, step, METHODS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def test_compare_oracle_on_data(tmp_path, capsys):
+    # the oracle scores the grid with the data's own risk model, under either
+    # loss; no grid point may beat a certified continuous objective
+    squared = draw_dataset(planar_spec(), n_per_group=200, rng=np.random.default_rng(0))
+    logistic = random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=200, radius=2.0)
+    for ds, radius in ((squared, "1"), (logistic, "2")):
+        data = tmp_path / f"{ds.loss}.csv"
+        write_dataset_csv(ds, data)
+        source = ["--data", str(data), "--loss", ds.loss, "--radius", radius]
+        assert main(["solve"] + source) == 0, ds.loss
+        reports = json.loads(capsys.readouterr().out)["methods"]
+        assert main(["compare"] + source + ["--oracle-grid", "0.02"]) == 0, ds.loss
+        _assert_no_oracle_beats_its_certificate(reports, capsys.readouterr().out)
 
 
 def test_converge_outputs(spec_file, tmp_path):

@@ -24,38 +24,46 @@ from fairgain.risk_models import (
     ProblemSpec,
     QuadraticGroupRisks,
     population_frame,
-    population_risks,
 )
+from tests.conftest import centred_risks
+
+
+def _trace(spec: ProblemSpec, n_weights: int):
+    model = QuadraticGroupRisks.from_problem_spec(spec)
+    return trace_frontier(model, population_frame(spec), spec.radius, n_weights)
+
+
+def _sample(spec: ProblemSpec, **kwargs):
+    return sample_risk_set(QuadraticGroupRisks.from_problem_spec(spec), spec.radius, **kwargs)
+
+
+def _grid_slack(spec: ProblemSpec, grid: int) -> float:
+    # how far a grid point's risks can sit from those of the nearest ball point
+    model = QuadraticGroupRisks.from_problem_spec(spec)
+    spacing = sample_grid_spacing(spec.dim, spec.radius, grid)
+    return spacing * risk_lipschitz_bound(model, spec.radius)
 
 
 def test_trace_is_monotone_and_feasible(motivating):
-    trace = trace_frontier(motivating, 120)
+    trace = _trace(motivating, 120)
     assert np.all(np.diff(trace.points[:, 0]) > 0)
     # second group's improvement falls as the first rises along the frontier
     assert np.all(np.diff(trace.points[:, 1]) < 1e-10)
     frame = population_frame(motivating)
     model = QuadraticGroupRisks.from_problem_spec(motivating)
-    risks_again = population_risks(
-        motivating,
-        np.array(
-            [
-                weighted_improvement_argmax(model, frame, lam, motivating.radius)
-                for lam in trace.lambdas
-            ]
-        ),
-    )
-    np.testing.assert_allclose(risks_again, trace.risks, atol=1e-9)
+    thetas = [weighted_improvement_argmax(model, frame, lam, motivating.radius) for lam in trace.lambdas]
+    np.testing.assert_allclose(model.values(np.array(thetas)), trace.risks, atol=1e-9)
 
 
 def test_trace_touches_equal_improvement_point(motivating):
-    trace = trace_frontier(motivating, 200)
+    trace = _trace(motivating, 200)
     target = 56.0 / 81.0
     d = np.hypot(trace.points[:, 0] - target, trace.points[:, 1] - target)
     assert d.min() <= 1e-3
 
 
 def test_trace_passes_near_regret_point(motivating):
-    trace = trace_frontier(motivating, 200)
+    trace = _trace(motivating, 200)
     # regret balancing lands on the frontier at rho = (-0.5625, 0.87245)
     phi = np.interp(-0.5625, trace.points[:, 0], trace.points[:, 1])
     assert phi == pytest.approx(0.8724489795918368, abs=1e-3)
@@ -65,7 +73,7 @@ def test_extreme_weight_favours_group_one(motivating):
     frame = population_frame(motivating)
     model = QuadraticGroupRisks.from_problem_spec(motivating)
     theta = weighted_improvement_argmax(model, frame, 1.0 - 1e-8, motivating.radius)
-    risks = population_risks(motivating, theta[None, :])[0]
+    risks = model.values(theta)
     rho1 = (5.0 - risks[0]) / 4.0
     rho2 = (58.0 - risks[1]) / 49.0
     assert rho1 == pytest.approx(1.0, abs=1e-6)
@@ -73,7 +81,7 @@ def test_extreme_weight_favours_group_one(motivating):
 
 
 def test_single_diagonal_crossing(motivating):
-    trace = trace_frontier(motivating, 150)
+    trace = _trace(motivating, 150)
     assert count_diagonal_crossings(trace) == 1
     rho_star, point = diagonal_intersection(trace)
     assert rho_star == pytest.approx(56.0 / 81.0, abs=1e-4)
@@ -92,8 +100,8 @@ def test_trace_invariant_under_group_affine_rescale(motivating):
         ),
         radius=motivating.radius,
     )
-    t1 = trace_frontier(motivating, 80)
-    t2 = trace_frontier(scaled, 80)
+    t1 = _trace(motivating, 80)
+    t2 = _trace(scaled, 80)
     assert t1.lambdas == t2.lambdas
     np.testing.assert_allclose(t1.points, t2.points, atol=1e-9)
     np.testing.assert_allclose(c * t1.risks[:, 0] + a, t2.risks[:, 0], atol=1e-8)
@@ -111,14 +119,14 @@ def test_diagonal_not_bracketed():
 
 def test_trace_needs_two_groups(three_group):
     with pytest.raises(UnsupportedDimensionError):
-        trace_frontier(three_group, 50)
+        _trace(three_group, 50)
 
 
 def test_riskset_grid_shapes(motivating, planar):
-    s1 = sample_risk_set(motivating, grid=101)
+    s1 = _sample(motivating, grid=101)
     assert s1.thetas.shape == (101, 1)
     assert s1.risks.shape == (101, 2)
-    s2 = sample_risk_set(planar, grid=31)
+    s2 = _sample(planar, grid=31)
     assert s2.thetas.shape == (31 * 31, 2)
     spec3 = ProblemSpec(
         groups=(
@@ -127,7 +135,7 @@ def test_riskset_grid_shapes(motivating, planar):
         ),
         radius=1.0,
     )
-    s3 = sample_risk_set(spec3, grid=7)
+    s3 = _sample(spec3, grid=7)
     assert s3.thetas.shape == (7 * 7 * 7, 3)
     assert np.all(np.linalg.norm(s3.thetas, axis=1) <= 1.0 + 1e-9)
 
@@ -145,16 +153,16 @@ def test_riskset_grid_rejects_high_dimension():
         radius=1.0,
     )
     with pytest.raises(UnsupportedDimensionError):
-        sample_risk_set(spec4, grid=5)
-    s = sample_risk_set(spec4, count=500, seed=3)
+        _sample(spec4, grid=5)
+    s = _sample(spec4, count=500, seed=3)
     assert s.thetas.shape == (500, 4)
     assert np.all(np.linalg.norm(s.thetas, axis=1) <= 1.0 + 1e-9)
 
 
 def test_riskset_minima_approach_ideals(planar):
     frame = population_frame(planar)
-    sample = sample_risk_set(planar, grid=101)
-    slack = sample_grid_spacing(planar, 101) * risk_lipschitz_bound(planar)
+    sample = _sample(planar, grid=101)
+    slack = _grid_slack(planar, 101)
     mins = sample.risks.min(axis=0)
     assert np.all(mins >= frame.ideal_array() - 1e-9)
     assert np.all(mins <= frame.ideal_array() + slack)
@@ -162,13 +170,13 @@ def test_riskset_minima_approach_ideals(planar):
 
 def test_lipschitz_bound_dominates_differences(planar):
     rng = np.random.default_rng(4)
-    L = risk_lipschitz_bound(planar)
+    L = risk_lipschitz_bound(QuadraticGroupRisks.from_problem_spec(planar), planar.radius)
     t = rng.normal(size=(200, 2))
     t /= np.maximum(np.linalg.norm(t, axis=1, keepdims=True), 1.0)
     u = rng.normal(size=(200, 2))
     u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1.0)
-    rt = population_risks(planar, t)
-    ru = population_risks(planar, u)
+    rt = centred_risks(planar, t)
+    ru = centred_risks(planar, u)
     num = np.abs(rt - ru).max(axis=1)
     den = np.linalg.norm(t - u, axis=1)
     keep = den > 1e-9
@@ -196,8 +204,8 @@ def test_convex_hull_square():
 
 
 def test_hull_check_accepts_convex_risk_set(planar):
-    sample = sample_risk_set(planar, grid=61)
-    tol = 2.0 * sample_grid_spacing(planar, 61) * risk_lipschitz_bound(planar)
+    sample = _sample(planar, grid=61)
+    tol = 2.0 * _grid_slack(planar, 61)
     report = hull_pareto_check(sample, tolerance=tol)
     assert report.ok
     assert report.max_violation < tol
@@ -213,9 +221,7 @@ def test_hull_check_flags_concave_arc():
 
 
 def test_hull_check_three_groups(three_group):
-    sample = sample_risk_set(three_group, grid=25)
-    tol = 2.0 * sample_grid_spacing(three_group, 25) * risk_lipschitz_bound(
-        three_group
-    )
+    sample = _sample(three_group, grid=25)
+    tol = 2.0 * _grid_slack(three_group, 25)
     report = hull_pareto_check(sample, tolerance=tol)
     assert report.ok, f"violation {report.max_violation} vs {tol}"

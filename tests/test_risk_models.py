@@ -26,45 +26,50 @@ from fairgain.risk_models import (
     load_problem_spec,
     minimize_quadratic_ball,
     population_frame,
-    population_risk,
-    population_risks,
     save_problem_spec,
     sigmoid,
     write_dataset_csv,
 )
-from tests.conftest import motivating_spec, random_problem_spec
+from tests.conftest import motivating_spec, random_logistic_dataset, random_problem_spec
 
 
 def test_population_risk_closed_form(motivating):
     # R_g(theta) = (theta - beta_g)^2 Sigma + sigma_g^2 in one dimension
-    r = population_risk(motivating, np.array([3.0]))
-    assert r.values[0] == pytest.approx(2.0)
-    assert r.values[1] == pytest.approx(25.0)
+    r = QuadraticGroupRisks.from_problem_spec(motivating).values(np.array([3.0]))
+    assert r[0] == pytest.approx(2.0)
+    assert r[1] == pytest.approx(25.0)
 
 
 def test_population_risks_batch(motivating):
     thetas = np.array([[0.0], [2.0], [7.0]])
-    risks = population_risks(motivating, thetas)
+    risks = QuadraticGroupRisks.from_problem_spec(motivating).values(thetas)
     np.testing.assert_allclose(risks[:, 0], [5.0, 1.0, 26.0])
     np.testing.assert_allclose(risks[:, 1], [58.0, 34.0, 9.0])
 
 
-def test_population_risks_rows_do_not_depend_on_the_batch():
-    # the streamed oracle grid relies on this: a row scores the same in any
-    # block of three or more rows
+def test_model_values_rows_do_not_depend_on_the_batch():
+    # the streamed oracle grid relies on this: a row scores the same in a
+    # block of any size, one row included
     rng = np.random.default_rng(17)
+    cases = []
     for d in (1, 2, 3):
         for m in (2, 3, 4):
             spec = random_problem_spec(rng, m=m, d=d)
-            batch = rng.uniform(-spec.radius, spec.radius, size=(1000, d))
-            risks = population_risks(spec, batch)
-            assert risks.shape == (1000, m)
-            for i in range(len(batch) - 2):
-                got = population_risks(spec, batch[i : i + 3])
-                np.testing.assert_array_equal(got, risks[i : i + 3])
-            # np.einsum sums one or two d = 2 rows in another order
-            for i in range(len(batch)):
-                np.testing.assert_allclose(population_risks(spec, batch[i]), risks[i], rtol=1e-14)
+            cases.append((QuadraticGroupRisks.from_problem_spec(spec), spec.radius, 1000))
+    for d, m in ((1, 2), (2, 3), (3, 2)):
+        ds = random_logistic_dataset(rng, m=m, d=d, n=60)
+        cases.append((LogisticGroupRisks.from_dataset(ds), ds.radius, 200))
+    for model, radius, n in cases:
+        batch = rng.uniform(-radius, radius, size=(n, model.dim))
+        risks = model.values(batch)
+        assert risks.shape == (n, model.num_groups)
+        for size in (1, 2, 3):
+            for i in range(n - size + 1):
+                np.testing.assert_array_equal(model.values(batch[i : i + size]), risks[i : i + size])
+        if isinstance(model, LogisticGroupRisks):
+            # the logistic batch is the one-point path row by row
+            for i in range(n):
+                np.testing.assert_array_equal(model.values(batch[i]), risks[i])
 
 
 def test_population_frame_motivating(motivating):

@@ -15,7 +15,6 @@ from fairgain.risk_models import (
     empirical_frame,
     fit_group_optimal,
     population_frame,
-    population_risks,
     project_ball,
 )
 from fairgain.solvers import (
@@ -29,7 +28,12 @@ from fairgain.solvers import (
     solve_leximin_ri,
     solve_nash,
 )
-from tests.conftest import rank_deficient_spec, random_logistic_dataset, random_problem_spec
+from tests.conftest import (
+    centred_risks,
+    rank_deficient_spec,
+    random_logistic_dataset,
+    random_problem_spec,
+)
 
 CFG = SolverConfig(tol=1e-6)
 
@@ -439,15 +443,14 @@ def test_dispatcher_and_method_list(motivating):
         solve("unknown", model, frame, motivating.radius, CFG)
 
 
-def test_group_risk_model_matches_population(motivating):
-    model = group_risk_model(motivating)
+def test_group_risk_model_matches_population(motivating, planar):
     rng = np.random.default_rng(3)
-    thetas = rng.normal(size=(20, 1)) * 3.0
-    np.testing.assert_allclose(
-        np.array([model.values(t) for t in thetas]),
-        population_risks(motivating, thetas),
-        atol=1e-10,
-    )
+    for spec in (motivating, planar):
+        model = group_risk_model(spec)
+        thetas = rng.normal(size=(20, spec.dim)) * 3.0
+        reference = centred_risks(spec, thetas)
+        np.testing.assert_allclose(np.array([model.values(t) for t in thetas]), reference, atol=1e-10)
+        np.testing.assert_allclose(model.values(thetas), reference, atol=1e-10)
 
 
 def test_logistic_model_solvable():
@@ -540,7 +543,7 @@ def test_quadratic_minimize_is_exact(fixture, request):
     model, frame = _setup(spec)
     m = spec.num_groups
     rng = np.random.default_rng(31)
-    probe_vals = population_risks(spec, _ball_points(rng, 2000, spec.dim, spec.radius))
+    probe_vals = model.values(_ball_points(rng, 2000, spec.dim, spec.radius))
     weights = [rng.uniform(size=m) * 10.0 ** rng.uniform(-1, 1) for _ in range(6)]
     weights += list(np.eye(m))
     for w in weights:
@@ -560,7 +563,7 @@ def test_one_newton_routine_serves_fits_and_dual_evaluations(m):
     ds = random_logistic_dataset(rng, m=m)
     model = group_risk_model(ds)
     probes = _ball_points(rng, 2000, model.dim, ds.radius)
-    probe_vals = np.array([model.values(p) for p in probes])
+    probe_vals = model.values(probes)
     weights = [rng.uniform(size=m) * 10.0 ** rng.uniform(-1, 1) for _ in range(6)]
     weights += list(np.eye(m))
     for w in weights:
@@ -616,9 +619,7 @@ def _nash_bound(model, frame, w: np.ndarray, ball: float) -> float:
 
 def _probe_scores(method: str, source, model, frame, rng) -> np.ndarray:
     probes = _ball_points(rng, 2000, model.dim, source.radius)
-    if isinstance(source, ProblemSpec):
-        return criterion_scores(method, frame, population_risks(source, probes))
-    return criterion_scores(method, frame, np.array([model.values(p) for p in probes]))
+    return criterion_scores(method, frame, model.values(probes))
 
 
 def test_nash_dual_bound_is_sound(motivating, three_group, planar):
