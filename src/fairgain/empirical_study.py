@@ -1,10 +1,18 @@
 """Monte Carlo check of how fast the plug-in maximin-improvement point converges.
 
-For each sample size, trials draw fresh data from the population spec, solve
-the maximin relative-improvement problem on the empirical risks, and score the
-resulting parameter under the population risks. The per-trial gap is the
-population maximin value minus the achieved worst improvement; its median
-should shrink like one over the square root of the sample size.
+For each sample size, trials draw fresh sample moments from the population
+spec (`draw_moments`, exactly the moments of n rows per group, at a cost that
+does not grow with n), solve the maximin relative-improvement problem on the
+empirical risks, and score the returned parameter under the population risks.
+The per-trial gap is the population maximin value minus the population worst
+improvement at that plug-in point, so when the empirical problem has several
+optima it depends on which one the solver returns. Its median should shrink
+like one over the square root of the sample size.
+
+The sample is conditioned: a draw in which some group's empirical
+baseline-to-ideal gap is at most half the smallest population gap is redrawn,
+and `rejected` counts those redraws per size. So the gaps describe draws whose
+empirical frame is not near degenerate, not every draw.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from fairgain.core import BargainingFrame, ConvergenceError, relative_improvemen
 from fairgain.risk_models import (
     ProblemSpec,
     QuadraticGroupRisks,
-    draw_dataset,
+    draw_moments,
     population_frame,
 )
 from fairgain.solvers import SolverConfig, solve
@@ -91,7 +99,7 @@ def _trial_gap(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, trial, attempt))
         )
-        emp = QuadraticGroupRisks.from_dataset(draw_dataset(spec, n, rng))
+        emp = draw_moments(spec, n, rng)
         ideal = emp.ideal_risks(spec.radius)
         if (emp.k - ideal).min() > min_gap_required:
             break

@@ -608,7 +608,8 @@ def draw_dataset(
     """Sample a squared-loss dataset from the population spec.
 
     Features are Gaussian with the group's second-moment matrix; labels are
-    beta' x plus Gaussian noise at the group's sigma2.
+    beta' x plus Gaussian noise at the group's sigma2. `draw_moments` draws
+    `QuadraticGroupRisks.from_dataset` of this sample exactly, without rows.
     """
     if n_per_group < 1:
         raise ValueError("n_per_group must be at least 1")
@@ -627,3 +628,35 @@ def draw_dataset(
         loss="squared",
         radius=spec.radius,
     )
+
+
+def draw_moments(
+    spec: ProblemSpec, n_per_group: int, rng: np.random.Generator
+) -> QuadraticGroupRisks:
+    """Draw `QuadraticGroupRisks.from_dataset(draw_dataset(...))` in law, in O(d^3) at any n.
+
+    With X = Z F' (F the covariance factor), Gaussian Z = QR and r = min(n, d),
+    R is r x d upper trapezoidal with R_ii = sqrt(chi2(n - i)) and N(0, 1)
+    above the diagonal (Bartlett 1933), and Q'y = R F' beta + u with
+    u = Q' eps ~ N(0, sigma2 I_r) independent of R. So X'X = B B', X'y = B Q'y
+    with B = F R', and y'y = |Q'y|^2 + sigma2 chi2(n - r), the noise left
+    outside the span of Q.
+    """
+    if n_per_group < 1:
+        raise ValueError("n_per_group must be at least 1")
+    n = n_per_group
+    A, c, k = [], [], []
+    for g in spec.groups:
+        r = min(n, g.dim)
+        s, V = np.linalg.eigh(g.cov)
+        factor = V * np.sqrt(np.clip(s, 0.0, None))
+        R = np.triu(rng.standard_normal((r, g.dim)), 1)
+        R[np.arange(r), np.arange(r)] = np.sqrt(rng.chisquare(n - np.arange(r)))
+        B = factor @ R.T
+        qy = B.T @ g.beta + rng.normal(0.0, np.sqrt(g.sigma2), r)
+        # chisquare(0) is not allowed: with n == r no noise lies outside Q
+        rest = g.sigma2 * rng.chisquare(n - r) if n > r else 0.0
+        A.append(B @ B.T / n)
+        c.append(B @ qy / n)
+        k.append((float(qy @ qy) + rest) / n)
+    return QuadraticGroupRisks(np.stack(A), np.stack(c), np.array(k))

@@ -420,6 +420,17 @@ def test_converge_outputs(spec_file, tmp_path):
     assert isinstance(summary["quantile_non_increasing"], bool)
 
 
+def test_converge_reaches_a_million_per_group(spec_file, tmp_path):
+    # moments are drawn without rows, so n = 10^6 costs what n = 100 does
+    out = tmp_path / "decades.csv"
+    ns = "10000,100000,1000000"
+    code = main(["converge", "--spec", spec_file, "--ns", ns, "--trials", "4", "--out", str(out)])
+    assert code == 0
+    gaps = np.array([float(line.split(",")[2]) for line in out.read_text().split()[1:]])
+    assert gaps.shape == (12,)
+    assert np.all(np.isfinite(gaps)) and np.all(gaps >= 0.0)
+
+
 def test_solve_from_dataset_csv(tmp_path):
     rng = np.random.default_rng(33)
     ds = draw_dataset(motivating_spec(), n_per_group=5000, rng=rng)

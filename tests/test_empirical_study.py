@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fairgain import risk_models
 from fairgain.empirical_study import (
     fit_rate_slope,
     gap_certificate,
@@ -59,7 +60,7 @@ def test_single_size_rejected(motivating):
 
 
 def test_gap_decreases_with_n(motivating):
-    res = run_convergence(motivating, (100, 400, 1600, 6400), trials=16, seed=3, cfg=CFG)
+    res = run_convergence(motivating, (100, 400, 1600, 6400), trials=64, seed=3, cfg=CFG)
     cert = gap_certificate(res, delta=0.25)
     assert len(cert.quantiles) == 4
     # 75th percentile of the gap falls as the sample grows
@@ -76,7 +77,7 @@ def test_certificate_matches_numpy_quantiles(motivating):
 
 def test_shuffled_gaps_fail_certificate(motivating):
     res = run_convergence(
-        motivating, (100, 400, 1600, 6400), trials=16, seed=3, cfg=CFG
+        motivating, (100, 400, 1600, 6400), trials=64, seed=3, cfg=CFG
     )
     cert = gap_certificate(res, delta=0.25)
     assert cert.non_increasing
@@ -96,3 +97,12 @@ def test_single_trial_matches_run(motivating):
     res = run_convergence(motivating, (300, 900), trials=3, seed=17, cfg=CFG)
     lone = single_trial_gap(motivating, n=300, seed=17, cfg=CFG)
     assert lone == pytest.approx(res.gaps[0, 0], abs=1e-12)
+
+
+def test_run_convergence_draws_no_rows(motivating, monkeypatch):
+    def no_rows(self):
+        raise AssertionError("the study built a GroupedDataset")
+
+    monkeypatch.setattr(risk_models.GroupedDataset, "__post_init__", no_rows)
+    res = run_convergence(motivating, (100, 25600), trials=4, seed=5, cfg=CFG)
+    assert np.all(np.isfinite(res.gaps))

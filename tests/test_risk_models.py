@@ -19,6 +19,7 @@ from fairgain.risk_models import (
     QuadraticGroupRisks,
     default_baseline,
     draw_dataset,
+    draw_moments,
     empirical_frame,
     empirical_risk,
     fit_group_optimal,
@@ -30,7 +31,12 @@ from fairgain.risk_models import (
     sigmoid,
     write_dataset_csv,
 )
-from tests.conftest import motivating_spec, random_logistic_dataset, random_problem_spec
+from tests.conftest import (
+    motivating_spec,
+    random_logistic_dataset,
+    random_problem_spec,
+    three_group_spec,
+)
 
 
 def test_population_risk_closed_form(motivating):
@@ -341,3 +347,66 @@ def test_empirical_frame_tracks_population(motivating):
         frame.baseline_array(), pop.baseline_array(), rtol=0.05
     )
     np.testing.assert_allclose(frame.ideal_array(), pop.ideal_array(), rtol=0.05)
+
+
+def _zero_eigenvalue_spec() -> ProblemSpec:
+    # d = 3 with cov of rank 2 in both groups, so n = 1, 2 fall below d
+    return ProblemSpec(
+        groups=(
+            GroupLinearModel(
+                beta=np.array([1.0, -0.5, 0.3]), sigma2=0.7, cov=np.diag([2.0, 0.5, 0.0])
+            ),
+            GroupLinearModel(
+                beta=np.array([0.2, 0.4, -1.0]),
+                sigma2=1.5,
+                cov=np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+            ),
+        ),
+        radius=2.0,
+    )
+
+
+def _stacked_moments(model: QuadraticGroupRisks) -> np.ndarray:
+    return np.concatenate([model.A.ravel(), model.c.ravel(), model.k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize(
+    "spec", [three_group_spec(), _zero_eigenvalue_spec()], ids=["three_group", "zero_eigenvalue"]
+)
+def test_draw_moments_matches_moments_of_drawn_rows(spec, n):
+    # every entry of (A, c, k): the mean is exact (E[A] = cov, E[c] = cov beta,
+    # E[k] = beta' cov beta + sigma2), and mean and variance agree with
+    # from_dataset(draw_dataset(...)), each within 5 Monte Carlo standard errors
+    draws = 2000
+    rng = np.random.default_rng(100 + n)
+    fast = np.array([_stacked_moments(draw_moments(spec, n, rng)) for _ in range(draws)])
+    rows = np.array(
+        [
+            _stacked_moments(QuadraticGroupRisks.from_dataset(draw_dataset(spec, n, rng)))
+            for _ in range(draws)
+        ]
+    )
+    exact = _stacked_moments(QuadraticGroupRisks.from_problem_spec(spec))
+
+    def mean_se(x):
+        return x.std(axis=0) / np.sqrt(draws)
+
+    def var_se(x):
+        return ((x - x.mean(axis=0)) ** 2).std(axis=0) / np.sqrt(draws)
+
+    slack = 1e-12  # entries a zero eigenvalue pins near 0 on both sides
+    assert np.all(np.abs(fast.mean(axis=0) - exact) <= 5.0 * mean_se(fast) + slack)
+    mean_bound = 5.0 * np.hypot(mean_se(fast), mean_se(rows)) + slack
+    assert np.all(np.abs(fast.mean(axis=0) - rows.mean(axis=0)) <= mean_bound)
+    var_bound = 5.0 * np.hypot(var_se(fast), var_se(rows)) + slack
+    assert np.all(np.abs(fast.var(axis=0) - rows.var(axis=0)) <= var_bound)
+
+
+def test_draw_moments_needs_a_sample(motivating):
+    rng = np.random.default_rng(0)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            draw_moments(motivating, n, rng)
+        with pytest.raises(ValueError):
+            draw_dataset(motivating, n, rng)
