@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +47,8 @@ from fairgain.geometry import sample_risk_set, trace_frontier
 from fairgain.risk_models import (
     LogisticGroupRisks,
     QuadraticGroupRisks,
-    empirical_frame,
-    fit_group_optimal,
     load_dataset_csv,
     load_problem_spec,
-    population_frame,
 )
 from fairgain.solvers import METHODS, SolverConfig, group_risk_model, solve
 
@@ -103,6 +100,12 @@ class RunConfig:
             raise ValueError("pass exactly one of --spec or --data")
         if args.command in ("frontier", "riskset", "converge") and not spec_path:
             raise ValueError(f"{args.command} needs --spec")
+        loss = getattr(args, "loss", None)
+        radius = getattr(args, "radius", None)
+        if spec_path and (loss is not None or radius is not None):
+            raise ValueError("--loss and --radius apply to --data inputs only")
+        if radius is not None and not (np.isfinite(radius) and radius > 0):
+            raise ValueError(f"--radius must be positive and finite, got {radius}")
         tol = float(getattr(args, "tol", cls.tol))
         if not tol > 0:
             raise ValueError("--tol must be positive")
@@ -124,8 +127,8 @@ class RunConfig:
             tol=tol,
             oracle_grid=oracle_grid,
             ns=ns,
-            loss=getattr(args, "loss", "squared"),
-            radius=getattr(args, "radius", None),
+            loss=loss or cls.loss,
+            radius=radius,
             **counts,
         )
 
@@ -164,18 +167,15 @@ def _load_source(
     """(risk model, frame, ball) of the run's --spec or --data input."""
     if cfg.spec_path:
         spec = load_problem_spec(cfg.spec_path)
-        return group_risk_model(spec), population_frame(spec), spec.radius
-    ds = load_dataset_csv(cfg.data_path, loss=cfg.loss, radius=cfg.radius)
-    ball = cfg.radius
-    if ball is None:
-        # generous default: twice the largest per-group fit, found without a ball
-        norms = [
-            float(np.linalg.norm(fit_group_optimal(ds, g)[0].theta))
-            for g in range(ds.num_groups)
-        ]
-        ball = max(1.0, 2.0 * max(norms))
-        ds = replace(ds, radius=ball)
-    return group_risk_model(ds), empirical_frame(ds), ball
+        model, ball = group_risk_model(spec), spec.radius
+    else:
+        model = group_risk_model(load_dataset_csv(cfg.data_path, loss=cfg.loss))
+        ball = cfg.radius
+        if ball is None:
+            # generous default: twice the largest per-group fit, found without a ball
+            fits = (model.minimize(w, None)[0] for w in np.eye(model.num_groups))
+            ball = max(1.0, 2.0 * max(float(np.linalg.norm(theta)) for theta in fits))
+    return model, model.frame(ball), ball
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -401,18 +401,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="population spec JSON (radius + per-group beta/sigma2/cov)")
         if data_ok:
             p.add_argument("--data", help="grouped dataset CSV with columns group,y,x1..xd")
-            p.add_argument("--loss", choices=["squared", "logistic"], default="squared")
+            p.add_argument(
+                "--loss", choices=["squared", "logistic"], help="--data risk (default squared)"
+            )
             p.add_argument("--radius", type=float, help="parameter ball for --data runs")
         p.add_argument("--out", help="output path (stdout when omitted)")
+
+    def add_solver_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int)
         p.add_argument("--tol", type=float, default=1e-6)
 
     p_solve = sub.add_parser("solve", help="run solvers, write a JSON report")
     add_source(p_solve)
+    add_solver_flags(p_solve)
     p_solve.add_argument("--methods", help=f"comma list from {','.join(METHODS)}")
 
     p_cmp = sub.add_parser("compare", help="run solvers side by side, write CSV")
     add_source(p_cmp)
+    add_solver_flags(p_cmp)
     p_cmp.add_argument("--methods", help=f"comma list from {','.join(METHODS)}")
     p_cmp.add_argument(
         "--oracle-grid",
@@ -431,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("converge", help="sample-size convergence study")
     add_source(p_cv, data_ok=False)
+    add_solver_flags(p_cv)
     p_cv.add_argument("--trials", type=int, default=50)
     p_cv.add_argument("--ns", help="comma list of per-group sample sizes")
     return parser

@@ -9,10 +9,11 @@ improvement at that plug-in point, so when the empirical problem has several
 optima it depends on which one the solver returns. Its median should shrink
 like one over the square root of the sample size.
 
-The sample is conditioned: a draw in which some group's empirical
-baseline-to-ideal gap is at most half the smallest population gap is redrawn,
-and `rejected` counts those redraws per size. So the gaps describe draws whose
-empirical frame is not near degenerate, not every draw.
+The sample is conditioned: a draw whose empirical frame is degenerate, or in
+which some group's empirical baseline-to-ideal gap is at most half the
+smallest population gap, is redrawn, and `rejected` counts those redraws per
+size. So the gaps describe draws whose empirical frame is not near
+degenerate, not every draw.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairgain.core import BargainingFrame, ConvergenceError, relative_improvements
-from fairgain.risk_models import (
-    ProblemSpec,
-    QuadraticGroupRisks,
-    draw_moments,
-    population_frame,
+from fairgain.core import (
+    BargainingFrame,
+    ConvergenceError,
+    DegenerateFrameError,
+    relative_improvements,
 )
+from fairgain.risk_models import ProblemSpec, QuadraticGroupRisks, draw_moments
 from fairgain.solvers import SolverConfig, solve
 
 _GAP_FLOOR = 1e-8  # keeps log-log slope fits finite when a trial lands exactly
@@ -74,7 +75,7 @@ def _population_target(
 ) -> tuple[QuadraticGroupRisks, BargainingFrame, float]:
     """Population risks, frame and maximin value that every trial is scored against."""
     model = QuadraticGroupRisks.from_problem_spec(spec)
-    frame = population_frame(spec)
+    frame = model.frame(spec.radius)
     value = float(solve("ri", model, frame, spec.radius, cfg).objective_value)
     return model, frame, value
 
@@ -89,9 +90,10 @@ def _trial_gap(
 ) -> tuple[float, int]:
     """One empirical solve scored under the population, and the draws rejected first.
 
-    A draw whose empirical baseline-to-ideal gap falls below half the
-    population gap is too degenerate to define a stable empirical frame, so
-    it is resampled under the next attempt's seed.
+    A draw whose empirical frame is degenerate, or whose smallest
+    baseline-to-ideal gap is at most half the population's, is too degenerate
+    to define a stable empirical frame, so it is resampled under the next
+    attempt's seed.
     """
     pop_model, pop_frame, pop_value = target
     min_gap_required = 0.5 * float(pop_frame.gap_array().min())
@@ -100,12 +102,15 @@ def _trial_gap(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, trial, attempt))
         )
         emp = draw_moments(spec, n, rng)
-        ideal = emp.ideal_risks(spec.radius)
-        if (emp.k - ideal).min() > min_gap_required:
+        try:
+            frame = emp.frame(spec.radius)
+        except DegenerateFrameError:
+            continue
+        if frame.gap_array().min() > min_gap_required:
             break
     else:
         raise ConvergenceError(f"could not draw a usable sample of size {n} in 200 attempts")
-    report = solve("ri", emp, BargainingFrame(tuple(emp.k), tuple(ideal)), spec.radius, cfg)
+    report = solve("ri", emp, frame, spec.radius, cfg)
     theta = np.asarray(report.parameter)
     pop_rho = relative_improvements(pop_model.values(theta), pop_frame)
     raw = pop_value - float(pop_rho.min())
@@ -127,8 +132,8 @@ def run_convergence(
     """Gap trials across sample sizes with per-trial splittable seeding.
 
     Each (size, trial, attempt) triple keys its own generator, so results are
-    reproducible regardless of execution order. Draws whose empirical
-    baseline-to-ideal gap falls below half the population gap are resampled
+    reproducible regardless of execution order. Draws whose empirical frame is
+    degenerate or whose gap is at most half the population's are resampled
     and counted in `rejected`.
     """
     sizes = [int(n) for n in sample_sizes]

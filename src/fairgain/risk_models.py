@@ -7,33 +7,29 @@ The baseline predictor is theta = 0 and the parameter class is the Euclidean
 ball of a given radius.
 
 Empirical side: per-group (X, y) samples under squared or logistic loss.
-Group-optimal fits produce the ideal risks of a bargaining frame; the
-baseline is the zero predictor for regression and the pooled base rate for
-classification. Both risk models, QuadraticGroupRisks (specs and squared
-loss, solved exactly) and LogisticGroupRisks (projected damped Newton), have
-one contract for any weighting w >= 0 of the groups: minimize(w, radius)
-returns (theta, value, lower) for sum_g w_g R_g over the ball, lower a
-certified bound on its minimum. A group's ideal risk is the one-hot case,
-and the solvers' dual evaluations are the others. Their values(theta) scores
-one parameter or a batch of them, each batch row with the same bits in a
-batch of any size.
+Both risk models, QuadraticGroupRisks (specs and squared loss, solved
+exactly) and LogisticGroupRisks (projected damped Newton), have one contract
+for any weighting w >= 0 of the groups: minimize(w, radius) returns (theta,
+value, lower) for sum_g w_g R_g over the ball (no ball without a radius),
+lower a certified bound on its minimum. The solvers' dual evaluations are
+its weighted cases, and frame(radius) builds the bargaining frame from its
+one-hot cases: each group's ideal risk is its own least risk over the ball,
+and the baseline is the zero predictor for quadratic risks and the pooled
+base rate for logistic risks. Their values(theta) scores one parameter or a
+batch of them, each batch row with the same bits in a batch of any size.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from fairgain.core import (
-    BargainingFrame,
-    ConvergenceError,
-    RiskProfile,
-)
+from fairgain.core import BargainingFrame, ConvergenceError
 
 _EIG_CUTOFF = 1e-10  # relative truncation for pseudo-inverse style solves
 _BALL_TOL = 1e-10
@@ -47,11 +43,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupLinearModel:
-    """One group's regression population: coefficients, noise, feature moments."""
+    """One group's regression population: coefficients, noise, feature moments.
+
+    `factor` is F = V sqrt(S) from cov = V S V', so F F' = cov; Gaussian
+    features Z F' have second moments cov whatever cov's rank.
+    """
 
     beta: np.ndarray
     sigma2: float
     cov: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         beta = _readonly(np.atleast_1d(self.beta))
@@ -66,7 +67,7 @@ class GroupLinearModel:
         scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > 1e-10 * scale:
             raise ValueError("cov must be symmetric")
-        eigs = np.linalg.eigvalsh(cov)
+        eigs, V = np.linalg.eigh(cov)
         if eigs.min() < -1e-10 * scale:
             raise ValueError(f"cov must be positive semidefinite, min eigenvalue {eigs.min()}")
         sigma2 = float(self.sigma2)
@@ -77,6 +78,7 @@ class GroupLinearModel:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "factor", _readonly(V * np.sqrt(np.clip(eigs, 0.0, None))))
 
     @property
     def dim(self) -> int:
@@ -113,9 +115,9 @@ class ProblemSpec:
 
 
 def minimize_quadratic_ball(
-    A: np.ndarray, c: np.ndarray, radius: float
+    A: np.ndarray, c: np.ndarray, radius: float | None
 ) -> tuple[np.ndarray, float]:
-    """Minimize theta' A theta - 2 c' theta over the Euclidean ball.
+    """Minimize theta' A theta - 2 c' theta over the Euclidean ball (no ball without a radius).
 
     A must be symmetric PSD with c in its range (moment callers' c is; the
     logistic Newton step's A is definite). Solved exactly through the eigenbasis;
@@ -133,7 +135,7 @@ def minimize_quadratic_ball(
     b = V.T @ c
     live = s > cutoff
     theta_eig = np.where(live, b / np.where(live, s, 1.0), 0.0)
-    if np.linalg.norm(theta_eig) <= radius:
+    if radius is None or np.linalg.norm(theta_eig) <= radius:
         value = float(np.sum(s * theta_eig**2) - 2.0 * np.sum(b * theta_eig))
         return V @ theta_eig, value
 
@@ -200,27 +202,30 @@ class QuadraticGroupRisks:
     def gradients(self, theta: np.ndarray) -> np.ndarray:
         return 2.0 * (self.A @ theta - self.c)
 
-    def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
-        """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value."""
+    def minimize(self, w: np.ndarray, radius: float | None) -> tuple[np.ndarray, float, float]:
+        """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value.
+
+        Without a radius there is no ball.
+        """
         w = np.asarray(w, dtype=float)
         A = np.tensordot(w, self.A, axes=1)
         theta, quad = minimize_quadratic_ball(A, w @ self.c, radius)
         value = quad + float(w @ self.k)
         return theta, value, value
 
-    def ideal_risks(self, radius: float) -> np.ndarray:
-        """Each group's least risk over the ball: minimize at each one-hot weight."""
-        return np.array([self.minimize(w, radius)[1] for w in np.eye(self.num_groups)])
+    def frame(self, radius: float | None) -> BargainingFrame:
+        """Baseline k (the zero predictor) and each group's one-hot minimum over the ball.
+
+        Raises DegenerateFrameError when some group cannot improve on the
+        baseline at all (for example beta in the null space of cov).
+        """
+        ideal = tuple(self.minimize(w, radius)[1] for w in np.eye(self.num_groups))
+        return BargainingFrame(tuple(self.k), ideal)
 
 
 def population_frame(spec: ProblemSpec) -> BargainingFrame:
-    """Baseline (theta = 0) and in-ball ideal risks for every group.
-
-    Raises DegenerateFrameError when some group cannot improve on the
-    baseline at all (for example beta in the null space of cov).
-    """
-    model = QuadraticGroupRisks.from_problem_spec(spec)
-    return BargainingFrame(tuple(model.k), tuple(model.ideal_risks(spec.radius)))
+    """The population risks' frame over the spec's ball."""
+    return QuadraticGroupRisks.from_problem_spec(spec).frame(spec.radius)
 
 
 # --------------------------------------------------------------------------
@@ -231,15 +236,13 @@ def population_frame(spec: ProblemSpec) -> BargainingFrame:
 class GroupedDataset:
     """Per-group samples under one loss.
 
-    labels for 'logistic' must be 0/1. `radius` bounds the linear parameter
-    ball for fits and solves. `label_offset` records the pooled mean removed
-    from regression labels at ingestion time.
+    labels for 'logistic' must be 0/1. `label_offset` records the pooled mean
+    removed from regression labels at ingestion time.
     """
 
     features: tuple[np.ndarray, ...]
     labels: tuple[np.ndarray, ...]
     loss: str = "squared"
-    radius: float | None = None
     group_names: tuple[str, ...] = ()
     label_offset: float = 0.0
 
@@ -264,8 +267,6 @@ class GroupedDataset:
             for g, y in enumerate(labs):
                 if not np.all((y == 0) | (y == 1)):
                     raise ValueError(f"group {g}: logistic labels must be 0 or 1")
-        if self.radius is not None and not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be positive when given")
         names = tuple(self.group_names) or tuple(str(g) for g in range(len(feats)))
         if len(names) != len(feats):
             raise ValueError("group_names length must match the group count")
@@ -281,59 +282,6 @@ class GroupedDataset:
     @property
     def dim(self) -> int:
         return self.features[0].shape[1]
-
-
-@dataclass(frozen=True)
-class LinearPredictor:
-    """f(x) = theta' x."""
-
-    theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _readonly(np.atleast_1d(self.theta)))
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.theta
-
-
-@dataclass(frozen=True)
-class ConstantPredictor:
-    """Constant output; a probability under logistic loss, a value under squared."""
-
-    value: float
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return np.full(X.shape[0], float(self.value))
-
-
-Predictor = LinearPredictor | ConstantPredictor
-
-
-def _group_loss(ds: GroupedDataset, predictor: Predictor, g: int) -> float:
-    X, y = ds.features[g], ds.labels[g]
-    if ds.loss == "squared":
-        return float(np.mean((y - predictor.scores(X)) ** 2))
-    if isinstance(predictor, ConstantPredictor):
-        p = float(predictor.value)
-        if not 0.0 < p < 1.0:
-            raise ValueError("constant logistic predictions must be probabilities in (0, 1)")
-        return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p)))
-    z = predictor.scores(X)
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-
-def empirical_risk(ds: GroupedDataset, predictor: Predictor) -> RiskProfile:
-    """Mean per-group loss of a predictor on the dataset."""
-    return RiskProfile(tuple(_group_loss(ds, predictor, g) for g in range(ds.num_groups)))
-
-
-def _fit_squared_linear(X: np.ndarray, y: np.ndarray, radius: float | None) -> np.ndarray:
-    theta, *_ = np.linalg.lstsq(X, y, rcond=_EIG_CUTOFF)
-    if radius is None or np.linalg.norm(theta) <= radius:
-        return theta
-    n = X.shape[0]
-    theta, _ = minimize_quadratic_ball(X.T @ X / n, X.T @ y / n, radius)
-    return theta
 
 
 def project_ball(theta: np.ndarray, radius: float | None) -> np.ndarray:
@@ -445,43 +393,22 @@ class LogisticGroupRisks:
         msg = f"logistic minimization stalled with stationarity residual {resid:.3e}"
         raise ConvergenceError(msg, residual=resid)
 
+    def frame(self, radius: float | None) -> BargainingFrame:
+        """Baseline at the pooled base rate and each group's least risk over the ball.
 
-def fit_group_optimal(ds: GroupedDataset, g: int) -> tuple[Predictor, float]:
-    """Best in-class predictor for one group alone, with its risk.
-
-    Squared loss uses exact least squares (pseudo-inverse truncation at
-    1e-10 of the top singular value), switching to the ball-constrained exact
-    solve when the fit leaves the parameter ball. Logistic loss runs
-    LogisticGroupRisks.minimize on the group alone to stationarity 1e-8.
-    """
-    if not 0 <= g < ds.num_groups:
-        raise IndexError(f"group index {g} out of range")
-    X, y = ds.features[g], ds.labels[g]
-    if ds.loss == "squared":
-        theta = _fit_squared_linear(X, y, ds.radius)
-    else:
-        theta = LogisticGroupRisks((X,), (y,)).minimize(np.ones(1), ds.radius)[0]
-    pred = LinearPredictor(theta)
-    return pred, _group_loss(ds, pred, g)
-
-
-def default_baseline(ds: GroupedDataset) -> Predictor:
-    """Status-quo predictor: 0 for regression, pooled base rate for classification."""
-    if ds.loss == "squared":
-        return ConstantPredictor(0.0)
-    pooled = np.concatenate(ds.labels)
-    p = float(np.clip(pooled.mean(), 1e-12, 1.0 - 1e-12))
-    return ConstantPredictor(p)
-
-
-def empirical_frame(
-    ds: GroupedDataset, baseline: Predictor | None = None
-) -> BargainingFrame:
-    """Empirical baseline and group-optimal risks; refuses degenerate gaps."""
-    base_pred = default_baseline(ds) if baseline is None else baseline
-    base = empirical_risk(ds, base_pred)
-    ideal = tuple(fit_group_optimal(ds, g)[1] for g in range(ds.num_groups))
-    return BargainingFrame(base.values, ideal)
+        The baseline predicts the pooled share of positive labels for every
+        row. Each ideal is the group's own Newton fit, which has the bits of
+        its one-hot minimize without scoring the other groups at every step.
+        Raises DegenerateFrameError when some group's fit does not beat the
+        baseline, and ConvergenceError when a fit stalls.
+        """
+        p = float(np.clip(np.concatenate(self.labels).mean(), 1e-12, 1.0 - 1e-12))
+        base = tuple(float(np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p))) for y in self.labels)
+        ideal = tuple(
+            LogisticGroupRisks((X,), (y,)).minimize(np.ones(1), radius)[1]
+            for X, y in zip(self.features, self.labels)
+        )
+        return BargainingFrame(base, ideal)
 
 
 # --------------------------------------------------------------------------
@@ -529,7 +456,6 @@ def save_problem_spec(spec: ProblemSpec, path: str | Path) -> None:
 def load_dataset_csv(
     path: str | Path,
     loss: str = "squared",
-    radius: float | None = None,
 ) -> GroupedDataset:
     """Read group,y,x1..xd rows; groups keep first-appearance order.
 
@@ -584,7 +510,6 @@ def load_dataset_csv(
         features=tuple(features),
         labels=tuple(labels),
         loss=loss,
-        radius=radius,
         group_names=tuple(order),
         label_offset=offset,
     )
@@ -616,18 +541,11 @@ def draw_dataset(
     features = []
     labels = []
     for g in spec.groups:
-        s, V = np.linalg.eigh(g.cov)
-        factor = V * np.sqrt(np.clip(s, 0.0, None))
-        X = rng.standard_normal((n_per_group, g.dim)) @ factor.T
+        X = rng.standard_normal((n_per_group, g.dim)) @ g.factor.T
         y = X @ g.beta + rng.normal(0.0, np.sqrt(g.sigma2), n_per_group)
         features.append(X)
         labels.append(y)
-    return GroupedDataset(
-        features=tuple(features),
-        labels=tuple(labels),
-        loss="squared",
-        radius=spec.radius,
-    )
+    return GroupedDataset(features=tuple(features), labels=tuple(labels), loss="squared")
 
 
 def draw_moments(
@@ -635,7 +553,7 @@ def draw_moments(
 ) -> QuadraticGroupRisks:
     """Draw `QuadraticGroupRisks.from_dataset(draw_dataset(...))` in law, in O(d^3) at any n.
 
-    With X = Z F' (F the covariance factor), Gaussian Z = QR and r = min(n, d),
+    With X = Z F' (F the group's covariance factor), Gaussian Z = QR and r = min(n, d),
     R is r x d upper trapezoidal with R_ii = sqrt(chi2(n - i)) and N(0, 1)
     above the diagonal (Bartlett 1933), and Q'y = R F' beta + u with
     u = Q' eps ~ N(0, sigma2 I_r) independent of R. So X'X = B B', X'y = B Q'y
@@ -648,11 +566,9 @@ def draw_moments(
     A, c, k = [], [], []
     for g in spec.groups:
         r = min(n, g.dim)
-        s, V = np.linalg.eigh(g.cov)
-        factor = V * np.sqrt(np.clip(s, 0.0, None))
         R = np.triu(rng.standard_normal((r, g.dim)), 1)
         R[np.arange(r), np.arange(r)] = np.sqrt(rng.chisquare(n - np.arange(r)))
-        B = factor @ R.T
+        B = g.factor @ R.T
         qy = B.T @ g.beta + rng.normal(0.0, np.sqrt(g.sigma2), r)
         # chisquare(0) is not allowed: with n == r no noise lies outside Q
         rest = g.sigma2 * rng.chisquare(n - r) if n > r else 0.0

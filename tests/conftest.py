@@ -7,11 +7,14 @@ from fairgain.core import DegenerateFrameError
 from fairgain.risk_models import (
     GroupedDataset,
     GroupLinearModel,
+    LogisticGroupRisks,
     ProblemSpec,
-    empirical_frame,
     population_frame,
     sigmoid,
 )
+
+# the ball random_logistic_dataset checks its frame over by default
+LOGISTIC_RADIUS = 3.0
 
 
 def motivating_spec() -> ProblemSpec:
@@ -136,9 +139,9 @@ def rank_deficient_spec(rng: np.random.Generator) -> ProblemSpec | None:
 
 
 def random_logistic_dataset(
-    rng: np.random.Generator, m: int = 3, d: int = 3, n: int = 300, radius: float = 3.0
+    rng: np.random.Generator, m: int = 3, d: int = 3, n: int = 300, radius: float = LOGISTIC_RADIUS
 ) -> GroupedDataset:
-    """Draw a logistic dataset whose groups all gain from their own fit.
+    """Draw a logistic dataset whose groups all gain from their own fit over the ball.
 
     Each group's features are Gaussian around a random shift and its labels
     follow a logistic model with its own random coefficients, so several
@@ -151,9 +154,9 @@ def random_logistic_dataset(
             w = rng.normal(size=d) * 1.5
             features.append(X)
             labels.append((rng.uniform(size=n) < sigmoid(X @ w)).astype(float))
-        ds = GroupedDataset(tuple(features), tuple(labels), loss="logistic", radius=radius)
+        ds = GroupedDataset(tuple(features), tuple(labels), loss="logistic")
         try:
-            empirical_frame(ds)
+            LogisticGroupRisks.from_dataset(ds).frame(radius)
         except DegenerateFrameError:
             continue
         return ds

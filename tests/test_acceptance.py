@@ -30,7 +30,6 @@ from fairgain.geometry import (
 from fairgain.risk_models import (
     LogisticGroupRisks,
     ProblemSpec,
-    empirical_frame,
     population_frame,
     save_problem_spec,
 )
@@ -128,7 +127,8 @@ def test_criterion_04_diagonal_equals_maximin():
         rng = np.random.default_rng(5)
         for _ in range(6):
             ds = random_logistic_dataset(rng, m=2, d=2, n=300, radius=3.0)
-            problems.append((LogisticGroupRisks.from_dataset(ds), empirical_frame(ds)))
+            model = LogisticGroupRisks.from_dataset(ds)
+            problems.append((model, model.frame(3.0)))
         worst = 0.0
         for i, (model, frame) in enumerate(problems):
             rep = solve("ri", model, frame, 3.0)

@@ -19,7 +19,6 @@ from fairgain.core import ConvergenceError
 from fairgain.risk_models import (
     GroupedDataset,
     draw_dataset,
-    empirical_frame,
     population_frame,
     save_problem_spec,
     write_dataset_csv,
@@ -111,6 +110,18 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
     assert main(["riskset", "--spec", spec_file, "--grid", "0"]) == 2
     assert main(["compare", "--spec", spec_file, "--oracle-grid", "0"]) == 2
     assert main(["compare", "--spec", spec_file, "--oracle-grid", "-0.1"]) == 2
+    # flags a --spec run or the subcommand would ignore
+    assert main(["solve", "--spec", spec_file, "--radius", "0.1"]) == 2
+    assert main(["solve", "--spec", spec_file, "--loss", "logistic"]) == 2
+    assert main(["compare", "--spec", spec_file, "--radius", "0.1"]) == 2
+    assert main(["compare", "--spec", spec_file, "--loss", "squared"]) == 2
+    for command in ("frontier", "riskset"):
+        assert main([command, "--spec", spec_file, "--seed", "5"]) == 2, command
+        assert main([command, "--spec", spec_file, "--tol", "3"]) == 2, command
+    data = tmp_path / "data.csv"
+    write_dataset_csv(draw_dataset(motivating_spec(), 20, np.random.default_rng(0)), data)
+    for radius in ("-1", "0", "nan", "inf"):
+        assert main(["solve", "--data", str(data), "--radius", radius]) == 2, radius
     assert main(["bogus-command"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -176,14 +187,14 @@ def test_exit_code_convergence(tmp_path, monkeypatch, capsys):
 def test_exit_code_convergence_in_a_dual_evaluation(tmp_path, monkeypatch, capsys):
     # the frame fits converge; the first weighted minimization of the solve stalls
     data = _logistic_csv(tmp_path)
-    fit_frame = cli.empirical_frame
+    fit_frame = risk_models.LogisticGroupRisks.frame
 
-    def fit_then_stall(ds, baseline=None):
-        frame = fit_frame(ds, baseline)
+    def fit_then_stall(self, radius):
+        frame = fit_frame(self, radius)
         monkeypatch.setattr(risk_models.LogisticGroupRisks, "minimize", _stalled)
         return frame
 
-    monkeypatch.setattr(cli, "empirical_frame", fit_then_stall)
+    monkeypatch.setattr(risk_models.LogisticGroupRisks, "frame", fit_then_stall)
     code = main(["solve", "--data", data, "--loss", "logistic", "--methods", "ri"])
     assert code == 5
     assert capsys.readouterr().err.startswith("error: logistic minimization stalled")
@@ -361,10 +372,12 @@ def test_oracle_memory_is_bounded_by_the_block():
     # logistic: 10K points, whose scores against each group's 500 rows, taken
     # all at once, would hold 41 MB
     spec = planar_spec()
-    ds = random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=500, radius=2.0)
+    logistic = group_risk_model(
+        random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=500, radius=2.0)
+    )
     jobs = (
         (group_risk_model(spec), population_frame(spec), spec.radius, 2e-3),
-        (group_risk_model(ds), empirical_frame(ds), ds.radius, 0.035),
+        (logistic, logistic.frame(2.0), 2.0, 0.035),
     )
     for model, frame, ball, step in jobs:
         tracemalloc.start()

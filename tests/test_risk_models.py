@@ -10,19 +10,13 @@ from scipy.special import expit
 
 from fairgain.core import ConvergenceError, DegenerateFrameError
 from fairgain.risk_models import (
-    ConstantPredictor,
     GroupedDataset,
     GroupLinearModel,
-    LinearPredictor,
     LogisticGroupRisks,
     ProblemSpec,
     QuadraticGroupRisks,
-    default_baseline,
     draw_dataset,
     draw_moments,
-    empirical_frame,
-    empirical_risk,
-    fit_group_optimal,
     load_dataset_csv,
     load_problem_spec,
     minimize_quadratic_ball,
@@ -32,6 +26,7 @@ from fairgain.risk_models import (
     write_dataset_csv,
 )
 from tests.conftest import (
+    LOGISTIC_RADIUS,
     motivating_spec,
     random_logistic_dataset,
     random_problem_spec,
@@ -64,7 +59,7 @@ def test_model_values_rows_do_not_depend_on_the_batch():
             cases.append((QuadraticGroupRisks.from_problem_spec(spec), spec.radius, 1000))
     for d, m in ((1, 2), (2, 3), (3, 2)):
         ds = random_logistic_dataset(rng, m=m, d=d, n=60)
-        cases.append((LogisticGroupRisks.from_dataset(ds), ds.radius, 200))
+        cases.append((LogisticGroupRisks.from_dataset(ds), LOGISTIC_RADIUS, 200))
     for model, radius, n in cases:
         batch = rng.uniform(-radius, radius, size=(n, model.dim))
         risks = model.values(batch)
@@ -164,6 +159,21 @@ def test_spec_validation():
         GroupLinearModel(beta=np.array([1.0]), sigma2=1.0, cov=np.array([[-1.0]]))
 
 
+def test_covariance_factor_reproduces_cov():
+    # F F' = cov, also where cov has zero eigenvalues; features Z F' then
+    # have second moments cov
+    rng = np.random.default_rng(8)
+    covs = [np.diag([2.0, 0.5, 0.0]), np.zeros((2, 2)), np.array([[4.0]])]
+    for d, r in ((3, 3), (4, 2), (5, 1)):
+        f = rng.normal(size=(d, r))
+        covs.append(f @ f.T / r)
+    for cov in covs:
+        model = GroupLinearModel(beta=np.ones(len(cov)), sigma2=1.0, cov=cov)
+        F = model.factor
+        assert F.shape == cov.shape
+        np.testing.assert_allclose(F @ F.T, cov, rtol=0.0, atol=1e-14 * max(1.0, np.abs(cov).max()))
+
+
 def test_spec_json_round_trip(tmp_path, motivating):
     path = tmp_path / "spec.json"
     save_problem_spec(motivating, path)
@@ -190,61 +200,63 @@ def test_empirical_risk_three_point_example():
     # single group, three points, squared loss; average at theta = 3
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 7.0, 8.0])
-    ds = GroupedDataset(
-        features=(X, X),
-        labels=(y, y),
-        loss="squared",
-        radius=10.0,
-    )
-    r = empirical_risk(ds, LinearPredictor(np.array([3.0])))
+    ds = GroupedDataset(features=(X, X), labels=(y, y), loss="squared")
+    r = QuadraticGroupRisks.from_dataset(ds).values(np.array([3.0]))
     # residuals 1, -1, 1 -> mean squared 1
-    assert r.values[0] == pytest.approx(1.0)
+    assert r[0] == pytest.approx(1.0)
 
     X2 = np.array([[1.0], [2.0], [3.0]])
     y2 = np.array([0.0, 2.0, 10.0])
-    ds2 = GroupedDataset(features=(X2, X2), labels=(y2, y2), radius=10.0)
-    r2 = empirical_risk(ds2, LinearPredictor(np.array([3.0])))
+    ds2 = GroupedDataset(features=(X2, X2), labels=(y2, y2))
+    r2 = QuadraticGroupRisks.from_dataset(ds2).values(np.array([3.0]))
     # residuals 3, 4, -1 -> (9 + 16 + 1) / 3
-    assert r2.values[0] == pytest.approx(26.0 / 3.0)
+    assert r2[0] == pytest.approx(26.0 / 3.0)
 
 
-def test_fit_group_optimal_beats_probes():
+def test_frame_ideals_beat_probes():
     rng = np.random.default_rng(21)
     spec = random_problem_spec(rng, m=2, d=3, radius=2.0)
     ds = draw_dataset(spec, n_per_group=400, rng=rng)
+    model = QuadraticGroupRisks.from_dataset(ds)
+    frame = model.frame(spec.radius)
     for g in range(2):
-        pred, risk = fit_group_optimal(ds, g)
-        theta = pred.theta
-        assert np.linalg.norm(theta) <= ds.radius + 1e-9
+        theta = model.minimize(np.eye(2)[g], spec.radius)[0]
+        assert np.linalg.norm(theta) <= spec.radius + 1e-9
         probes = rng.normal(size=(10_000, 3))
         probes *= (
             (rng.uniform(0, 1, size=(10_000, 1)) ** (1.0 / 3.0))
-            * ds.radius
+            * spec.radius
             / np.linalg.norm(probes, axis=1, keepdims=True)
         )
+        # each probe's mean squared residual, straight from the rows
         Xg, yg = ds.features[g], ds.labels[g]
         vals = np.mean((probes @ Xg.T - yg) ** 2, axis=1)
-        assert risk <= vals.min() + 1e-9
+        assert frame.ideal_risks[g] <= vals.min() + 1e-9
 
 
 def test_unconstrained_fit_matches_lstsq():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(50, 2))
     y = X @ np.array([0.3, -0.2]) + rng.normal(size=50) * 0.1
-    ds = GroupedDataset(features=(X, X), labels=(y, y), radius=100.0)
-    pred, _ = fit_group_optimal(ds, 0)
+    model = QuadraticGroupRisks.from_dataset(GroupedDataset(features=(X, X), labels=(y, -y)))
     expect, *_ = np.linalg.lstsq(X, y, rcond=None)
-    np.testing.assert_allclose(pred.theta, expect, atol=1e-8)
+    theta, value, _ = model.minimize(np.array([1.0, 0.0]), None)
+    np.testing.assert_allclose(theta, expect, atol=1e-8)
+    # without a ball the frame's ideals are the least-squares residuals
+    residual = float(np.mean((y - X @ expect) ** 2))
+    np.testing.assert_allclose(model.frame(None).ideal_array(), [residual, residual], rtol=1e-12)
+    assert value == model.frame(None).ideal_risks[0]
 
 
-def test_default_baseline_squared_is_zero_predictor():
+def test_squared_baseline_is_the_zero_predictor():
     X = np.ones((4, 1))
-    ds = GroupedDataset(features=(X, X), labels=(np.ones(4), np.zeros(4)), radius=1.0)
-    base = default_baseline(ds)
-    assert isinstance(base, ConstantPredictor)
-    assert base.value == 0.0
-    r = empirical_risk(ds, base)
-    assert r.values == (1.0, 0.0)
+    ds = GroupedDataset(features=(X, X), labels=(np.ones(4), np.full(4, 2.0)))
+    model = QuadraticGroupRisks.from_dataset(ds)
+    frame = model.frame(1.0)
+    assert frame.baseline_risks == (1.0, 4.0)
+    assert frame.baseline_risks == tuple(model.values(np.zeros(1)))
+    # the ball holds group 0's fit theta = 1 but not group 1's theta = 2
+    assert frame.ideal_risks == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 def test_sigmoid_matches_expit_without_overflow():
@@ -262,33 +274,30 @@ def test_logistic_baseline_and_fit():
     w = np.array([1.2, -0.8])
     y1 = (rng.uniform(size=500) < 1.0 / (1.0 + np.exp(-X1 @ w))).astype(float)
     y2 = (rng.uniform(size=500) < 1.0 / (1.0 + np.exp(-X2 @ w))).astype(float)
-    ds = GroupedDataset(
-        features=(X1, X2), labels=(y1, y2), loss="logistic", radius=5.0
-    )
-    base = default_baseline(ds)
-    frame = empirical_frame(ds, base)
+    ds = GroupedDataset(features=(X1, X2), labels=(y1, y2), loss="logistic")
+    model = LogisticGroupRisks.from_dataset(ds)
+    frame = model.frame(5.0)
     # fitting helps both groups, so every gap is positive
     assert all(b > i for b, i in zip(frame.baseline_risks, frame.ideal_risks))
     # theta = 0 scores log 2 per example
-    r0 = empirical_risk(ds, LinearPredictor(np.zeros(2)))
-    assert r0.values[0] == pytest.approx(np.log(2.0))
+    assert model.values(np.zeros(2))[0] == pytest.approx(np.log(2.0))
 
 
 def test_logistic_fit_residual_is_small():
     rng = np.random.default_rng(14)
     X = rng.normal(size=(300, 2))
     y = (rng.uniform(size=300) < 0.5).astype(float)
-    ds = GroupedDataset(features=(X, X), labels=(y, y), loss="logistic", radius=3.0)
-    pred, risk = fit_group_optimal(ds, 0)
+    model = LogisticGroupRisks((X, X), (y, y))
+    theta = model.minimize(np.array([1.0, 0.0]), 3.0)[0]
+    risk = model.frame(3.0).ideal_risks[0]
     # optimum must not be improvable by small ball-feasible steps
     eps = 1e-4
     for direction in np.eye(2):
         for s in (+eps, -eps):
-            cand = pred.theta + s * direction
-            if np.linalg.norm(cand) > ds.radius:
+            cand = theta + s * direction
+            if np.linalg.norm(cand) > 3.0:
                 continue
-            v = empirical_risk(ds, LinearPredictor(cand)).values[0]
-            assert v >= risk - 1e-7
+            assert model.values(cand)[0] >= risk - 1e-7
 
 
 def test_logistic_fit_non_convergence_raises():
@@ -320,7 +329,7 @@ def test_csv_round_trip(tmp_path):
     ds = draw_dataset(spec, n_per_group=25, rng=rng)
     path = tmp_path / "data.csv"
     write_dataset_csv(ds, path)
-    back = load_dataset_csv(path, loss="squared", radius=1.5)
+    back = load_dataset_csv(path, loss="squared")
     assert back.group_names == ds.group_names
     for a, b in zip(back.features, ds.features):
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -338,10 +347,10 @@ def test_csv_header_is_checked(tmp_path):
         load_dataset_csv(path)
 
 
-def test_empirical_frame_tracks_population(motivating):
+def test_sample_frame_tracks_population(motivating):
     rng = np.random.default_rng(99)
     ds = draw_dataset(motivating, n_per_group=200_000, rng=rng)
-    frame = empirical_frame(ds)
+    frame = QuadraticGroupRisks.from_dataset(ds).frame(motivating.radius)
     pop = population_frame(motivating)
     np.testing.assert_allclose(
         frame.baseline_array(), pop.baseline_array(), rtol=0.05

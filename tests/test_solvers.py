@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +10,8 @@ from scipy.optimize import linprog
 
 from fairgain.core import ConvergenceError, DegenerateBargainError, criterion_scores, criterion_value
 from fairgain.risk_models import (
-    ProblemSpec,
-    empirical_frame,
-    fit_group_optimal,
+    GroupedDataset,
+    draw_dataset,
     population_frame,
     project_ball,
 )
@@ -29,6 +27,7 @@ from fairgain.solvers import (
     solve_nash,
 )
 from tests.conftest import (
+    LOGISTIC_RADIUS,
     centred_risks,
     rank_deficient_spec,
     random_logistic_dataset,
@@ -319,8 +318,8 @@ def test_master_restarts_below_the_dual_bound(monkeypatch):
         return picked
 
     monkeypatch.setattr(_GameMaster, "solve", spy)
-    ds = random_logistic_dataset(np.random.default_rng(5))
-    solve("mmr", group_risk_model(ds), empirical_frame(ds), ds.radius, CFG)
+    model = group_risk_model(random_logistic_dataset(np.random.default_rng(5)))
+    solve("mmr", model, model.frame(LOGISTIC_RADIUS), LOGISTIC_RADIUS, CFG)
     restarted = [c for c in calls if c[2] is not None and c[2][2] < c[1] - 1e-9]
     assert restarted
     for cuts, lower, _, picked, m_free, n in restarted:
@@ -455,16 +454,13 @@ def test_group_risk_model_matches_population(motivating, planar):
 
 def test_logistic_model_solvable():
     rng = np.random.default_rng(6)
-    from fairgain.risk_models import GroupedDataset, empirical_frame
-
     X1 = rng.normal(size=(400, 2))
     X2 = rng.normal(size=(400, 2)) * 1.4 + 0.3
     w = np.array([1.0, -0.6])
     y1 = (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-X1 @ w))).astype(float)
     y2 = (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-(X2 @ w) - 0.4))).astype(float)
-    ds = GroupedDataset(features=(X1, X2), labels=(y1, y2), loss="logistic", radius=4.0)
-    frame = empirical_frame(ds)
-    model = group_risk_model(ds)
+    model = group_risk_model(GroupedDataset(features=(X1, X2), labels=(y1, y2), loss="logistic"))
+    frame = model.frame(4.0)
     rep = solve("ri", model, frame, 4.0, CFG)
     rho = rep.improvement_profile.as_array()
     assert rho.min() >= -1e-4
@@ -537,70 +533,81 @@ def _ball_points(rng: np.random.Generator, n: int, d: int, radius: float) -> np.
 
 @pytest.mark.parametrize("fixture", ["motivating", "three_group", "planar"])
 def test_quadratic_minimize_is_exact(fixture, request):
-    # the quadratic side of the minimize contract: lower is the exact value,
-    # no ball probe beats it, and the one-hot values are the frame's ideals
+    # the quadratic side of the minimize contract, on the population risks and
+    # on a squared-loss sample of them: lower is the exact value, no ball probe
+    # beats it, the one-hot values are the frame's ideals bit for bit, and the
+    # frame's baseline is the zero predictor's risk
     spec = request.getfixturevalue(fixture)
-    model, frame = _setup(spec)
     m = spec.num_groups
     rng = np.random.default_rng(31)
-    probe_vals = model.values(_ball_points(rng, 2000, spec.dim, spec.radius))
+    population, frame = _setup(spec)
+    sample = group_risk_model(draw_dataset(spec, 50, rng))
+    probes = _ball_points(rng, 2000, spec.dim, spec.radius)
     weights = [rng.uniform(size=m) * 10.0 ** rng.uniform(-1, 1) for _ in range(6)]
     weights += list(np.eye(m))
-    for w in weights:
-        theta, value, lower = model.minimize(w, spec.radius)
-        assert np.linalg.norm(theta) <= spec.radius * (1.0 + 1e-9)
-        assert lower == value
-        assert value == pytest.approx(float(w @ model.values(theta)), rel=1e-12, abs=1e-12)
-        assert value <= float((probe_vals @ w).min())
-    ideal = tuple(model.minimize(w, spec.radius)[1] for w in np.eye(m))
-    assert frame.ideal_risks == ideal
-    assert tuple(model.ideal_risks(spec.radius)) == ideal
+    for model in (population, sample):
+        probe_vals = model.values(probes)
+        for w in weights:
+            theta, value, lower = model.minimize(w, spec.radius)
+            assert np.linalg.norm(theta) <= spec.radius * (1.0 + 1e-9)
+            assert lower == value
+            assert value == pytest.approx(float(w @ model.values(theta)), rel=1e-12, abs=1e-12)
+            assert value <= float((probe_vals @ w).min())
+        ideal = tuple(model.minimize(w, spec.radius)[1] for w in np.eye(m))
+        assert model.frame(spec.radius).ideal_risks == ideal
+        assert model.frame(spec.radius).baseline_risks == tuple(model.values(np.zeros(spec.dim)))
+    assert frame == population.frame(spec.radius)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_one_newton_routine_serves_fits_and_dual_evaluations(m):
     rng = np.random.default_rng(20 + m)
     ds = random_logistic_dataset(rng, m=m)
-    model = group_risk_model(ds)
-    probes = _ball_points(rng, 2000, model.dim, ds.radius)
+    model, radius = group_risk_model(ds), LOGISTIC_RADIUS
+    probes = _ball_points(rng, 2000, model.dim, radius)
     probe_vals = model.values(probes)
     weights = [rng.uniform(size=m) * 10.0 ** rng.uniform(-1, 1) for _ in range(6)]
     weights += list(np.eye(m))
     for w in weights:
         # a few Newton steps, also where the minimizer sits on the sphere
-        theta, value, lower = model.minimize(w, ds.radius, max_iters=20)
+        theta, value, lower = model.minimize(w, radius, max_iters=20)
         assert value == float(w @ model.values(theta))
         grad = w @ model.gradients(theta)
-        assert np.linalg.norm(theta - project_ball(theta - grad, ds.radius)) <= 1e-8
+        assert np.linalg.norm(theta - project_ball(theta - grad, radius)) <= 1e-8
         # the linearization bound at theta, min over the ball of value + grad . (x - theta)
-        assert lower == value - ds.radius * float(np.linalg.norm(grad)) - float(grad @ theta)
+        assert lower == value - radius * float(np.linalg.norm(grad)) - float(grad @ theta)
         assert value - 1e-7 <= lower <= value
         assert value <= float((probe_vals @ w).min())
+    frame = model.frame(radius)
     for g in range(m):
-        fit = fit_group_optimal(ds, g)[0].theta
-        np.testing.assert_array_equal(model.minimize(np.eye(m)[g], ds.radius)[0], fit)
+        # the frame's ideal is the one-hot minimize, bit for bit
+        assert frame.ideal_risks[g] == model.minimize(np.eye(m)[g], radius)[1]
         # without a radius the fit is stationary unprojected; half its norm binds
         theta, value, lower = model.minimize(np.eye(m)[g], None)
         grad = np.eye(m)[g] @ model.gradients(theta)
         assert np.linalg.norm(grad) <= 1e-8
         # without a ball the bound is value at an exact zero gradient, else -inf
         assert lower == (value if not grad.any() else -np.inf)
-        free_fit = fit_group_optimal(replace(ds, radius=None), g)[0].theta
-        np.testing.assert_array_equal(theta, free_fit)
         half = 0.5 * float(np.linalg.norm(theta))
         assert np.linalg.norm(model.minimize(np.eye(m)[g], half)[0]) == pytest.approx(half)
+    # the baseline predicts the pooled share p of positive labels for every
+    # row: a group with share q_g scores -q_g log p - (1 - q_g) log(1 - p)
+    p = float(np.concatenate(ds.labels).mean())
+    q = np.array([y.mean() for y in ds.labels])
+    pooled = -q * np.log(p) - (1.0 - q) * np.log(1.0 - p)
+    np.testing.assert_allclose(frame.baseline_array(), pooled, rtol=1e-13)
 
 
 def test_logistic_solves_certify():
     # six seeded datasets with boundary ideals; nash may refuse only where
     # the ri certificate shows that no point gives every group a gain
     for seed in range(6):
-        ds = random_logistic_dataset(np.random.default_rng(seed))
-        model, frame = group_risk_model(ds), empirical_frame(ds)
+        model = group_risk_model(random_logistic_dataset(np.random.default_rng(seed)))
+        frame = model.frame(LOGISTIC_RADIUS)
         reports = {}
         for method in METHODS:
             try:
-                reports[method] = solve(method, model, frame, ds.radius, CFG)
+                reports[method] = solve(method, model, frame, LOGISTIC_RADIUS, CFG)
             except DegenerateBargainError:
                 assert method == "nash", (seed, method)
                 ri = reports["ri"]
@@ -617,8 +624,8 @@ def _nash_bound(model, frame, w: np.ndarray, ball: float) -> float:
     return len(w) * np.log(h / len(w)) - float(np.log(w).sum())
 
 
-def _probe_scores(method: str, source, model, frame, rng) -> np.ndarray:
-    probes = _ball_points(rng, 2000, model.dim, source.radius)
+def _probe_scores(method: str, radius: float, model, frame, rng) -> np.ndarray:
+    probes = _ball_points(rng, 2000, model.dim, radius)
     return criterion_scores(method, frame, model.values(probes))
 
 
@@ -626,17 +633,16 @@ def test_nash_dual_bound_is_sound(motivating, three_group, planar):
     # at random weightings, and at the solve's own certificate, U bounds the
     # log-gain sum of every probe point, for quadratic and for logistic risks
     rng = np.random.default_rng(5)
-    sources = [motivating, three_group, planar]
-    sources += [random_logistic_dataset(np.random.default_rng(seed)) for seed in range(6)]
-    for source in sources:
-        model = group_risk_model(source)
-        spec = isinstance(source, ProblemSpec)
-        frame = population_frame(source) if spec else empirical_frame(source)
-        top = float(_probe_scores("nash", source, model, frame, rng).max())
+    problems = [(*_setup(spec), spec.radius) for spec in (motivating, three_group, planar)]
+    for seed in range(6):
+        model = group_risk_model(random_logistic_dataset(np.random.default_rng(seed)))
+        problems.append((model, model.frame(LOGISTIC_RADIUS), LOGISTIC_RADIUS))
+    for model, frame, radius in problems:
+        top = float(_probe_scores("nash", radius, model, frame, rng).max())
         for _ in range(6):
             w = np.exp(rng.normal(scale=2.0, size=frame.num_groups))
-            assert _nash_bound(model, frame, w, source.radius) >= top
-        rep = solve_nash(model, frame, source.radius, CFG)
+            assert _nash_bound(model, frame, w, radius) >= top
+        rep = solve_nash(model, frame, radius, CFG)
         assert rep.certified(CFG.tol) and rep.objective_value + rep.certificate_gap >= top
 
 
@@ -653,7 +659,7 @@ def test_rank_deficient_specs_report_or_refuse():
         reports = {m: solve(m, model, frame, spec.radius, CFG) for m in METHODS if m != "nash"}
         for method, rep in reports.items():
             assert np.isfinite(rep.objective_value) and rep.certificate_gap >= 0.0, (k, method)
-        worst_ri = _probe_scores("ri", spec, model, frame, rng)
+        worst_ri = _probe_scores("ri", spec.radius, model, frame, rng)
         ri = reports["ri"]
         assert ri.objective_value + ri.certificate_gap >= float(worst_ri.max()), k
         try:
@@ -663,5 +669,5 @@ def test_rank_deficient_specs_report_or_refuse():
             assert max(ri.objective_value, float(worst_ri.max())) <= CFG.tol, k
             continue
         assert 0.0 <= rep.certificate_gap <= CFG.tol, (k, rep.certificate_gap)
-        top = float(_probe_scores("nash", spec, model, frame, rng).max())
+        top = float(_probe_scores("nash", spec.radius, model, frame, rng).max())
         assert rep.objective_value + rep.certificate_gap >= top, k
