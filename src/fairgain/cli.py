@@ -6,6 +6,11 @@ dimensionality, 5 when a logistic minimization (an ideal fit or a solve's
 weighted minimization), a nash solve or the convergence study stops without
 converging. Outputs are written atomically, byte-identical for fixed inputs.
 
+Each flag's type and default live in `build_parser`: a malformed flag or a
+missing `--spec` prints argparse's usage line and `error: argument --X: ...`.
+Range checks (`tol`, `--trials`, `--weights`, `--grid`) are the library's own
+ValueErrors, which `main` maps to exit 2 with that error's message.
+
 `compare --oracle-grid STEP` scores the ball grid with the run's risk model,
 for --spec and --data alike, in blocks of about 65K points, so its memory is
 one block plus each block's winning risk rows, and its time grows as
@@ -21,7 +26,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,83 +63,6 @@ EXIT_DIMENSION = 4
 EXIT_CONVERGENCE = 5
 
 
-@dataclass
-class RunConfig:
-    """Validated run settings shared by the subcommands."""
-
-    command: str
-    spec_path: str | None = None
-    data_path: str | None = None
-    methods: tuple[str, ...] = METHODS
-    out: str | None = None
-    seed: int | None = None
-    tol: float = 1e-6
-    oracle_grid: float | None = None
-    weights: int = 200
-    grid: int = 101
-    trials: int = 50
-    ns: tuple[int, ...] = (100, 400, 1600, 6400, 25600)
-    loss: str = "squared"
-    radius: float | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        methods = tuple(METHODS)
-        if getattr(args, "methods", None):
-            methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-            bad = [m for m in methods if m not in METHODS]
-            if bad:
-                raise ValueError(f"unknown methods {bad}; choose from {list(METHODS)}")
-            if not methods:
-                raise ValueError("at least one method is required")
-        ns = cls.ns
-        if getattr(args, "ns", None):
-            try:
-                ns = tuple(int(v) for v in args.ns.split(","))
-            except ValueError:
-                raise ValueError(f"--ns must be comma-separated integers, got {args.ns!r}")
-        spec_path = getattr(args, "spec", None)
-        data_path = getattr(args, "data", None)
-        if args.command in ("solve", "compare") and bool(spec_path) == bool(data_path):
-            raise ValueError("pass exactly one of --spec or --data")
-        if args.command in ("frontier", "riskset", "converge") and not spec_path:
-            raise ValueError(f"{args.command} needs --spec")
-        loss = getattr(args, "loss", None)
-        radius = getattr(args, "radius", None)
-        if spec_path and (loss is not None or radius is not None):
-            raise ValueError("--loss and --radius apply to --data inputs only")
-        if radius is not None and not (np.isfinite(radius) and radius > 0):
-            raise ValueError(f"--radius must be positive and finite, got {radius}")
-        tol = float(getattr(args, "tol", cls.tol))
-        if not tol > 0:
-            raise ValueError("--tol must be positive")
-        oracle_grid = getattr(args, "oracle_grid", None)
-        if oracle_grid is not None and not oracle_grid > 0:
-            raise ValueError(f"--oracle-grid step must be positive, got {oracle_grid}")
-        minimums = {"weights": 2, "grid": 2, "trials": 1}
-        counts = {name: getattr(args, name, getattr(cls, name)) for name in minimums}
-        for name, low in minimums.items():
-            if counts[name] < low:
-                raise ValueError(f"--{name} must be at least {low}, got {counts[name]}")
-        return cls(
-            command=args.command,
-            spec_path=spec_path,
-            data_path=data_path,
-            methods=methods,
-            out=getattr(args, "out", None),
-            seed=getattr(args, "seed", None),
-            tol=tol,
-            oracle_grid=oracle_grid,
-            ns=ns,
-            loss=loss or cls.loss,
-            radius=radius,
-            **counts,
-        )
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tol=self.tol, seed=self.seed)
-
-
 def _atomic_write(path: str, text: str) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -150,9 +77,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        _atomic_write(cfg.out, text)
+def _emit(out: str | None, text: str) -> None:
+    if out:
+        _atomic_write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -162,15 +89,19 @@ def _fmt(v: float) -> str:
 
 
 def _load_source(
-    cfg: RunConfig,
+    args: argparse.Namespace,
 ) -> tuple[QuadraticGroupRisks | LogisticGroupRisks, BargainingFrame, float]:
     """(risk model, frame, ball) of the run's --spec or --data input."""
-    if cfg.spec_path:
-        spec = load_problem_spec(cfg.spec_path)
+    if bool(args.spec) == bool(args.data):
+        raise ValueError("pass exactly one of --spec or --data")
+    if args.spec:
+        if args.loss is not None or args.radius is not None:
+            raise ValueError("--loss and --radius apply to --data inputs only")
+        spec = load_problem_spec(args.spec)
         model, ball = group_risk_model(spec), spec.radius
     else:
-        model = group_risk_model(load_dataset_csv(cfg.data_path, loss=cfg.loss))
-        ball = cfg.radius
+        model = group_risk_model(load_dataset_csv(args.data, loss=args.loss or "squared"))
+        ball = args.radius
         if ball is None:
             # generous default: twice the largest per-group fit, found without a ball
             fits = (model.minimize(w, None)[0] for w in np.eye(model.num_groups))
@@ -178,11 +109,11 @@ def _load_source(
     return model, model.frame(ball), ball
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    model, frame, ball = _load_source(cfg)
-    scfg = cfg.solver_config()
+def cmd_solve(args: argparse.Namespace) -> int:
+    scfg = SolverConfig(tol=args.tol, seed=args.seed)
+    model, frame, ball = _load_source(args)
     results = {}
-    for method in cfg.methods:
+    for method in args.methods:
         rep = solve(method, model, frame, ball, scfg)
         results[method] = {
             "parameter": list(rep.parameter),
@@ -191,21 +122,21 @@ def cmd_solve(cfg: RunConfig) -> int:
             "objective_value": rep.objective_value,
             "iterations": rep.iterations,
             "certificate_gap": rep.certificate_gap,
-            "certified": rep.certified(cfg.tol),
+            "certified": rep.certified(args.tol),
         }
     report = {
         "command": "solve",
-        "source": cfg.spec_path or cfg.data_path,
+        "source": args.spec or args.data,
         "ball": ball,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
+        "tol": args.tol,
+        "seed": args.seed,
         "frame": {
             "baseline_risks": list(frame.baseline_risks),
             "ideal_risks": list(frame.ideal_risks),
         },
         "methods": results,
     }
-    _emit(cfg, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -288,12 +219,12 @@ def _oracle_objectives(
     return {method: criterion_value(method, frame, best[oracles[method]]) for method in methods}
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    model, frame, ball = _load_source(cfg)
-    scfg = cfg.solver_config()
+def cmd_compare(args: argparse.Namespace) -> int:
+    scfg = SolverConfig(tol=args.tol, seed=args.seed)
+    model, frame, ball = _load_source(args)
     oracle = (
-        _oracle_objectives(model, frame, ball, cfg.oracle_grid, cfg.methods)
-        if cfg.oracle_grid is not None
+        _oracle_objectives(model, frame, ball, args.oracle_grid, args.methods)
+        if args.oracle_grid is not None
         else None
     )
     d = model.dim
@@ -308,7 +239,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     if oracle is not None:
         header.append("oracle_objective")
     lines = [",".join(header)]
-    for method in cfg.methods:
+    for method in args.methods:
         rep = solve(method, model, frame, ball, scfg)
         risks = rep.risk_profile.as_array()
         rho = rep.improvement_profile.as_array()
@@ -327,51 +258,50 @@ def cmd_compare(cfg: RunConfig) -> int:
         if oracle is not None:
             row.append(_fmt(oracle[method]))
         lines.append(",".join(row))
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_frontier(cfg: RunConfig) -> int:
-    model, frame, ball = _load_source(cfg)
-    trace = trace_frontier(model, frame, ball, cfg.weights)
+def cmd_frontier(args: argparse.Namespace) -> int:
+    model, frame, ball = _load_source(args)
+    trace = trace_frontier(model, frame, ball, args.weights)
     lines = ["lambda,rho1,rho2,r1,r2"]
     for lam, rho, risks in zip(trace.lambdas, trace.points, trace.risks):
         lines.append(
             ",".join([_fmt(lam), _fmt(rho[0]), _fmt(rho[1]), _fmt(risks[0]), _fmt(risks[1])])
         )
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_riskset(cfg: RunConfig) -> int:
+def cmd_riskset(args: argparse.Namespace) -> int:
     # the frame is built first, so a degenerate one surfaces before the big sample
-    model, _, ball = _load_source(cfg)
-    sample = sample_risk_set(model, ball, grid=cfg.grid)
+    model, _, ball = _load_source(args)
+    sample = sample_risk_set(model, ball, grid=args.grid)
     d = sample.thetas.shape[1]
     m = sample.risks.shape[1]
     header = [f"theta_{j}" for j in range(1, d + 1)] + [f"r_{g}" for g in range(1, m + 1)]
     rows = [",".join(header)]
     for th, rk in zip(sample.thetas, sample.risks):
         rows.append(",".join([_fmt(v) for v in th] + [_fmt(v) for v in rk]))
-    _emit(cfg, "\n".join(rows) + "\n")
+    _emit(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    spec = load_problem_spec(cfg.spec_path)
-    seed = cfg.seed if cfg.seed is not None else 0
-    result = run_convergence(
-        spec, cfg.ns, cfg.trials, seed, cfg.solver_config()
-    )
+def cmd_converge(args: argparse.Namespace) -> int:
+    scfg = SolverConfig(tol=args.tol, seed=args.seed)
+    spec = load_problem_spec(args.spec)
+    seed = args.seed if args.seed is not None else 0
+    result = run_convergence(spec, args.ns, args.trials, seed, scfg)
     cert = gap_certificate(result, delta=0.1)
     lines = ["n,trial,gap"]
     for i, n in enumerate(result.sample_sizes):
         for trial in range(result.trials):
             lines.append(f"{n},{trial},{_fmt(result.gaps[i, trial])}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     summary = {
         "command": "converge",
-        "source": cfg.spec_path,
+        "source": args.spec,
         "sample_sizes": list(result.sample_sizes),
         "trials": result.trials,
         "seed": result.seed,
@@ -383,11 +313,31 @@ def cmd_converge(cfg: RunConfig) -> int:
         "quantile_non_increasing": cert.non_increasing,
     }
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        _atomic_write(cfg.out + ".summary.json", text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out and args.out + ".summary.json", text)
     return EXIT_OK
+
+
+# argparse names a type in its error message: "invalid positive_float value: 'x'"
+def positive_float(text: str) -> float:
+    # a zero, infinite or NaN grid step stops np.arange, and such a radius is no ball
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+_METHODS_HELP = f"comma list from {','.join(METHODS)}"
+
+
+def method_list(text: str) -> tuple[str, ...]:
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not methods or any(m not in METHODS for m in methods):
+        raise argparse.ArgumentTypeError(f"expected a {_METHODS_HELP}")
+    return methods
+
+
+def size_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,32 +348,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source(p: argparse.ArgumentParser, data_ok: bool = True) -> None:
-        p.add_argument("--spec", help="population spec JSON (radius + per-group beta/sigma2/cov)")
+        p.add_argument(
+            "--spec",
+            required=not data_ok,
+            help="population spec JSON (radius + per-group beta/sigma2/cov)",
+        )
         if data_ok:
             p.add_argument("--data", help="grouped dataset CSV with columns group,y,x1..xd")
             p.add_argument(
                 "--loss", choices=["squared", "logistic"], help="--data risk (default squared)"
             )
-            p.add_argument("--radius", type=float, help="parameter ball for --data runs")
+            p.add_argument("--radius", type=positive_float, help="parameter ball for --data runs")
+        else:
+            # one namespace shape for _load_source
+            p.set_defaults(data=None, loss=None, radius=None)
         p.add_argument("--out", help="output path (stdout when omitted)")
 
-    def add_solver_flags(p: argparse.ArgumentParser) -> None:
+    def add_solver_flags(p: argparse.ArgumentParser, methods: bool = True) -> None:
         p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--tol", type=float, default=SolverConfig.tol)
+        if methods:
+            p.add_argument("--methods", type=method_list, default=METHODS, help=_METHODS_HELP)
 
     p_solve = sub.add_parser("solve", help="run solvers, write a JSON report")
     add_source(p_solve)
     add_solver_flags(p_solve)
-    p_solve.add_argument("--methods", help=f"comma list from {','.join(METHODS)}")
 
     p_cmp = sub.add_parser("compare", help="run solvers side by side, write CSV")
     add_source(p_cmp)
     add_solver_flags(p_cmp)
-    p_cmp.add_argument("--methods", help=f"comma list from {','.join(METHODS)}")
     p_cmp.add_argument(
         "--oracle-grid",
-        dest="oracle_grid",
-        type=float,
+        type=positive_float,
         help="grid step for a discrete enumeration oracle column (d <= 2)",
     )
 
@@ -437,9 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("converge", help="sample-size convergence study")
     add_source(p_cv, data_ok=False)
-    add_solver_flags(p_cv)
+    add_solver_flags(p_cv, methods=False)
     p_cv.add_argument("--trials", type=int, default=50)
-    p_cv.add_argument("--ns", help="comma list of per-group sample sizes")
+    p_cv.add_argument(
+        "--ns",
+        type=size_list,
+        default="100,400,1600,6400,25600",
+        help="comma list of per-group sample sizes (default %(default)s)",
+    )
     return parser
 
 
@@ -468,8 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig.from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -284,36 +284,12 @@ def nondominated_mask(risks: np.ndarray) -> np.ndarray:
     risks = np.asarray(risks, dtype=float)
     if risks.ndim != 2:
         raise ValueError("expected a 2-d array of risk rows")
-    n, m = risks.shape
-    if m == 2:
-        return _nondominated_mask_2d(risks)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
+    mask = np.ones(len(risks), dtype=bool)
+    for i in range(len(risks)):
         leq = (risks <= risks[i]).all(axis=1)
         lt = (risks < risks[i]).any(axis=1)
         if np.any(leq & lt):
             mask[i] = False
-    return mask
-
-
-def _nondominated_mask_2d(risks: np.ndarray) -> np.ndarray:
-    n = risks.shape[0]
-    order = np.lexsort((risks[:, 1], risks[:, 0]))
-    mask = np.ones(n, dtype=bool)
-    best_before = np.inf  # min second coordinate over strictly smaller first coords
-    i = 0
-    while i < n:
-        j = i
-        while j < n and risks[order[j], 0] == risks[order[i], 0]:
-            j += 1
-        block = order[i:j]  # equal first coordinate, sorted by second
-        block_min = risks[block[0], 1]
-        for k in block:
-            r2 = risks[k, 1]
-            if best_before <= r2 or r2 > block_min:
-                mask[k] = False
-        best_before = min(best_before, block_min)
-        i = j
     return mask
 
 

@@ -339,16 +339,21 @@ class LogisticGroupRisks:
     ) -> tuple[np.ndarray, float, float]:
         """Minimize sum_g w_g R_g(theta) over the ball (no ball without a radius), w >= 0.
 
-        Damped Newton from theta = 0 on the Hessian of the groups with
-        w_g > 0: each step heads for the second-order model's minimizer over
-        the ball and is halved until the value drops. Returns (theta, value,
-        lower) with |theta - P(theta - gradient)| at most 1e-8, P the ball
-        projection, and lower the linearization bound at theta: the least
+        Damped Newton from theta = 0 over the groups with w_g > 0 alone: each
+        step heads for the second-order model's minimizer over the ball and
+        is halved until the value drops. Returns (theta, value, lower) with
+        |theta - P(theta - gradient)| at most 1e-8, P the ball projection,
+        and lower the linearization bound at theta: the least
         value + gradient . (x - theta) over the ball, which without a ball is
         value where the gradient is exactly 0 and -inf otherwise. Raises
         ConvergenceError when no step shrinks the residual.
         """
         w = np.asarray(w, dtype=float)
+        active = np.flatnonzero(w > 0.0)
+        # an all-zero w stays here: theta = 0 is stationary at once
+        if 0 < len(active) < self.num_groups:
+            rows = [self.features[g] for g in active], [self.labels[g] for g in active]
+            return LogisticGroupRisks(*rows).minimize(w[active], radius, max_iters)
         theta = np.zeros(self.dim)
         cur = float(w @ self.values(theta))
         for it in range(max_iters + 1):
@@ -361,11 +366,10 @@ class LogisticGroupRisks:
             if it == max_iters:
                 break
             H = 1e-12 * np.eye(self.dim)
-            for g in np.flatnonzero(w > 0.0):
-                X = self.features[g]
+            for w_g, X in zip(w, self.features):
                 p = sigmoid(X @ theta)
                 h = np.maximum(p * (1.0 - p), 1e-12)
-                H += w[g] * ((X * h[:, None]).T @ X / X.shape[0])
+                H += w_g * ((X * h[:, None]).T @ X / X.shape[0])
             step = np.linalg.solve(H, grad)
             if radius is not None and np.linalg.norm(theta - step) > radius:
                 # projecting the free Newton point crawls along the sphere;
@@ -397,17 +401,13 @@ class LogisticGroupRisks:
         """Baseline at the pooled base rate and each group's least risk over the ball.
 
         The baseline predicts the pooled share of positive labels for every
-        row. Each ideal is the group's own Newton fit, which has the bits of
-        its one-hot minimize without scoring the other groups at every step.
-        Raises DegenerateFrameError when some group's fit does not beat the
-        baseline, and ConvergenceError when a fit stalls.
+        row. Each ideal is the group's one-hot minimize, which fits that
+        group's rows alone. Raises DegenerateFrameError when some group's fit
+        does not beat the baseline, and ConvergenceError when a fit stalls.
         """
         p = float(np.clip(np.concatenate(self.labels).mean(), 1e-12, 1.0 - 1e-12))
         base = tuple(float(np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p))) for y in self.labels)
-        ideal = tuple(
-            LogisticGroupRisks((X,), (y,)).minimize(np.ones(1), radius)[1]
-            for X, y in zip(self.features, self.labels)
-        )
+        ideal = tuple(self.minimize(w, radius)[1] for w in np.eye(self.num_groups))
         return BargainingFrame(base, ideal)
 
 

@@ -56,7 +56,7 @@ class SolverConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too: a solve would never meet its gap test
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -123,6 +124,33 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
     for radius in ("-1", "0", "nan", "inf"):
         assert main(["solve", "--data", str(data), "--radius", radius]) == 2, radius
     assert main(["bogus-command"]) == 2
+    # argparse rejects these: usage, then one error line naming the flag
+    flag_errors = [
+        (["compare", "--spec", spec_file, "--oracle-grid", "0"], "--oracle-grid"),
+        (["compare", "--spec", spec_file, "--oracle-grid", "nan"], "--oracle-grid"),
+        (["compare", "--spec", spec_file, "--oracle-grid", "inf"], "--oracle-grid"),
+        (["compare", "--data", str(data), "--radius", "inf"], "--radius"),
+        (["frontier"], "--spec"),
+        (["riskset", "--out", str(tmp_path / "never.csv")], "--spec"),
+        (["converge", "--trials", "2"], "--spec"),
+        (["converge", "--spec", spec_file, "--ns", "1,x"], "--ns"),
+        (["converge", "--spec", spec_file, "--ns", ""], "--ns"),
+        (["solve", "--spec", spec_file, "--methods", ","], "--methods"),
+        (["solve", "--spec", spec_file, "--methods", ""], "--methods"),
+        (["compare", "--spec", spec_file, "--methods", "ri,bogus"], "--methods"),
+    ]
+    for argv, flag in flag_errors:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fairgain {argv[0]}"), argv
+        error = err.splitlines()[-1]
+        assert ": error: " in error and flag in error, (argv, error)
+    assert not (tmp_path / "never.csv").exists()
+    # the library's own range check: a NaN tol would never meet a gap test
+    capsys.readouterr()
+    assert main(["solve", "--spec", spec_file, "--tol", "nan"]) == 2
+    assert capsys.readouterr().err == "error: tol must be positive\n"
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", "--spec", str(bad)]) == 2
@@ -140,6 +168,35 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
         capsys.readouterr()
         assert main(["solve", "--spec", str(bad)]) == 2, cov
         assert "cov" in capsys.readouterr().err, cov
+
+
+# each subcommand's option strings: a change here adds or drops a CLI option
+SUBCOMMAND_OPTIONS = {
+    "solve": [
+        "--data", "--help", "--loss", "--methods", "--out", "--radius", "--seed", "--spec",
+        "--tol", "-h",
+    ],
+    "compare": [
+        "--data", "--help", "--loss", "--methods", "--oracle-grid", "--out", "--radius", "--seed",
+        "--spec", "--tol", "-h",
+    ],
+    "frontier": ["--help", "--out", "--spec", "--weights", "-h"],
+    "riskset": ["--grid", "--help", "--out", "--spec", "-h"],
+    "converge": ["--help", "--ns", "--out", "--seed", "--spec", "--tol", "--trials", "-h"],
+}
+
+
+def test_help_for_every_subcommand(capsys):
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subcommands.choices) == set(SUBCOMMAND_OPTIONS)
+    helps = {}
+    for command, options in SUBCOMMAND_OPTIONS.items():
+        assert sorted(subcommands.choices[command]._option_string_actions) == options, command
+        assert main([command, "--help"]) == 0, command
+        helps[command] = " ".join(capsys.readouterr().out.split())
+        assert helps[command].startswith(f"usage: fairgain {command}"), command
+    assert "(default 100,400,1600,6400,25600)" in helps["converge"]
 
 
 def test_exit_code_degenerate(tmp_path):

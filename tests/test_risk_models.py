@@ -300,6 +300,24 @@ def test_logistic_fit_residual_is_small():
             assert model.values(cand)[0] >= risk - 1e-7
 
 
+def test_logistic_minimize_fits_the_weighted_groups_alone():
+    ds = random_logistic_dataset(np.random.default_rng(3), m=4, d=2, n=150, radius=2.0)
+    model = LogisticGroupRisks.from_dataset(ds)
+    alone = LogisticGroupRisks(ds.features[1::2], ds.labels[1::2])
+    w = np.array([0.0, 0.7, 0.0, 0.3])
+    for radius in (2.0, None):
+        theta, *bounds = model.minimize(w, radius)
+        alone_theta, *alone_bounds = alone.minimize(w[1::2], radius)
+        np.testing.assert_array_equal(theta, alone_theta)
+        assert bounds == alone_bounds
+    for g, ideal in enumerate(model.frame(2.0).ideal_risks):
+        group = LogisticGroupRisks(ds.features[g : g + 1], ds.labels[g : g + 1])
+        assert ideal == group.minimize(np.ones(1), 2.0)[1]
+    # no group carries weight: theta = 0 is already stationary
+    theta, value, lower = model.minimize(np.zeros(4), 2.0)
+    assert not theta.any() and value == lower == 0.0
+
+
 def test_logistic_fit_non_convergence_raises():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(200, 2))

@@ -176,6 +176,15 @@ def test_uncertified_when_budget_is_tiny(motivating):
     assert rep.certificate_gap > 1e-6
 
 
+def test_solver_config_rejects_a_tol_no_gap_can_meet():
+    # a NaN tol fails every gap test, so a solve would run its whole budget
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=0)
+
+
 def test_flat_minimizers_certify_on_criterion_3_specs():
     # solves of the seed-7 no-harm catalogue where no weighted minimizer
     # closes the primal side; only a dual-weighted combination of them does
