@@ -169,8 +169,7 @@ def _risk_rows(risks, frame: BargainingFrame) -> np.ndarray:
 
 def relative_improvements(risks: np.ndarray, frame: BargainingFrame) -> np.ndarray:
     """Vectorized risk -> improvement transform; last axis indexes groups."""
-    risks = _risk_rows(risks, frame)
-    return (frame.baseline_array() - risks) / frame.gap_array()
+    return group_scores("ri", frame, risks)
 
 
 # Every worst-group criterion scores a risk profile by its worst group,

@@ -6,20 +6,23 @@ two-group frontier is traced by scalarizing in improvement space (maximize
 lam*rho_1 + (1-lam)*rho_2), which keeps the trace invariant under per-group
 affine risk rescaling; each scalarized problem is one weighted minimization
 over the ball, exact for quadratic risks.
+
+The hull check builds the sample's convex hull with qhull (scipy, imported
+where it is used) for two and three groups alike, probes every facet on the
+efficient boundary, and measures how far the probes sit from the sample. A
+flat sample is built again on joggled input. The Lipschitz bound, which
+turns a grid spacing into the check's tolerance, covers both risk models.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from fairgain.core import (
-    BargainingFrame,
-    UnsupportedDimensionError,
-    nondominated_mask,
-    relative_improvements,
-)
+from fairgain.core import BargainingFrame, UnsupportedDimensionError, relative_improvements
+from fairgain.risk_models import LogisticGroupRisks
 
 
 class DiagonalNotBracketedError(ValueError):
@@ -243,85 +246,31 @@ def sample_risk_set(
     return RiskSetSample(thetas, model.values(thetas))
 
 
-def convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    """Indices of hull vertices in counterclockwise order (monotone chain)."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n < 3:
-        return np.arange(n)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+def _efficient_facet_probes(risks: np.ndarray, per_face: int) -> tuple[np.ndarray, int]:
+    """Barycentric probes on the hull facets that face down in every coordinate.
 
-    def cross(o, a, b) -> float:
-        return (pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1]) - (
-            pts[a, 1] - pts[o, 1]
-        ) * (pts[b, 0] - pts[o, 0])
+    Returns the probes and the number of such facets. A flat sample (collinear
+    for two groups, coplanar for three) has no full-dimensional hull, so qhull
+    builds it again from joggled input; fewer rows than a simplex needs leave
+    no facet to probe.
+    """
+    from scipy.spatial import ConvexHull, QhullError  # here, so that the CLI loads no scipy
 
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in order[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    return np.array(lower[:-1] + upper[:-1], dtype=int)
-
-
-def _pareto_face_points_2d(risks: np.ndarray, per_face: int) -> tuple[np.ndarray, int]:
-    hull_idx = convex_hull_2d(risks)
-    verts = risks[hull_idx]
-    if verts.shape[0] < 3:
-        chain = verts[nondominated_mask(verts)]
-        if chain.shape[0] < 2:
-            return chain, 0
-        w = np.linspace(0.0, 1.0, max(per_face, 2))[:, None]
-        return chain[0] * (1.0 - w) + chain[1] * w, 1
-    probes = []
-    faces = 0
-    m = verts.shape[0]
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        d = b - a
-        normal = np.array([d[1], -d[0]])
-        scale = float(np.linalg.norm(normal))
-        if scale <= 0.0:
-            continue
-        normal /= scale
-        # CCW orientation makes this the outward normal; faces whose normal
-        # points weakly down in every coordinate form the efficient boundary
-        if normal.max() < 1e-10 and normal.min() < 0:
-            w = np.linspace(0.0, 1.0, max(per_face, 2))[:, None]
-            probes.append(a[None, :] * (1.0 - w) + b[None, :] * w)
-            faces += 1
-    if not probes:
-        return np.empty((0, 2)), 0
-    return np.concatenate(probes, axis=0), faces
-
-
-def _pareto_face_points_3d(risks: np.ndarray, per_face: int) -> tuple[np.ndarray, int]:
-    from scipy.spatial import ConvexHull  # here, so that the CLI loads no scipy
-
-    hull = ConvexHull(risks)
-    probes = []
-    faces = 0
-    grid = max(2, int(np.sqrt(per_face)))
-    bary = [
-        (i / grid, j / grid, (grid - i - j) / grid)
-        for i in range(grid + 1)
-        for j in range(grid + 1 - i)
-    ]
-    bary = np.array(bary)
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        normal = eq[:3]
-        if normal.max() < 1e-10 and normal.min() < 0:
-            tri = risks[simplex]
-            probes.append(bary @ tri)
-            faces += 1
-    if not probes:
-        return np.empty((0, 3)), 0
-    return np.concatenate(probes, axis=0), faces
+    m = risks.shape[1]
+    if risks.shape[0] <= m:
+        return np.empty((0, m)), 0
+    try:
+        hull = ConvexHull(risks)
+    except QhullError:
+        hull = ConvexHull(risks, qhull_options="QJ")
+    normals = hull.equations[:, :-1]
+    # outward normals that point weakly down in every coordinate mark the
+    # efficient boundary
+    faces = hull.simplices[(normals.max(axis=1) < 1e-10) & (normals.min(axis=1) < 0)]
+    steps = max(per_face, 2) - 1 if m == 2 else max(2, int(np.sqrt(per_face)))
+    counts = [c for c in itertools.product(range(steps + 1), repeat=m - 1) if sum(c) <= steps]
+    bary = np.array([(*c, steps - sum(c)) for c in counts]) / steps
+    return (bary @ risks[faces]).reshape(-1, m), len(faces)
 
 
 def hull_pareto_check(
@@ -340,10 +289,7 @@ def hull_pareto_check(
     if risks.ndim != 2 or risks.shape[1] not in (2, 3):
         raise UnsupportedDimensionError("hull checks cover two or three groups")
     unique = np.unique(risks, axis=0)
-    if risks.shape[1] == 2:
-        probes, faces = _pareto_face_points_2d(unique, samples_per_face)
-    else:
-        probes, faces = _pareto_face_points_3d(unique, samples_per_face)
+    probes, faces = _efficient_facet_probes(unique, samples_per_face)
     if probes.shape[0] == 0:
         max_violation = 0.0
     else:
@@ -363,10 +309,15 @@ def hull_pareto_check(
 
 
 def risk_lipschitz_bound(model, radius: float) -> float:
-    """Upper bound on any group's risk gradient norm over the ball, for quadratic risks.
+    """Upper bound on any group's risk gradient norm over the ball.
 
-    The gradient 2 (A_g theta - c_g) has norm at most 2 (lmax(A_g) r + |c_g|).
+    A quadratic group's gradient 2 (A_g theta - c_g) has norm at most
+    2 (lmax(A_g) r + |c_g|). A logistic group's gradient
+    mean_i (sigmoid(x_i' theta) - y_i) x_i has norm at most mean_i |x_i| at any
+    theta, since |sigmoid(z) - y| <= 1 for labels in [0, 1].
     """
+    if isinstance(model, LogisticGroupRisks):
+        return float(max(np.linalg.norm(X, axis=1).mean() for X in model.features))
     spectral = np.abs(np.linalg.eigvalsh(model.A)).max(axis=1)
     return float(2.0 * np.max(spectral * radius + np.linalg.norm(model.c, axis=1)))
 

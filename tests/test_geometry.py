@@ -9,7 +9,6 @@ from fairgain.core import UnsupportedDimensionError
 from fairgain.geometry import (
     DiagonalNotBracketedError,
     FrontierTrace,
-    convex_hull_2d,
     count_diagonal_crossings,
     diagonal_intersection,
     hull_pareto_check,
@@ -21,11 +20,18 @@ from fairgain.geometry import (
 )
 from fairgain.risk_models import (
     GroupLinearModel,
+    LogisticGroupRisks,
     ProblemSpec,
     QuadraticGroupRisks,
     population_frame,
 )
-from tests.conftest import centred_risks
+from tests.conftest import (
+    LOGISTIC_RADIUS,
+    centred_risks,
+    planar_spec,
+    random_logistic_dataset,
+    three_group_spec,
+)
 
 
 def _trace(spec: ProblemSpec, n_weights: int):
@@ -183,24 +189,61 @@ def test_lipschitz_bound_dominates_differences(planar):
     assert np.all(num[keep] <= L * den[keep] + 1e-9)
 
 
-def test_convex_hull_square():
-    pts = np.array(
-        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]]
+def test_logistic_lipschitz_bound_dominates_gradients():
+    model = LogisticGroupRisks.from_dataset(random_logistic_dataset(np.random.default_rng(3)))
+    L = risk_lipschitz_bound(model, LOGISTIC_RADIUS)
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=(2000, model.dim))
+    t *= LOGISTIC_RADIUS / np.maximum(np.linalg.norm(t, axis=1, keepdims=True), 1.0)
+    norms = [np.linalg.norm(model.gradients(theta), axis=1).max() for theta in t]
+    assert max(norms) <= L
+
+
+def _arc() -> np.ndarray:
+    # a quarter circle bulging away from its hull's efficient face
+    t = np.linspace(0.0, np.pi / 2.0, 400)
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+@pytest.mark.parametrize(
+    "sample, faces, checked, violation",
+    [
+        (lambda: _sample(planar_spec(), grid=61), 33, 1056, 0.013047547637944754),
+        (lambda: _sample(three_group_spec(), grid=25), 147, 3087, 4.769025965650151),
+        (_arc, 1, 32, 0.2925272015644409),
+    ],
+    ids=["planar_grid_61", "three_group_grid_25", "arc"],
+)
+def test_hull_check_matches_recorded_facets(sample, faces, checked, violation):
+    # the values of the former monotone-chain (two groups) and qhull (three
+    # groups) enumerators, which the one qhull path must keep
+    report = hull_pareto_check(sample())
+    assert (report.n_faces, report.n_checked) == (faces, checked)
+    assert report.max_violation == pytest.approx(violation, abs=1e-12)
+
+
+def _sigma2_only_spec(beta, sigma2s) -> ProblemSpec:
+    # groups that differ only in noise: their risks differ by constants, so the
+    # sample lies on a line
+    d = len(beta)
+    return ProblemSpec(
+        groups=tuple(
+            GroupLinearModel(beta=np.array(beta), sigma2=s, cov=np.eye(d)) for s in sigma2s
+        ),
+        radius=3.0,
     )
-    hull = convex_hull_2d(pts)
-    assert hull.shape == (4,)
-    assert {tuple(p) for p in pts[hull]} == {
-        (0.0, 0.0),
-        (1.0, 0.0),
-        (1.0, 1.0),
-        (0.0, 1.0),
-    }
-    # counterclockwise orientation: positive signed area
-    ring = pts[hull]
-    area = 0.5 * np.sum(
-        ring[:, 0] * np.roll(ring[:, 1], -1) - np.roll(ring[:, 0], -1) * ring[:, 1]
-    )
-    assert area > 0
+
+
+def test_hull_check_reports_on_flat_samples():
+    three = hull_pareto_check(_sample(_sigma2_only_spec([2.0, 1.0], [1.0, 2.0, 3.0]), grid=15), 0.05)
+    assert three.ok and three.n_faces == 0
+    two = hull_pareto_check(_sample(_sigma2_only_spec([2.0], [1.0, 3.0]), grid=41), 0.05)
+    assert two.ok and two.n_faces == 0
+    # a trade-off line: its one efficient face is probed on the joggled hull
+    line = np.array([(i / 49, 2.0 - 2.0 * i / 49) for i in range(50)])
+    assert hull_pareto_check(line).max_violation == pytest.approx(0.02208098726958334, abs=1e-12)
+    # fewer rows than a simplex needs leave no facet to probe
+    assert hull_pareto_check(np.array([[0.0, 1.0], [1.0, 0.0]])).n_faces == 0
 
 
 def test_hull_check_accepts_convex_risk_set(planar):
@@ -213,9 +256,7 @@ def test_hull_check_accepts_convex_risk_set(planar):
 
 
 def test_hull_check_flags_concave_arc():
-    t = np.linspace(0.0, np.pi / 2.0, 400)
-    arc = np.column_stack([np.cos(t), np.sin(t)])
-    report = hull_pareto_check(arc, tolerance=0.05)
+    report = hull_pareto_check(_arc(), tolerance=0.05)
     assert not report.ok
     assert report.max_violation == pytest.approx(np.sqrt(2.0) / 2.0 * (np.sqrt(2.0) - 1.0), abs=1e-3)
 
