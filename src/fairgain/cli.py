@@ -198,10 +198,7 @@ def _oracle_objectives(
     blocks = 0
     for thetas in _oracle_grid_blocks(model.dim, ball, step):
         blocks += 1
-        # column-major: scoring broadcasts along each group's column, which is
-        # many times faster than along a short row
-        risks = np.asfortranarray(model.values(thetas))
-        dset = DiscreteFeasibleSet(risks, frame)
+        dset = DiscreteFeasibleSet(model.values(thetas), frame)
         for oracle, rows in winners.items():
             try:
                 rows.append(oracle(dset)[1].values)

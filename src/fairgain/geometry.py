@@ -137,17 +137,17 @@ def trace_frontier(model, frame: BargainingFrame, radius: float, n_weights: int)
                     hi = mid
             break
 
+    # entries within 1e-12 in rho_1 of a cluster's first are one point, the
+    # smallest weight's, so rounding does not pick which weight stays
     entries.sort(key=lambda e: e[2][0])
-    lams: list[float] = []
-    pts: list[np.ndarray] = []
-    rks: list[np.ndarray] = []
-    for lam, risks, rho in entries:
-        if pts and rho[0] - pts[-1][0] <= 1e-12:
-            continue
-        lams.append(lam)
-        pts.append(rho)
-        rks.append(risks)
-    return FrontierTrace(tuple(lams), np.array(pts), np.array(rks))
+    clusters: list[list] = []
+    for e in entries:
+        if clusters and e[2][0] - clusters[-1][0][2][0] <= 1e-12:
+            clusters[-1].append(e)
+        else:
+            clusters.append([e])
+    lams, risks, rhos = zip(*(min(cluster, key=lambda e: e[0]) for cluster in clusters))
+    return FrontierTrace(lams, np.array(rhos), np.array(risks))
 
 
 def count_diagonal_crossings(trace: FrontierTrace) -> int:

@@ -16,7 +16,11 @@ its weighted cases, and frame(radius) builds the bargaining frame from its
 one-hot cases: each group's ideal risk is its own least risk over the ball,
 and the baseline is the zero predictor for quadratic risks and the pooled
 base rate for logistic risks. Their values(theta) scores one parameter or a
-batch of them, each batch row with the same bits in a batch of any size.
+batch of them, each batch row with the same bits in a batch of any size. The
+quadratic batch is an elementwise kernel over (m, n) arrays that adds the d
+coordinates' terms in a fixed order. At d <= 2 its rows are bit for bit those
+of a tensor contraction over the coordinates; at d = 3 a contraction may add
+the terms in another order, so rows (riskset's too) differ by rounding only.
 """
 
 from __future__ import annotations
@@ -191,11 +195,23 @@ class QuadraticGroupRisks:
     def values(self, theta: np.ndarray) -> np.ndarray:
         """Risks (m,) at one parameter (d,), or (n, m) at each row of a batch (n, d)."""
         if theta.ndim == 2:
-            # einsum gives each row the same bits in a batch of any size, which
-            # the streamed oracle grid needs; one point keeps the matmul form,
-            # whose bits the solvers' runs depend on
-            q = np.einsum("gjk,nk->ngj", self.A, theta) - 2.0 * self.c
-            return np.einsum("ngj,nj->ng", q, theta) + self.k
+            # each step is an elementwise ufunc over (m, n) that rounds every
+            # entry on its own, and the coordinates are added in a fixed order,
+            # so a row gets the same bits in a batch of any size, which the
+            # streamed oracle grid needs. The transposed result is column-major,
+            # the layout the oracles score fastest. One point keeps the matmul
+            # form, whose bits the solvers' runs depend on
+            A, c, t = self.A[..., None], 2.0 * self.c[..., None], theta.T
+            total = 0.0
+            for j in range(self.dim):
+                q = A[:, j, 0] * t[0]
+                for i in range(1, self.dim):
+                    q += A[:, j, i] * t[i]
+                q -= c[:, j]
+                q *= t[j]
+                total = total + q
+            total += self.k[:, None]
+            return total.T
         At = self.A @ theta
         return theta @ At.T - 2.0 * self.c @ theta + self.k
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairgain.core import UnsupportedDimensionError
+from fairgain import geometry
+from fairgain.core import UnsupportedDimensionError, relative_improvements
 from fairgain.geometry import (
     DiagonalNotBracketedError,
     FrontierTrace,
@@ -30,6 +31,7 @@ from tests.conftest import (
     centred_risks,
     planar_spec,
     random_logistic_dataset,
+    random_problem_spec,
     three_group_spec,
 )
 
@@ -111,6 +113,37 @@ def test_trace_invariant_under_group_affine_rescale(motivating):
     assert t1.lambdas == t2.lambdas
     np.testing.assert_allclose(t1.points, t2.points, atol=1e-9)
     np.testing.assert_allclose(c * t1.risks[:, 0] + a, t2.risks[:, 0], atol=1e-8)
+
+
+def test_trace_keeps_the_smallest_weight_of_each_rho1_cluster(monkeypatch):
+    # in one dimension a range of weights lands on the same ball boundary
+    # point, so their rho_1 values differ by rounding only
+    spec = random_problem_spec(np.random.default_rng(40), m=2, d=1, radius=3.0)
+    model = QuadraticGroupRisks.from_problem_spec(spec)
+    frame = population_frame(spec)
+    argmax = geometry.weighted_improvement_argmax
+    seen = []
+
+    def recording(model, frame, lam, radius):
+        seen.append(lam)
+        return argmax(model, frame, lam, radius)
+
+    monkeypatch.setattr(geometry, "weighted_improvement_argmax", recording)
+    trace = trace_frontier(model, frame, spec.radius, 200)
+    rho1 = {
+        lam: relative_improvements(model.values(argmax(model, frame, lam, spec.radius)), frame)[0]
+        for lam in seen
+    }
+    # a cluster: the weights within 1e-12 in rho_1 of its lowest member
+    clusters = []
+    for lam in sorted(seen, key=rho1.get):
+        if clusters and rho1[lam] - rho1[clusters[-1][0]] <= 1e-12:
+            clusters[-1].append(lam)
+        else:
+            clusters.append([lam])
+    assert max(len(c) for c in clusters) > 1
+    assert trace.lambdas == tuple(min(c) for c in clusters)
+    assert np.all(np.diff(trace.lambdas) > 0)
 
 
 def test_diagonal_not_bracketed():

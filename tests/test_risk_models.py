@@ -73,6 +73,32 @@ def test_model_values_rows_do_not_depend_on_the_batch():
                 np.testing.assert_array_equal(model.values(batch[i]), risks[i])
 
 
+def _einsum_values(model, thetas):
+    # the batch form the elementwise kernel replaced, kept as its reference
+    q = np.einsum("gjk,nk->ngj", model.A, thetas) - 2.0 * model.c
+    return np.einsum("ngj,nj->ng", q, thetas) + model.k
+
+
+def test_model_values_batch_matches_the_einsum_form():
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3):
+        for m in (2, 3, 4):
+            F = rng.normal(size=(m, d, d))
+            A = F @ F.transpose(0, 2, 1)
+            beta = rng.normal(size=(m, d))
+            c = np.einsum("gjk,gk->gj", A, beta)
+            k = np.einsum("gj,gj->g", beta, c) + rng.uniform(0.3, 12.0, size=m)
+            model = QuadraticGroupRisks(A, c, k)
+            thetas = rng.uniform(-3.0, 3.0, size=(2000, d))
+            risks = model.values(thetas)
+            assert risks.flags.f_contiguous
+            if d <= 2:
+                np.testing.assert_array_equal(risks, _einsum_values(model, thetas))
+            else:
+                # three coordinates are summed in another order than einsum's
+                np.testing.assert_allclose(risks, _einsum_values(model, thetas), rtol=1e-12, atol=0)
+
+
 def test_population_frame_motivating(motivating):
     frame = population_frame(motivating)
     assert frame.baseline_risks == (5.0, 58.0)
