@@ -14,9 +14,8 @@ ValueErrors, which `main` maps to exit 2 with that error's message.
 `compare --oracle-grid STEP` scores the ball grid with the run's risk model,
 for --spec and --data alike, in blocks of about 65K points, so its memory is
 one block plus each block's winning risk rows, and its time grows as
-(2r/STEP)^d: the radius-5 three-group spec at 1e-3 has 78.5M points and takes
-about 30 s on a 2-vCPU host. A logistic model scores a point in 40-60 us
-(three groups of 60-200 rows), so a logistic grid is far slower per point.
+(2r/STEP)^d; the README gives measured times. A logistic model scores the grid
+point by point, so a logistic grid is far slower per point.
 """
 
 from __future__ import annotations
@@ -286,10 +285,10 @@ def cmd_riskset(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    scfg = SolverConfig(tol=args.tol, seed=args.seed)
     spec = load_problem_spec(args.spec)
     seed = args.seed if args.seed is not None else 0
-    result = run_convergence(spec, args.ns, args.trials, seed, scfg)
+    # --seed seeds the Monte Carlo draws only, as run_convergence's seed does
+    result = run_convergence(spec, args.ns, args.trials, seed, SolverConfig(tol=args.tol))
     cert = gap_certificate(result, delta=0.1)
     lines = ["n,trial,gap"]
     for i, n in enumerate(result.sample_sizes):

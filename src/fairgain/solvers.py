@@ -193,7 +193,8 @@ def _dual_minimax(
     the master's saturation closes the primal side too. Returns
     (theta, upper, lower, evals) where upper - lower is a sound certificate
     by weak duality, evals counts the starting points and dual evaluations,
-    and floor is a caller-supplied a priori lower bound.
+    and floor is a caller-supplied a priori lower bound. Some warm point must
+    meet every pin within _FEAS_TOL, so that a feasible candidate exists.
     """
     m = model.num_groups
     pin_idx = np.array([], dtype=int) if pin_idx is None else np.asarray(pin_idx, int)
@@ -206,23 +207,19 @@ def _dual_minimax(
 
     best_upper = np.inf
     best_theta: np.ndarray | None = None
-    fallback = (np.inf, np.inf, np.zeros(model.dim))
     master = _GameMaster(len(free), len(pin_idx), floor)
     cuts: list[np.ndarray] = []
     points: list[np.ndarray] = []
 
     def track(theta: np.ndarray) -> None:
-        nonlocal best_upper, best_theta, fallback
+        nonlocal best_upper, best_theta
         f = f_of(theta)
         cuts.append(np.concatenate([f[free], f[pin_idx] - pin_caps]))
         points.append(theta)
         value = float(f[free].max())
         viol = float(np.maximum(f[pin_idx] - pin_caps, 0.0).max()) if len(pin_idx) else 0.0
-        if viol <= _FEAS_TOL:
-            if value < best_upper:
-                best_upper, best_theta = value, theta
-        elif (viol, value) < fallback[:2]:
-            fallback = (viol, value, theta)
+        if viol <= _FEAS_TOL and value < best_upper:
+            best_upper, best_theta = value, theta
 
     def dual_at(lam: np.ndarray, mu: np.ndarray) -> float:
         w = np.zeros(m)
@@ -261,10 +258,6 @@ def _dual_minimax(
         if master_val - best_lower <= saturation:
             break
 
-    if best_theta is None:
-        # no candidate met the pinned floors; report the least-violating point
-        viol, value, theta = fallback
-        return theta, value, best_lower - viol, evals
     return best_theta, best_upper, min(best_lower, best_upper), evals
 
 
@@ -284,21 +277,6 @@ def _report(
         objective_value=float(objective),
         iterations=iterations,
         certificate_gap=float(certificate),
-    )
-
-
-def _solve_worst_group(
-    method: str, model, frame: BargainingFrame, ball: float, cfg: SolverConfig
-) -> SolverReport:
-    """Optimize one worst-group criterion (ri, gdro, mmv, mmr) over the ball."""
-    shifts, scales, floor, sign = WORST_GROUP[method](frame)
-    theta, hi, lo, iters = _dual_minimax(
-        model, shifts, scales, ball, cfg, floor=floor,
-        warm=(_initial_point(model.dim, ball, cfg),),
-    )
-    # -sign * hi is -0.0 at a zero score for sign +1; + 0.0 reports it as 0.0
-    return _report(
-        model, frame, theta, objective=-sign * hi + 0.0, iterations=iters, certificate=hi - lo
     )
 
 
@@ -366,28 +344,22 @@ def solve_leximin_ri(
 ) -> SolverReport:
     """Lexicographically maximize sorted relative improvements over the ball.
 
-    Stage k fixes the groups that bound stage k-1 at its certified value (an
-    equality band of width tol/4) and re-maximizes the worst improvement of
-    the rest, handing the pinned floors to the dual as hard constraints. The
-    reported objective is the worst improvement at the returned point. The
-    certificate is the largest stage gap, or the first stage's bound on the
-    worst improvement less that objective where this is larger, since the
-    later stages may give up part of the band.
+    Stage 0 is the worst-group ri solve. Stage k fixes the groups that bound
+    stage k-1 at its certified value (an equality band of width tol/4) and
+    re-maximizes the worst improvement of the rest, handing the pinned floors
+    to the dual as hard constraints, warm from stage k-1's point, which meets
+    every pin. The reported objective is the worst improvement at the
+    returned point. The certificate is the largest stage gap, or stage 0's
+    bound on the worst improvement less that objective where this is larger,
+    since the later stages may give up part of the band.
     """
-    first = _solve_worst_group("ri", model, frame, ball, cfg)
     m = frame.num_groups
     band = cfg.tol / 4.0
     base, gaps, floor, _ = WORST_GROUP["ri"](frame)
-    theta = np.asarray(first.parameter)
-    rho = group_scores("ri", frame, model.values(theta))
-    stage_val = float(first.objective_value)
-    pins: dict[int, float] = {
-        g: stage_val for g in range(m) if rho[g] <= stage_val + band
-    }
-    iters = first.iterations
-    cert = first.certificate_gap
+    theta = _initial_point(model.dim, ball, cfg)
+    pins: dict[int, float] = {}
+    iters, cert = 0, -np.inf
     while len(pins) < m:
-        remaining = [g for g in range(m) if g not in pins]
         pin_idx = np.array(sorted(pins), dtype=int)
         # rho_j >= pin - band reads as f_j <= band - pin in normalized risk units
         caps = np.array([band - pins[g] for g in pin_idx])
@@ -395,18 +367,18 @@ def solve_leximin_ri(
             model, base, gaps, ball, cfg, floor=floor, warm=(theta,),
             pin_idx=pin_idx, pin_caps=caps,
         )
-        val = -hi
         iters += used
         cert = max(cert, hi - lo)
+        if not pins:
+            bound = -hi + (hi - lo)
+        # rho is exactly -f, so the least free rho is the stage value -hi and
+        # every stage pins at least one group
         rho = group_scores("ri", frame, model.values(theta))
-        newly = [g for g in remaining if rho[g] <= val + band]
-        if not newly:
-            # numerical guard: pin the worst remaining group to force progress
-            newly = [remaining[int(np.argmin(rho[remaining]))]]
-        for g in newly:
-            pins[g] = val
+        for g in range(m):
+            if g not in pins and rho[g] <= -hi + band:
+                pins[g] = -hi
     value = criterion_value("ri", frame, np.maximum(model.values(theta), 0.0))
-    cert = max(cert, stage_val + first.certificate_gap - value)
+    cert = max(cert, bound - value)
     return _report(model, frame, theta, objective=value, iterations=iters, certificate=cert)
 
 
@@ -419,7 +391,15 @@ def solve(
 ) -> SolverReport:
     """Dispatch one of the named criteria."""
     if method in WORST_GROUP:
-        return _solve_worst_group(method, model, frame, ball, cfg)
+        shifts, scales, floor, sign = WORST_GROUP[method](frame)
+        theta, hi, lo, iters = _dual_minimax(
+            model, shifts, scales, ball, cfg, floor=floor,
+            warm=(_initial_point(model.dim, ball, cfg),),
+        )
+        # -sign * hi is -0.0 at a zero score for sign +1; + 0.0 reports it as 0.0
+        return _report(
+            model, frame, theta, objective=-sign * hi + 0.0, iterations=iters, certificate=hi - lo
+        )
     if method == "leximin":
         return solve_leximin_ri(model, frame, ball, cfg)
     if method == "nash":

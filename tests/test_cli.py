@@ -17,14 +17,16 @@ import pytest
 from fairgain import cli, risk_models
 from fairgain.cli import main
 from fairgain.core import ConvergenceError
+from fairgain.empirical_study import run_convergence
 from fairgain.risk_models import (
     GroupedDataset,
     draw_dataset,
+    load_problem_spec,
     population_frame,
     save_problem_spec,
     write_dataset_csv,
 )
-from fairgain.solvers import METHODS, group_risk_model
+from fairgain.solvers import METHODS, SolverConfig, group_risk_model
 from tests.conftest import (
     motivating_spec,
     planar_spec,
@@ -499,6 +501,19 @@ def test_converge_reaches_a_million_per_group(spec_file, tmp_path):
     gaps = np.array([float(line.split(",")[2]) for line in out.read_text().split()[1:]])
     assert gaps.shape == (12,)
     assert np.all(np.isfinite(gaps)) and np.all(gaps >= 0.0)
+
+
+def test_converge_seed_seeds_only_the_draws(tmp_path):
+    # --seed keys the Monte Carlo draws and adds no random warm point to the
+    # trials' solves, so the gaps are run_convergence's at that seed, bit for bit
+    spec = tmp_path / "three.json"
+    save_problem_spec(three_group_spec(), spec)
+    out = tmp_path / "gaps.csv"
+    argv = ["--spec", str(spec), "--ns", "100,400", "--trials", "4", "--seed", "3"]
+    assert main(["converge"] + argv + ["--out", str(out)]) == 0
+    gaps = [float(line.split(",")[2]) for line in out.read_text().split()[1:]]
+    study = run_convergence(load_problem_spec(spec), [100, 400], 4, 3, SolverConfig())
+    assert gaps == study.gaps.ravel().tolist()
 
 
 def test_solve_from_dataset_csv(tmp_path):

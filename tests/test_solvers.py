@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from fairgain.core import ConvergenceError, DegenerateBargainError, criterion_scores, criterion_value
+from fairgain import solvers
 from fairgain.risk_models import (
     GroupedDataset,
     draw_dataset,
@@ -532,6 +533,40 @@ def test_leximin_reports_the_objective_at_its_point():
         assert rep.objective_value == float(rep.improvement_profile.as_array().min()), i
         assert rep.objective_value + rep.certificate_gap >= ri.objective_value, i
         assert rep.certified(1e-6), (i, rep.certificate_gap)
+
+
+def test_leximin_stages_start_feasible_and_each_pins_a_group(monkeypatch, three_group):
+    # three_group_spec, criterion-3 specs 92, 140 and 176 and rank-deficient
+    # draws 47, 134 and 290 (counting None draws), where the ri master or a
+    # later stage's master stops early
+    rng = np.random.default_rng(7)
+    c3 = [random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0) for _ in range(177)]
+    draws = np.random.default_rng(123)
+    rd = [rank_deficient_spec(draws) for _ in range(291)]
+    specs = [three_group, c3[92], c3[140], c3[176], rd[47], rd[134], rd[290]]
+    real, calls = solvers._dual_minimax, []
+
+    def spy(model, shifts, scales, ball, cfg, floor, warm=(), pin_idx=None, pin_caps=None):
+        if pin_idx is not None:
+            # the first warm point meets every pin
+            f = (model.values(warm[0]) - shifts) / scales
+            assert np.all(f[pin_idx] - pin_caps <= solvers._FEAS_TOL), pin_idx
+        out = real(model, shifts, scales, ball, cfg, floor, warm, pin_idx, pin_caps)
+        calls.append((pin_idx, out))
+        return out
+
+    monkeypatch.setattr(solvers, "_dual_minimax", spy)
+    for k, spec in enumerate(specs):
+        model, frame = _setup(spec)
+        ri = solve("ri", model, frame, spec.radius, CFG)
+        calls.clear()
+        solve("leximin", model, frame, spec.radius, CFG)
+        theta, hi, lo, evals = calls[0][1]
+        first = (tuple(theta), -hi + 0.0, hi - lo, evals)
+        assert first == (ri.parameter, ri.objective_value, ri.certificate_gap, ri.iterations), k
+        pinned = [set(pin_idx.tolist()) for pin_idx, _ in calls]
+        assert not pinned[0] and all(a < b for a, b in zip(pinned, pinned[1:])), k
+        assert len(calls) <= frame.num_groups, k
 
 
 def _ball_points(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
