@@ -1,9 +1,9 @@
 """Bargaining solution criteria over finite candidate sets of risk profiles.
 
 Every operation takes a DiscreteFeasibleSet and returns (index, RiskProfile)
-for the winning candidate. Candidate sets can be large (millions of grid
-rows), so risks live in one (N, m) array and every pick reads the vectorized
-criterion scores of fairgain.core.
+for the winning candidate. Risks live in one (N, m) array and every pick
+reads the vectorized criterion scores of fairgain.core. The picks serve the
+bargaining-axiom and closure checks on small hand-built and random menus.
 """
 
 from __future__ import annotations
@@ -57,32 +57,19 @@ class DiscreteFeasibleSet:
         return relative_improvements(self.risks, self.frame)
 
 
-def _leximin_best(rows: np.ndarray) -> int:
-    """Index of the lexicographic maximum after sorting each row ascending.
-
-    Exact float ties at every position fall through to the lowest index.
-    """
-    ordered = np.sort(rows, axis=1)
-    alive = np.ones(rows.shape[0], dtype=bool)
-    for j in range(rows.shape[1]):
-        col = ordered[:, j]
-        best = col[alive].max()
-        alive &= col == best
-        if alive.sum() == 1:
-            break
-    return int(np.flatnonzero(alive)[0])
-
-
 def _leximin_pick(s: DiscreteFeasibleSet, method: str) -> tuple[int, RiskProfile]:
     """Leximin over a worst-group criterion's group scores, lowest index on exact ties.
 
-    Rows are first filtered by their worst score, so only the tied rows are
-    scored group by group and sorted, however large the set.
+    Each row's scores are sorted ascending and compared position by position;
+    rows tied at every position fall through to the lowest index.
     """
-    worst = criterion_scores(method, s.frame, s.risks)
-    tied = np.flatnonzero(worst == worst.max())
-    best = _leximin_best(group_scores(method, s.frame, s.risks[tied])) if len(tied) > 1 else 0
-    idx = int(tied[best])
+    ordered = np.sort(group_scores(method, s.frame, s.risks), axis=1)
+    alive = np.ones(len(s), dtype=bool)
+    for col in ordered.T:
+        alive &= col == col[alive].max()
+        if alive.sum() == 1:
+            break
+    idx = int(np.flatnonzero(alive)[0])
     return idx, s.profile(idx)
 
 

@@ -12,8 +12,8 @@ Range checks (`tol`, `--trials`, `--weights`, `--grid`) are the library's own
 ValueErrors, which `main` maps to exit 2 with that error's message.
 
 `compare --oracle-grid STEP` scores the ball grid with the run's risk model,
-for --spec and --data alike, in blocks of about 65K points, so its memory is
-one block plus each block's winning risk rows, and its time grows as
+for --spec and --data alike, in blocks of about 65K points, keeping only each
+criterion's best row, so its memory is one block, and its time grows as
 (2r/STEP)^d; the README gives measured times. A logistic model scores the grid
 point by point, so a logistic grid is far slower per point.
 """
@@ -29,20 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from fairgain.bargain_discrete import (
-    DiscreteFeasibleSet,
-    gdro as oracle_gdro,
-    ks_maximin as oracle_ks,
-    mmr as oracle_mmr,
-    mmv as oracle_mmv,
-    nash as oracle_nash,
-)
 from fairgain.core import (
     BargainingFrame,
     ConvergenceError,
     DegenerateBargainError,
     DegenerateFrameError,
     UnsupportedDimensionError,
+    criterion_scores,
     criterion_value,
 )
 from fairgain.empirical_study import gap_certificate, run_convergence
@@ -175,44 +168,32 @@ def _oracle_objectives(
 ) -> dict[str, float]:
     """Each method's discrete oracle value over the ball grid of the given step.
 
-    Every oracle picks the first maximum of a total preorder (a score, or
-    leximin's sorted score vector), and the model scores each row with the
-    bits it has in any batch, so running the oracle over each block's winner,
-    in block order, picks the row it would pick over the whole grid. A block
-    where nash finds no row that helps every group has no winner.
+    The model scores each row with the bits it has in any batch, so each
+    criterion's best score over the blocks is its best over the whole grid.
+    Leximin's value is its first stage's, the worst relative improvement.
     """
     if model.dim > 2:
         raise UnsupportedDimensionError("--oracle-grid covers d <= 2")
-    # looked up per call, so a wrapped oracle binding is the one that runs
-    oracles = {
-        "ri": oracle_ks,
-        "leximin": oracle_ks,
-        "gdro": oracle_gdro,
-        "mmv": oracle_mmv,
-        "mmr": oracle_mmr,
-        "nash": oracle_nash,
-    }
-    winners = {oracles[method]: [] for method in methods}
-    refusal = None
-    blocks = 0
+    criterion = {method: "ri" if method == "leximin" else method for method in methods}
+    best = {}
     for thetas in _oracle_grid_blocks(model.dim, ball, step):
-        blocks += 1
-        dset = DiscreteFeasibleSet(model.values(thetas), frame)
-        for oracle, rows in winners.items():
-            try:
-                rows.append(oracle(dset)[1].values)
-            except DegenerateBargainError as exc:
-                refusal = exc
-    if blocks == 0:
+        risks = model.values(thetas)
+        for name in set(criterion.values()):
+            scores = criterion_scores(name, frame, risks)
+            i = int(np.argmax(scores))
+            if name not in best or scores[i] > best[name][0]:
+                # a copy, so the kept row does not keep its whole block alive
+                best[name] = (scores[i], risks[i].copy())
+    if not best:
         raise ValueError(
             f"--oracle-grid step {step} leaves no grid point in the ball of radius {ball}"
         )
-    best = {}
-    for oracle, rows in winners.items():
-        if not rows:
-            raise refusal
-        best[oracle] = oracle(DiscreteFeasibleSet(np.array(rows), frame))[1].as_array()
-    return {method: criterion_value(method, frame, best[oracles[method]]) for method in methods}
+    # only nash scores -inf, where some gain is not positive
+    if "nash" in best and best["nash"][0] == -np.inf:
+        raise DegenerateBargainError(
+            "no candidate strictly improves on the baseline for every group"
+        )
+    return {method: criterion_value(method, frame, best[c][1]) for method, c in criterion.items()}
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

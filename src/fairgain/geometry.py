@@ -156,9 +156,8 @@ def count_diagonal_crossings(trace: FrontierTrace) -> int:
     signs = np.sign(g)
     crossings = int(np.sum(signs[:-1] * signs[1:] < 0))
     zeros = signs == 0
-    # consecutive exact zeros are one touch
-    crossings += int(np.sum(zeros & ~np.roll(zeros, 1))) if zeros.any() else 0
-    return crossings
+    # consecutive exact zeros are one touch: count each run's first zero
+    return crossings + int(np.sum(zeros & np.diff(zeros, prepend=False)))
 
 
 def diagonal_intersection(trace: FrontierTrace) -> tuple[float, tuple[float, float]]:

@@ -443,8 +443,8 @@ def load_problem_spec(path: str | Path) -> ProblemSpec:
     for i, entry in enumerate(raw["groups"]):
         if not isinstance(entry, dict) or "beta" not in entry or "sigma2" not in entry:
             raise ValueError(f"group {i}: needs 'beta' and 'sigma2'")
-        beta = np.atleast_1d(np.asarray(entry["beta"], dtype=float))
-        cov = np.asarray(entry.get("cov", np.eye(beta.shape[0])), dtype=float)
+        beta = np.atleast_1d(_spec_array(entry["beta"], f"group {i}: 'beta'"))
+        cov = _spec_array(entry.get("cov", np.eye(beta.shape[0])), f"group {i}: 'cov'")
         sigma2 = _spec_number(entry["sigma2"], f"group {i}: 'sigma2'")
         groups.append(GroupLinearModel(beta=beta, sigma2=sigma2, cov=cov))
     return ProblemSpec(groups=tuple(groups), radius=_spec_number(raw["radius"], "'radius'"))
@@ -455,6 +455,13 @@ def _spec_number(value, name: str) -> float:
         return float(value)
     except TypeError:  # null, a list or an object where the spec needs a number
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _spec_array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:  # an object where the spec needs numbers
+        raise ValueError(f"{name} must be an array of numbers, got {value!r}") from None
 
 
 def save_problem_spec(spec: ProblemSpec, path: str | Path) -> None:

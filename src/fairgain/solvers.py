@@ -58,6 +58,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.tol > 0:  # NaN too: a solve would never meet its gap test
             raise ValueError("tol must be positive")
+        if self.tol == np.inf:  # every gap would meet it, after one iteration
+            raise ValueError("tol must be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

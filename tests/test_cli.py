@@ -16,7 +16,7 @@ import pytest
 
 from fairgain import cli, risk_models
 from fairgain.cli import main
-from fairgain.core import ConvergenceError
+from fairgain.core import ConvergenceError, criterion_scores, criterion_value
 from fairgain.empirical_study import run_convergence
 from fairgain.risk_models import (
     GroupedDataset,
@@ -28,6 +28,7 @@ from fairgain.risk_models import (
 )
 from fairgain.solvers import METHODS, SolverConfig, group_risk_model
 from tests.conftest import (
+    centred_risks,
     motivating_spec,
     planar_spec,
     random_logistic_dataset,
@@ -186,6 +187,27 @@ SUBCOMMAND_OPTIONS = {
     "riskset": ["--grid", "--help", "--out", "--spec", "-h"],
     "converge": ["--help", "--ns", "--out", "--seed", "--spec", "--tol", "--trials", "-h"],
 }
+
+
+def test_infinite_tol_is_a_config_error(spec_file, capsys):
+    # every gap meets an infinite tol, so one iteration would read as certified
+    for command in ("solve", "compare", "converge"):
+        capsys.readouterr()
+        assert main([command, "--spec", spec_file, "--tol", "inf"]) == 2, command
+        assert capsys.readouterr().err == "error: tol must be finite\n", command
+
+
+def test_spec_object_where_an_array_belongs_is_a_config_error(tmp_path, capsys):
+    group = '{"beta": [1.0], "sigma2": 1.0}'
+    bad = tmp_path / "bad.json"
+    for entry, field in (
+        ('{"beta": {}, "sigma2": 1.0}', "'beta'"),
+        ('{"beta": [1.0], "sigma2": 1.0, "cov": {"a": 1}}', "'cov'"),
+    ):
+        bad.write_text('{"radius": 1.0, "groups": [%s, %s]}' % (group, entry))
+        capsys.readouterr()
+        assert main(["solve", "--spec", str(bad)]) == 2, entry
+        assert capsys.readouterr().err.startswith(f"error: group 1: {field} "), entry
 
 
 def test_help_for_every_subcommand(capsys):
@@ -424,6 +446,40 @@ def test_oracle_blocks_change_no_output(tmp_path, monkeypatch):
             got = (code, out.read_bytes() if out.exists() else None)
             assert seen.setdefault(i, got) == got, (path.name, step, block)
     assert [seen[i][0] for i in range(len(runs))] == [0, 0, 0, 0, 3]
+
+
+def test_oracle_column_is_each_criterion_best_over_the_grid(tmp_path, capsys):
+    # the whole in-ball grid at once, scored with the centred reference risks
+    opposing = tmp_path / "opposing.json"
+    opposing.write_text(OPPOSING_SPEC)
+    runs = [
+        (motivating_spec(), 1e-2, METHODS),
+        (planar_spec(), 0.02, METHODS),
+        (three_group_spec(), 0.05, METHODS),
+        # no grid point helps both opposing groups, so nash has no oracle value
+        (load_problem_spec(opposing), 0.5, METHODS[:-1]),
+    ]
+    for i, (spec, step, methods) in enumerate(runs):
+        path = tmp_path / f"spec{i}.json"
+        save_problem_spec(spec, path)
+        argv = ["compare", "--spec", str(path), "--oracle-grid", str(step)]
+        assert main(argv + ["--methods", ",".join(methods)]) == 0, i
+        header, *rows = capsys.readouterr().out.strip().split("\n")
+        oracle = {}
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            oracle[cells["method"]] = cells["oracle_objective"]
+        ball = spec.radius
+        axis = np.arange(-ball, ball + step / 2.0, step)
+        grid = np.stack(np.meshgrid(*[axis] * spec.dim, indexing="ij"), axis=-1)
+        grid = grid.reshape(-1, spec.dim)
+        risks = centred_risks(spec, grid[np.linalg.norm(grid, axis=1) <= ball])
+        frame = population_frame(spec)
+        for method in methods:
+            best = risks[np.argmax(criterion_scores(method, frame, risks))]
+            expected = criterion_value(method, frame, best)
+            assert float(oracle[method]) == pytest.approx(expected, abs=1e-9), (i, method)
+        assert oracle["leximin"] == oracle["ri"], i
 
 
 def test_oracle_memory_is_bounded_by_the_block():

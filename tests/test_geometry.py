@@ -156,6 +156,19 @@ def test_diagonal_not_bracketed():
     assert count_diagonal_crossings(trace) == 0
 
 
+def test_zero_runs_at_both_ends_each_count_once():
+    # identical groups trace the single point (1, 1), on the diagonal
+    twin = GroupLinearModel(beta=np.array([1.0, 0.5]), sigma2=1.0, cov=np.eye(2))
+    trace = _trace(ProblemSpec(groups=(twin, twin), radius=3.0), 50)
+    np.testing.assert_array_equal(trace.points, [[1.0, 1.0]])
+    assert count_diagonal_crossings(trace) == 1
+    # gaps rho_2 - rho_1 of 0, 0.2, -0.1, 0: two touches and one crossing
+    rho1 = np.array([0.1, 0.2, 0.3, 0.4])
+    pts = np.column_stack([rho1, rho1 + np.array([0.0, 0.2, -0.1, 0.0])])
+    trace = FrontierTrace(lambdas=(0.1, 0.2, 0.3, 0.4), points=pts, risks=np.zeros((4, 2)))
+    assert count_diagonal_crossings(trace) == 3
+
+
 def test_trace_needs_two_groups(three_group):
     with pytest.raises(UnsupportedDimensionError):
         _trace(three_group, 50)
