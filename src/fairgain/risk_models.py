@@ -15,10 +15,13 @@ lower a certified bound on its minimum. The solvers' dual evaluations are
 its weighted cases, and frame(radius) builds the bargaining frame from its
 one-hot cases: each group's ideal risk is its own least risk over the ball,
 and the baseline is the zero predictor for quadratic risks and the pooled
-base rate for logistic risks. Their values(theta) scores one parameter or a
-batch of them, each batch row with the same bits in a batch of any size. The
-quadratic batch is an elementwise kernel over (m, n) arrays that adds the d
-coordinates' terms in a fixed order. At d <= 2 its rows are bit for bit those
+base rate for logistic risks. The quadratic minimize is on every dual
+evaluation's path, so it and minimize_quadratic_ball call what tensordot,
+clip, norm and np.sum wrap: the same bits without the wrappers' per-call
+cost. Their values(theta) scores one parameter or a batch of them, each
+batch row with the same bits in a batch of any size. The quadratic batch is
+an elementwise kernel over (m, n) arrays that adds the d coordinates' terms
+in a fixed order. At d <= 2 its rows are bit for bit those
 of a tensor contraction over the coordinates; at d = 3 a contraction may add
 the terms in another order, so rows (riskset's too) differ by rounding only.
 """
@@ -62,6 +65,8 @@ class GroupLinearModel:
         beta = _readonly(np.atleast_1d(self.beta))
         if beta.ndim != 1:
             raise ValueError("beta must be a vector")
+        if beta.shape[0] == 0:
+            raise ValueError("beta must have at least one entry")
         cov = _readonly(np.atleast_2d(self.cov))
         d = beta.shape[0]
         if cov.shape != (d, d):
@@ -127,11 +132,15 @@ def minimize_quadratic_ball(
     logistic Newton step's A is definite). Solved exactly through the eigenbasis;
     when the unconstrained minimizer leaves the ball, the boundary multiplier
     is found by Newton with a bisection safeguard to |norm - radius| <= 1e-10.
+    Every dual evaluation runs this on a d <= 3 matrix in the usual case, so it
+    calls np.maximum, sqrt(v @ v) and ndarray.sum directly: the same bits as
+    the np.clip, np.linalg.norm and np.sum that wrap them, without their
+    per-call cost.
     """
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
     s, V = np.linalg.eigh(A)
-    s = np.clip(s, 0.0, None)
+    s = np.maximum(s, 0.0)
     smax = s.max() if s.size else 0.0
     if smax <= 0.0:
         return np.zeros_like(c), 0.0
@@ -139,14 +148,14 @@ def minimize_quadratic_ball(
     b = V.T @ c
     live = s > cutoff
     theta_eig = np.where(live, b / np.where(live, s, 1.0), 0.0)
-    if radius is None or np.linalg.norm(theta_eig) <= radius:
-        value = float(np.sum(s * theta_eig**2) - 2.0 * np.sum(b * theta_eig))
+    if radius is None or np.sqrt(theta_eig @ theta_eig) <= radius:
+        value = float((s * theta_eig**2).sum() - 2.0 * (b * theta_eig).sum())
         return V @ theta_eig, value
 
     def norm2(lam: float) -> float:
-        return float(np.sum((b / (s + lam)) ** 2))
+        return float(((b / (s + lam)) ** 2).sum())
 
-    lo, hi = 0.0, float(np.linalg.norm(b) / radius)
+    lo, hi = 0.0, float(np.sqrt(b @ b) / radius)
     lam = max(hi / 2.0, 1e-16)
     target = radius**2
     for _ in range(200):
@@ -157,11 +166,11 @@ def minimize_quadratic_ball(
             lo = lam
         else:
             hi = lam
-        dh = -2.0 * float(np.sum(b**2 / (s + lam) ** 3))
+        dh = -2.0 * float((b**2 / (s + lam) ** 3).sum())
         step = lam - h / dh if dh != 0 else None
         lam = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
     theta_eig = b / (s + lam)
-    value = float(np.sum(s * theta_eig**2) - 2.0 * np.sum(b * theta_eig))
+    value = float((s * theta_eig**2).sum() - 2.0 * (b * theta_eig).sum())
     return V @ theta_eig, value
 
 
@@ -175,6 +184,7 @@ class QuadraticGroupRisks:
         if self.A.ndim != 3 or self.c.ndim != 2 or self.k.ndim != 1:
             raise ValueError("expected stacked per-group quadratic coefficients")
         self.num_groups, self.dim = self.c.shape
+        self._A_rows = self.A.reshape(self.num_groups, -1)
 
     @classmethod
     def from_problem_spec(cls, spec: ProblemSpec) -> "QuadraticGroupRisks":
@@ -224,7 +234,8 @@ class QuadraticGroupRisks:
         Without a radius there is no ball.
         """
         w = np.asarray(w, dtype=float)
-        A = np.tensordot(w, self.A, axes=1)
+        # the 2-d dot that np.tensordot(w, A, axes=1) runs, without its wrapper
+        A = np.dot(w.reshape(1, -1), self._A_rows).reshape(self.dim, self.dim)
         theta, quad = minimize_quadratic_ball(A, w @ self.c, radius)
         value = quad + float(w @ self.k)
         return theta, value, value
@@ -444,6 +455,8 @@ def load_problem_spec(path: str | Path) -> ProblemSpec:
         if not isinstance(entry, dict) or "beta" not in entry or "sigma2" not in entry:
             raise ValueError(f"group {i}: needs 'beta' and 'sigma2'")
         beta = np.atleast_1d(_spec_array(entry["beta"], f"group {i}: 'beta'"))
+        if beta.size == 0:
+            raise ValueError(f"group {i}: 'beta' must have at least one entry")
         cov = _spec_array(entry.get("cov", np.eye(beta.shape[0])), f"group {i}: 'cov'")
         sigma2 = _spec_number(entry["sigma2"], f"group {i}: 'sigma2'")
         groups.append(GroupLinearModel(beta=beta, sigma2=sigma2, cov=cov))

@@ -201,11 +201,13 @@ def _dual_minimax(
     m = model.num_groups
     pin_idx = np.array([], dtype=int) if pin_idx is None else np.asarray(pin_idx, int)
     pin_caps = np.array([]) if pin_caps is None else np.asarray(pin_caps, float)
-    free = np.setdiff1d(np.arange(m), pin_idx)
+    is_free = np.ones(m, dtype=bool)
+    is_free[pin_idx] = False
+    free = np.flatnonzero(is_free)
     inv_scales = 1.0 / scales
-
-    def f_of(theta: np.ndarray) -> np.ndarray:
-        return (model.values(theta) - shifts) / scales
+    # the dual's per-group weights and constants, fixed for the whole call
+    inv_free, inv_pin = inv_scales[free], inv_scales[pin_idx]
+    shift_free, shift_pin = shifts[free] * inv_free, shifts[pin_idx] * inv_pin + pin_caps
 
     best_upper = np.inf
     best_theta: np.ndarray | None = None
@@ -215,21 +217,21 @@ def _dual_minimax(
 
     def track(theta: np.ndarray) -> None:
         nonlocal best_upper, best_theta
-        f = f_of(theta)
-        cuts.append(np.concatenate([f[free], f[pin_idx] - pin_caps]))
+        f = (model.values(theta) - shifts) / scales
+        f_free, over = f[free], f[pin_idx] - pin_caps
+        cuts.append(np.concatenate([f_free, over]))
         points.append(theta)
-        value = float(f[free].max())
-        viol = float(np.maximum(f[pin_idx] - pin_caps, 0.0).max()) if len(pin_idx) else 0.0
+        value = float(f_free.max())
+        viol = float(np.maximum(over, 0.0).max()) if len(pin_idx) else 0.0
         if viol <= _FEAS_TOL and value < best_upper:
             best_upper, best_theta = value, theta
 
     def dual_at(lam: np.ndarray, mu: np.ndarray) -> float:
         w = np.zeros(m)
-        w[free] = lam * inv_scales[free]
-        w[pin_idx] = mu * inv_scales[pin_idx]
+        w[free] = lam * inv_free
+        w[pin_idx] = mu * inv_pin
         theta_hat, _, low = model.minimize(w, ball)
-        const = -float(lam @ (shifts[free] * inv_scales[free]))
-        const -= float(mu @ (shifts[pin_idx] * inv_scales[pin_idx] + pin_caps))
+        const = -float(lam @ shift_free) - float(mu @ shift_pin)
         track(theta_hat)
         return low + const
 
@@ -241,7 +243,7 @@ def _dual_minimax(
     best_lower = floor
     zero_mu = np.zeros(len(pin_idx))
     seeds = [np.full(len(free), 1.0 / len(free))]
-    seeds += [np.eye(len(free))[i] for i in range(len(free))] if len(free) > 1 else []
+    seeds += list(np.eye(len(free))) if len(free) > 1 else []
     for lam in seeds:
         best_lower = max(best_lower, dual_at(lam, zero_mu))
         evals += 1

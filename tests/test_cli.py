@@ -210,6 +210,15 @@ def test_spec_object_where_an_array_belongs_is_a_config_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: group 1: {field} "), entry
 
 
+def test_empty_beta_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"radius": 1.0, "groups": [{"beta": [], "sigma2": 1.0}, {"beta": [1.0], "sigma2": 1.0}]}'
+    )
+    assert main(["solve", "--spec", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: group 0: 'beta' must have at least one entry\n"
+
+
 def test_help_for_every_subcommand(capsys):
     parser = cli.build_parser()
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -630,3 +639,27 @@ def test_cli_import_loads_no_scipy():
         timeout=120,
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_solve_and_compare_load_no_numpy_ma(spec_file):
+    # np.unique, and so np.setdiff1d, imports numpy.ma on first use, which costs a
+    # CLI process over 10 ms. The probe runs without --seed, which loads numpy.random
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for command in ("solve", "compare"):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from fairgain.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main([{command!r}, '--spec', {spec_file!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            timeout=120,
+        )
+        assert run.stdout.strip() == "0 False", command

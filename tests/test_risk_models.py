@@ -99,6 +99,72 @@ def test_model_values_batch_matches_the_einsum_form():
                 np.testing.assert_allclose(risks, _einsum_values(model, thetas), rtol=1e-12, atol=0)
 
 
+def _wrapper_minimize(model, w, radius):
+    # QuadraticGroupRisks.minimize and minimize_quadratic_ball as written with
+    # numpy's wrapper calls, kept as the reference for their bits
+    A = np.tensordot(w, model.A, axes=1)
+    s, V = np.linalg.eigh(A)
+    s = np.clip(s, 0.0, None)
+    c = w @ model.c
+    smax = s.max() if s.size else 0.0
+    if smax <= 0.0:
+        theta, quad = np.zeros_like(c), 0.0
+    else:
+        b = V.T @ c
+        live = s > 1e-10 * smax
+        theta_eig = np.where(live, b / np.where(live, s, 1.0), 0.0)
+        if radius is not None and np.linalg.norm(theta_eig) > radius:
+            lo, hi = 0.0, float(np.linalg.norm(b) / radius)
+            lam = max(hi / 2.0, 1e-16)
+            target = radius**2
+            for _ in range(200):
+                h = float(np.sum((b / (s + lam)) ** 2)) - target
+                if abs(h) <= 2.0 * 1e-10 * target:
+                    break
+                if h > 0:
+                    lo = lam
+                else:
+                    hi = lam
+                dh = -2.0 * float(np.sum(b**2 / (s + lam) ** 3))
+                step = lam - h / dh if dh != 0 else None
+                lam = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+            theta_eig = b / (s + lam)
+        quad = float(np.sum(s * theta_eig**2) - 2.0 * np.sum(b * theta_eig))
+        theta = V @ theta_eig
+    value = quad + float(w @ model.k)
+    return theta, value, value
+
+
+def test_minimize_matches_the_wrapper_calls_bit_for_bit():
+    rng = np.random.default_rng(31)
+    branches = set()
+    for d in (1, 2, 3):
+        for m in (2, 3, 4):
+            for _ in range(8):
+                F = rng.normal(size=(m, d, d))
+                A = F @ F.transpose(0, 2, 1) / d + 0.05 * np.eye(d)
+                beta = rng.normal(size=(m, d)) * rng.uniform(0.3, 4.0)
+                c = np.einsum("gjk,gk->gj", A, beta)
+                k = np.einsum("gj,gj->g", beta, c) + rng.uniform(0.3, 12.0, size=m)
+                model = QuadraticGroupRisks(A, c, k)
+                weights = [rng.dirichlet(np.ones(m)), np.eye(m)[rng.integers(m)], np.zeros(m)]
+                for w in weights:
+                    free = np.linalg.lstsq(np.tensordot(w, A, axes=1), w @ c, rcond=None)[0]
+                    for radius in (None, 0.05, 1.0, 50.0):
+                        got = model.minimize(w, radius)
+                        want = _wrapper_minimize(model, w, radius)
+                        np.testing.assert_array_equal(got[0], want[0])
+                        assert got[1:] == want[1:]
+                        if not w.any():
+                            branches.add("zero")
+                        elif radius is None:
+                            branches.add("no ball")
+                        else:
+                            inside = np.linalg.norm(free) <= radius
+                            branches.add("interior" if inside else "boundary")
+    assert branches == {"zero", "no ball", "interior", "boundary"}
+
+
 def test_population_frame_motivating(motivating):
     frame = population_frame(motivating)
     assert frame.baseline_risks == (5.0, 58.0)
@@ -183,6 +249,11 @@ def test_spec_validation():
         GroupLinearModel(beta=np.array([1.0]), sigma2=0.0, cov=np.array([[1.0]]))
     with pytest.raises(ValueError):
         GroupLinearModel(beta=np.array([1.0]), sigma2=1.0, cov=np.array([[-1.0]]))
+
+
+def test_empty_beta_is_rejected():
+    with pytest.raises(ValueError, match="beta must have at least one entry"):
+        GroupLinearModel(beta=np.array([]), sigma2=1.0, cov=np.zeros((0, 0)))
 
 
 def test_covariance_factor_reproduces_cov():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -715,3 +716,66 @@ def test_rank_deficient_specs_report_or_refuse():
         assert 0.0 <= rep.certificate_gap <= CFG.tol, (k, rep.certificate_gap)
         top = float(_probe_scores("nash", spec.radius, model, frame, rng).max())
         assert rep.objective_value + rep.certificate_gap >= top, k
+
+
+def test_free_groups_are_the_groups_not_pinned(monkeypatch):
+    # the master holds one weight per free group, and the dual's first
+    # evaluations weigh the free groups uniformly, then each free group alone
+    spec = random_problem_spec(np.random.default_rng(2), m=4, d=2)
+    model, frame = _setup(spec)
+    shifts, scales, floor, _ = solvers.WORST_GROUP["ri"](frame)
+    real_minimize, real_master, seen, sizes = model.minimize, solvers._GameMaster, [], []
+
+    def minimize(w, radius):
+        seen.append(np.flatnonzero(w).tolist())
+        return real_minimize(w, radius)
+
+    def master(m_free, n_pin, floor):
+        sizes.append(m_free)
+        return real_master(m_free, n_pin, floor)
+
+    monkeypatch.setattr(model, "minimize", minimize)
+    monkeypatch.setattr(solvers, "_GameMaster", master)
+    for n_pin in range(4):
+        for pins in itertools.permutations(range(4), n_pin):
+            free = np.setdiff1d(np.arange(4), np.array(pins, dtype=int)).tolist()
+            seen.clear()
+            sizes.clear()
+            solvers._dual_minimax(
+                model, shifts, scales, spec.radius, SolverConfig(max_iters=1), floor,
+                pin_idx=np.array(pins, dtype=int), pin_caps=np.full(n_pin, 1e9),
+            )
+            one_hot = [[g] for g in free] if len(free) > 1 else []
+            assert sizes == [len(free)] and seen[: 1 + len(one_hot)] == [free] + one_hot, pins
+
+
+def _affine_model(model, a, b):
+    # group g's risk becomes a_g R_g + b_g
+    return QuadraticGroupRisks(
+        model.A * a[:, None, None], model.c * a[:, None], model.k * a + b
+    )
+
+
+def test_affine_group_rescaling_moves_ri_and_leximin_only_within_the_gaps():
+    # Kalai-Smorodinsky scale invariance on the continuous solver: mapping each
+    # group's risk to a_g R_g + b_g and recomputing the frame leaves every relative
+    # improvement unchanged, so ri and leximin may move only by their gaps, while
+    # the risk-, gain- and regret-based criteria move
+    rng = np.random.default_rng(5)
+    moved = {"gdro": 0, "mmv": 0, "mmr": 0}
+    for _ in range(60):
+        m, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        spec = random_problem_spec(rng, m=m, d=d)
+        a, b = rng.uniform(0.1, 10.0, m), rng.uniform(0.0, 5.0, m)
+        model = QuadraticGroupRisks.from_problem_spec(spec)
+        models = model, _affine_model(model, a, b)
+        frames = [mdl.frame(spec.radius) for mdl in models]
+        for method in ("ri", "leximin", *moved):
+            one, two = (solve(method, *pair, spec.radius, CFG) for pair in zip(models, frames))
+            shift = abs(one.objective_value - two.objective_value)
+            gaps = one.certificate_gap + two.certificate_gap
+            if method in moved:
+                moved[method] += shift > gaps
+            else:
+                assert shift <= gaps, (method, shift, gaps)
+    assert all(moved.values()), moved
