@@ -13,7 +13,7 @@ the stored candidates into one more point whose worst normalized risk is at
 most the master value, so the primal side closes with the dual even when
 weighted minimizers are non-unique. The master is a matrix game over the
 free groups' weights, with unbounded multipliers on pinned groups, solved
-exactly for any number of groups by one warm-started revised simplex. The
+exactly for any number of groups by one warm-started tableau simplex. The
 reported certificate is the true primal-dual gap. The product-of-gains
 criterion minimizes an AM-GM bound on its log-gain sum over the weightings,
 with the same weighted minimizations as its candidate points.
@@ -75,11 +75,12 @@ def group_risk_model(source: ProblemSpec | GroupedDataset):
     raise TypeError(f"cannot build group risks from {type(source).__name__}")
 
 
-def _initial_point(dim: int, radius: float, cfg: SolverConfig) -> np.ndarray:
+def _initial_point(dim: int, radius: float, cfg: SolverConfig) -> tuple[np.ndarray, ...]:
+    """Warm points besides theta = 0, which every solve tracks: one seeded draw, or none."""
     if cfg.seed is None:
-        return np.zeros(dim)
+        return ()
     rng = np.random.default_rng(cfg.seed)
-    return project_ball(rng.normal(0.0, radius / 2.0, dim), radius)
+    return (project_ball(rng.normal(0.0, radius / 2.0, dim), radius),)
 
 
 class _GameMaster:
@@ -91,22 +92,24 @@ class _GameMaster:
     K = 1 - floor, (lam, mu) / (t + K) solves min 1'x subject to
     (C_F + K) x + C_P z >= 1 and x, z >= 0, whose dual max 1'y subject to
     (C_F + K)^T y <= 1, C_P^T y <= 0 and y >= 0 has one row per group and one
-    column per cut. Its slack basis is feasible and a new cut enters at zero,
-    so each solve starts from the last optimal basis and its inverse. The
-    revised simplex prices by Bland's rule and inverts each new basis afresh.
+    column per cut. Its slack basis is feasible and a new cut c enters at
+    zero, as the column B^-1 c with reduced cost 1 - duals . c, so the tableau
+    (row 0 the reduced costs, whose slack entries are minus the duals, the
+    rows below B^-1 [rhs | I | C]) carries over from solve to solve. Bland's
+    rule picks the pivots, each a rank-one update, and no basis is inverted.
     The recovered point's cut nearly repeats the best cut; on such near-singular
     bases rounding in the reduced costs passes the 1e-12 that reaches the exact
     vertex elsewhere and the pivots cycle or stop below the caller's dual bound,
-    so such a warm solve starts once more from the slack basis at 1e-9.
+    so such a warm solve starts once more from the slack tableau at 1e-9.
     """
 
     def __init__(self, m_free: int, n_pin: int, floor: float):
         n = m_free + n_pin
         self.m_free, self.shift = m_free, 1.0 - floor
-        self.rhs = np.concatenate([np.ones(m_free), np.zeros(n_pin)])
-        # slack columns first, then one column per stored cut
-        self.cols, self.slack = np.eye(n), (np.arange(n), np.eye(n))
-        self.basis, self.inv = self.slack
+        self.cols = np.zeros((n, 0))  # one shifted column per stored cut
+        tableau = np.eye(n + 1)
+        tableau[:, 0] = np.concatenate([[0.0], np.ones(m_free), np.zeros(n_pin)])
+        self.slack = self.warm = list(range(1, n + 1)), tableau
 
     def solve(
         self, cuts: list, lower: float
@@ -119,54 +122,61 @@ class _GameMaster:
         the solve restarts and keeps the higher of the two vertices. None: no mix
         of the stored points meets every pin (mu is unbounded), or the simplex failed.
         """
-        n = len(self.rhs)
-        new = np.array(cuts[self.cols.shape[1] - n :]).reshape(-1, n).T
+        n = self.cols.shape[0]
+        new = np.array(cuts[self.cols.shape[1] :]).reshape(-1, n).T
         new[: self.m_free] += self.shift
         self.cols = np.concatenate([self.cols, new], axis=1)
-        cost = np.concatenate([np.zeros(n), np.ones(len(cuts))])
+        self.warm = _enter(*self.warm, new)
         picked = None
-        for basis, inv, tol in ((self.basis, self.inv, 1e-12), (*self.slack, 1e-9)):
-            found = self._pivot(cost, basis, inv, tol)
+        for restart in (False, True):
+            start = _enter(*self.slack, self.cols) if restart else self.warm
+            found = self._pivot(*start, 1e-9 if restart else 1e-12)
             if found is None:
                 continue
-            basis, inv = found
-            pi = np.maximum(cost[basis] @ inv, 0.0)
-            y = np.zeros(len(cost))
-            y[basis] = np.maximum(inv @ self.rhs, 0.0)
-            y, total = y[n:], pi[: self.m_free].sum()
-            if y.sum() <= 0.0 or total <= 0.0:
+            basis, tableau = found
+            pi = np.maximum(-tableau[0, 1 : n + 1], 0.0)
+            y = np.zeros(tableau.shape[1])
+            y[basis] = np.maximum(tableau[1:, 0], 0.0)
+            y, total = y[n + 1 :], sum(pi[: self.m_free].tolist())
+            mass = y.sum()
+            if mass <= 0.0 or total <= 0.0:
                 break  # a restart that ends here keeps the warm vertex
-            # cut_i . (lam, mu) is column i weighed by pi over total, less the shift
-            value = float((pi @ self.cols[:, n:]).min()) / total - self.shift
+            # cut_i . (lam, mu) is column i weighed by the mix pi / total, less the shift
+            mix = pi / total
+            value = float((mix @ self.cols).min()) - self.shift
             if picked is None or value > picked[2]:
-                self.basis, self.inv = basis, inv
-                picked = pi[: self.m_free] / total, pi[self.m_free :] / total, value, y / y.sum()
+                self.warm = found
+                picked = mix[: self.m_free], mix[self.m_free :], value, y / mass
             if value >= lower - 1e-9:
                 break
         return picked
 
-    def _pivot(self, cost, basis, inv, tol) -> tuple[np.ndarray, np.ndarray] | None:
-        """Optimal basis and its inverse, or None: unbounded, singular or out of pivots."""
-        cols, basis = self.cols, basis.copy()
-        for _ in range(2 * cols.shape[1]):
-            reduced = cost - (cost[basis] @ inv) @ cols
-            reduced[basis] = 0.0
-            improving = reduced > tol
-            j = improving.argmax()  # Bland: the first improving column
-            if not improving[j]:
-                return basis, inv
-            step = inv @ cols[:, j]
-            x_b = np.maximum(inv @ self.rhs, 0.0)
-            ratios = np.divide(x_b, step, out=np.full(len(step), np.inf), where=step > _PIVOT_TOL)
-            row = np.lexsort((basis, ratios))[0]  # and the first basic index among tied rows
-            if ratios[row] == np.inf:
+    def _pivot(self, basis, tableau, tol) -> tuple[list, np.ndarray] | None:
+        """An optimal basis and its tableau, or None: unbounded or out of pivots."""
+        basis = list(basis)
+        for _ in range(2 * tableau.shape[1]):
+            improving = tableau[0, 1:] > tol
+            j = improving.argmax() + 1  # Bland: the first improving column
+            if not improving[j - 1]:
+                return basis, tableau
+            # the least ratio, and the first basic index among tied rows
+            rows = enumerate(zip(tableau[1:, 0].tolist(), tableau[1:, j].tolist(), basis), 1)
+            ratios = [(max(x, 0.0) / a, b, r) for r, (x, a, b) in rows if a > _PIVOT_TOL]
+            if not ratios:
                 return None
-            basis[row] = j
-            try:
-                inv = np.linalg.inv(cols[:, basis])
-            except np.linalg.LinAlgError:  # rounding made the new basis singular
-                return None
+            r = min(ratios)[2]
+            row = tableau[r] / tableau[r, j]
+            tableau = tableau - tableau[:, j, None] * row
+            tableau[r] = row
+            basis[r - 1] = j
         return None
+
+
+def _enter(basis: list, tableau: np.ndarray, cols: np.ndarray) -> tuple[list, np.ndarray]:
+    """The tableau with cols appended, nonbasic: B^-1 c with reduced cost 1 - duals . c."""
+    new = tableau[:, 1 : len(basis) + 1] @ cols
+    new[0] += 1.0
+    return basis, np.concatenate([tableau, new], axis=1)
 
 
 _PIVOT_TOL = 1e-9
@@ -360,7 +370,7 @@ def solve_leximin_ri(
     m = frame.num_groups
     band = cfg.tol / 4.0
     base, gaps, floor, _ = WORST_GROUP["ri"](frame)
-    theta = _initial_point(model.dim, ball, cfg)
+    warm = _initial_point(model.dim, ball, cfg)
     pins: dict[int, float] = {}
     iters, cert = 0, -np.inf
     while len(pins) < m:
@@ -368,9 +378,10 @@ def solve_leximin_ri(
         # rho_j >= pin - band reads as f_j <= band - pin in normalized risk units
         caps = np.array([band - pins[g] for g in pin_idx])
         theta, hi, lo, used = _dual_minimax(
-            model, base, gaps, ball, cfg, floor=floor, warm=(theta,),
+            model, base, gaps, ball, cfg, floor=floor, warm=warm,
             pin_idx=pin_idx, pin_caps=caps,
         )
+        warm = (theta,)
         iters += used
         cert = max(cert, hi - lo)
         if not pins:
@@ -398,7 +409,7 @@ def solve(
         shifts, scales, floor, sign = WORST_GROUP[method](frame)
         theta, hi, lo, iters = _dual_minimax(
             model, shifts, scales, ball, cfg, floor=floor,
-            warm=(_initial_point(model.dim, ball, cfg),),
+            warm=_initial_point(model.dim, ball, cfg),
         )
         # -sign * hi is -0.0 at a zero score for sign +1; + 0.0 reports it as 0.0
         return _report(
