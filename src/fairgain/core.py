@@ -36,10 +36,6 @@ class UnsupportedDimensionError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative fit stopped before reaching its tolerance."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 def _as_float_tuple(values: Iterable[float], name: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)

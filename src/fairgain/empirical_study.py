@@ -129,7 +129,7 @@ def run_convergence(
     seed: int,
     cfg: SolverConfig | None = None,
 ) -> ConvergenceResult:
-    """Gap trials across sample sizes with per-trial splittable seeding.
+    """Gap trials across strictly increasing sample sizes with per-trial splittable seeding.
 
     Each (size, trial, attempt) triple keys its own generator, so results are
     reproducible regardless of execution order. Draws whose empirical frame is
@@ -139,6 +139,9 @@ def run_convergence(
     sizes = [int(n) for n in sample_sizes]
     if len(sizes) < 2 or any(n < 2 for n in sizes):
         raise ValueError("need at least two sample sizes of at least 2")
+    # the slope fit needs two distinct sizes, and the quantile check reads in size order
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sample sizes must increase strictly, got {sizes}")
     if trials < 1:
         raise ValueError("trials must be positive")
     cfg = cfg or SolverConfig()

@@ -422,7 +422,7 @@ class LogisticGroupRisks:
                 else:
                     break
         msg = f"logistic minimization stalled with stationarity residual {resid:.3e}"
-        raise ConvergenceError(msg, residual=resid)
+        raise ConvergenceError(msg)
 
     def frame(self, radius: float | None) -> BargainingFrame:
         """Baseline at the pooled base rate and each group's least risk over the ball.
@@ -457,24 +457,33 @@ def load_problem_spec(path: str | Path) -> ProblemSpec:
         beta = np.atleast_1d(_spec_array(entry["beta"], f"group {i}: 'beta'"))
         if beta.size == 0:
             raise ValueError(f"group {i}: 'beta' must have at least one entry")
-        cov = _spec_array(entry.get("cov", np.eye(beta.shape[0])), f"group {i}: 'cov'")
+        cov = _spec_array(entry.get("cov", np.eye(beta.size).tolist()), f"group {i}: 'cov'")
         sigma2 = _spec_number(entry["sigma2"], f"group {i}: 'sigma2'")
         groups.append(GroupLinearModel(beta=beta, sigma2=sigma2, cov=cov))
     return ProblemSpec(groups=tuple(groups), radius=_spec_number(raw["radius"], "'radius'"))
 
 
 def _spec_number(value, name: str) -> float:
-    try:
-        return float(value)
-    except TypeError:  # null, a list or an object where the spec needs a number
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if isinstance(value, list) or not _numbers(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _spec_array(value, name: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except TypeError:  # an object where the spec needs numbers
-        raise ValueError(f"{name} must be an array of numbers, got {value!r}") from None
+    if not _numbers(value):
+        raise ValueError(f"{name} must be an array of numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _numbers(value) -> bool:
+    """Whether a parsed JSON value is a number or nested lists of numbers.
+
+    JSON's true and false parse as bool, which Python counts as an int, and
+    float() would read a string of digits; neither is a number in a spec.
+    """
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def save_problem_spec(spec: ProblemSpec, path: str | Path) -> None:

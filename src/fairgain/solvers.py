@@ -96,11 +96,10 @@ class _GameMaster:
     zero, as the column B^-1 c with reduced cost 1 - duals . c, so the tableau
     (row 0 the reduced costs, whose slack entries are minus the duals, the
     rows below B^-1 [rhs | I | C]) carries over from solve to solve. Bland's
-    rule picks the pivots, each a rank-one update, and no basis is inverted.
-    The recovered point's cut nearly repeats the best cut; on such near-singular
-    bases rounding in the reduced costs passes the 1e-12 that reaches the exact
-    vertex elsewhere and the pivots cycle or stop below the caller's dual bound,
-    so such a warm solve starts once more from the slack tableau at 1e-9.
+    rule picks the pivots, each a rank-one update, so every solve is one warm
+    pass and no basis is inverted. A warm point that clears every pin by a
+    margin gives each pin's multiplier a cut that bounds it, which keeps the
+    pinned bases away from the near-singular ones where pricing stalls.
     """
 
     def __init__(self, m_free: int, n_pin: int, floor: float):
@@ -109,53 +108,43 @@ class _GameMaster:
         self.cols = np.zeros((n, 0))  # one shifted column per stored cut
         tableau = np.eye(n + 1)
         tableau[:, 0] = np.concatenate([[0.0], np.ones(m_free), np.zeros(n_pin)])
-        self.slack = self.warm = list(range(1, n + 1)), tableau
+        self.warm = list(range(1, n + 1)), tableau
 
-    def solve(
-        self, cuts: list, lower: float
-    ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
+    def solve(self, cuts: list) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
         """(lam, mu, value, alpha) over all cuts stored so far, or None.
 
         value is min_i cut_i . (lam, mu); alpha >= 0 sums to 1, and by LP duality
-        max((alpha @ cuts)[:m_free]) is at most the value. A warm vertex more than
-        1e-9 below lower, a certified bound on the game's value, is not optimal:
-        the solve restarts and keeps the higher of the two vertices. None: no mix
-        of the stored points meets every pin (mu is unbounded), or the simplex failed.
+        max((alpha @ cuts)[:m_free]) is at most the value. None: no mix of the
+        stored points meets every pin (mu is unbounded), or the simplex failed.
         """
         n = self.cols.shape[0]
         new = np.array(cuts[self.cols.shape[1] :]).reshape(-1, n).T
         new[: self.m_free] += self.shift
         self.cols = np.concatenate([self.cols, new], axis=1)
-        self.warm = _enter(*self.warm, new)
-        picked = None
-        for restart in (False, True):
-            start = _enter(*self.slack, self.cols) if restart else self.warm
-            found = self._pivot(*start, 1e-9 if restart else 1e-12)
-            if found is None:
-                continue
-            basis, tableau = found
-            pi = np.maximum(-tableau[0, 1 : n + 1], 0.0)
-            y = np.zeros(tableau.shape[1])
-            y[basis] = np.maximum(tableau[1:, 0], 0.0)
-            y, total = y[n + 1 :], sum(pi[: self.m_free].tolist())
-            mass = y.sum()
-            if mass <= 0.0 or total <= 0.0:
-                break  # a restart that ends here keeps the warm vertex
-            # cut_i . (lam, mu) is column i weighed by the mix pi / total, less the shift
-            mix = pi / total
-            value = float((mix @ self.cols).min()) - self.shift
-            if picked is None or value > picked[2]:
-                self.warm = found
-                picked = mix[: self.m_free], mix[self.m_free :], value, y / mass
-            if value >= lower - 1e-9:
-                break
-        return picked
+        basis, tableau = self.warm
+        entered = tableau[:, 1 : n + 1] @ new  # B^-1 c, and 1 - duals . c once row 0 gains 1
+        entered[0] += 1.0
+        found = self._pivot(basis, np.concatenate([tableau, entered], axis=1))
+        if found is None:
+            return None
+        self.warm = basis, tableau = found
+        pi = np.maximum(-tableau[0, 1 : n + 1], 0.0)
+        y = np.zeros(tableau.shape[1])
+        y[basis] = np.maximum(tableau[1:, 0], 0.0)
+        y, total = y[n + 1 :], sum(pi[: self.m_free].tolist())
+        mass = y.sum()
+        if mass <= 0.0 or total <= 0.0:
+            return None
+        # cut_i . (lam, mu) is column i weighed by the mix pi / total, less the shift
+        mix = pi / total
+        value = float((mix @ self.cols).min()) - self.shift
+        return mix[: self.m_free], mix[self.m_free :], value, y / mass
 
-    def _pivot(self, basis, tableau, tol) -> tuple[list, np.ndarray] | None:
+    def _pivot(self, basis, tableau) -> tuple[list, np.ndarray] | None:
         """An optimal basis and its tableau, or None: unbounded or out of pivots."""
         basis = list(basis)
         for _ in range(2 * tableau.shape[1]):
-            improving = tableau[0, 1:] > tol
+            improving = tableau[0, 1:] > 1e-12
             j = improving.argmax() + 1  # Bland: the first improving column
             if not improving[j - 1]:
                 return basis, tableau
@@ -170,13 +159,6 @@ class _GameMaster:
             tableau[r] = row
             basis[r - 1] = j
         return None
-
-
-def _enter(basis: list, tableau: np.ndarray, cols: np.ndarray) -> tuple[list, np.ndarray]:
-    """The tableau with cols appended, nonbasic: B^-1 c with reduced cost 1 - duals . c."""
-    new = tableau[:, 1 : len(basis) + 1] @ cols
-    new[0] += 1.0
-    return basis, np.concatenate([tableau, new], axis=1)
 
 
 _PIVOT_TOL = 1e-9
@@ -206,7 +188,9 @@ def _dual_minimax(
     (theta, upper, lower, evals) where upper - lower is a sound certificate
     by weak duality, evals counts the starting points and dual evaluations,
     and floor is a caller-supplied a priori lower bound. Some warm point must
-    meet every pin within _FEAS_TOL, so that a feasible candidate exists.
+    meet every pin, so that a feasible candidate exists. One that sits on a
+    pin's cap can stall the master's single warm pass, so each leximin stage
+    starts from a point that clears every pin by a margin.
     """
     m = model.num_groups
     pin_idx = np.array([], dtype=int) if pin_idx is None else np.asarray(pin_idx, int)
@@ -262,7 +246,7 @@ def _dual_minimax(
     for _ in range(cfg.max_iters):
         if best_upper - best_lower <= 0.5 * cfg.tol:
             break
-        picked = master.solve(cuts, best_lower)
+        picked = master.solve(cuts)
         if picked is None:
             break
         lam, mu, master_val, alpha = picked
@@ -358,30 +342,33 @@ def solve_leximin_ri(
 ) -> SolverReport:
     """Lexicographically maximize sorted relative improvements over the ball.
 
-    Stage 0 is the worst-group ri solve. Stage k fixes the groups that bound
-    stage k-1 at its certified value (an equality band of width tol/4) and
-    re-maximizes the worst improvement of the rest, handing the pinned floors
-    to the dual as hard constraints, warm from stage k-1's point, which meets
-    every pin. The reported objective is the worst improvement at the
-    returned point. The certificate is the largest stage gap, or stage 0's
-    bound on the worst improvement less that objective where this is larger,
-    since the later stages may give up part of the band.
+    Stage 0 is the worst-group ri solve. Stage k pins the groups that bound
+    stage k-1 at its certified value, less a band that recedes with k: every
+    pinned group may give up band * (2 - 2**-k) of its pin, band = tol/4, so
+    stage k-1's point, from which stage k starts warm, clears each pin by at
+    least band * 2**-k, and no pin gives up tol/2. The pins go to the dual as
+    hard constraints while it re-maximizes the worst improvement of the rest.
+    The reported objective is the worst improvement at the returned point.
+    The certificate is the largest stage gap, or stage 0's bound on the worst
+    improvement less that objective where this is larger, since the later
+    stages may give up part of the band.
     """
     m = frame.num_groups
     band = cfg.tol / 4.0
     base, gaps, floor, _ = WORST_GROUP["ri"](frame)
     warm = _initial_point(model.dim, ball, cfg)
     pins: dict[int, float] = {}
-    iters, cert = 0, -np.inf
+    k, iters, cert = 0, 0, -np.inf
     while len(pins) < m:
         pin_idx = np.array(sorted(pins), dtype=int)
-        # rho_j >= pin - band reads as f_j <= band - pin in normalized risk units
-        caps = np.array([band - pins[g] for g in pin_idx])
+        # rho_j >= pin - give reads as f_j <= give - pin in normalized risk units
+        give = band * (2.0 - 0.5**k)
+        caps = np.array([give - pins[g] for g in pin_idx])
         theta, hi, lo, used = _dual_minimax(
             model, base, gaps, ball, cfg, floor=floor, warm=warm,
             pin_idx=pin_idx, pin_caps=caps,
         )
-        warm = (theta,)
+        warm, k = (theta,), k + 1
         iters += used
         cert = max(cert, hi - lo)
         if not pins:

@@ -109,6 +109,9 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
     assert main(["solve", "--spec", spec_file, "--tol", "-1"]) == 2
     assert main(["solve", "--spec", spec_file, "--tol", "0"]) == 2
     assert main(["converge", "--spec", spec_file, "--trials", "0"]) == 2
+    # the slope fit needs two distinct sizes and the quantile check reads in size order
+    for ns in ("100,100", "400,100"):
+        assert main(["converge", "--spec", spec_file, "--ns", ns]) == 2, ns
     assert main(["frontier", "--spec", spec_file, "--weights", "0"]) == 2
     assert main(["frontier", "--spec", spec_file, "--weights", "1"]) == 2
     assert main(["riskset", "--spec", spec_file, "--grid", "0"]) == 2
@@ -163,6 +166,16 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
         '{"radius": 1.0, "groups": [1, 2]}',
         '{"radius": null, "groups": [%s, %s]}' % (group, group),
         '{"radius": 1.0, "groups": [{"beta": [1.0], "sigma2": null}, %s]}' % group,
+        # JSON booleans and strings are not numbers, though float() reads them
+        '{"radius": true, "groups": [%s, %s]}' % (group, group),
+        '{"radius": "1.0", "groups": [%s, %s]}' % (group, group),
+        '{"radius": 1.0, "groups": [{"beta": [true], "sigma2": 1.0}, %s]}' % group,
+        '{"radius": 1.0, "groups": [{"beta": ["1.0"], "sigma2": 1.0}, %s]}' % group,
+        '{"radius": 1.0, "groups": [{"beta": [1.0], "sigma2": false}, %s]}' % group,
+        '{"radius": 1.0, "groups": [{"beta": [1.0], "sigma2": "1"}, %s]}' % group,
+        '{"radius": 1.0, "groups": [{"beta": [1.0], "sigma2": 1.0, "cov": [[true]]}, %s]}' % group,
+        '{"radius": 1.0, "groups": [{"beta": [1.0, 2.0], "sigma2": 1.0, "cov": [[1, 0], [0, "1"]]}, %s]}'
+        % group,
     ):
         bad.write_text(text)
         assert main(["solve", "--spec", str(bad)]) == 2, text
