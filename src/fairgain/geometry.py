@@ -163,34 +163,25 @@ def count_diagonal_crossings(trace: FrontierTrace) -> int:
 def diagonal_intersection(trace: FrontierTrace) -> tuple[float, tuple[float, float]]:
     """Equal-improvement level where the traced frontier crosses the diagonal.
 
-    Bisects the piecewise-linear interpolant of the trace. Requires the trace
-    to start above the diagonal and end below it.
+    Roots rho_2 - rho_1 on the piecewise-linear interpolant of the trace, in
+    closed form on the first segment where it turns from positive to at most
+    0, since it is linear there. Requires the trace to start above the
+    diagonal and end below it.
     """
     pts = trace.points
     if pts.shape[0] < 2:
         raise DiagonalNotBracketedError("need at least two trace points")
-    g_first = pts[0, 1] - pts[0, 0]
-    g_last = pts[-1, 1] - pts[-1, 0]
-    if not (g_first > 0.0 and g_last < 0.0):
+    gaps = pts[:, 1] - pts[:, 0]
+    if not (gaps[0] > 0.0 and gaps[-1] < 0.0):
         raise DiagonalNotBracketedError(
             f"frontier trace does not bracket the diagonal (endpoint gaps "
-            f"{g_first:.3e}, {g_last:.3e})"
+            f"{gaps[0]:.3e}, {gaps[-1]:.3e})"
         )
-    x = pts[:, 0]
-    y = pts[:, 1]
-    gaps = y - x
     idx = int(np.flatnonzero((gaps[:-1] > 0.0) & (gaps[1:] <= 0.0))[0])
-    lo, hi = float(x[idx]), float(x[idx + 1])
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if float(np.interp(mid, x, y)) - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-            break
-    rho_star = 0.5 * (lo + hi)
-    return rho_star, (rho_star, float(np.interp(rho_star, x, y)))
+    (x0, y0), (x1, y1) = pts[idx], pts[idx + 1]
+    t = gaps[idx] / (gaps[idx] - gaps[idx + 1])
+    rho_star = float(x0 + t * (x1 - x0))
+    return rho_star, (rho_star, float(y0 + t * (y1 - y0)))
 
 
 def sample_risk_set(

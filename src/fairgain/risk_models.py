@@ -40,6 +40,7 @@ from fairgain.core import BargainingFrame, ConvergenceError
 
 _EIG_CUTOFF = 1e-10  # relative truncation for pseudo-inverse style solves
 _BALL_TOL = 1e-10
+_NEWTON_ITERS = 500  # Newton steps a logistic minimize may take
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -361,49 +362,47 @@ class LogisticGroupRisks:
             out[g] = X.T @ (sigmoid(X @ theta) - y) / X.shape[0]
         return out
 
-    def minimize(
-        self, w: np.ndarray, radius: float | None, max_iters: int = 500
-    ) -> tuple[np.ndarray, float, float]:
+    def minimize(self, w: np.ndarray, radius: float | None) -> tuple[np.ndarray, float, float]:
         """Minimize sum_g w_g R_g(theta) over the ball (no ball without a radius), w >= 0.
 
-        Damped Newton from theta = 0 over the groups with w_g > 0 alone: each
-        step heads for the second-order model's minimizer over the ball and
-        is halved until the value drops. Returns (theta, value, lower) with
-        |theta - P(theta - gradient)| at most 1e-8, P the ball projection,
-        and lower the linearization bound at theta: the least
-        value + gradient . (x - theta) over the ball, which without a ball is
-        value where the gradient is exactly 0 and -inf otherwise. Raises
-        ConvergenceError when no step shrinks the residual.
+        Damped Newton from theta = 0 over the groups with w_g > 0 alone, for
+        at most _NEWTON_ITERS steps. Every step heads for the second-order
+        model's minimizer over the ball and is halved until the value drops,
+        or until the predicted drop t * gradient . step is at most 4e-16 of
+        the value, about two ulps, where rounding hides any drop. If no
+        halved step drops the value, the full step is taken when it shrinks
+        the residual |theta - P(theta - gradient)|, P the ball projection,
+        and ConvergenceError is raised when it does not. Returns (theta,
+        value, lower) with that residual at most 1e-8 and lower the
+        linearization bound at theta: the least value + gradient . (x - theta)
+        over the ball, which without a ball is value where the gradient is
+        exactly 0 and -inf otherwise.
         """
         w = np.asarray(w, dtype=float)
         active = np.flatnonzero(w > 0.0)
         # an all-zero w stays here: theta = 0 is stationary at once
         if 0 < len(active) < self.num_groups:
             rows = [self.features[g] for g in active], [self.labels[g] for g in active]
-            return LogisticGroupRisks(*rows).minimize(w[active], radius, max_iters)
+            return LogisticGroupRisks(*rows).minimize(w[active], radius)
         theta = np.zeros(self.dim)
         cur = float(w @ self.values(theta))
-        for it in range(max_iters + 1):
+        for it in range(_NEWTON_ITERS + 1):
             grad = w @ self.gradients(theta)
             resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
             if resid <= 1e-8:
                 if radius is None:
                     return theta, cur, cur if not grad.any() else -np.inf
                 return theta, cur, cur - radius * float(np.linalg.norm(grad)) - float(grad @ theta)
-            if it == max_iters:
+            if it == _NEWTON_ITERS:
                 break
             H = 1e-12 * np.eye(self.dim)
             for w_g, X in zip(w, self.features):
                 p = sigmoid(X @ theta)
                 h = np.maximum(p * (1.0 - p), 1e-12)
                 H += w_g * ((X * h[:, None]).T @ X / X.shape[0])
-            step = np.linalg.solve(H, grad)
-            if radius is not None and np.linalg.norm(theta - step) > radius:
-                # projecting the free Newton point crawls along the sphere;
-                # step to the second-order model's own minimizer over the ball
-                step = theta - minimize_quadratic_ball(H, H @ theta - grad, radius)[0]
+            step = theta - minimize_quadratic_ball(H, H @ theta - grad, radius)[0]
             t = 1.0
-            while t > 2.0**-50:
+            while t * float(grad @ step) > 4e-16 * abs(cur):
                 cand = project_ball(theta - t * step, radius)
                 val = float(w @ self.values(cand))
                 if val < cur:
@@ -411,16 +410,12 @@ class LogisticGroupRisks:
                     break
                 t *= 0.5
             else:
-                # the value's decrease per step is below float resolution this
-                # close to the optimum; take whichever step shrinks the residual
-                for cand in (theta - step, theta - grad):
-                    cand = project_ball(cand, radius)
-                    cand_grad = w @ self.gradients(cand)
-                    if np.linalg.norm(cand - project_ball(cand - cand_grad, radius)) < resid:
-                        theta, cur = cand, float(w @ self.values(cand))
-                        break
-                else:
+                # rounding hides the value's drop this close to the optimum
+                cand = project_ball(theta - step, radius)
+                cand_grad = w @ self.gradients(cand)
+                if np.linalg.norm(cand - project_ball(cand - cand_grad, radius)) >= resid:
                     break
+                theta, cur = cand, float(w @ self.values(cand))
         msg = f"logistic minimization stalled with stationarity residual {resid:.3e}"
         raise ConvergenceError(msg)
 

@@ -288,7 +288,9 @@ def solve_nash(
     certified bound. BFGS minimizes U over z = log w; the weighted minimizers are
     the candidates and the gap is the least U less the best candidate's score. A w
     with h(w) <= tol * (w . gaps) bounds every point's worst relative improvement by
-    tol, and the solve refuses. iterations counts the weighted minimizations.
+    tol, and the solve refuses. The search ends when the gap closes, the budget
+    runs out, or the next step's predicted drop is at most 4e-16 of U, where
+    rounding hides any drop. iterations counts the weighted minimizations.
     """
     m = frame.num_groups
     base, gaps = frame.baseline_array(), frame.gap_array()
@@ -318,6 +320,8 @@ def solve_nash(
     inv_hess, step = np.eye(m), 1.0
     while least - best > cfg.tol and evals < cfg.max_iters:
         direction = -inv_hess @ grad
+        if -step * float(grad @ direction) <= 4e-16 * abs(value):
+            break  # the predicted drop is within U's rounding: no trial can show one
         trial = z + step * direction
         trial_value, trial_grad = bound(trial)
         if trial_value > value + 1e-4 * step * float(grad @ direction):

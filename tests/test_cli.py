@@ -275,7 +275,7 @@ def _logistic_csv(tmp_path) -> str:
     return str(data)
 
 
-def _stalled(self, w, radius, max_iters=500):
+def _stalled(self, w, radius):
     raise ConvergenceError("logistic minimization stalled with stationarity residual 1.000e-03")
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from fairgain import risk_models
 from fairgain.core import ConvergenceError, DegenerateFrameError
 from fairgain.risk_models import (
     GroupedDataset,
@@ -415,13 +416,14 @@ def test_logistic_minimize_fits_the_weighted_groups_alone():
     assert not theta.any() and value == lower == 0.0
 
 
-def test_logistic_fit_non_convergence_raises():
+def test_logistic_fit_non_convergence_raises(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(200, 2))
     y = (rng.uniform(size=200) < 0.4).astype(float)
     model = LogisticGroupRisks((X,), (y,))
+    monkeypatch.setattr(risk_models, "_NEWTON_ITERS", 0)
     with pytest.raises(ConvergenceError) as err:
-        model.minimize(np.ones(1), radius=2.0, max_iters=0)
+        model.minimize(np.ones(1), radius=2.0)
     # the message carries the residual the fit stopped at
     assert float(str(err.value).rsplit(" ", 1)[1]) > 1e-8
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from fairgain.core import ConvergenceError, DegenerateBargainError, criterion_scores, criterion_value
-from fairgain import solvers
+from fairgain import risk_models, solvers
 from fairgain.risk_models import (
     GroupedDataset,
     draw_dataset,
@@ -646,7 +646,7 @@ def test_quadratic_minimize_is_exact(fixture, request):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_one_newton_routine_serves_fits_and_dual_evaluations(m):
+def test_one_newton_routine_serves_fits_and_dual_evaluations(m, monkeypatch):
     rng = np.random.default_rng(20 + m)
     ds = random_logistic_dataset(rng, m=m)
     model, radius = group_risk_model(ds), LOGISTIC_RADIUS
@@ -654,9 +654,10 @@ def test_one_newton_routine_serves_fits_and_dual_evaluations(m):
     probe_vals = model.values(probes)
     weights = [rng.uniform(size=m) * 10.0 ** rng.uniform(-1, 1) for _ in range(6)]
     weights += list(np.eye(m))
+    # a few Newton steps, also where the minimizer sits on the sphere
+    monkeypatch.setattr(risk_models, "_NEWTON_ITERS", 20)
     for w in weights:
-        # a few Newton steps, also where the minimizer sits on the sphere
-        theta, value, lower = model.minimize(w, radius, max_iters=20)
+        theta, value, lower = model.minimize(w, radius)
         assert value == float(w @ model.values(theta))
         grad = w @ model.gradients(theta)
         assert np.linalg.norm(theta - project_ball(theta - grad, radius)) <= 1e-8
@@ -664,6 +665,7 @@ def test_one_newton_routine_serves_fits_and_dual_evaluations(m):
         assert lower == value - radius * float(np.linalg.norm(grad)) - float(grad @ theta)
         assert value - 1e-7 <= lower <= value
         assert value <= float((probe_vals @ w).min())
+    monkeypatch.undo()
     frame = model.frame(radius)
     for g in range(m):
         # the frame's ideal is the one-hot minimize, bit for bit
@@ -701,6 +703,46 @@ def test_logistic_solves_certify():
                 continue
             gap = reports[method].certificate_gap
             assert reports[method].certified(CFG.tol), (seed, method, gap)
+
+
+def test_newton_stops_halving_once_rounding_hides_the_drop(monkeypatch):
+    # a halving search run past the value's rounding made 56 values passes
+    # in one weighted minimization of this solve
+    model = group_risk_model(random_logistic_dataset(np.random.default_rng(2), m=3, d=4, n=1000))
+    frame = model.frame(LOGISTIC_RADIUS)
+    cls = risk_models.LogisticGroupRisks
+    values, minimize = cls.values, cls.minimize
+    passes, per_call = [0], []
+
+    def counted_values(self, theta):
+        passes[0] += 1
+        return values(self, theta)
+
+    def counted_minimize(self, w, radius):
+        # a call restricted to the active groups counts once more, with the same passes
+        start = passes[0]
+        out = minimize(self, w, radius)
+        per_call.append(passes[0] - start)
+        return out
+
+    monkeypatch.setattr(cls, "values", counted_values)
+    monkeypatch.setattr(cls, "minimize", counted_minimize)
+    report = solve_leximin_ri(model, frame, LOGISTIC_RADIUS, CFG)
+    assert report.certified(CFG.tol)
+    assert per_call and max(per_call) <= 10, max(per_call)
+
+
+def test_nash_stops_once_rounding_hides_the_bound_drop():
+    # on this dataset the BFGS search revisits the same weightings; it ends
+    # once no step can show a drop in U, and still reports the open gap
+    model = group_risk_model(random_logistic_dataset(np.random.default_rng(7)))
+    frame = model.frame(LOGISTIC_RADIUS)
+    report = solve_nash(model, frame, LOGISTIC_RADIUS, CFG)
+    assert report.iterations < CFG.max_iters
+    assert not report.certified(CFG.tol), report.certificate_gap
+    # the search ended on its own: a larger budget changes nothing
+    longer = solve_nash(model, frame, LOGISTIC_RADIUS, SolverConfig(tol=CFG.tol, max_iters=1000))
+    assert longer.iterations == report.iterations
 
 
 def _nash_bound(model, frame, w: np.ndarray, ball: float) -> float:
