@@ -16,12 +16,15 @@ free groups' weights, with unbounded multipliers on pinned groups, solved
 exactly for any number of groups by one warm-started tableau simplex. The
 reported certificate is the true primal-dual gap. The product-of-gains
 criterion minimizes an AM-GM bound on its log-gain sum over the weightings,
-with the same weighted minimizations as its candidate points.
+with the same weighted minimizations as its candidate points. ri and
+leximin's stage 0 are one solve per (model, frame, ball, config): a memo
+with one entry keeps the last such solve, and with it the last model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,8 +63,9 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.tol == np.inf:  # every gap would meet it, after one iteration
             raise ValueError("tol must be finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        n = self.max_iters  # range() needs an integer, and True would pass as 1
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
 
 
 def group_risk_model(source: ProblemSpec | GroupedDataset):
@@ -259,6 +263,18 @@ def _dual_minimax(
     return best_theta, best_upper, min(best_lower, best_upper), evals
 
 
+def _worst_group_minimax(method: str, model, frame: BargainingFrame, ball: float, cfg: SolverConfig):
+    """One worst-group criterion's :func:`_dual_minimax`, unpinned, from the usual warm points."""
+    shifts, scales, floor, _ = WORST_GROUP[method](frame)
+    out = _dual_minimax(model, shifts, scales, ball, cfg, floor, _initial_point(model.dim, ball, cfg))
+    out[0].setflags(write=False)  # the memo below hands this array to every later caller
+    return out
+
+
+# the last ri solve, keyed by the model's identity and the frame, ball and config by value
+_ri_minimax = lru_cache(maxsize=1)(_worst_group_minimax)
+
+
 def _report(
     model,
     frame: BargainingFrame,
@@ -346,7 +362,7 @@ def solve_leximin_ri(
 ) -> SolverReport:
     """Lexicographically maximize sorted relative improvements over the ball.
 
-    Stage 0 is the worst-group ri solve. Stage k pins the groups that bound
+    Stage 0 is the memoized ri solve. Stage k pins the groups that bound
     stage k-1 at its certified value, less a band that recedes with k: every
     pinned group may give up band * (2 - 2**-k) of its pin, band = tol/4, so
     stage k-1's point, from which stage k starts warm, clears each pin by at
@@ -360,23 +376,24 @@ def solve_leximin_ri(
     m = frame.num_groups
     band = cfg.tol / 4.0
     base, gaps, floor, _ = WORST_GROUP["ri"](frame)
-    warm = _initial_point(model.dim, ball, cfg)
     pins: dict[int, float] = {}
     k, iters, cert = 0, 0, -np.inf
     while len(pins) < m:
-        pin_idx = np.array(sorted(pins), dtype=int)
-        # rho_j >= pin - give reads as f_j <= give - pin in normalized risk units
-        give = band * (2.0 - 0.5**k)
-        caps = np.array([give - pins[g] for g in pin_idx])
-        theta, hi, lo, used = _dual_minimax(
-            model, base, gaps, ball, cfg, floor=floor, warm=warm,
-            pin_idx=pin_idx, pin_caps=caps,
-        )
-        warm, k = (theta,), k + 1
+        if pins:
+            pin_idx = np.array(sorted(pins), dtype=int)
+            # rho_j >= pin - give reads as f_j <= give - pin in normalized risk units
+            give = band * (2.0 - 0.5**k)
+            caps = np.array([give - pins[g] for g in pin_idx])
+            theta, hi, lo, used = _dual_minimax(
+                model, base, gaps, ball, cfg, floor=floor, warm=(theta,),
+                pin_idx=pin_idx, pin_caps=caps,
+            )
+        else:
+            theta, hi, lo, used = _ri_minimax("ri", model, frame, ball, cfg)
+            bound = -hi + (hi - lo)
+        k += 1
         iters += used
         cert = max(cert, hi - lo)
-        if not pins:
-            bound = -hi + (hi - lo)
         # rho is exactly -f, so the least free rho is the stage value -hi and
         # every stage pins at least one group
         rho = group_scores("ri", frame, model.values(theta))
@@ -397,11 +414,9 @@ def solve(
 ) -> SolverReport:
     """Dispatch one of the named criteria."""
     if method in WORST_GROUP:
-        shifts, scales, floor, sign = WORST_GROUP[method](frame)
-        theta, hi, lo, iters = _dual_minimax(
-            model, shifts, scales, ball, cfg, floor=floor,
-            warm=_initial_point(model.dim, ball, cfg),
-        )
+        run = _ri_minimax if method == "ri" else _worst_group_minimax
+        theta, hi, lo, iters = run(method, model, frame, ball, cfg)
+        sign = WORST_GROUP[method](frame)[3]
         # -sign * hi is -0.0 at a zero score for sign +1; + 0.0 reports it as 0.0
         return _report(
             model, frame, theta, objective=-sign * hi + 0.0, iterations=iters, certificate=hi - lo

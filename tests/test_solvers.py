@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from fairgain.core import ConvergenceError, DegenerateBargainError, criterion_scores, criterion_value
+from fairgain.core import (
+    BargainingFrame,
+    ConvergenceError,
+    DegenerateBargainError,
+    criterion_scores,
+    criterion_value,
+)
 from fairgain import risk_models, solvers
 from fairgain.risk_models import (
     GroupedDataset,
+    GroupLinearModel,
+    ProblemSpec,
     draw_dataset,
     population_frame,
     project_ball,
@@ -29,6 +39,7 @@ from fairgain.solvers import (
 )
 from tests.conftest import (
     LOGISTIC_RADIUS,
+    _random_psd,
     centred_risks,
     rank_deficient_spec,
     random_logistic_dataset,
@@ -182,8 +193,10 @@ def test_solver_config_rejects_a_tol_no_gap_can_meet():
     for tol in (0.0, -1e-6, float("nan")):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
-    with pytest.raises(ValueError, match="max_iters"):
-        SolverConfig(max_iters=0)
+    # range() refuses a float, and True would pass as one iteration
+    for bad in (0, 2.5, 3.0, True, False, "3", None):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=bad)
 
 
 def test_flat_minimizers_certify_on_criterion_3_specs():
@@ -602,11 +615,15 @@ def test_leximin_stages_start_feasible_and_each_pins_a_group(monkeypatch, three_
         model, frame = _setup(spec)
         ri = solve("ri", model, frame, spec.radius, CFG)
         calls.clear()
-        solve("leximin", model, frame, spec.radius, CFG)
+        # leximin on the ri model would reuse the memoized ri solve as its stage
+        # 0; a fresh model makes the spy see stage 0 run again
+        fresh, _ = _setup(spec)
+        solve("leximin", fresh, frame, spec.radius, CFG)
         theta, hi, lo, evals = calls[0][1]
         first = (tuple(theta), -hi + 0.0, hi - lo, evals)
         assert first == (ri.parameter, ri.objective_value, ri.certificate_gap, ri.iterations), k
-        pinned = [set(pin_idx.tolist()) for pin_idx, _ in calls]
+        # stage 0 runs through the ri solve, which passes no pins at all
+        pinned = [set(() if pin_idx is None else pin_idx.tolist()) for pin_idx, _ in calls]
         assert not pinned[0] and all(a < b for a, b in zip(pinned, pinned[1:])), k
         assert len(calls) <= frame.num_groups, k
 
@@ -862,3 +879,126 @@ def test_affine_group_rescaling_moves_ri_and_leximin_only_within_the_gaps():
             else:
                 assert shift <= gaps, (method, shift, gaps)
     assert all(moved.values()), moved
+
+
+def _counting_model(spec):
+    # the spec's population risks, with a list that grows by one per weighted minimization
+    model, count = QuadraticGroupRisks.from_problem_spec(spec), []
+    real = model.minimize
+
+    def minimize(w, radius):
+        count.append(1)
+        return real(w, radius)
+
+    model.minimize = minimize
+    return model, count
+
+
+def _fields(rep):
+    return (
+        rep.parameter, rep.objective_value, rep.certificate_gap,
+        rep.risk_profile, rep.improvement_profile, rep.iterations,
+    )
+
+
+def test_leximin_shares_the_ri_solve_bit_for_bit():
+    # ri is leximin's stage 0: leximin after ri on one model reuses that solve,
+    # so it returns what leximin on a fresh model returns, with exactly the ri
+    # solve's weighted minimizations fewer; ri after leximin shares it too
+    rng = np.random.default_rng(7)
+    specs = [random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0) for _ in range(40)]
+    draws = np.random.default_rng(123)
+    specs += [s for s in (rank_deficient_spec(draws) for _ in range(60)) if s is not None]
+    for k, spec in enumerate(specs):
+        frame = population_frame(spec)
+        (shared, count), (fresh, fresh_count) = _counting_model(spec), _counting_model(spec)
+        ri = solve("ri", shared, frame, spec.radius, CFG)
+        stage0 = len(count)
+        after = solve("leximin", shared, frame, spec.radius, CFG)
+        alone = solve("leximin", fresh, frame, spec.radius, CFG)
+        assert _fields(after) == _fields(alone), k
+        assert len(fresh_count) - (len(count) - stage0) == stage0, k
+        before = len(fresh_count)
+        assert _fields(solve("ri", fresh, frame, spec.radius, CFG)) == _fields(ri), k
+        assert len(fresh_count) == before, k
+
+
+def test_the_ri_memo_reuses_equal_inputs_and_recomputes_changed_ones():
+    # the memo keys the model by identity and the frame, ball and config by
+    # value; its theta is read-only, so no caller can change what the next gets
+    spec = random_problem_spec(np.random.default_rng(3), m=3, d=2)
+    model, count = _counting_model(spec)
+    frame, ball = population_frame(spec), spec.radius
+    equal = [
+        (BargainingFrame(frame.baseline_risks, frame.ideal_risks), ball, SolverConfig(tol=CFG.tol)),
+        (frame, float(ball), SolverConfig(tol=CFG.tol, max_iters=np.int64(CFG.max_iters))),
+    ]
+    changed = [
+        (frame, ball, SolverConfig(tol=1e-7)),
+        (frame, ball, SolverConfig(tol=CFG.tol, max_iters=7)),
+        (frame, ball, SolverConfig(tol=CFG.tol, seed=4)),
+        (frame, 0.5 * ball, CFG),
+        (model.frame(0.5 * ball), ball, CFG),
+    ]
+    for k, args in enumerate(equal + changed):
+        first = solve("ri", model, frame, ball, CFG)
+        n = len(count)
+        rep = solve("ri", model, *args)
+        if k < len(equal):
+            assert len(count) == n and _fields(rep) == _fields(first), k
+        else:
+            assert len(count) > n, k
+            assert _fields(rep) == _fields(solve("ri", _counting_model(spec)[0], *args)), k
+    theta = solvers._ri_minimax("ri", model, frame, ball, CFG)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        theta[0] = 0.0
+
+
+def test_the_ri_memo_keeps_only_the_last_model_alive():
+    spec = random_problem_spec(np.random.default_rng(4), m=2, d=2)
+    frame = population_frame(spec)
+    model = QuadraticGroupRisks.from_problem_spec(spec)
+    solve("ri", model, frame, spec.radius, CFG)
+    last = weakref.ref(model)
+    del model
+    gc.collect()
+    assert last() is not None
+    solve("ri", QuadraticGroupRisks.from_problem_spec(spec), frame, spec.radius, CFG)
+    gc.collect()
+    assert last() is None
+
+
+def test_an_integer_max_iters_of_any_type_is_one_config(motivating):
+    # value-equal configs key the ri memo as one, so they must be one solve
+    assert SolverConfig(max_iters=np.int64(120)) == SolverConfig()
+    assert hash(SolverConfig(max_iters=np.int64(120))) == hash(SolverConfig())
+    model, frame = _setup(motivating)
+    budget = [solve("gdro", model, frame, motivating.radius, SolverConfig(max_iters=n)) for n in (3, np.int64(3))]
+    assert _fields(budget[0]) == _fields(budget[1])
+
+
+def test_a_larger_ball_that_keeps_one_ideal_never_hurts_the_other_group():
+    # Kalai-Smorodinsky individual monotonicity on the continuous solver: group
+    # j's beta lies inside the unit ball, so its ideal stays put as the ball
+    # grows, and group i's lies outside it. With the frame recomputed, group i's
+    # ri risk may rise by no more than the two gaps in its risk units
+    rng = np.random.default_rng(11)
+    for k in range(300):
+        i = int(rng.integers(2))
+        betas = [rng.uniform(0.2, 0.9), rng.uniform(0.2, 0.9)]
+        betas[i] = rng.uniform(1.2, 3.0)
+        groups = []
+        for norm in betas:
+            u = rng.normal(size=2)
+            groups.append(GroupLinearModel(
+                beta=u * norm / np.linalg.norm(u), sigma2=rng.uniform(0.3, 5.0), cov=_random_psd(rng, 2)
+            ))
+        model = QuadraticGroupRisks.from_problem_spec(ProblemSpec(groups=tuple(groups), radius=1.0))
+        radii = 1.0, rng.uniform(1.2, 4.0)
+        frames = [model.frame(r) for r in radii]
+        kept = [f.ideal_risks[1 - i] for f in frames]
+        assert kept[1] == pytest.approx(kept[0], rel=1e-12), k
+        small, large = (solve("ri", model, f, r, CFG) for f, r in zip(frames, radii))
+        rise = large.risk_profile.values[i] - small.risk_profile.values[i]
+        slack = small.certificate_gap * frames[0].gaps[i] + large.certificate_gap * frames[1].gaps[i]
+        assert rise <= slack, (k, rise, slack)
