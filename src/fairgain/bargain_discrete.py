@@ -1,9 +1,11 @@
 """Bargaining solution criteria over finite candidate sets of risk profiles.
 
-Every operation takes a DiscreteFeasibleSet and returns (index, RiskProfile)
-for the winning candidate. Risks live in one (N, m) array and every pick
-reads the vectorized criterion scores of fairgain.core. The picks serve the
-bargaining-axiom and closure checks on small hand-built and random menus.
+`pick(s, method)` and the closure leximin take a DiscreteFeasibleSet and
+return (index, RiskProfile) for the winning candidate. Risks live in one
+(N, m) array, and `pick` reads the vectorized criterion scores of
+fairgain.core under the continuous solvers' names, plus egalitarian and
+equal_loss. The picks serve the bargaining-axiom and closure checks on small
+hand-built and random menus.
 """
 
 from __future__ import annotations
@@ -57,70 +59,54 @@ class DiscreteFeasibleSet:
         return relative_improvements(self.risks, self.frame)
 
 
-def _leximin_pick(s: DiscreteFeasibleSet, method: str) -> tuple[int, RiskProfile]:
+def _leximin_row(s: DiscreteFeasibleSet, criterion: str) -> int:
     """Leximin over a worst-group criterion's group scores, lowest index on exact ties.
 
     Each row's scores are sorted ascending and compared position by position;
     rows tied at every position fall through to the lowest index.
     """
-    ordered = np.sort(group_scores(method, s.frame, s.risks), axis=1)
+    ordered = np.sort(group_scores(criterion, s.frame, s.risks), axis=1)
     alive = np.ones(len(s), dtype=bool)
     for col in ordered.T:
         alive &= col == col[alive].max()
         if alive.sum() == 1:
             break
-    idx = int(np.flatnonzero(alive)[0])
-    return idx, s.profile(idx)
+    return int(np.flatnonzero(alive)[0])
 
 
-def _pick(s: DiscreteFeasibleSet, method: str) -> tuple[int, RiskProfile]:
-    """The first row with the best score under a named criterion."""
-    scores = criterion_scores(method, s.frame, s.risks)
+def _first_best_row(s: DiscreteFeasibleSet, criterion: str) -> int:
+    """The first row with the best score under a criterion."""
+    scores = criterion_scores(criterion, s.frame, s.risks)
     idx = int(np.argmax(scores))
     if scores[idx] == -np.inf:  # only nash scores -inf, where some gain is not positive
         raise DegenerateBargainError(
             "no candidate strictly improves on the baseline for every group"
         )
+    return idx
+
+
+# Each name's fairgain.core criterion and tie rule. The worst relative
+# improvement with its leximin tie-break is the leximin pick; egalitarian is
+# leximin over absolute gains, equal_loss leximin down the regret vector.
+_PICKS = {
+    "ri": ("ri", _leximin_row),
+    "leximin": ("ri", _leximin_row),
+    "gdro": ("gdro", _first_best_row),
+    "mmv": ("mmv", _first_best_row),
+    "mmr": ("mmr", _first_best_row),
+    "nash": ("nash", _first_best_row),
+    "egalitarian": ("mmv", _leximin_row),
+    "equal_loss": ("mmr", _leximin_row),
+}
+
+
+def pick(s: DiscreteFeasibleSet, method: str) -> tuple[int, RiskProfile]:
+    """The winning row under a named criterion, as (index, RiskProfile)."""
+    if method not in _PICKS:
+        raise ValueError(f"unknown method {method!r}; choose from {tuple(_PICKS)}")
+    criterion, row = _PICKS[method]
+    idx = row(s, criterion)
     return idx, s.profile(idx)
-
-
-def leximin(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
-    """Lexicographic maximin over sorted relative improvements."""
-    return _leximin_pick(s, "ri")
-
-
-# the worst relative improvement with its leximin tie-break is the leximin pick
-ks_maximin = leximin
-
-
-def gdro(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
-    """Minimize the worst per-group risk."""
-    return _pick(s, "gdro")
-
-
-def mmv(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
-    """Maximize the worst absolute gain over the baseline."""
-    return _pick(s, "mmv")
-
-
-def mmr(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
-    """Minimize the worst regret against the ideal risks."""
-    return _pick(s, "mmr")
-
-
-def nash(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
-    """Maximize the product of absolute gains over candidates that help every group."""
-    return _pick(s, "nash")
-
-
-def egalitarian(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
-    """Leximin over absolute gains (baseline minus risk)."""
-    return _leximin_pick(s, "mmv")
-
-
-def equal_loss(s: DiscreteFeasibleSet) -> tuple[int, RiskProfile]:
-    """Minimize the worst regret, refining ties leximin-style down the regret vector."""
-    return _leximin_pick(s, "mmr")
 
 
 def _baseline_index(s: DiscreteFeasibleSet) -> int:
@@ -154,7 +140,7 @@ def comprehensive_closure_leximin(s: DiscreteFeasibleSet) -> tuple[int, RiskProf
         corners.extend(plist)
     augmented = np.concatenate(corners, axis=0)
     aug_set = DiscreteFeasibleSet(augmented, s.frame)
-    win, _ = leximin(aug_set)
+    win, _ = pick(aug_set, "leximin")
     winner_row = augmented[win]
     hits = np.flatnonzero((s.risks == winner_row).all(axis=1))
     if len(hits) == 0:

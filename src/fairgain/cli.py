@@ -1,9 +1,10 @@
 """Command line interface: solve, compare, frontier, riskset, converge.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for a degenerate
-frame or when nash shows no point lifts every group above tol, 4 for unsupported
-dimensionality, 5 when a logistic minimization (an ideal fit or a solve's
-weighted minimization), a nash solve or the convergence study stops without
+Exit codes: 0 on success, 2 for configuration problems or a request too
+large for memory (MemoryError), 3 for a degenerate frame or when nash shows
+no point lifts every group above tol, 4 for unsupported dimensionality, 5
+when a logistic minimization (an ideal fit or a solve's weighted
+minimization), a nash solve or the convergence study stops without
 converging. Outputs are written atomically, byte-identical for fixed inputs.
 
 Each flag's type and default live in `build_parser`: a malformed flag or a
@@ -310,6 +311,8 @@ def method_list(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     if not methods or any(m not in METHODS for m in methods):
         raise argparse.ArgumentTypeError(f"expected a {_METHODS_HELP}")
+    if len(set(methods)) < len(methods):
+        raise argparse.ArgumentTypeError(f"names a method twice: {text!r}")
     return methods
 
 
@@ -395,7 +398,7 @@ _EXIT_CODES = (
     (ConvergenceError, EXIT_CONVERGENCE),
     (UnsupportedDimensionError, EXIT_DIMENSION),
     ((DegenerateFrameError, DegenerateBargainError), EXIT_DEGENERATE),
-    ((ValueError, OSError), EXIT_CONFIG),
+    ((ValueError, OSError, MemoryError), EXIT_CONFIG),
 )
 
 
@@ -407,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConvergenceError, ValueError, OSError) as exc:
+    except (ConvergenceError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

@@ -236,7 +236,11 @@ def sample_risk_set(
     return RiskSetSample(thetas, model.values(thetas))
 
 
-def _efficient_facet_probes(risks: np.ndarray, per_face: int) -> tuple[np.ndarray, int]:
+# about this many barycentric probes on each efficient hull facet
+_PROBES_PER_FACE = 32
+
+
+def _efficient_facet_probes(risks: np.ndarray) -> tuple[np.ndarray, int]:
     """Barycentric probes on the hull facets that face down in every coordinate.
 
     Returns the probes and the number of such facets. A flat sample (collinear
@@ -257,7 +261,7 @@ def _efficient_facet_probes(risks: np.ndarray, per_face: int) -> tuple[np.ndarra
     # outward normals that point weakly down in every coordinate mark the
     # efficient boundary
     faces = hull.simplices[(normals.max(axis=1) < 1e-10) & (normals.min(axis=1) < 0)]
-    steps = max(per_face, 2) - 1 if m == 2 else max(2, int(np.sqrt(per_face)))
+    steps = _PROBES_PER_FACE - 1 if m == 2 else int(np.sqrt(_PROBES_PER_FACE))
     counts = [c for c in itertools.product(range(steps + 1), repeat=m - 1) if sum(c) <= steps]
     bary = np.array([(*c, steps - sum(c)) for c in counts]) / steps
     return (bary @ risks[faces]).reshape(-1, m), len(faces)
@@ -266,7 +270,6 @@ def _efficient_facet_probes(risks: np.ndarray, per_face: int) -> tuple[np.ndarra
 def hull_pareto_check(
     sample: RiskSetSample | np.ndarray,
     tolerance: float | None = None,
-    samples_per_face: int = 32,
 ) -> HullParetoReport:
     """Distance from the convex hull's efficient boundary back to the sample.
 
@@ -279,7 +282,7 @@ def hull_pareto_check(
     if risks.ndim != 2 or risks.shape[1] not in (2, 3):
         raise UnsupportedDimensionError("hull checks cover two or three groups")
     unique = np.unique(risks, axis=0)
-    probes, faces = _efficient_facet_probes(unique, samples_per_face)
+    probes, faces = _efficient_facet_probes(unique)
     if probes.shape[0] == 0:
         max_violation = 0.0
     else:

@@ -52,10 +52,13 @@ from fairgain.risk_models import (
 METHODS = ("ri", "leximin", "gdro", "mmv", "mmr", "nash")
 
 
+# the budget: cutting-plane rounds of one minimax, weighted minimizations of one nash solve
+_MAX_ITERS = 120
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-6
-    max_iters: int = 120
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -63,9 +66,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.tol == np.inf:  # every gap would meet it, after one iteration
             raise ValueError("tol must be finite")
-        n = self.max_iters  # range() needs an integer, and True would pass as 1
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {n!r}")
 
 
 def group_risk_model(source: ProblemSpec | GroupedDataset):
@@ -247,7 +247,7 @@ def _dual_minimax(
         evals += 1
 
     saturation = max(1e-12, 0.05 * cfg.tol)
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         if best_upper - best_lower <= 0.5 * cfg.tol:
             break
         picked = master.solve(cuts)
@@ -334,7 +334,7 @@ def solve_nash(
     z = -np.log(gaps)
     value, grad = bound(z)
     inv_hess, step = np.eye(m), 1.0
-    while least - best > cfg.tol and evals < cfg.max_iters:
+    while least - best > cfg.tol and evals < _MAX_ITERS:
         direction = -inv_hess @ grad
         if -step * float(grad @ direction) <= 4e-16 * abs(value):
             break  # the predicted drop is within U's rounding: no trial can show one

@@ -199,20 +199,19 @@ def test_criterion_06_bargaining_axioms():
                     tuple(a * s.frame.ideal_array() + b),
                 ),
             )
-            for solver in (bd.ks_maximin, bd.leximin):
-                idx, _ = solver(s)
-                idx_scaled, _ = solver(scaled)
-                assert idx == idx_scaled
-                drift = np.abs(s.improvements()[idx] - scaled.improvements()[idx_scaled])
-                assert float(drift.max()) <= 1e-9
+            idx, _ = bd.pick(s, "ri")
+            idx_scaled, _ = bd.pick(scaled, "ri")
+            assert idx == idx_scaled
+            drift = np.abs(s.improvements()[idx] - scaled.improvements()[idx_scaled])
+            assert float(drift.max()) <= 1e-9
         # and the same rescaling flips a scale-sensitive criterion on a witness
         frame = BargainingFrame((4.0, 4.0), (0.0, 0.0))
         menu = np.array([[2.0, 4.0], [3.0, 3.0]])
-        before, _ = bd.gdro(bd.DiscreteFeasibleSet(menu, frame))
+        before, _ = bd.pick(bd.DiscreteFeasibleSet(menu, frame), "gdro")
         squeezed = bd.DiscreteFeasibleSet(
             menu * np.array([1.0, 0.1]), BargainingFrame((4.0, 0.4), (0.0, 0.0))
         )
-        after, _ = bd.gdro(squeezed)
+        after, _ = bd.pick(squeezed, "gdro")
         assert before != after
 
         # (b) symmetry: mirrored sets give mirrored solutions
@@ -223,10 +222,9 @@ def test_criterion_06_bargaining_axioms():
             frame = BargainingFrame((base, base), (ideal, ideal))
             risks = rng.uniform(ideal, base, size=(int(rng.integers(3, 10)), 2))
             mirrored = risks[:, ::-1]
-            for solver in (bd.ks_maximin, bd.leximin):
-                _, won = solver(bd.DiscreteFeasibleSet(risks, frame))
-                _, won_mirrored = solver(bd.DiscreteFeasibleSet(mirrored, frame))
-                assert won_mirrored.values == won.values[::-1]
+            _, won = bd.pick(bd.DiscreteFeasibleSet(risks, frame), "ri")
+            _, won_mirrored = bd.pick(bd.DiscreteFeasibleSet(mirrored, frame), "ri")
+            assert won_mirrored.values == won.values[::-1]
 
         # (c) monotonicity: growing the ball under a fixed frame never hurts a group
         rng = np.random.default_rng(19)
@@ -246,11 +244,11 @@ def test_criterion_06_bargaining_axioms():
             frame = BargainingFrame((4.0, 4.0), (0.5, 0.7))
             risks = rng.uniform([0.6, 0.8], [3.9, 3.9], size=(int(rng.integers(4, 10)), 2))
             s = bd.DiscreteFeasibleSet(risks, frame)
-            idx, won = bd.nash(s)
+            idx, won = bd.pick(s, "nash")
             losers = [i for i in range(risks.shape[0]) if i != idx]
             drop = int(rng.choice(losers))
             kept = np.delete(risks, drop, axis=0)
-            _, won_after = bd.nash(bd.DiscreteFeasibleSet(kept, frame))
+            _, won_after = bd.pick(bd.DiscreteFeasibleSet(kept, frame), "nash")
             assert won_after.values == won.values
         witness = np.array([[0.2, 0.55], [0.5, 0.2], [0.05, 0.9]])
         full = bd.DiscreteFeasibleSet(
@@ -259,8 +257,8 @@ def test_criterion_06_bargaining_axioms():
         sub = bd.DiscreteFeasibleSet(
             witness[:2], BargainingFrame((1.0, 1.0), tuple(witness[:2].min(axis=0)))
         )
-        idx_full, _ = bd.ks_maximin(full)
-        idx_sub, _ = bd.ks_maximin(sub)
+        idx_full, _ = bd.pick(full, "ri")
+        idx_sub, _ = bd.pick(sub, "ri")
         assert idx_full == 0 and idx_sub == 1
 
         elapsed = time.perf_counter() - start
@@ -278,7 +276,7 @@ def test_criterion_07_closure_invariance():
             risks = rng.uniform(ideal - 0.2, base + 0.5, size=(n, m))
             risks = np.vstack([risks, base])  # closure needs the disagreement row
             s = bd.DiscreteFeasibleSet(risks, BargainingFrame(tuple(base), tuple(ideal)))
-            assert bd.leximin(s)[0] == bd.comprehensive_closure_leximin(s)[0]
+            assert bd.pick(s, "leximin")[0] == bd.comprehensive_closure_leximin(s)[0]
 
 
 def test_criterion_08_hull_pareto_geometry():

@@ -5,18 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairgain.bargain_discrete import (
-    DiscreteFeasibleSet,
-    comprehensive_closure_leximin,
-    egalitarian,
-    equal_loss,
-    gdro,
-    ks_maximin,
-    leximin,
-    mmr,
-    mmv,
-    nash,
-)
+from fairgain import bargain_discrete
+from fairgain.bargain_discrete import DiscreteFeasibleSet, comprehensive_closure_leximin, pick
 from fairgain.core import (
     WORST_GROUP,
     BargainingFrame,
@@ -25,6 +15,7 @@ from fairgain.core import (
     criterion_value,
     group_scores,
 )
+from fairgain.solvers import METHODS
 
 UNIT_FRAME = BargainingFrame(baseline_risks=(4.0, 4.0), ideal_risks=(1.0, 1.0))
 
@@ -36,25 +27,25 @@ def _menu(rows, frame=UNIT_FRAME):
 def test_three_point_menu_selections():
     s = _menu([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
     # improvements: (1, 1/3), (2/3, 2/3), (1/3, 1)
-    assert ks_maximin(s)[0] == 1
-    assert leximin(s)[0] == 1
-    assert mmv(s)[0] == 1
-    assert mmr(s)[0] == 1
-    assert nash(s)[0] == 1
-    assert egalitarian(s)[0] == 1
-    assert equal_loss(s)[0] == 1
-    assert gdro(s)[0] == 1
-    assert ks_maximin(s)[1].values == (2.0, 2.0)
+    assert pick(s, "ri")[0] == 1
+    assert pick(s, "leximin")[0] == 1
+    assert pick(s, "mmv")[0] == 1
+    assert pick(s, "mmr")[0] == 1
+    assert pick(s, "nash")[0] == 1
+    assert pick(s, "egalitarian")[0] == 1
+    assert pick(s, "equal_loss")[0] == 1
+    assert pick(s, "gdro")[0] == 1
+    assert pick(s, "ri")[1].values == (2.0, 2.0)
 
 
 def test_gdro_ignores_scale_frame():
     # worst absolute risk picks the balanced row even when improvements say no
     s = _menu([[2.0, 4.0], [3.0, 3.0]], BargainingFrame((4.0, 5.0), (1.0, 1.0)))
-    assert gdro(s)[0] == 1
+    assert pick(s, "gdro")[0] == 1
     scaled = _menu(
         [[2.0, 0.4], [3.0, 0.3]], BargainingFrame((4.0, 0.5), (1.0, 0.1))
     )
-    assert gdro(scaled)[0] == 0
+    assert pick(scaled, "gdro")[0] == 0
 
 
 def test_improvements_are_scale_invariant():
@@ -72,8 +63,8 @@ def test_improvements_are_scale_invariant():
     assert np.all(shifted >= 0)
     s2 = DiscreteFeasibleSet(shifted, frame2)
     np.testing.assert_allclose(s.improvements(), s2.improvements(), atol=1e-12)
-    assert ks_maximin(s)[0] == ks_maximin(s2)[0]
-    assert leximin(s)[0] == leximin(s2)[0]
+    assert pick(s, "ri")[0] == pick(s2, "ri")[0]
+    assert pick(s, "leximin")[0] == pick(s2, "leximin")[0]
 
 
 def test_ks_tie_broken_by_leximin_then_index():
@@ -81,43 +72,43 @@ def test_ks_tie_broken_by_leximin_then_index():
     s = _menu([[2.0, 2.0], [2.0, 1.0], [1.0, 2.0]], frame)
     # all three tie at min improvement 0.5; rows 1 and 2 leximin-beat row 0
     # and tie each other exactly, so the lowest index of the pair wins
-    assert ks_maximin(s)[0] == 1
+    assert pick(s, "ri")[0] == 1
 
 
 def test_lowest_index_on_exact_ties():
     s = _menu([[3.0, 1.0], [1.0, 3.0]])
-    assert gdro(s)[0] == 0
-    assert mmr(s)[0] == 0
-    assert mmv(s)[0] == 0
-    assert nash(s)[0] == 0
+    assert pick(s, "gdro")[0] == 0
+    assert pick(s, "mmr")[0] == 0
+    assert pick(s, "mmv")[0] == 0
+    assert pick(s, "nash")[0] == 0
 
 
 def test_leximin_prefers_better_second_worst():
     frame = BargainingFrame((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     s = _menu([[0.6, 0.6, 0.1], [0.6, 0.5, 0.2]], frame)
     # improvements (0.4, 0.4, 0.9) vs (0.4, 0.5, 0.8): same worst, better next
-    assert ks_maximin(s)[0] == 1
-    assert leximin(s)[0] == 1
+    assert pick(s, "ri")[0] == 1
+    assert pick(s, "leximin")[0] == 1
 
 
 def test_leximin_differs_from_plain_maximin():
     frame = BargainingFrame((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     s = _menu([[0.5, 0.1, 0.5], [0.5, 0.5, 0.1]], frame)
-    idx, _ = leximin(s)
+    idx, _ = pick(s, "leximin")
     assert idx == 0  # identical sorted improvements, falls to lowest index
 
 
 def test_nash_needs_positive_gains():
     s = _menu([[4.0, 2.0], [5.0, 1.0]])
     with pytest.raises(DegenerateBargainError):
-        nash(s)
+        pick(s, "nash")
 
 
 def test_nash_maximizes_gain_product():
     rng = np.random.default_rng(7)
     rows = rng.uniform(0.5, 3.9, size=(60, 2))
     s = _menu(rows)
-    idx, prof = nash(s)
+    idx, prof = pick(s, "nash")
     gains = UNIT_FRAME.baseline_array() - rows
     prods = np.where(np.all(gains > 0, axis=1), np.prod(gains, axis=1), -np.inf)
     assert idx == int(np.argmax(prods))
@@ -126,13 +117,13 @@ def test_nash_maximizes_gain_product():
 def test_equal_loss_balances_regrets():
     s = _menu([[1.0, 3.0], [2.2, 1.8], [3.0, 1.0]])
     # regrets (0, 2), (1.2, 0.8), (2, 0); the middle row has the best worst
-    assert equal_loss(s)[0] == 1
+    assert pick(s, "equal_loss")[0] == 1
 
 
 def test_egalitarian_balances_gains():
     s = _menu([[1.0, 3.7], [2.0, 2.1], [3.0, 1.0]])
     # gains (3, 0.3), (2, 1.9), (1, 3)
-    assert egalitarian(s)[0] == 1
+    assert pick(s, "egalitarian")[0] == 1
 
 
 def test_mismatched_widths_rejected():
@@ -164,7 +155,7 @@ def test_closure_leximin_matches_plain_leximin():
         rows = rng.uniform(0.2, 5.5, size=(30, m))
         rows = np.vstack([rows, base])
         s = DiscreteFeasibleSet(rows, frame)
-        assert comprehensive_closure_leximin(s)[0] == leximin(s)[0]
+        assert comprehensive_closure_leximin(s)[0] == pick(s, "leximin")[0]
 
 
 def test_closure_leximin_hand_example():
@@ -177,8 +168,9 @@ def test_closure_leximin_hand_example():
 def test_picks_follow_the_core_criterion_scores():
     # integer rows and frames make exact ties, zero gains and -inf nash rows common
     rng = np.random.default_rng(21)
-    argmax_picks = {"gdro": gdro, "mmv": mmv, "mmr": mmr, "nash": nash}
-    leximin_picks = {"ri": ks_maximin, "leximin": leximin, "mmv": egalitarian, "mmr": equal_loss}
+    # gdro, mmv, mmr and nash pick the first best row under their own names;
+    # these names pick leximin down a criterion's group scores
+    leximin_picks = {"ri": "ri", "leximin": "leximin", "mmv": "egalitarian", "mmr": "equal_loss"}
     for _ in range(200):
         m = int(rng.integers(2, 5))
         base = rng.integers(5, 8, size=m).astype(float)
@@ -205,14 +197,33 @@ def test_picks_follow_the_core_criterion_scores():
             else:
                 reference = group_scores(method, frame, rows).min(axis=1)
                 assert np.array_equal(scores, reference)
-            if method in argmax_picks:
+            if method not in ("ri", "leximin"):
                 if scores.max() == -np.inf:
                     with pytest.raises(DegenerateBargainError):
-                        argmax_picks[method](s)
+                        pick(s, method)
                 else:
-                    assert argmax_picks[method](s)[0] == int(np.argmax(scores))
+                    assert pick(s, method)[0] == int(np.argmax(scores))
             if method in leximin_picks:
                 keys = [tuple(sorted(r)) for r in group_scores(method, frame, rows)]
-                idx = leximin_picks[method](s)[0]
+                idx = pick(s, leximin_picks[method])[0]
                 assert idx == keys.index(max(keys))
                 assert scores[idx] == scores.max()
+
+
+def test_every_solver_method_is_a_pick_name():
+    # the discrete and continuous criteria go by one set of names
+    s = _menu([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
+    for method in METHODS:
+        assert pick(s, method) == (1, s.profile(1)), method
+    for name in ("ks_maximin", "maximin", "RI", ""):
+        with pytest.raises(ValueError, match="unknown method"):
+            pick(s, name)
+
+
+def test_pick_is_the_one_criterion_entry_point():
+    public = {
+        name for name, value in vars(bargain_discrete).items()
+        if callable(value) and not name.startswith("_")
+        and getattr(value, "__module__", None) == bargain_discrete.__name__
+    }
+    assert public == {"DiscreteFeasibleSet", "comprehensive_closure_leximin", "pick"}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -144,6 +145,9 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
         (["solve", "--spec", spec_file, "--methods", ","], "--methods"),
         (["solve", "--spec", spec_file, "--methods", ""], "--methods"),
         (["compare", "--spec", spec_file, "--methods", "ri,bogus"], "--methods"),
+        # a repeated name would write one solve entry but two compare rows
+        (["solve", "--spec", spec_file, "--methods", "ri,ri"], "--methods"),
+        (["compare", "--spec", spec_file, "--methods", "gdro,ri,gdro"], "--methods"),
     ]
     for argv, flag in flag_errors:
         capsys.readouterr()
@@ -633,6 +637,25 @@ def test_solve_from_dataset_default_ball(tmp_path):
     report = json.loads(out.read_text())
     # twice the largest single-group fit comfortably covers both betas
     assert 7.0 <= report["ball"] <= 20.0
+
+
+def test_a_request_too_large_for_memory_exits_2(planar_file):
+    # a 10^6 grid on a d = 2 spec asks numpy for 10^12 rows; the child's address
+    # space is capped, so the allocation fails under any overcommit setting
+    cap = 1 << 31
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "fairgain.cli", "riskset", "--spec", planar_file, "--grid", "1000000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=120,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: Unable to allocate"), run.stderr
+    assert "Traceback" not in run.stderr and run.stdout == ""
 
 
 def test_cli_import_loads_no_scipy():
