@@ -9,8 +9,6 @@ from fairgain.core import (
     RiskProfile,
     SolverReport,
     UnsupportedDimensionError,
-    from_improvement,
-    pareto_filter,
     to_improvement,
 )
 
@@ -23,8 +21,6 @@ __all__ = [
     "RiskProfile",
     "SolverReport",
     "UnsupportedDimensionError",
-    "from_improvement",
-    "pareto_filter",
     "to_improvement",
 ]
 

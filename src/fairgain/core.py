@@ -246,62 +246,6 @@ def criterion_value(method: str, frame: BargainingFrame, risks) -> float:
     return _worst_group_terms(method, frame)[3] * score + 0.0
 
 
-def risks_from_improvements(rhos: np.ndarray, frame: BargainingFrame) -> np.ndarray:
-    """Inverse of :func:`relative_improvements`; last axis indexes groups."""
-    rhos = np.asarray(rhos, dtype=float)
-    if rhos.shape[-1] != frame.num_groups:
-        raise ValueError(
-            f"improvement rows have {rhos.shape[-1]} groups, frame has {frame.num_groups}"
-        )
-    return frame.baseline_array() - rhos * frame.gap_array()
-
-
 def to_improvement(profile: RiskProfile, frame: BargainingFrame) -> ImprovementProfile:
     """Map a risk profile into relative-improvement units under the frame."""
     return ImprovementProfile(tuple(relative_improvements(profile.as_array(), frame)))
-
-
-def from_improvement(profile: ImprovementProfile, frame: BargainingFrame) -> RiskProfile:
-    """Map an improvement profile back to risks under the frame."""
-    risks = risks_from_improvements(profile.as_array(), frame)
-    # the round trip can leave -1e-17 style dust on a zero risk
-    tiny = (risks < 0) & (risks > -1e-9)
-    risks[tiny] = 0.0
-    return RiskProfile(tuple(risks))
-
-
-def nondominated_mask(risks: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows not strictly dominated by any other row (minimization).
-
-    A row p dominates q when p <= q everywhere and p < q somewhere. Duplicate
-    rows do not dominate each other, so every copy of a nondominated row is kept.
-    """
-    risks = np.asarray(risks, dtype=float)
-    if risks.ndim != 2:
-        raise ValueError("expected a 2-d array of risk rows")
-    mask = np.ones(len(risks), dtype=bool)
-    for i in range(len(risks)):
-        leq = (risks <= risks[i]).all(axis=1)
-        lt = (risks < risks[i]).any(axis=1)
-        if np.any(leq & lt):
-            mask[i] = False
-    return mask
-
-
-def pareto_filter(profiles: Iterable[RiskProfile]) -> list[RiskProfile]:
-    """Drop strictly dominated profiles; exact duplicates are merged first.
-
-    Returns survivors in first-appearance order.
-    """
-    items = list(profiles)
-    if not items:
-        raise ValueError("pareto_filter needs at least one risk profile")
-    m = len(items[0])
-    if any(len(p) != m for p in items):
-        raise ValueError("all risk profiles must have the same number of groups")
-    unique: dict[tuple[float, ...], None] = {}
-    for p in items:
-        unique.setdefault(p.values, None)
-    arr = np.array(list(unique.keys()), dtype=float)
-    mask = nondominated_mask(arr)
-    return [RiskProfile(vals) for vals, keep in zip(unique.keys(), mask) if keep]

@@ -164,14 +164,6 @@ def run_convergence(
     )
 
 
-def single_trial_gap(
-    spec: ProblemSpec, n: int, seed: int, cfg: SolverConfig | None = None
-) -> float:
-    """One gap draw at one sample size; useful for large-n sanity checks."""
-    cfg = cfg or SolverConfig()
-    return _trial_gap(spec, n, 0, seed, cfg, _population_target(spec, cfg))[0]
-
-
 def gap_certificate(result: ConvergenceResult, delta: float = 0.1) -> GapCertificate:
     """Per-size (1 - delta) gap quantiles and whether they shrink with n."""
     if not 0.0 < delta < 1.0:

@@ -10,8 +10,9 @@ over the ball, exact for quadratic risks.
 The hull check builds the sample's convex hull with qhull (scipy, imported
 where it is used) for two and three groups alike, probes every facet on the
 efficient boundary, and measures how far the probes sit from the sample. A
-flat sample is built again on joggled input. The Lipschitz bound, which
-turns a grid spacing into the check's tolerance, covers both risk models.
+flat sample is built again on joggled input. A risk-set sample carries its
+grid spacing; times the model's lipschitz_bound(radius), it gives the check's
+tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairgain.core import BargainingFrame, UnsupportedDimensionError, relative_improvements
-from fairgain.risk_models import LogisticGroupRisks
 
 
 class DiagonalNotBracketedError(ValueError):
@@ -58,10 +58,15 @@ class FrontierTrace:
 
 @dataclass(frozen=True)
 class RiskSetSample:
-    """Parameters and their risk rows sampled from the feasible class."""
+    """Parameters and their risk rows on a ball grid.
+
+    spacing is the grid's coarsest step between adjacent points, so every
+    point of the ball lies within spacing of some grid point.
+    """
 
     thetas: np.ndarray
     risks: np.ndarray
+    spacing: float
 
     def __post_init__(self) -> None:
         th = np.array(self.thetas, dtype=float)
@@ -184,43 +189,26 @@ def diagonal_intersection(trace: FrontierTrace) -> tuple[float, tuple[float, flo
     return rho_star, (rho_star, float(y0 + t * (y1 - y0)))
 
 
-def sample_risk_set(
-    model,
-    radius: float,
-    grid: int | None = None,
-    count: int | None = None,
-    seed: int | None = None,
-) -> RiskSetSample:
-    """Risk rows over a deterministic ball grid (d <= 3) or uniform draws.
+def sample_risk_set(model, radius: float, grid: int) -> RiskSetSample:
+    """Risk rows over a deterministic ball grid, for d <= 3.
 
     d = 1 uses a line grid, d = 2 a grid x grid polar grid (exactly grid**2
-    rows), d = 3 a spherical grid; higher dimensions need `count` random
-    points instead.
+    rows), d = 3 a spherical grid.
     """
     d, r = model.dim, radius
-    if count is not None:
-        if count < 1:
-            raise ValueError("count must be positive")
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((count, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = r * rng.random(count) ** (1.0 / d)
-        thetas = dirs * radii[:, None]
-    elif grid is None:
-        raise ValueError("pass a grid size (d <= 3) or a sample count")
-    elif d > 3:
-        raise UnsupportedDimensionError(
-            f"grid sampling covers d <= 3; pass count= for d = {d}"
-        )
-    elif grid < 2:
+    if d > 3:
+        raise UnsupportedDimensionError(f"grid sampling covers d <= 3, got d = {d}")
+    if grid < 2:
         raise ValueError("grid must be at least 2")
-    elif d == 1:
+    if d == 1:
         thetas = np.linspace(-r, r, grid)[:, None]
+        spacing = 2.0 * r / (grid - 1)
     elif d == 2:
         radii = np.linspace(0.0, r, grid)
         angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
         rr, aa = np.meshgrid(radii, angles, indexing="ij")
         thetas = np.column_stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()])
+        spacing = max(r / (grid - 1), r * 2.0 * np.pi / grid)
     else:
         radii = np.linspace(0.0, r, grid)
         polar = np.linspace(0.0, np.pi, grid)
@@ -233,7 +221,8 @@ def sample_risk_set(
                 (rr * np.cos(pp)).ravel(),
             ]
         )
-    return RiskSetSample(thetas, model.values(thetas))
+        spacing = max(r / (grid - 1), r * np.pi / (grid - 1), r * 2.0 * np.pi / grid)
+    return RiskSetSample(thetas, model.values(thetas), spacing)
 
 
 # about this many barycentric probes on each efficient hull facet
@@ -299,31 +288,3 @@ def hull_pareto_check(
         n_faces=faces,
         n_checked=int(probes.shape[0]),
     )
-
-
-def risk_lipschitz_bound(model, radius: float) -> float:
-    """Upper bound on any group's risk gradient norm over the ball.
-
-    A quadratic group's gradient 2 (A_g theta - c_g) has norm at most
-    2 (lmax(A_g) r + |c_g|). A logistic group's gradient
-    mean_i (sigmoid(x_i' theta) - y_i) x_i has norm at most mean_i |x_i| at any
-    theta, since |sigmoid(z) - y| <= 1 for labels in [0, 1].
-    """
-    if isinstance(model, LogisticGroupRisks):
-        return float(max(np.linalg.norm(X, axis=1).mean() for X in model.features))
-    spectral = np.abs(np.linalg.eigvalsh(model.A)).max(axis=1)
-    return float(2.0 * np.max(spectral * radius + np.linalg.norm(model.c, axis=1)))
-
-
-def sample_grid_spacing(dim: int, radius: float, grid: int) -> float:
-    """Coarsest distance between adjacent grid points of sample_risk_set."""
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    r = radius
-    if dim == 1:
-        return 2.0 * r / (grid - 1)
-    if dim == 2:
-        return max(r / (grid - 1), r * 2.0 * np.pi / grid)
-    if dim == 3:
-        return max(r / (grid - 1), r * np.pi / (grid - 1), r * 2.0 * np.pi / grid)
-    raise UnsupportedDimensionError("grid spacing is defined for d <= 3")

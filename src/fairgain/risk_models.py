@@ -24,6 +24,8 @@ an elementwise kernel over (m, n) arrays that adds the d coordinates' terms
 in a fixed order. At d <= 2 its rows are bit for bit those
 of a tensor contraction over the coordinates; at d = 3 a contraction may add
 the terms in another order, so rows (riskset's too) differ by rounding only.
+Each model's lipschitz_bound(radius) bounds every group's gradient norm over
+the ball, which turns a risk-set grid's spacing into a risk tolerance.
 """
 
 from __future__ import annotations
@@ -229,6 +231,11 @@ class QuadraticGroupRisks:
     def gradients(self, theta: np.ndarray) -> np.ndarray:
         return 2.0 * (self.A @ theta - self.c)
 
+    def lipschitz_bound(self, radius: float) -> float:
+        """Bound on every group's gradient norm over the ball: 2 (lmax(A_g) r + |c_g|)."""
+        spectral = np.abs(np.linalg.eigvalsh(self.A)).max(axis=1)
+        return float(2.0 * np.max(spectral * radius + np.linalg.norm(self.c, axis=1)))
+
     def minimize(self, w: np.ndarray, radius: float | None) -> tuple[np.ndarray, float, float]:
         """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value.
 
@@ -361,6 +368,14 @@ class LogisticGroupRisks:
         for g, (X, y) in enumerate(zip(self.features, self.labels)):
             out[g] = X.T @ (sigmoid(X @ theta) - y) / X.shape[0]
         return out
+
+    def lipschitz_bound(self, radius: float) -> float:
+        """Bound on every group's gradient norm at any theta: mean_i |x_i|.
+
+        The gradient mean_i (sigmoid(x_i' theta) - y_i) x_i needs no radius,
+        since |sigmoid(z) - y| <= 1 for labels in [0, 1].
+        """
+        return float(max(np.linalg.norm(X, axis=1).mean() for X in self.features))
 
     def minimize(self, w: np.ndarray, radius: float | None) -> tuple[np.ndarray, float, float]:
         """Minimize sum_g w_g R_g(theta) over the ball (no ball without a radius), w >= 0.

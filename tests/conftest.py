@@ -74,6 +74,13 @@ def centred_risks(spec: ProblemSpec, thetas: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def assert_oracle_within_certificate(method: str, objective: float, gap: float, oracle: float):
+    """No grid point's value beats a solve's objective by more than its certificate gap."""
+    # gdro reports a risk and mmr a regret, both better lower
+    sign = -1.0 if method in ("gdro", "mmr") else 1.0
+    assert sign * oracle <= sign * objective + gap, method
+
+
 def _random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
     f = rng.normal(size=(d, d))
     cov = f @ f.T / d + 0.05 * np.eye(d)

@@ -22,8 +22,6 @@ from fairgain.geometry import (
     count_diagonal_crossings,
     diagonal_intersection,
     hull_pareto_check,
-    risk_lipschitz_bound,
-    sample_grid_spacing,
     sample_risk_set,
     trace_frontier,
 )
@@ -284,8 +282,7 @@ def test_criterion_08_hull_pareto_geometry():
         spec = planar_spec()
         model = QuadraticGroupRisks.from_problem_spec(spec)
         sample = sample_risk_set(model, spec.radius, grid=201)
-        spacing = sample_grid_spacing(spec.dim, spec.radius, 201)
-        tol = 2.0 * spacing * risk_lipschitz_bound(model, spec.radius)
+        tol = 2.0 * sample.spacing * model.lipschitz_bound(spec.radius)
         report = hull_pareto_check(sample, tolerance=tol)
         assert report.ok, f"violation {report.max_violation:.3e} > {tol:.3e}"
         # hollow negative control: a quarter circle bulging away from the hull

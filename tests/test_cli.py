@@ -29,6 +29,7 @@ from fairgain.risk_models import (
 )
 from fairgain.solvers import METHODS, SolverConfig, group_risk_model
 from tests.conftest import (
+    assert_oracle_within_certificate,
     centred_risks,
     motivating_spec,
     planar_spec,
@@ -94,6 +95,16 @@ def test_solve_reruns_byte_identical(spec_file, tmp_path):
     for out in (a, b):
         assert main(["solve", "--spec", spec_file, "--seed", "5", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_out_naming_a_directory_leaves_no_temp_file(spec_file, tmp_path, capsys):
+    target = tmp_path / "report"
+    target.mkdir()
+    assert main(["solve", "--spec", spec_file, "--methods", "ri", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.glob(".report.*.tmp")) == []
+    assert target.is_dir() and not any(target.iterdir())
 
 
 def test_solve_writes_stdout_without_out(spec_file, capsys):
@@ -259,7 +270,7 @@ def test_exit_code_degenerate(tmp_path):
     assert main(["solve", "--spec", str(path)]) == 3
 
 
-def test_exit_code_dimension(tmp_path):
+def test_exit_code_dimension(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(
         '{"radius": 1.0, "groups": ['
@@ -267,6 +278,7 @@ def test_exit_code_dimension(tmp_path):
         '{"beta": [0.0, 0.5, 0.0, 0.0], "sigma2": 1.0}]}'
     )
     assert main(["riskset", "--spec", str(path)]) == 4
+    assert capsys.readouterr().err == "error: grid sampling covers d <= 3, got d = 4\n"
     assert main(["compare", "--spec", str(path), "--oracle-grid", "0.5"]) == 4
 
 
@@ -404,10 +416,12 @@ def _assert_no_oracle_beats_its_certificate(reports: dict, compare_csv: str) -> 
         cells = dict(zip(header.split(","), row.split(",")))
         rep = reports[cells["method"]]
         assert rep["certified"], cells["method"]
-        # gdro reports a risk and mmr a regret, both better lower
-        sign = -1.0 if cells["method"] in ("gdro", "mmr") else 1.0
-        bound = sign * rep["objective_value"] + rep["certificate_gap"]
-        assert sign * float(cells["oracle_objective"]) <= bound, cells["method"]
+        assert_oracle_within_certificate(
+            cells["method"],
+            rep["objective_value"],
+            rep["certificate_gap"],
+            float(cells["oracle_objective"]),
+        )
 
 
 def test_one_dimensional_oracle_grid_stays_in_the_ball(tmp_path, capsys):

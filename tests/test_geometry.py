@@ -13,8 +13,6 @@ from fairgain.geometry import (
     count_diagonal_crossings,
     diagonal_intersection,
     hull_pareto_check,
-    risk_lipschitz_bound,
-    sample_grid_spacing,
     sample_risk_set,
     trace_frontier,
     weighted_improvement_argmax,
@@ -41,15 +39,14 @@ def _trace(spec: ProblemSpec, n_weights: int):
     return trace_frontier(model, population_frame(spec), spec.radius, n_weights)
 
 
-def _sample(spec: ProblemSpec, **kwargs):
-    return sample_risk_set(QuadraticGroupRisks.from_problem_spec(spec), spec.radius, **kwargs)
+def _sample(spec: ProblemSpec, grid: int):
+    return sample_risk_set(QuadraticGroupRisks.from_problem_spec(spec), spec.radius, grid)
 
 
-def _grid_slack(spec: ProblemSpec, grid: int) -> float:
+def _grid_slack(spec: ProblemSpec, sample) -> float:
     # how far a grid point's risks can sit from those of the nearest ball point
     model = QuadraticGroupRisks.from_problem_spec(spec)
-    spacing = sample_grid_spacing(spec.dim, spec.radius, grid)
-    return spacing * risk_lipschitz_bound(model, spec.radius)
+    return sample.spacing * model.lipschitz_bound(spec.radius)
 
 
 def test_trace_is_monotone_and_feasible(motivating):
@@ -206,15 +203,30 @@ def test_riskset_grid_rejects_high_dimension():
     )
     with pytest.raises(UnsupportedDimensionError):
         _sample(spec4, grid=5)
-    s = _sample(spec4, count=500, seed=3)
-    assert s.thetas.shape == (500, 4)
-    assert np.all(np.linalg.norm(s.thetas, axis=1) <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_ball_point_lies_within_spacing_of_the_grid(d):
+    from scipy.spatial import cKDTree
+
+    radius = 1.7
+    spec = random_problem_spec(np.random.default_rng(d), 2, d)
+    model = QuadraticGroupRisks.from_problem_spec(spec)
+    rng = np.random.default_rng(29)
+    dirs = rng.normal(size=(4000, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # half the probes inside the ball, half on its sphere, where the angular steps are widest
+    probes = dirs * radius * np.concatenate([rng.random(2000) ** (1.0 / d), np.ones(2000)])[:, None]
+    for grid in range(2, 42):
+        sample = sample_risk_set(model, radius, grid)
+        dists, _ = cKDTree(sample.thetas).query(probes)
+        assert dists.max() <= sample.spacing, (grid, dists.max() / sample.spacing)
 
 
 def test_riskset_minima_approach_ideals(planar):
     frame = population_frame(planar)
     sample = _sample(planar, grid=101)
-    slack = _grid_slack(planar, 101)
+    slack = _grid_slack(planar, sample)
     mins = sample.risks.min(axis=0)
     assert np.all(mins >= frame.ideal_array() - 1e-9)
     assert np.all(mins <= frame.ideal_array() + slack)
@@ -222,7 +234,7 @@ def test_riskset_minima_approach_ideals(planar):
 
 def test_lipschitz_bound_dominates_differences(planar):
     rng = np.random.default_rng(4)
-    L = risk_lipschitz_bound(QuadraticGroupRisks.from_problem_spec(planar), planar.radius)
+    L = QuadraticGroupRisks.from_problem_spec(planar).lipschitz_bound(planar.radius)
     t = rng.normal(size=(200, 2))
     t /= np.maximum(np.linalg.norm(t, axis=1, keepdims=True), 1.0)
     u = rng.normal(size=(200, 2))
@@ -237,7 +249,7 @@ def test_lipschitz_bound_dominates_differences(planar):
 
 def test_logistic_lipschitz_bound_dominates_gradients():
     model = LogisticGroupRisks.from_dataset(random_logistic_dataset(np.random.default_rng(3)))
-    L = risk_lipschitz_bound(model, LOGISTIC_RADIUS)
+    L = model.lipschitz_bound(LOGISTIC_RADIUS)
     rng = np.random.default_rng(5)
     t = rng.normal(size=(2000, model.dim))
     t *= LOGISTIC_RADIUS / np.maximum(np.linalg.norm(t, axis=1, keepdims=True), 1.0)
@@ -294,7 +306,7 @@ def test_hull_check_reports_on_flat_samples():
 
 def test_hull_check_accepts_convex_risk_set(planar):
     sample = _sample(planar, grid=61)
-    tol = 2.0 * _grid_slack(planar, 61)
+    tol = 2.0 * _grid_slack(planar, sample)
     report = hull_pareto_check(sample, tolerance=tol)
     assert report.ok
     assert report.max_violation < tol
@@ -309,6 +321,6 @@ def test_hull_check_flags_concave_arc():
 
 def test_hull_check_three_groups(three_group):
     sample = _sample(three_group, grid=25)
-    tol = 2.0 * _grid_slack(three_group, 25)
+    tol = 2.0 * _grid_slack(three_group, sample)
     report = hull_pareto_check(sample, tolerance=tol)
     assert report.ok, f"violation {report.max_violation} vs {tol}"

@@ -17,7 +17,7 @@ from fairgain.core import (
     criterion_scores,
     criterion_value,
 )
-from fairgain import risk_models, solvers
+from fairgain import cli, risk_models, solvers
 from fairgain.risk_models import (
     GroupedDataset,
     GroupLinearModel,
@@ -40,6 +40,7 @@ from fairgain.solvers import (
 from tests.conftest import (
     LOGISTIC_RADIUS,
     _random_psd,
+    assert_oracle_within_certificate,
     centred_risks,
     rank_deficient_spec,
     random_logistic_dataset,
@@ -803,6 +804,15 @@ def test_rank_deficient_specs_report_or_refuse():
         reports = {m: solve(m, model, frame, spec.radius, CFG) for m in METHODS if m != "nash"}
         for method, rep in reports.items():
             assert np.isfinite(rep.objective_value) and rep.certificate_gap >= 0.0, (k, method)
+            assert rep.certified(CFG.tol), (k, method, rep.certificate_gap)
+        if spec.dim <= 2:
+            step = spec.radius / (400 if spec.dim == 2 else 4000)
+            oracle = cli._oracle_objectives(model, frame, spec.radius, step, reports)
+            for method, value in oracle.items():
+                rep = reports[method]
+                assert_oracle_within_certificate(
+                    method, rep.objective_value, rep.certificate_gap, value
+                )
         worst_ri = _probe_scores("ri", spec.radius, model, frame, rng)
         ri = reports["ri"]
         assert ri.objective_value + ri.certificate_gap >= float(worst_ri.max()), k
