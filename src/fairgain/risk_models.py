@@ -6,33 +6,35 @@ linear predictor theta has group risk (theta-beta)' cov (theta-beta) + sigma2.
 The baseline predictor is theta = 0 and the parameter class is the Euclidean
 ball of a given radius.
 
-Empirical side: per-group (X, y) samples under squared or logistic loss.
-Both risk models, QuadraticGroupRisks (specs and squared loss, solved
-exactly) and LogisticGroupRisks (projected damped Newton), have one contract
-for any weighting w >= 0 of the groups: minimize(w, radius) returns (theta,
-value, lower) for sum_g w_g R_g over the ball (no ball without a radius),
-lower a certified bound on its minimum. The solvers' dual evaluations are
-its weighted cases, and frame(radius) builds the bargaining frame from its
-one-hot cases: each group's ideal risk is its own least risk over the ball,
-and the baseline is the zero predictor for quadratic risks and the pooled
-base rate for logistic risks. The quadratic minimize is on every dual
-evaluation's path, so it and minimize_quadratic_ball call what tensordot,
-clip, norm and np.sum wrap: the same bits without the wrappers' per-call
-cost. Their values(theta) scores one parameter or a batch of them, each
-batch row with the same bits in a batch of any size. The quadratic batch is
-an elementwise kernel over (m, n) arrays that adds the d coordinates' terms
-in a fixed order. At d <= 2 its rows are bit for bit those
-of a tensor contraction over the coordinates; at d = 3 a contraction may add
-the terms in another order, so rows (riskset's too) differ by rounding only.
-Each model's lipschitz_bound(radius) bounds every group's gradient norm over
-the ball, which turns a risk-set grid's spacing into a risk tolerance.
+Empirical side: per-group (X, y) samples under squared or logistic loss. Both
+risk models, QuadraticGroupRisks (specs and squared loss, solved exactly) and
+LogisticGroupRisks (projected damped Newton), have one contract for any
+weighting w >= 0 of the groups: minimize(w, radius) returns (theta, value,
+lower) for sum_g w_g R_g over the ball (no ball without a radius), lower a
+certified bound on its minimum. The solvers' dual evaluations are its weighted
+cases, and frame(radius) builds the bargaining frame from its one-hot cases:
+each group's ideal risk is its own least risk over the ball, and the baseline
+is the zero predictor for quadratic risks and the pooled base rate for logistic
+risks. Every dual evaluation runs the quadratic minimize, which calls the 2-d
+dot that tensordot wraps and has minimize_quadratic_ball take its small steps
+on Python floats, with numpy's bits. Each model's values(theta) scores one
+parameter or a batch of them, each batch row with the same bits in a batch of
+any size. The quadratic batch is an elementwise kernel over (m, n) arrays that
+adds the d coordinates' terms in a fixed order. At d <= 2 its rows are bit for
+bit those of a tensor contraction over the coordinates; at d = 3 a contraction
+may add the terms in another order, so rows (riskset's too) differ by rounding
+only. Each model's lipschitz_bound(radius) bounds every group's gradient norm
+over the ball, which turns a risk-set grid's spacing into a risk tolerance.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Sequence
 
@@ -40,6 +42,7 @@ import numpy as np
 
 from fairgain.core import BargainingFrame, ConvergenceError
 
+_eigh = np.linalg._umath_linalg.eigh_lo  # the gufunc np.linalg.eigh(A) runs, without its wrapper
 _EIG_CUTOFF = 1e-10  # relative truncation for pseudo-inverse style solves
 _BALL_TOL = 1e-10
 _NEWTON_ITERS = 500  # Newton steps a logistic minimize may take
@@ -132,49 +135,58 @@ def minimize_quadratic_ball(
     """Minimize theta' A theta - 2 c' theta over the Euclidean ball (no ball without a radius).
 
     A must be symmetric PSD with c in its range (moment callers' c is; the
-    logistic Newton step's A is definite). Solved exactly through the eigenbasis;
-    when the unconstrained minimizer leaves the ball, the boundary multiplier
-    is found by Newton with a bisection safeguard to |norm - radius| <= 1e-10.
-    Every dual evaluation runs this on a d <= 3 matrix in the usual case, so it
-    calls np.maximum, sqrt(v @ v) and ndarray.sum directly: the same bits as
-    the np.clip, np.linalg.norm and np.sum that wrap them, without their
-    per-call cost.
+    logistic Newton step's A is definite); a non-finite A or c, or a radius
+    not above 0, raises ValueError. Solved exactly through the eigenbasis, the
+    boundary multiplier by safeguarded Newton to |norm - radius| <= 1e-10. At
+    the usual d <= 3 numpy's per-call cost outweighs the arithmetic, so steps
+    run on Python floats with numpy's bits: the eigenpair is (entry, 1) at d = 1
+    as LAPACK's is, and above it comes from the gufunc np.linalg.eigh wraps
+    (LinAlgError if it does not converge); products round as numpy's
+    elementwise ones, and sums run left to right from 0.0 as numpy's do below
+    8 terms. numpy keeps V' c, V theta and the squared norms (BLAS dots round
+    in their own order) and the slope's sum of b^2 / (s + lam)^3 (numpy's
+    array cube rounds unlike x * x * x and Python's pow).
     """
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
-    s, V = np.linalg.eigh(A)
-    s = np.maximum(s, 0.0)
-    smax = s.max() if s.size else 0.0
+    A, c = np.asarray(A, dtype=float), np.asarray(c, dtype=float)
+    entries = A.ravel().tolist() + c.tolist()
+    if not all(map(math.isfinite, entries)):
+        raise ValueError("quadratic coefficients must be finite")
+    if radius is not None and not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if len(entries) == 2:  # d = 1, V = 1: V' c and V theta are 0.0 + the entry, v @ v one product
+        s, b, V = entries[:1], [entries[1] + 0.0], None
+    else:
+        s, V = _eigh(A, signature="d->dd")
+        if any(map(math.isnan, s := s.tolist())):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        b = (V.T @ c).tolist()
+    s = [x if x > 0.0 else 0.0 for x in s]
+    smax = max(s, default=0.0)
     if smax <= 0.0:
         return np.zeros_like(c), 0.0
     cutoff = _EIG_CUTOFF * smax
-    b = V.T @ c
-    live = s > cutoff
-    theta_eig = np.where(live, b / np.where(live, s, 1.0), 0.0)
-    if radius is None or np.sqrt(theta_eig @ theta_eig) <= radius:
-        value = float((s * theta_eig**2).sum() - 2.0 * (b * theta_eig).sum())
-        return V @ theta_eig, value
+    t = [bi / si if si > cutoff else 0.0 for bi, si in zip(b, s)]
+    if radius is not None and not math.sqrt(t[0] * t[0] if V is None else np.dot(t, t)) <= radius:
+        lo, hi = 0.0, math.sqrt(b[0] * b[0] if V is None else np.dot(b, b)) / float(radius)
+        lam = max(hi / 2.0, 1e-16)  # steps exceed lo >= 0, midpoints halve toward lo: s + lam > 0
+        target = math.pow(radius, 2.0)  # the libm call radius**2 makes
+        s_arr, b_sq = np.array(s), np.square(b)
+        for _ in range(200):
+            h = _sum([q * q for q in (bi / (si + lam) for bi, si in zip(b, s))]) - target
+            if abs(h) <= 2.0 * _BALL_TOL * target:
+                break
+            lo, hi = (lam, hi) if h > 0 else (lo, lam)
+            dh = -2.0 * float((b_sq / (s_arr + lam) ** 3).sum())
+            step = lam - h / dh if dh != 0 else None
+            lam = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+        t = [bi / (si + lam) for bi, si in zip(b, s)]
+    value = _sum([si * (ti * ti) for si, ti in zip(s, t)]) - 2.0 * _sum([bi * ti for bi, ti in zip(b, t)])
+    return (np.array([t[0] + 0.0]) if V is None else V @ np.array(t)), value
 
-    def norm2(lam: float) -> float:
-        return float(((b / (s + lam)) ** 2).sum())
 
-    lo, hi = 0.0, float(np.sqrt(b @ b) / radius)
-    lam = max(hi / 2.0, 1e-16)
-    target = radius**2
-    for _ in range(200):
-        h = norm2(lam) - target
-        if abs(h) <= 2.0 * _BALL_TOL * target:
-            break
-        if h > 0:
-            lo = lam
-        else:
-            hi = lam
-        dh = -2.0 * float((b**2 / (s + lam) ** 3).sum())
-        step = lam - h / dh if dh != 0 else None
-        lam = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-    theta_eig = b / (s + lam)
-    value = float((s * theta_eig**2).sum() - 2.0 * (b * theta_eig).sum())
-    return V @ theta_eig, value
+def _sum(terms: list[float]) -> float:
+    """numpy's sum: left to right from 0.0 below 8 terms, its pairwise sum from 8."""
+    return reduce(add, terms, 0.0) if len(terms) < 8 else float(np.add.reduce(np.array(terms)))
 
 
 class QuadraticGroupRisks:
@@ -186,6 +198,8 @@ class QuadraticGroupRisks:
         self.k = np.asarray(k, dtype=float)
         if self.A.ndim != 3 or self.c.ndim != 2 or self.k.ndim != 1:
             raise ValueError("expected stacked per-group quadratic coefficients")
+        if not all(np.isfinite(x).all() for x in (self.A, self.c, self.k)):
+            raise ValueError("quadratic risk moments must be finite")
         self.num_groups, self.dim = self.c.shape
         self._A_rows = self.A.reshape(self.num_groups, -1)
 
@@ -200,9 +214,10 @@ class QuadraticGroupRisks:
     def from_dataset(cls, ds: GroupedDataset) -> "QuadraticGroupRisks":
         if ds.loss != "squared":
             raise ValueError("sufficient-statistic risks need squared loss")
-        A = np.stack([X.T @ X / X.shape[0] for X in ds.features])
-        c = np.stack([X.T @ y / X.shape[0] for X, y in zip(ds.features, ds.labels)])
-        k = np.array([float(np.mean(y**2)) for y in ds.labels])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+            A = np.stack([X.T @ X / X.shape[0] for X in ds.features])
+            c = np.stack([X.T @ y / X.shape[0] for X, y in zip(ds.features, ds.labels)])
+            k = np.array([float(np.mean(y**2)) for y in ds.labels])
         return cls(A, c, k)
 
     def values(self, theta: np.ndarray) -> np.ndarray:

@@ -216,20 +216,23 @@ def _dual_minimax(
     def track(theta: np.ndarray) -> None:
         nonlocal best_upper, best_theta
         f = (model.values(theta) - shifts) / scales
-        f_free, over = f[free], f[pin_idx] - pin_caps
-        cuts.append(np.concatenate([f_free, over]))
+        f_free, viol = f, 0.0
+        if len(pin_idx):  # unpinned, every group is free and the cut is f itself
+            f_free, over = f[free], f[pin_idx] - pin_caps
+            f, viol = np.concatenate([f_free, over]), float(np.maximum(over, 0.0).max())
+        cuts.append(f)
         points.append(theta)
         value = float(f_free.max())
-        viol = float(np.maximum(over, 0.0).max()) if len(pin_idx) else 0.0
         if viol <= _FEAS_TOL and value < best_upper:
             best_upper, best_theta = value, theta
 
     def dual_at(lam: np.ndarray, mu: np.ndarray) -> float:
-        w = np.zeros(m)
-        w[free] = lam * inv_free
-        w[pin_idx] = mu * inv_pin
+        w, const = lam * inv_free, -float(lam @ shift_free)
+        if len(pin_idx):  # unpinned, w is lam * inv_free and mu's terms are empty
+            w = np.zeros(m)
+            w[free], w[pin_idx] = lam * inv_free, mu * inv_pin
+            const -= float(mu @ shift_pin)
         theta_hat, _, low = model.minimize(w, ball)
-        const = -float(lam @ shift_free) - float(mu @ shift_pin)
         track(theta_hat)
         return low + const
 

@@ -713,3 +713,26 @@ def test_solve_and_compare_load_no_numpy_ma(spec_file):
             timeout=120,
         )
         assert run.stdout.strip() == "0 False", command
+
+
+def test_data_whose_moments_overflow_exits_2_with_one_error_line(tmp_path, capsys):
+    # x1 * x1 = 1e400 and y * y overflow, so the squared-loss moments are inf. They
+    # are refused as non-finite with one error line and no RuntimeWarning, in
+    # process (where warnings are errors) and in a child that only prints them
+    data = tmp_path / "overflow.csv"
+    data.write_text("group,y,x1,x2\na,1e200,1e200,1\na,1.0,0.5,0.2\na,2.0,0.1,0.9\n"
+                    "b,0.5,0.3,0.3\nb,1.5,0.7,0.1\n")
+    assert main(["solve", "--data", str(data), "--radius", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: quadratic risk moments must be finite\n"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        run = subprocess.run(
+            [sys.executable, *flags, "-m", "fairgain.cli", "solve", "--data", str(data), "--radius", "2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert (run.returncode, run.stderr, run.stdout) == (2, err, ""), flags

@@ -10,6 +10,7 @@ from scipy.special import expit
 
 from fairgain import risk_models
 from fairgain.core import ConvergenceError, DegenerateFrameError
+from fairgain.empirical_study import run_convergence
 from fairgain.risk_models import (
     GroupedDataset,
     GroupLinearModel,
@@ -136,34 +137,135 @@ def _wrapper_minimize(model, w, radius):
     return theta, value, value
 
 
+def _bits(out) -> tuple:
+    # every byte of (theta, value, lower): -0.0 and 0.0 differ here
+    theta, *values = out
+    return (theta.tobytes(), *(float(v).hex() for v in values))
+
+
 def test_minimize_matches_the_wrapper_calls_bit_for_bit():
     rng = np.random.default_rng(31)
     branches = set()
-    for d in (1, 2, 3):
-        for m in (2, 3, 4):
-            for _ in range(8):
+    # full-rank draws at d = 1-3; every group on one line (so each weighting's A
+    # has rank 1) at d = 2, 3; c = 0 with A != 0; and definite d = 4-6 matrices,
+    # the kind the logistic Newton step passes
+    cases = [(d, m, "full") for d in (1, 2, 3) for m in (2, 3, 4)]
+    cases += [(d, m, "rank 1") for d in (2, 3) for m in (2, 3)]
+    cases += [(d, m, "c = 0") for d in (1, 2, 3) for m in (2, 3)]
+    cases += [(d, m, "full") for d in (4, 5, 6) for m in (2, 3)]
+    for d, m, kind in cases:
+        for _ in range(8):
+            if kind == "rank 1":
+                u = rng.normal(size=(d, 1))
+                A = (u @ u.T) * rng.uniform(0.2, 3.0, size=(m, 1, 1))
+            else:
                 F = rng.normal(size=(m, d, d))
                 A = F @ F.transpose(0, 2, 1) / d + 0.05 * np.eye(d)
-                beta = rng.normal(size=(m, d)) * rng.uniform(0.3, 4.0)
-                c = np.einsum("gjk,gk->gj", A, beta)
-                k = np.einsum("gj,gj->g", beta, c) + rng.uniform(0.3, 12.0, size=m)
-                model = QuadraticGroupRisks(A, c, k)
-                weights = [rng.dirichlet(np.ones(m)), np.eye(m)[rng.integers(m)], np.zeros(m)]
-                for w in weights:
-                    free = np.linalg.lstsq(np.tensordot(w, A, axes=1), w @ c, rcond=None)[0]
-                    for radius in (None, 0.05, 1.0, 50.0):
-                        got = model.minimize(w, radius)
-                        want = _wrapper_minimize(model, w, radius)
-                        np.testing.assert_array_equal(got[0], want[0])
-                        assert got[1:] == want[1:]
-                        if not w.any():
-                            branches.add("zero")
-                        elif radius is None:
-                            branches.add("no ball")
-                        else:
-                            inside = np.linalg.norm(free) <= radius
-                            branches.add("interior" if inside else "boundary")
-    assert branches == {"zero", "no ball", "interior", "boundary"}
+            beta = rng.normal(size=(m, d)) * rng.uniform(0.3, 4.0) * (kind != "c = 0")
+            c = np.einsum("gjk,gk->gj", A, beta)
+            k = np.einsum("gj,gj->g", beta, c) + rng.uniform(0.3, 12.0, size=m)
+            model = QuadraticGroupRisks(A, c, k)
+            weights = [rng.dirichlet(np.ones(m)), np.eye(m)[rng.integers(m)], np.zeros(m)]
+            for w in weights:
+                free = np.linalg.lstsq(np.tensordot(w, A, axes=1), w @ c, rcond=None)[0]
+                reach = float(np.linalg.norm(free))
+                # radii on both sides of the free minimizer, just in and just out
+                near = (reach * (1.0 + 1e-6), reach * (1.0 - 1e-6)) if reach > 0.0 else ()
+                for radius in (None, 0.05, 1.0, 50.0, *near):
+                    assert _bits(model.minimize(w, radius)) == _bits(_wrapper_minimize(model, w, radius))
+                    if not w.any():
+                        branches.add("zero")
+                    elif radius is None:
+                        branches.add("no ball")
+                    else:
+                        inside = reach <= radius
+                        branches.add(("interior" if inside else "boundary", kind, d > 3))
+    assert {"zero", "no ball"} < branches
+    for kind, large in (("full", False), ("rank 1", False), ("full", True)):
+        assert {("interior", kind, large), ("boundary", kind, large)} < branches
+    assert ("interior", "c = 0", False) in branches
+    # many random radii inside the free minimizer's reach: radius**2 and radius * radius
+    # round apart for about 1 radius in 1,000, and the multiplier search reads the former
+    for d in (1, 2):
+        F = rng.normal(size=(2, d, d))
+        A = F @ F.transpose(0, 2, 1) + 0.05 * np.eye(d)
+        model = QuadraticGroupRisks(A, np.einsum("gjk,gk->gj", A, 3.0 + rng.normal(size=(2, d))), np.ones(2))
+        w = rng.dirichlet(np.ones(2))
+        reach = float(np.linalg.norm(np.linalg.solve(np.tensordot(w, A, axes=1), w @ model.c)))
+        for radius in reach * rng.uniform(0.01, 0.99, size=2500):
+            assert _bits(model.minimize(w, float(radius))) == _bits(_wrapper_minimize(model, w, float(radius)))
+
+
+def test_the_kernels_eigh_gufunc_gives_np_linalg_eighs_bits():
+    # minimize_quadratic_ball calls the gufunc that np.linalg.eigh wraps; a numpy
+    # whose wrapper parts from it fails here, not in a benchmark digest
+    rng = np.random.default_rng(37)
+    for d in range(2, 7):
+        for _ in range(300):
+            F = rng.normal(size=(d, int(rng.integers(1, d + 1))))
+            A = F @ F.T * rng.uniform(0.01, 100.0)
+            s, V = risk_models._eigh(A, signature="d->dd")
+            want = np.linalg.eigh(A)
+            assert s.tobytes() == want.eigenvalues.tobytes()
+            assert V.tobytes() == want.eigenvectors.tobytes()
+
+
+def test_minimize_refuses_non_finite_coefficients_and_a_radius_not_above_zero():
+    # a float clamp would read the NaN eigenvalue of [[nan, 0], [0, 1]] as 0.0
+    # and return a finite, wrong minimum; the parent returned theta = 0, value NaN
+    bad = (
+        ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 1.0]),
+        ([[1.0, np.inf], [np.inf, 1.0]], [0.0, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.inf, 0.0]),
+        ([[np.nan]], [1.0]),
+        ([[2.0]], [-np.inf]),
+    )
+    for A, c in bad:
+        for radius in (None, 1.0):
+            with pytest.raises(ValueError, match="finite"):
+                minimize_quadratic_ball(np.array(A), np.array(c), radius)
+    for radius in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            minimize_quadratic_ball(np.eye(2), np.ones(2), radius)
+    one = np.ones((2, 1, 1))
+    for A, c, k in ((one * np.inf, np.ones((2, 1)), np.ones(2)),
+                    (one, np.array([[np.nan], [0.0]]), np.ones(2)),
+                    (one, np.ones((2, 1)), np.array([1.0, np.inf]))):
+        with pytest.raises(ValueError, match="moments must be finite"):
+            QuadraticGroupRisks(A, c, k)
+
+
+def test_minimize_raises_linalgerror_when_eigh_does_not_converge(monkeypatch):
+    # LAPACK's failure comes back as NaN eigenpairs; the kernel raises, and warns of nothing
+    def unconverged(A, signature):
+        d = A.shape[0]
+        return np.full(d, np.nan), np.full((d, d), np.nan)
+
+    monkeypatch.setattr(risk_models, "_eigh", unconverged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for radius in (None, 1.0):
+            with pytest.raises(np.linalg.LinAlgError):
+                minimize_quadratic_ball(np.eye(3), np.ones(3), radius)
+
+
+def test_d1_minimize_and_convergence_study_call_no_lapack(monkeypatch, motivating):
+    model = QuadraticGroupRisks.from_problem_spec(motivating)
+    calls = [(w, r) for w in (np.array([0.3, 0.7]), np.eye(2)[1], np.zeros(2)) for r in (None, 1.0, 10.0)]
+    want = [_bits(model.minimize(w, r)) for w, r in calls]
+    want_study = run_convergence(motivating, (100, 400), trials=2, seed=5)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("an eigendecomposition ran at d = 1")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+    monkeypatch.setattr(risk_models, "_eigh", no_lapack)
+    assert [_bits(model.minimize(w, r)) for w, r in calls] == want
+    study = run_convergence(motivating, (100, 400), trials=2, seed=5)
+    assert study.gaps.tobytes() == want_study.gaps.tobytes()
+    assert (study.rejected, study.fitted_slope, study.population_value) == (
+        want_study.rejected, want_study.fitted_slope, want_study.population_value
+    )
 
 
 def test_population_frame_motivating(motivating):
