@@ -9,7 +9,6 @@ from fairgain.core import (
     RiskProfile,
     SolverReport,
     UnsupportedDimensionError,
-    to_improvement,
 )
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "RiskProfile",
     "SolverReport",
     "UnsupportedDimensionError",
-    "to_improvement",
 ]
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -63,11 +64,22 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            # mkstemp makes the file 0600; give it the mode a plain open(path, "w") leaves
+            os.fchmod(fh.fileno(), _new_file_mode(target))
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _new_file_mode(target: Path) -> int:
+    """The existing target's mode, or else 0o666 less the umask."""
+    if target.exists():
+        return stat.S_IMODE(target.stat().st_mode)
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 def _emit(out: str | None, text: str) -> None:

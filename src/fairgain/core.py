@@ -244,8 +244,3 @@ def criterion_value(method: str, frame: BargainingFrame, risks) -> float:
         return score
     # sign -1 makes -0.0 of a zero score; + 0.0 reports it as 0.0
     return _worst_group_terms(method, frame)[3] * score + 0.0
-
-
-def to_improvement(profile: RiskProfile, frame: BargainingFrame) -> ImprovementProfile:
-    """Map a risk profile into relative-improvement units under the frame."""
-    return ImprovementProfile(tuple(relative_improvements(profile.as_array(), frame)))

@@ -470,7 +470,10 @@ class LogisticGroupRisks:
 def load_problem_spec(path: str | Path) -> ProblemSpec:
     """Read a population spec from JSON: radius plus per-group beta/sigma2/cov."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:  # the parser recurses once per nested array or object
+            raise ValueError("problem spec JSON is nested too deeply") from None
     if not isinstance(raw, dict) or "groups" not in raw or "radius" not in raw:
         raise ValueError("problem spec JSON needs 'radius' and 'groups'")
     if not isinstance(raw["groups"], list):
@@ -496,18 +499,19 @@ def _spec_number(value, name: str) -> float:
 
 def _spec_array(value, name: str) -> np.ndarray:
     if not _numbers(value):
-        raise ValueError(f"{name} must be an array of numbers, got {value!r}")
+        raise ValueError(f"{name} must be an array of numbers at most 2-D, got {value!r}")
     return np.asarray(value, dtype=float)
 
 
-def _numbers(value) -> bool:
-    """Whether a parsed JSON value is a number or nested lists of numbers.
+def _numbers(value, depth: int = 2) -> bool:
+    """Whether a parsed JSON value is a number or lists of numbers at most depth deep.
 
     JSON's true and false parse as bool, which Python counts as an int, and
     float() would read a string of digits; neither is a number in a spec.
+    Bounding the depth at a matrix's keeps deep nesting off the stack.
     """
     if isinstance(value, list):
-        return all(_numbers(v) for v in value)
+        return depth > 0 and all(_numbers(v, depth - 1) for v in value)
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 

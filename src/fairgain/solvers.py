@@ -19,6 +19,9 @@ criterion minimizes an AM-GM bound on its log-gain sum over the weightings,
 with the same weighted minimizations as its candidate points. ri and
 leximin's stage 0 are one solve per (model, frame, ball, config): a memo
 with one entry keeps the last such solve, and with it the last model.
+
+solve(method, model, frame, ball, cfg) is the only solver entry, and its report's
+objective_value is core.criterion_value at the reported risks, clamped at 0.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ from fairgain.core import (
     BargainingFrame,
     ConvergenceError,
     DegenerateBargainError,
+    ImprovementProfile,
     RiskProfile,
     SolverReport,
     criterion_scores,
     criterion_value,
     group_scores,
-    to_improvement,
+    relative_improvements,
 )
 from fairgain.risk_models import (
     GroupedDataset,
@@ -222,7 +226,7 @@ def _dual_minimax(
             f, viol = np.concatenate([f_free, over]), float(np.maximum(over, 0.0).max())
         cuts.append(f)
         points.append(theta)
-        value = float(f_free.max())
+        value = float(np.maximum.reduce(f_free))
         if viol <= _FEAS_TOL and value < best_upper:
             best_upper, best_theta = value, theta
 
@@ -278,29 +282,8 @@ def _worst_group_minimax(method: str, model, frame: BargainingFrame, ball: float
 _ri_minimax = lru_cache(maxsize=1)(_worst_group_minimax)
 
 
-def _report(
-    model,
-    frame: BargainingFrame,
-    theta: np.ndarray,
-    objective: float,
-    iterations: int,
-    certificate: float,
-) -> SolverReport:
-    risks = RiskProfile(tuple(np.maximum(model.values(theta), 0.0)))
-    return SolverReport(
-        parameter=tuple(theta),
-        risk_profile=risks,
-        improvement_profile=to_improvement(risks, frame),
-        objective_value=float(objective),
-        iterations=iterations,
-        certificate_gap=float(certificate),
-    )
-
-
-def solve_nash(
-    model, frame: BargainingFrame, ball: float, cfg: SolverConfig = SolverConfig()
-) -> SolverReport:
-    """Maximize the sum of log absolute gains over the ball.
+def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tuple:
+    """(theta, iterations, certificate) maximizing the sum of log gains over the ball.
 
     By AM-GM, U(w) = m log(h(w)/m) - sum_g log w_g bounds the log-gain sum for any
     w > 0, where h(w) = w.b - lower(w) and lower is the weighted minimization's
@@ -356,14 +339,11 @@ def solve_nash(
             f"nash found no point with every gain positive in {evals} weighted minimizations"
         )
     # U bounds every attained score, so a negative difference is rounding
-    gap = max(least - best, 0.0)
-    return _report(model, frame, best_theta, objective=best, iterations=evals, certificate=gap)
+    return best_theta, evals, max(least - best, 0.0)
 
 
-def solve_leximin_ri(
-    model, frame: BargainingFrame, ball: float, cfg: SolverConfig = SolverConfig()
-) -> SolverReport:
-    """Lexicographically maximize sorted relative improvements over the ball.
+def _leximin(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tuple:
+    """(theta, iterations, certificate) lexicographically maximizing sorted improvements.
 
     Stage 0 is the memoized ri solve. Stage k pins the groups that bound
     stage k-1 at its certified value, less a band that recedes with k: every
@@ -371,10 +351,9 @@ def solve_leximin_ri(
     stage k-1's point, from which stage k starts warm, clears each pin by at
     least band * 2**-k, and no pin gives up tol/2. The pins go to the dual as
     hard constraints while it re-maximizes the worst improvement of the rest.
-    The reported objective is the worst improvement at the returned point.
     The certificate is the largest stage gap, or stage 0's bound on the worst
-    improvement less that objective where this is larger, since the later
-    stages may give up part of the band.
+    improvement less the worst improvement at the returned point where this
+    is larger, since the later stages may give up part of the band.
     """
     m = frame.num_groups
     band = cfg.tol / 4.0
@@ -403,9 +382,8 @@ def solve_leximin_ri(
         for g in range(m):
             if g not in pins and rho[g] <= -hi + band:
                 pins[g] = -hi
-    value = criterion_value("ri", frame, np.maximum(model.values(theta), 0.0))
-    cert = max(cert, bound - value)
-    return _report(model, frame, theta, objective=value, iterations=iters, certificate=cert)
+    # the last stage's rho is at the returned theta
+    return theta, iters, max(cert, bound - float(rho.min()))
 
 
 def solve(
@@ -415,20 +393,26 @@ def solve(
     ball: float,
     cfg: SolverConfig = SolverConfig(),
 ) -> SolverReport:
-    """Dispatch one of the named criteria."""
+    """Solve one named criterion; the report's values all read its risks, clamped at 0."""
     if method in WORST_GROUP:
         run = _ri_minimax if method == "ri" else _worst_group_minimax
         theta, hi, lo, iters = run(method, model, frame, ball, cfg)
-        sign = WORST_GROUP[method](frame)[3]
-        # -sign * hi is -0.0 at a zero score for sign +1; + 0.0 reports it as 0.0
-        return _report(
-            model, frame, theta, objective=-sign * hi + 0.0, iterations=iters, certificate=hi - lo
-        )
-    if method == "leximin":
-        return solve_leximin_ri(model, frame, ball, cfg)
-    if method == "nash":
-        return solve_nash(model, frame, ball, cfg)
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        cert = hi - lo
+    elif method == "leximin":
+        theta, iters, cert = _leximin(model, frame, ball, cfg)
+    elif method == "nash":
+        theta, iters, cert = _nash(model, frame, ball, cfg)
+    else:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    risks = np.maximum(model.values(theta), 0.0)
+    return SolverReport(
+        parameter=tuple(theta),
+        risk_profile=RiskProfile(tuple(risks)),
+        improvement_profile=ImprovementProfile(tuple(relative_improvements(risks, frame))),
+        objective_value=criterion_value(method, frame, risks),
+        iterations=iters,
+        certificate_gap=float(cert),
+    )
 
 
 def objective_and_supergradient(

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -107,6 +108,25 @@ def test_out_naming_a_directory_leaves_no_temp_file(spec_file, tmp_path, capsys)
     assert target.is_dir() and not any(target.iterdir())
 
 
+def test_out_files_get_the_mode_a_plain_open_leaves(spec_file, tmp_path):
+    # a new target gets 0o666 less the umask; an existing target keeps its mode
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    runs, summary = tmp_path / "runs.csv", tmp_path / "runs.csv.summary.json"
+    old.write_text("{}")
+    old.chmod(0o660)
+    umask = os.umask(0o022)
+    try:
+        for out in (new, old):
+            assert main(["solve", "--spec", spec_file, "--methods", "ri", "--out", str(out)]) == 0
+        argv = ["converge", "--spec", spec_file, "--trials", "2", "--ns", "100,200"]
+        assert main([*argv, "--out", str(runs)]) == 0
+    finally:
+        os.umask(umask)
+    for path, mode in ((new, 0o644), (old, 0o660), (runs, 0o644), (summary, 0o644)):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
+    assert json.loads(old.read_text())["command"] == "solve"
+
+
 def test_solve_writes_stdout_without_out(spec_file, capsys):
     assert main(["solve", "--spec", spec_file, "--methods", "ri"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -191,6 +211,9 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
         '{"radius": 1.0, "groups": [{"beta": [1.0], "sigma2": 1.0, "cov": [[true]]}, %s]}' % group,
         '{"radius": 1.0, "groups": [{"beta": [1.0, 2.0], "sigma2": 1.0, "cov": [[1, 0], [0, "1"]]}, %s]}'
         % group,
+        # nested past the recursion limit, for the JSON parser and for the number check
+        '{"radius": 1.0, "groups": %s}' % ("[" * 200_000 + "]" * 200_000),
+        '{"radius": 1.0, "groups": [{"beta": %s, "sigma2": 1.0}, %s]}' % ("[" * 900 + "1" + "]" * 900, group),
     ):
         bad.write_text(text)
         assert main(["solve", "--spec", str(bad)]) == 2, text

@@ -16,6 +16,7 @@ from fairgain.core import (
     DegenerateBargainError,
     criterion_scores,
     criterion_value,
+    relative_improvements,
 )
 from fairgain import cli, risk_models, solvers
 from fairgain.risk_models import (
@@ -34,8 +35,6 @@ from fairgain.solvers import (
     group_risk_model,
     objective_and_supergradient,
     solve,
-    solve_leximin_ri,
-    solve_nash,
 )
 from tests.conftest import (
     LOGISTIC_RADIUS,
@@ -91,7 +90,7 @@ def test_mmr_motivating(motivating):
 
 def test_nash_motivating(motivating):
     model, frame = _setup(motivating)
-    rep = solve_nash(model, frame, motivating.radius, CFG)
+    rep = solve("nash", model, frame, motivating.radius, CFG)
     assert rep.parameter[0] == pytest.approx(2.559236, abs=2e-3)
     gains = frame.baseline_array() - rep.risk_profile.as_array()
     assert np.all(gains > 0)
@@ -101,7 +100,7 @@ def test_nash_motivating(motivating):
 def test_leximin_equals_maximin_with_two_groups(motivating):
     model, frame = _setup(motivating)
     a = solve("ri", model, frame, motivating.radius, CFG)
-    b = solve_leximin_ri(model, frame, motivating.radius, CFG)
+    b = solve("leximin", model, frame, motivating.radius, CFG)
     assert b.objective_value == pytest.approx(a.objective_value, abs=1e-5)
     assert b.parameter[0] == pytest.approx(a.parameter[0], abs=2e-3)
 
@@ -109,7 +108,7 @@ def test_leximin_equals_maximin_with_two_groups(motivating):
 def test_leximin_lifts_slack_group(three_group):
     model, frame = _setup(three_group)
     base = solve("ri", model, frame, three_group.radius, CFG)
-    rep = solve_leximin_ri(model, frame, three_group.radius, CFG)
+    rep = solve("leximin", model, frame, three_group.radius, CFG)
     rho = rep.improvement_profile.as_array()
     # crossing of groups 1 and 2 sits at theta_1 = 124/41 with value 1240/1681
     assert base.objective_value == pytest.approx(1240.0 / 1681.0, abs=1e-5)
@@ -462,8 +461,8 @@ def test_nash_budget_stop_without_a_positive_point_is_a_convergence_error(monkey
     model, frame = _setup(spec)
     with monkeypatch.context() as patch, pytest.raises(ConvergenceError):
         patch.setattr(solvers, "_MAX_ITERS", 2)
-        solve_nash(model, frame, spec.radius, CFG)
-    assert solve_nash(model, frame, spec.radius, CFG).certified(CFG.tol)
+        solve("nash", model, frame, spec.radius, CFG)
+    assert solve("nash", model, frame, spec.radius, CFG).certified(CFG.tol)
 
 
 def test_nash_degenerate_when_no_common_gain():
@@ -480,7 +479,7 @@ def test_nash_degenerate_when_no_common_gain():
     )
     model, frame = _setup(spec)
     with pytest.raises(DegenerateBargainError):
-        solve_nash(model, frame, spec.radius, CFG)
+        solve("nash", model, frame, spec.radius, CFG)
     # a slight shared direction gives both a gain (best worst relative
     # improvement 1.2e-5, 12 tol), which nash must certify instead of refusing
     spec = ProblemSpec(
@@ -491,7 +490,7 @@ def test_nash_degenerate_when_no_common_gain():
         radius=0.5,
     )
     model, frame = _setup(spec)
-    assert solve_nash(model, frame, spec.radius, CFG).certified(CFG.tol)
+    assert solve("nash", model, frame, spec.radius, CFG).certified(CFG.tol)
 
 
 def test_dispatcher_and_method_list(motivating):
@@ -558,18 +557,35 @@ def test_seeded_runs_are_deterministic(motivating):
     assert a.objective_value == b.objective_value
 
 
-@pytest.mark.parametrize("fixture", ["motivating", "three_group", "planar"])
+def _seeded_specs() -> list[ProblemSpec]:
+    """The first 30 criterion-3 specs (seed 7) and the first 30 rank-deficient draws (seed 123)."""
+    rng = np.random.default_rng(7)
+    specs = [random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0) for _ in range(30)]
+    draws = np.random.default_rng(123)
+    drawn = (rank_deficient_spec(draws) for _ in itertools.count())
+    return specs + list(itertools.islice(filter(None, drawn), 30))
+
+
+@pytest.mark.parametrize("fixture", ["motivating", "three_group", "planar", "seeded"])
 def test_criterion_value_matches_reported_objective(fixture, request):
-    spec = request.getfixturevalue(fixture)
-    model, frame = _setup(spec)
-    for method in METHODS:
-        rep = solve(method, model, frame, spec.radius, CFG)
-        value = criterion_value(method, frame, rep.risk_profile.as_array())
-        assert value == rep.objective_value
-        if method == "leximin":
-            continue
-        theta = np.asarray(rep.parameter)
-        assert objective_and_supergradient(method, model, frame, theta)[0] == value
+    # every report reads its objective and improvements off its clamped risks
+    specs = _seeded_specs() if fixture == "seeded" else [request.getfixturevalue(fixture)]
+    for i, spec in enumerate(specs):
+        model, frame = _setup(spec)
+        for method in METHODS:
+            try:
+                rep = solve(method, model, frame, spec.radius, CFG)
+            except DegenerateBargainError:
+                assert method == "nash", (i, method)
+                continue
+            risks = rep.risk_profile.as_array()
+            value = criterion_value(method, frame, risks)
+            assert value == rep.objective_value, (i, method)
+            assert rep.improvement_profile.rhos == tuple(relative_improvements(risks, frame))
+            if method == "leximin":
+                continue
+            theta = np.asarray(rep.parameter)
+            assert objective_and_supergradient(method, model, frame, theta)[0] == value
 
 
 def test_leximin_reports_the_objective_at_its_point():
@@ -743,7 +759,7 @@ def test_newton_stops_halving_once_rounding_hides_the_drop(monkeypatch):
 
     monkeypatch.setattr(cls, "values", counted_values)
     monkeypatch.setattr(cls, "minimize", counted_minimize)
-    report = solve_leximin_ri(model, frame, LOGISTIC_RADIUS, CFG)
+    report = solve("leximin", model, frame, LOGISTIC_RADIUS, CFG)
     assert report.certified(CFG.tol)
     assert per_call and max(per_call) <= 10, max(per_call)
 
@@ -753,12 +769,12 @@ def test_nash_stops_once_rounding_hides_the_bound_drop(monkeypatch):
     # once no step can show a drop in U, and still reports the open gap
     model = group_risk_model(random_logistic_dataset(np.random.default_rng(7)))
     frame = model.frame(LOGISTIC_RADIUS)
-    report = solve_nash(model, frame, LOGISTIC_RADIUS, CFG)
+    report = solve("nash", model, frame, LOGISTIC_RADIUS, CFG)
     assert report.iterations < solvers._MAX_ITERS
     assert not report.certified(CFG.tol), report.certificate_gap
     # the search ended on its own: a larger budget changes nothing
     monkeypatch.setattr(solvers, "_MAX_ITERS", 1000)
-    longer = solve_nash(model, frame, LOGISTIC_RADIUS, CFG)
+    longer = solve("nash", model, frame, LOGISTIC_RADIUS, CFG)
     assert longer.iterations == report.iterations
 
 
@@ -787,7 +803,7 @@ def test_nash_dual_bound_is_sound(motivating, three_group, planar):
         for _ in range(6):
             w = np.exp(rng.normal(scale=2.0, size=frame.num_groups))
             assert _nash_bound(model, frame, w, radius) >= top
-        rep = solve_nash(model, frame, radius, CFG)
+        rep = solve("nash", model, frame, radius, CFG)
         assert rep.certified(CFG.tol) and rep.objective_value + rep.certificate_gap >= top
 
 
@@ -817,7 +833,7 @@ def test_rank_deficient_specs_report_or_refuse():
         ri = reports["ri"]
         assert ri.objective_value + ri.certificate_gap >= float(worst_ri.max()), k
         try:
-            rep = solve_nash(model, frame, spec.radius, CFG)
+            rep = solve("nash", model, frame, spec.radius, CFG)
         except DegenerateBargainError:
             # the refusal's weighting bounds every point's worst improvement by tol
             assert max(ri.objective_value, float(worst_ri.max())) <= CFG.tol, k
