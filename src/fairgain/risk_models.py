@@ -246,6 +246,10 @@ class QuadraticGroupRisks:
     def gradients(self, theta: np.ndarray) -> np.ndarray:
         return 2.0 * (self.A @ theta - self.c)
 
+    def hessians(self, theta: np.ndarray) -> np.ndarray:
+        """Each group's Hessian (m, d, d): 2 A_g at any theta."""
+        return 2.0 * self.A
+
     def lipschitz_bound(self, radius: float) -> float:
         """Bound on every group's gradient norm over the ball: 2 (lmax(A_g) r + |c_g|)."""
         spectral = np.abs(np.linalg.eigvalsh(self.A)).max(axis=1)
@@ -384,6 +388,15 @@ class LogisticGroupRisks:
             out[g] = X.T @ (sigmoid(X @ theta) - y) / X.shape[0]
         return out
 
+    def hessians(self, theta: np.ndarray) -> np.ndarray:
+        """Each group's Hessian (m, d, d): X' diag(p (1 - p)) X / n, p(1 - p) floored at 1e-12."""
+        out = np.empty((self.num_groups, self.dim, self.dim))
+        for g, X in enumerate(self.features):
+            p = sigmoid(X @ theta)
+            h = np.maximum(p * (1.0 - p), 1e-12)
+            out[g] = (X * h[:, None]).T @ X / X.shape[0]
+        return out
+
     def lipschitz_bound(self, radius: float) -> float:
         """Bound on every group's gradient norm at any theta: mean_i |x_i|.
 
@@ -426,10 +439,8 @@ class LogisticGroupRisks:
             if it == _NEWTON_ITERS:
                 break
             H = 1e-12 * np.eye(self.dim)
-            for w_g, X in zip(w, self.features):
-                p = sigmoid(X @ theta)
-                h = np.maximum(p * (1.0 - p), 1e-12)
-                H += w_g * ((X * h[:, None]).T @ X / X.shape[0])
+            for w_g, H_g in zip(w, self.hessians(theta)):
+                H += w_g * H_g
             step = theta - minimize_quadratic_ball(H, H @ theta - grad, radius)[0]
             t = 1.0
             while t * float(grad @ step) > 4e-16 * abs(cur):

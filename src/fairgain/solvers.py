@@ -14,7 +14,19 @@ most the master value, so the primal side closes with the dual even when
 weighted minimizers are non-unique. The master is a matrix game over the
 free groups' weights, with unbounded multipliers on pinned groups, solved
 exactly for any number of groups by one warm-started tableau simplex. The
-reported certificate is the true primal-dual gap. The product-of-gains
+cutting plane closes the lower bound slowly, so after each round an
+endgame takes Newton steps on the KKT system of the constraints near-active
+at the best point (Nocedal & Wright 2006, ch. 18), with each group's
+Hessian from the risk model's hessians(theta). The Newton point is one more
+candidate, scored exactly, and its multipliers, clipped at 0 with the free
+part put on the simplex, give one more weighted minimization: by weak
+duality a valid lower bound for any such weights, so the endgame can close
+the gap sooner but never makes it unsound. The master sees neither. A try
+whose Newton steps stop converging is dropped unscored. Every dual bound
+is taken with the pins' caps raised by the slack a candidate may break
+them by, and less a rounding allowance that grows with its terms, so that
+multipliers in the hundreds still give a sound bound. The reported
+certificate is the true primal-dual gap. The product-of-gains
 criterion minimizes an AM-GM bound on its log-gain sum over the weightings,
 with the same weighted minimizations as its candidate points. ri and
 leximin's stage 0 are one solve per (model, frame, ball, config): a memo
@@ -26,6 +38,8 @@ objective_value is core.criterion_value at the reported risks, clamped at 0.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -171,6 +185,10 @@ class _GameMaster:
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-11
+_KKT_STEPS = 6  # the most Newton steps of one endgame try
+_RETRY_SHRINK = 0.01  # an unchanged active set is tried again once the gap is this share of its last
+_lstsq = np.linalg._umath_linalg.lstsq  # the gufunc np.linalg.lstsq runs, without its wrapper
+_EPS = float(np.finfo(float).eps)  # lstsq's rcond is _EPS times the larger dimension, as numpy's default
 
 
 def _dual_minimax(
@@ -192,9 +210,13 @@ def _dual_minimax(
     keeps the point it was taken at; before every dual evaluation the master
     LP's dual weights combine those points into one more candidate, which
     lies in the ball and by convexity scores at most the master value, so
-    the master's saturation closes the primal side too. Returns
-    (theta, upper, lower, evals) where upper - lower is a sound certificate
-    by weak duality, evals counts the starting points and dual evaluations,
+    the master's saturation closes the primal side too. Saturation is a
+    master value that meets the lower bound above the floor; one below the
+    lower bound or at the floor marks a stalled tableau, and the rounds go
+    on. After each round the endgame's KKT Newton steps add a candidate and
+    a dual evaluation of their own, which the master never sees. Returns (theta, upper, lower,
+    evals) where upper - lower is a sound certificate by weak duality, evals
+    counts the starting points and dual evaluations, the endgame's included,
     and floor is a caller-supplied a priori lower bound. Some warm point must
     meet every pin, so that a feasible candidate exists. One that sits on a
     pin's cap can stall the master's single warm pass, so each leximin stage
@@ -207,38 +229,96 @@ def _dual_minimax(
     is_free[pin_idx] = False
     free = np.flatnonzero(is_free)
     inv_scales = 1.0 / scales
-    # the dual's per-group weights and constants, fixed for the whole call
+    # the dual's per-group weights and constants, fixed for the whole call; an
+    # incumbent may break a pin by _FEAS_TOL, so the dual's caps are raised by it
     inv_free, inv_pin = inv_scales[free], inv_scales[pin_idx]
-    shift_free, shift_pin = shifts[free] * inv_free, shifts[pin_idx] * inv_pin + pin_caps
+    shift_free, shift_pin = shifts[free] * inv_free, shifts[pin_idx] * inv_pin + (pin_caps + _FEAS_TOL)
 
     best_upper = np.inf
     best_theta: np.ndarray | None = None
+    best_f = np.zeros(m)  # the normalized risks at best_theta
     master = _GameMaster(len(free), len(pin_idx), floor)
     cuts: list[np.ndarray] = []
     points: list[np.ndarray] = []
 
-    def track(theta: np.ndarray) -> None:
-        nonlocal best_upper, best_theta
-        f = (model.values(theta) - shifts) / scales
+    def score(theta: np.ndarray) -> np.ndarray:
+        """The cut at theta; theta becomes the incumbent if it meets every pin and does better."""
+        nonlocal best_upper, best_theta, best_f
+        f = cut = (model.values(theta) - shifts) / scales
         f_free, viol = f, 0.0
         if len(pin_idx):  # unpinned, every group is free and the cut is f itself
             f_free, over = f[free], f[pin_idx] - pin_caps
-            f, viol = np.concatenate([f_free, over]), float(np.maximum(over, 0.0).max())
-        cuts.append(f)
-        points.append(theta)
+            cut, viol = np.concatenate([f_free, over]), float(np.maximum(over, 0.0).max())
         value = float(np.maximum.reduce(f_free))
         if viol <= _FEAS_TOL and value < best_upper:
-            best_upper, best_theta = value, theta
+            best_upper, best_theta, best_f = value, theta, f
+        return cut
 
-    def dual_at(lam: np.ndarray, mu: np.ndarray) -> float:
+    def track(theta: np.ndarray) -> None:
+        cuts.append(score(theta))
+        points.append(theta)
+
+    def dual_at(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Raise the lower bound to the dual value at (lam, mu); returns the weighted minimizer."""
+        nonlocal best_lower
         w, const = lam * inv_free, -float(lam @ shift_free)
         if len(pin_idx):  # unpinned, w is lam * inv_free and mu's terms are empty
             w = np.zeros(m)
             w[free], w[pin_idx] = lam * inv_free, mu * inv_pin
             const -= float(mu @ shift_pin)
         theta_hat, _, low = model.minimize(w, ball)
-        track(theta_hat)
-        return low + const
+        # the sum rounds at its terms' scale, which grows with the multipliers
+        best_lower = max(best_lower, low + const - 128.0 * _EPS * (abs(low) + abs(const)))
+        return theta_hat
+
+    tried, tried_gap = None, np.inf
+
+    def endgame(lam: np.ndarray, mu: np.ndarray) -> int:
+        """KKT Newton tries from the incumbent; returns the dual evaluations made.
+
+        The constraints are the free groups within the gap of the incumbent's
+        worst one or weighted by the master, the worst d + 1 of them, then
+        pins within the gap of their caps or weighted by the master, closest
+        to their caps first, d + 1 constraints at most. A try is made once
+        that set holds two constraints, and again only when the set changes
+        or the gap has shrunk _RETRY_SHRINK-fold since the last try. The
+        next choice of as many pins follows while some pin's multiplier
+        comes out negative, one choice per near-active pin at most, until
+        the gap closes, or until a try is dropped. Neither the Newton points
+        nor the dual minimizers reach the master.
+        """
+        nonlocal tried, tried_gap
+        gap, dim = best_upper - best_lower, model.dim
+        near = np.flatnonzero((best_f[free] >= best_upper - gap) | (lam > 0.0))
+        close = np.flatnonzero((best_f[pin_idx] - pin_caps >= -gap) | (mu > 0.0))
+        key = near.tolist(), close.tolist()
+        if len(near) + len(close) < 2 or (key == tried and gap > _RETRY_SHRINK * tried_gap):
+            return 0
+        tried, tried_gap = key, gap
+        near = near[np.argsort(-best_f[free[near]], kind="stable")][: dim + 1]
+        close = close[np.argsort(pin_caps[close] - best_f[pin_idx[close]], kind="stable")]
+        used = 0
+        choices = itertools.combinations(close, min(dim + 1 - len(near), len(close)))
+        for sub in itertools.islice(choices, max(len(close), 1)):
+            sub = np.array(sub, dtype=int)
+            out = _kkt_newton(
+                model, shifts, scales, best_theta, best_f, best_upper, np.concatenate([lam[near], mu[sub]]),
+                np.concatenate([free[near], pin_idx[sub]]), len(near), pin_caps[sub], ball,
+            )
+            if out is None:
+                break
+            theta, y = out
+            score(theta)
+            weights = np.maximum(y, 0.0)
+            total = float(weights[: len(near)].sum())
+            if total > 0.0:
+                lam_free, mu_pin = np.zeros(len(free)), np.zeros(len(pin_idx))
+                lam_free[near], mu_pin[sub] = weights[: len(near)] / total, weights[len(near) :]
+                dual_at(lam_free, mu_pin)
+                used += 1
+            if best_upper - best_lower <= 0.5 * cfg.tol or not (y[len(near) :] < 0.0).any():
+                break
+        return used
 
     track(np.zeros(model.dim))
     for point in warm:
@@ -250,7 +330,7 @@ def _dual_minimax(
     seeds = [np.full(len(free), 1.0 / len(free))]
     seeds += list(np.eye(len(free))) if len(free) > 1 else []
     for lam in seeds:
-        best_lower = max(best_lower, dual_at(lam, zero_mu))
+        track(dual_at(lam, zero_mu))
         evals += 1
 
     saturation = max(1e-12, 0.05 * cfg.tol)
@@ -262,12 +342,81 @@ def _dual_minimax(
             break
         lam, mu, master_val, alpha = picked
         track(alpha @ np.asarray(points))
-        best_lower = max(best_lower, dual_at(lam, mu))
+        track(dual_at(lam, mu))
         evals += 1
-        if master_val - best_lower <= saturation:
+        if best_upper - best_lower > 0.5 * cfg.tol:
+            evals += endgame(lam, mu)
+        if abs(master_val - best_lower) <= saturation and master_val > floor:
             break
 
     return best_theta, best_upper, min(best_lower, best_upper), evals
+
+
+def _kkt_newton(
+    model, shifts, scales, theta, f, t, y, idx, n_free, caps, ball
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(theta, y) after Newton steps on the KKT system of one active set, or None.
+
+    With f = (R - shifts) / scales, f at theta given, the free groups
+    idx[:n_free] are held at f_a = t, the pins idx[n_free:] at f_j = caps,
+    and theta on the sphere |theta| = ball once it starts there or a step
+    leaves the ball; until then the sphere's row holds nu at 0. With y the
+    multipliers, c the free groups' indicator and b the caps, each step
+    solves the symmetric Hessian system of
+    L = t + y . (f - c t - b) + nu (|theta|^2 - ball^2) / 2 in the unknowns
+    (theta, nu, t, y) by least squares, which also settles the singular
+    systems of rank-deficient groups. y starts from the master's weights,
+    put on the simplex over the free groups, and nu from 0. The steps stop
+    after _KKT_STEPS, once the residual is within _FEAS_TOL, or at a
+    non-finite step, and theta is pulled into the ball. The first step often
+    raises the residual as it sets nu and t, and so does the sphere's row
+    when it joins; a later step that fails to halve it, or leaves a free
+    group's weight below 0, means Newton's local convergence is missing or
+    the active set is wrong, and the try is dropped: None.
+    """
+    d, k = len(theta), len(idx)
+    inv = 1.0 / scales[idx]
+    r2 = math.inf if ball is None else ball * ball
+    # on the sphere to within the ball solve's tolerance, 2e-10 of ball^2
+    sphere = float(theta @ theta) >= r2 * (1.0 - 1e-9)
+    row, n = d + 1, d + 2 + k  # nu's row is d, t's is row, and the multipliers' follow
+    c = np.zeros(k)
+    c[:n_free] = 1.0
+    b = np.concatenate([np.zeros(n_free), caps])
+    total = float(y[:n_free].sum())
+    y, nu = (y / total if total > 0.0 else c / n_free), 0.0
+    kkt, resid = np.zeros((n, n)), np.empty(n)
+    kkt[row, row + 1 :] = kkt[row + 1 :, row] = -c
+    kkt[d, d] = 0.0 if sphere else 1.0
+    diag, last = np.arange(d), math.inf
+    for step in range(_KKT_STEPS):
+        if step:
+            f = (model.values(theta) - shifts) / scales
+        sq = float(theta @ theta)
+        if not sphere and sq > r2:  # the ball turns active: its row joins, and the residual restarts
+            sphere, last, kkt[d, d] = True, math.inf, 0.0
+        g = model.gradients(theta)[idx] * inv[:, None]
+        resid[:d] = y @ g + nu * theta
+        resid[d] = 0.5 * (sq - r2) if sphere else nu
+        resid[row] = 1.0 - float(c @ y)
+        resid[row + 1 :] = f[idx] - c * t - b
+        norm = math.sqrt(float(resid @ resid))
+        if norm <= _FEAS_TOL:
+            break
+        if step >= 2 and (norm > 0.5 * last or float(y[:n_free].min()) < 0.0):
+            return None
+        last = norm
+        kkt[:d, :d] = ((y * inv) @ model.hessians(theta)[idx].reshape(k, d * d)).reshape(d, d)
+        kkt[:d, row + 1 :] = g.T
+        kkt[row + 1 :, :d] = g
+        if sphere:
+            kkt[diag, diag] += nu
+            kkt[:d, d] = kkt[d, :d] = theta
+        move = _lstsq(kkt, -resid[:, None], _EPS * n, signature="ddd->ddid")[0][:, 0]
+        if not np.isfinite(move).all():
+            break
+        theta, nu, t, y = theta + move[:d], nu + move[d], t + move[row], y + move[row + 1 :]
+    return project_ball(theta, ball), y
 
 
 def _worst_group_minimax(method: str, model, frame: BargainingFrame, ball: float, cfg: SolverConfig):
@@ -414,24 +563,3 @@ def solve(
         certificate_gap=float(cert),
     )
 
-
-def objective_and_supergradient(
-    method: str, model, frame: BargainingFrame, theta: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Objective value and one supergradient (or gradient) at theta.
-
-    For the worst-group criteria the vector returned is the active group's
-    gradient contribution, which is a valid supergradient wherever the active
-    group is unique. leximin has no single objective to differentiate.
-    """
-    if method == "leximin":
-        raise ValueError(f"unknown objective {method!r}")
-    theta = np.asarray(theta, dtype=float)
-    vals = model.values(theta)
-    grads = model.gradients(theta)
-    value = criterion_value(method, frame, vals)
-    if method == "nash":
-        return value, -(grads / (frame.baseline_array() - vals)[:, None]).sum(axis=0)
-    _, scales, _, sign = WORST_GROUP[method](frame)
-    a = int(group_scores(method, frame, vals).argmin())
-    return value, -sign * grads[a] / scales[a]

@@ -3,7 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairgain.core import DegenerateFrameError
+from fairgain.core import (
+    WORST_GROUP,
+    BargainingFrame,
+    DegenerateFrameError,
+    criterion_value,
+    group_scores,
+)
 from fairgain.risk_models import (
     GroupedDataset,
     GroupLinearModel,
@@ -167,6 +173,28 @@ def random_logistic_dataset(
         except DegenerateFrameError:
             continue
         return ds
+
+
+def objective_and_supergradient(
+    method: str, model, frame: BargainingFrame, theta: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Objective value and one supergradient (or gradient) at theta.
+
+    For the worst-group criteria the vector returned is the active group's
+    gradient contribution, which is a valid supergradient wherever the active
+    group is unique. leximin has no single objective to differentiate.
+    """
+    if method == "leximin":
+        raise ValueError(f"unknown objective {method!r}")
+    theta = np.asarray(theta, dtype=float)
+    vals = model.values(theta)
+    grads = model.gradients(theta)
+    value = criterion_value(method, frame, vals)
+    if method == "nash":
+        return value, -(grads / (frame.baseline_array() - vals)[:, None]).sum(axis=0)
+    _, scales, _, sign = WORST_GROUP[method](frame)
+    a = int(group_scores(method, frame, vals).argmin())
+    return value, -sign * grads[a] / scales[a]
 
 
 @pytest.fixture

@@ -13,7 +13,13 @@ from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 
-from conftest import motivating_spec, planar_spec, random_logistic_dataset, random_problem_spec
+from conftest import (
+    motivating_spec,
+    objective_and_supergradient,
+    planar_spec,
+    random_logistic_dataset,
+    random_problem_spec,
+)
 from fairgain import bargain_discrete as bd
 from fairgain import cli
 from fairgain.core import BargainingFrame
@@ -34,7 +40,6 @@ from fairgain.risk_models import (
 from fairgain.solvers import (
     QuadraticGroupRisks,
     SolverConfig,
-    objective_and_supergradient,
     solve,
 )
 

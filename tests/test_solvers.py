@@ -14,6 +14,7 @@ from fairgain.core import (
     BargainingFrame,
     ConvergenceError,
     DegenerateBargainError,
+    DegenerateFrameError,
     criterion_scores,
     criterion_value,
     relative_improvements,
@@ -33,7 +34,6 @@ from fairgain.solvers import (
     SolverConfig,
     _GameMaster,
     group_risk_model,
-    objective_and_supergradient,
     solve,
 )
 from tests.conftest import (
@@ -41,6 +41,7 @@ from tests.conftest import (
     _random_psd,
     assert_oracle_within_certificate,
     centred_risks,
+    objective_and_supergradient,
     rank_deficient_spec,
     random_logistic_dataset,
     random_problem_spec,
@@ -180,13 +181,19 @@ def test_solution_unique_across_random_starts(motivating):
         assert np.allclose(rep.parameter, reps[0].parameter, atol=1e-4)
 
 
-def test_uncertified_when_budget_is_tiny(motivating, monkeypatch):
-    # a model built here, so the ri memo holds no solve of it made under the full budget
-    model, frame = _setup(motivating)
+def test_uncertified_when_budget_is_tiny(monkeypatch):
+    # spec 17 of the seed-7 stream with m cycling through 2, 3, 4: one round and
+    # its Newton tries leave ri's gap at 0.15, and the full budget certifies it.
+    # Each solve gets a model built for it, so the ri memo holds no solve made
+    # under the other budget
+    rng = np.random.default_rng(7)
+    spec = [random_problem_spec(rng, m=(2, 3, 4)[i % 3], d=2, radius=3.0) for i in range(18)][17]
     monkeypatch.setattr(solvers, "_MAX_ITERS", 1)
-    rep = solve("ri", model, frame, motivating.radius, CFG)
+    rep = solve("ri", *_setup(spec), spec.radius, CFG)
     assert not rep.certified(1e-6)
     assert rep.certificate_gap > 1e-6
+    monkeypatch.undo()
+    assert solve("ri", *_setup(spec), spec.radius, CFG).certified(1e-6)
 
 
 def test_solver_config_rejects_a_tol_no_gap_can_meet():
@@ -357,9 +364,10 @@ def _witness_draws() -> dict[int, object]:
 
 
 def test_every_master_solve_agrees_with_highs_on_the_witness_draws(monkeypatch):
-    # each master solve of ri, gdro, mmv and mmr on the witness draws and of
-    # mmr on logistic dataset 5 lies within 1e-8 of HiGHS's bracket (7.1e-10
-    # at worst over 1,727 solves) and returns None only where mu is unbounded
+    # each master solve of ri, gdro, mmv and mmr on the witness draws and the
+    # other draws among the stream's first 60, and of mmr on logistic dataset
+    # 5, lies within 1e-8 of HiGHS's bracket and returns None only where mu is
+    # unbounded (the Newton endgame leaves the witnesses alone under 500 solves)
     real, calls = _GameMaster.solve, []
 
     def spy(self, cuts):
@@ -370,7 +378,10 @@ def test_every_master_solve_agrees_with_highs_on_the_witness_draws(monkeypatch):
     monkeypatch.setattr(_GameMaster, "solve", spy)
     model = group_risk_model(random_logistic_dataset(np.random.default_rng(5)))
     solve("mmr", model, model.frame(LOGISTIC_RADIUS), LOGISTIC_RADIUS, CFG)
-    for spec in _witness_draws().values():
+    witnesses, draws = _witness_draws(), np.random.default_rng(123)
+    others = [rank_deficient_spec(draws) for _ in range(60)]
+    others = [spec for k, spec in enumerate(others) if spec is not None and k not in witnesses]
+    for spec in [*witnesses.values(), *others]:
         model, frame = _setup(spec)
         for method in ("ri", "gdro", "mmv", "mmr"):
             solve(method, model, frame, spec.radius, CFG)
@@ -414,10 +425,153 @@ def test_leximin_certifies_where_a_warm_point_on_a_pin_stalled():
         m, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
         spec = random_problem_spec(rng, m=m, d=d)
     specs.append(spec)
+    # spec 86 of the seed-7 stream with m cycling through 2, 3, 4, where the
+    # cutting plane alone stopped leximin at gap 0.037 after 62 evaluations
+    rng = np.random.default_rng(7)
+    cycled = [random_problem_spec(rng, m=(2, 3, 4)[i % 3], d=2, radius=3.0) for i in range(87)]
+    specs.append(cycled[86])
     for k, spec in enumerate(specs):
         model, frame = _setup(spec)
         rep = solve("leximin", model, frame, spec.radius, CFG)
         assert rep.certified(CFG.tol), (k, rep.certificate_gap)
+
+
+def test_leximin_goes_on_where_the_master_stalls_below_the_lower_bound_or_at_the_floor():
+    # two rank-deficient draws of the seed-123 stream. Draw 603 (counting None
+    # draws) with its risks scaled by 1 + 2^-52: the last stage's first master
+    # solve returns the floor, -1.0, while the lower bound is still the floor.
+    # The 866th draw that is not None: the endgame lifts the last stage's
+    # lower bound above the first master value. Read as saturation, either
+    # stopped leximin uncertified (gaps 0.13 and 6.4e-6)
+    draws = np.random.default_rng(123)
+    specs = [rank_deficient_spec(draws) for _ in range(1000)]
+    base = QuadraticGroupRisks.from_problem_spec(specs[603])
+    scale = 1.0 + 2.0**-52
+    scaled = QuadraticGroupRisks(base.A * scale, base.c * scale, base.k * scale)
+    spec = [s for s in specs if s is not None][865]
+    cases = ((scaled, specs[603].radius), (QuadraticGroupRisks.from_problem_spec(spec), spec.radius))
+    for model, radius in cases:
+        rep = solve("leximin", model, model.frame(radius), radius, CFG)
+        assert rep.certified(CFG.tol), rep.certificate_gap
+
+
+def test_one_feature_two_group_ri_solves_certify_within_ten_evaluations():
+    # the convergence study's shape: two groups, one feature, sampled moments;
+    # the cutting plane alone took 11-13 evaluations on 18 of these draws, and
+    # the KKT Newton step closes both bounds after its first round (6)
+    rng = np.random.default_rng(3)
+    draws = 0
+    while draws < 20:
+        betas, sigma2 = rng.uniform(0.5, 8.0, 2), rng.uniform(0.5, 10.0, 2)
+        groups = tuple(
+            GroupLinearModel(beta=np.array([b]), sigma2=float(s), cov=np.eye(1))
+            for b, s in zip(betas, sigma2)
+        )
+        spec = ProblemSpec(groups=groups, radius=10.0)
+        model = risk_models.draw_moments(spec, int(rng.choice([100, 400, 1600, 6400, 25600])), rng)
+        try:
+            frame = model.frame(spec.radius)
+        except DegenerateFrameError:
+            continue
+        draws += 1
+        rep = solve("ri", model, frame, spec.radius, CFG)
+        assert rep.certified(CFG.tol), (draws, rep.certificate_gap)
+        assert rep.iterations <= 10, (draws, rep.iterations)
+
+
+def test_kkt_newton_takes_the_sphere_on_once_a_step_leaves_the_ball():
+    # R_g = |theta - beta_g|^2 with beta (4, 0) and (0, 6): the two tie on the
+    # line 2 theta_1 - 3 theta_2 + 5 = 0, whose closest point, (2, 3), lies
+    # outside the ball of radius 2. From theta = 0, inside the ball, the steps
+    # must bring the sphere's row in and end on the sphere with the groups
+    # tied; projecting (2, 3) onto the sphere would leave them 8.9 apart
+    beta = np.array([[4.0, 0.0], [0.0, 6.0]])
+    model = QuadraticGroupRisks(np.stack([np.eye(2)] * 2), beta, (beta**2).sum(axis=1))
+    shifts, scales, theta = np.zeros(2), np.ones(2), np.zeros(2)
+    f = model.values(theta)
+    out = solvers._kkt_newton(
+        model, shifts, scales, theta, f, float(f.max()), np.array([0.5, 0.5]),
+        np.array([0, 1]), 2, np.array([]), 2.0,
+    )
+    assert out is not None
+    point, y = out
+    risks = model.values(point)
+    assert abs(float(np.linalg.norm(point)) - 2.0) <= 1e-9, point
+    assert abs(float(risks[0] - risks[1])) <= 1e-9, risks
+    assert np.all(y >= 0.0) and abs(float(y.sum()) - 1.0) <= 1e-9, y
+
+
+def test_kkt_newton_bounds_are_sound_and_its_accepted_points_feasible(monkeypatch):
+    # the weights of every dual evaluation an endgame makes form a dual point
+    # (free weights on the simplex in normalized units, pin weights >= 0), and
+    # the bound they give is at most the upper bound its minimax reports, up to
+    # the rounding of its terms; every Newton point lies in the ball, and one the
+    # minimax returns meets each pin within _FEAS_TOL (40 criterion-3 specs and
+    # 40 rank-deficient draws)
+    real_minimax, real_newton = solvers._dual_minimax, solvers._kkt_newton
+    real_minimize = QuadraticGroupRisks.minimize
+    calls: list[list] = []
+    dual_next = []
+    seen = {"bounds": 0, "pinned": 0, "accepted": 0}
+
+    def newton(model, shifts, scales, theta, f, t, y, idx, n_free, caps, ball):
+        out = real_newton(model, shifts, scales, theta, f, t, y, idx, n_free, caps, ball)
+        if out is not None:
+            calls[-1].append(("point", out[0]))
+        # the endgame evaluates the dual next unless it dropped the try or no
+        # free weight survives clipping
+        dual_next.append(out is not None and np.maximum(out[1][:n_free], 0.0).sum() > 0.0)
+        return out
+
+    def minimize(self, w, radius):
+        out = real_minimize(self, w, radius)
+        if dual_next and dual_next.pop():
+            calls[-1].append(("bound", np.asarray(w, dtype=float), out[2]))
+        return out
+
+    def minimax(model, shifts, scales, ball, cfg, floor, warm=(), pin_idx=None, pin_caps=None):
+        calls.append([])
+        theta, hi, lo, evals = real_minimax(model, shifts, scales, ball, cfg, floor, warm, pin_idx, pin_caps)
+        pins = np.array([] if pin_idx is None else pin_idx, dtype=int)
+        caps = np.array([] if pin_caps is None else pin_caps, dtype=float)
+        free = np.setdiff1d(np.arange(model.num_groups), pins)
+        for kind, *rest in calls.pop():
+            if kind == "point":
+                assert np.linalg.norm(rest[0]) <= ball * (1.0 + 1e-12)
+                if rest[0] is theta:
+                    f = (model.values(theta) - shifts) / scales
+                    assert np.all(f[pins] - caps <= solvers._FEAS_TOL), (f[pins] - caps)
+                    seen["accepted"] += 1
+                continue
+            w, lower = rest
+            assert np.all(w >= 0.0) and abs(float(w[free] @ scales[free]) - 1.0) <= 1e-12, w
+            const = -float(w[free] @ shifts[free]) - float(w[pins] @ (shifts[pins] + scales[pins] * caps))
+            # the bound as the minimax takes it: the caps raised by _FEAS_TOL, the
+            # slack its incumbent may take, and the sum's rounding taken off
+            const -= solvers._FEAS_TOL * float(w[pins] @ scales[pins])
+            bound = lower + const - 128.0 * solvers._EPS * (abs(lower) + abs(const))
+            assert bound <= hi, (bound, hi)
+            seen["bounds"] += 1
+            seen["pinned"] += len(pins) > 0
+        return theta, hi, lo, evals
+
+    monkeypatch.setattr(solvers, "_dual_minimax", minimax)
+    monkeypatch.setattr(solvers, "_kkt_newton", newton)
+    monkeypatch.setattr(QuadraticGroupRisks, "minimize", minimize)
+    rng = np.random.default_rng(7)
+    specs = [random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0) for _ in range(40)]
+    draws = np.random.default_rng(123)
+    while len(specs) < 80:
+        spec = rank_deficient_spec(draws)
+        if spec is not None:
+            specs.append(spec)
+    for spec in specs:
+        model, frame = _setup(spec)
+        for method in ("ri", "leximin", "gdro", "mmv", "mmr"):
+            solve(method, model, frame, spec.radius, CFG)
+    assert not calls and not dual_next
+    # 390 bounds, 46 of them in pinned stages, and 251 returned Newton points
+    assert seen["bounds"] > 300 and seen["pinned"] > 30 and seen["accepted"] > 150, seen
 
 
 def test_two_group_solves_certify():
