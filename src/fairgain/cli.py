@@ -7,8 +7,9 @@ when a logistic minimization (an ideal fit or a solve's weighted
 minimization), a nash solve or the convergence study stops without
 converging. Outputs are written atomically, byte-identical for fixed inputs.
 
-Each flag's type and default live in `build_parser`: a malformed flag or a
-missing `--spec` prints argparse's usage line and `error: argument --X: ...`.
+Each flag's type and default live in `build_parser`: a malformed flag, or a
+run with neither or both of `--spec` and `--data` (`converge` takes `--spec`
+only), prints argparse's usage line and an `error:` line naming the flag.
 Range checks (`tol`, `--trials`, `--weights`, `--grid`) are the library's own
 ValueErrors, which `main` maps to exit 2 with that error's message.
 
@@ -96,10 +97,8 @@ def _fmt(v: float) -> str:
 def _load_source(
     args: argparse.Namespace,
 ) -> tuple[QuadraticGroupRisks | LogisticGroupRisks, BargainingFrame, float]:
-    """(risk model, frame, ball) of the run's --spec or --data input."""
-    if bool(args.spec) == bool(args.data):
-        raise ValueError("pass exactly one of --spec or --data")
-    if args.spec:
+    """(risk model, frame, ball) of the run's --spec or --data input; argparse allows just one."""
+    if args.spec is not None:
         if args.loss is not None or args.radius is not None:
             raise ValueError("--loss and --radius apply to --data inputs only")
         spec = load_problem_spec(args.spec)
@@ -339,22 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p: argparse.ArgumentParser, data_ok: bool = True) -> None:
+    spec_help = "population spec JSON (radius + per-group beta/sigma2/cov)"
+    out_help = "output path (stdout when omitted)"
+
+    def add_source(p: argparse.ArgumentParser) -> None:
+        # argparse names --spec in its error when a run gives neither source, or both
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--spec", help=spec_help)
+        source.add_argument("--data", help="grouped dataset CSV with columns group,y,x1..xd")
         p.add_argument(
-            "--spec",
-            required=not data_ok,
-            help="population spec JSON (radius + per-group beta/sigma2/cov)",
+            "--loss", choices=["squared", "logistic"], help="--data risk (default squared)"
         )
-        if data_ok:
-            p.add_argument("--data", help="grouped dataset CSV with columns group,y,x1..xd")
-            p.add_argument(
-                "--loss", choices=["squared", "logistic"], help="--data risk (default squared)"
-            )
-            p.add_argument("--radius", type=positive_float, help="parameter ball for --data runs")
-        else:
-            # one namespace shape for _load_source
-            p.set_defaults(data=None, loss=None, radius=None)
-        p.add_argument("--out", help="output path (stdout when omitted)")
+        p.add_argument("--radius", type=positive_float, help="parameter ball for --data runs")
+        p.add_argument("--out", help=out_help)
 
     def add_solver_flags(p: argparse.ArgumentParser, methods: bool = True) -> None:
         p.add_argument("--seed", type=int)
@@ -376,15 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fr = sub.add_parser("frontier", help="trace the two-group improvement frontier")
-    add_source(p_fr, data_ok=False)
+    add_source(p_fr)
     p_fr.add_argument("--weights", type=int, default=200)
 
     p_rs = sub.add_parser("riskset", help="sample the risk set on a ball grid")
-    add_source(p_rs, data_ok=False)
+    add_source(p_rs)
     p_rs.add_argument("--grid", type=int, default=101)
 
     p_cv = sub.add_parser("converge", help="sample-size convergence study")
-    add_source(p_cv, data_ok=False)
+    p_cv.add_argument("--spec", required=True, help=spec_help)
+    p_cv.add_argument("--out", help=out_help)
     add_solver_flags(p_cv, methods=False)
     p_cv.add_argument("--trials", type=int, default=50)
     p_cv.add_argument(

@@ -22,15 +22,19 @@ candidate, scored exactly, and its multipliers, clipped at 0 with the free
 part put on the simplex, give one more weighted minimization: by weak
 duality a valid lower bound for any such weights, so the endgame can close
 the gap sooner but never makes it unsound. The master sees neither. A try
-whose Newton steps stop converging is dropped unscored. Every dual bound
-is taken with the pins' caps raised by the slack a candidate may break
-them by, and less a rounding allowance that grows with its terms, so that
-multipliers in the hundreds still give a sound bound. The reported
-certificate is the true primal-dual gap. The product-of-gains
-criterion minimizes an AM-GM bound on its log-gain sum over the weightings,
-with the same weighted minimizations as its candidate points. ri and
-leximin's stage 0 are one solve per (model, frame, ball, config): a memo
-with one entry keeps the last such solve, and with it the last model.
+whose Newton steps stop converging is dropped unscored. A negative
+multiplier on a chosen constraint marks the wrong active set, as at a
+degenerate vertex where more than d + 1 groups tie, and the next choice of
+constraints is tried. Every dual bound is taken with the pins' caps raised
+by the slack a candidate may break them by, and less a rounding allowance
+that grows with its terms, so that multipliers in the hundreds still give a
+sound bound. The reported certificate is the true primal-dual gap. The
+product-of-gains criterion minimizes an AM-GM bound on its log-gain sum
+over the weightings, with the same weighted minimizations as its candidate
+points; it refuses first when the ri solve's certified bound shows that no
+point gains above tol. ri, leximin's stage 0 and nash's refusal test share
+one solve per (model, frame, ball, config): a memo with one entry keeps the
+last such solve, and with it the last model.
 
 solve(method, model, frame, ball, cfg) is the only solver entry, and its report's
 objective_value is core.criterion_value at the reported risks, clamped at 0.
@@ -277,15 +281,20 @@ def _dual_minimax(
         """KKT Newton tries from the incumbent; returns the dual evaluations made.
 
         The constraints are the free groups within the gap of the incumbent's
-        worst one or weighted by the master, the worst d + 1 of them, then
-        pins within the gap of their caps or weighted by the master, closest
-        to their caps first, d + 1 constraints at most. A try is made once
-        that set holds two constraints, and again only when the set changes
-        or the gap has shrunk _RETRY_SHRINK-fold since the last try. The
-        next choice of as many pins follows while some pin's multiplier
-        comes out negative, one choice per near-active pin at most, until
-        the gap closes, or until a try is dropped. Neither the Newton points
-        nor the dual minimizers reach the master.
+        worst one or weighted by the master, worst first and, among ties,
+        the master's heaviest first, then pins within the gap of their caps
+        or weighted by the master, closest to their caps first, d + 1
+        constraints at most. A try is made once that set holds two
+        constraints, and again only when the set changes or the gap has
+        shrunk _RETRY_SHRINK-fold since the last try. With pins near, the
+        first d + 1 free groups are kept, and the next choice of as many pins
+        follows while some pin's multiplier comes out negative, one choice
+        per near pin at most. Without, the next choice of min(d + 1, |near|)
+        free groups follows while some free multiplier comes out negative,
+        one choice per near group at most: where more than d + 1 groups tie,
+        some d + 1 of them carry nonnegative multipliers (Caratheodory). The
+        tries stop once the gap closes, or a try is dropped. Neither the
+        Newton points nor the dual minimizers reach the master.
         """
         nonlocal tried, tried_gap
         gap, dim = best_upper - best_lower, model.dim
@@ -295,28 +304,35 @@ def _dual_minimax(
         if len(near) + len(close) < 2 or (key == tried and gap > _RETRY_SHRINK * tried_gap):
             return 0
         tried, tried_gap = key, gap
-        near = near[np.argsort(-best_f[free[near]], kind="stable")][: dim + 1]
+        # worst first, and among ties (a degenerate vertex) the master's heaviest first
+        near = near[np.lexsort((-lam[near], -best_f[free[near]]))]
         close = close[np.argsort(pin_caps[close] - best_f[pin_idx[close]], kind="stable")]
+        size = min(dim + 1, len(near))
+        if len(close):  # the worst free groups, then each choice of pins in turn
+            choices = itertools.combinations(close, min(dim + 1 - size, len(close)))
+            tries = ((near[:size], np.array(sub, dtype=int)) for sub in choices)
+        else:  # each choice of free groups in turn
+            choices = itertools.combinations(near, size)
+            tries = ((np.array(sub, dtype=int), close) for sub in choices)
         used = 0
-        choices = itertools.combinations(close, min(dim + 1 - len(near), len(close)))
-        for sub in itertools.islice(choices, max(len(close), 1)):
-            sub = np.array(sub, dtype=int)
+        for chosen, sub in itertools.islice(tries, len(close) or len(near)):
             out = _kkt_newton(
-                model, shifts, scales, best_theta, best_f, best_upper, np.concatenate([lam[near], mu[sub]]),
-                np.concatenate([free[near], pin_idx[sub]]), len(near), pin_caps[sub], ball,
+                model, shifts, scales, best_theta, best_f, best_upper, np.concatenate([lam[chosen], mu[sub]]),
+                np.concatenate([free[chosen], pin_idx[sub]]), size, pin_caps[sub], ball,
             )
             if out is None:
                 break
             theta, y = out
             score(theta)
             weights = np.maximum(y, 0.0)
-            total = float(weights[: len(near)].sum())
+            total = float(weights[:size].sum())
             if total > 0.0:
                 lam_free, mu_pin = np.zeros(len(free)), np.zeros(len(pin_idx))
-                lam_free[near], mu_pin[sub] = weights[: len(near)] / total, weights[len(near) :]
+                lam_free[chosen], mu_pin[sub] = weights[:size] / total, weights[size:]
                 dual_at(lam_free, mu_pin)
                 used += 1
-            if best_upper - best_lower <= 0.5 * cfg.tol or not (y[len(near) :] < 0.0).any():
+            varied = y[size:] if len(close) else y[:size]
+            if best_upper - best_lower <= 0.5 * cfg.tol or not (varied < 0.0).any():
                 break
         return used
 
@@ -372,7 +388,9 @@ def _kkt_newton(
     raises the residual as it sets nu and t, and so does the sphere's row
     when it joins; a later step that fails to halve it, or leaves a free
     group's weight below 0, means Newton's local convergence is missing or
-    the active set is wrong, and the try is dropped: None.
+    the active set is wrong, and the try is dropped: None. Steps that
+    converge within two steps, or run out, return the multipliers whatever
+    their signs; the caller reads a negative one as a wrong active set.
     """
     d, k = len(theta), len(idx)
     inv = 1.0 / scales[idx]
@@ -439,13 +457,23 @@ def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tupl
     certified bound. BFGS minimizes U over z = log w; the weighted minimizers are
     the candidates and the gap is the least U less the best candidate's score. A w
     with h(w) <= tol * (w . gaps) bounds every point's worst relative improvement by
-    tol, and the solve refuses. The search ends when the gap closes, the budget
-    runs out, or the next step's predicted drop is at most 4e-16 of U, where
+    tol, and the solve refuses. With lam = w * gaps put on the simplex, h(w) / (w . gaps)
+    is minus the ri dual value at lam, so such a w exists exactly when the ri dual's
+    maximum is at least -tol, and the ri solve's certified lower bound shows it. That
+    test, on the memoized ri solve, comes first and spares the search its weighted
+    minimizations; the test inside the search stays for an ri solve left short of
+    its bound, and keeps log h finite. The search ends when the gap closes, the
+    budget runs out, or the next step's predicted drop is at most 4e-16 of U, where
     rounding hides any drop. iterations counts the weighted minimizations.
     """
     m = frame.num_groups
     base, gaps = frame.baseline_array(), frame.gap_array()
     best, best_theta, least, evals = -np.inf, None, np.inf, 0
+    degenerate = DegenerateBargainError(
+        f"no point gives every group a gain: every worst improvement is <= {cfg.tol:.1e}"
+    )
+    if -_ri_minimax("ri", model, frame, ball, cfg)[2] <= cfg.tol:
+        raise degenerate
 
     def bound(z: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best, best_theta, least, evals
@@ -455,9 +483,7 @@ def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tupl
         evals += 1
         h = float(w @ base) - low
         if h <= cfg.tol * float(w @ gaps):
-            raise DegenerateBargainError(
-                f"no point gives every group a gain: every worst improvement is <= {cfg.tol:.1e}"
-            )
+            raise degenerate
         vals = model.values(theta)
         score = float(criterion_scores("nash", frame, vals))
         if score > best:

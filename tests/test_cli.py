@@ -234,8 +234,8 @@ SUBCOMMAND_OPTIONS = {
         "--data", "--help", "--loss", "--methods", "--oracle-grid", "--out", "--radius", "--seed",
         "--spec", "--tol", "-h",
     ],
-    "frontier": ["--help", "--out", "--spec", "--weights", "-h"],
-    "riskset": ["--grid", "--help", "--out", "--spec", "-h"],
+    "frontier": ["--data", "--help", "--loss", "--out", "--radius", "--spec", "--weights", "-h"],
+    "riskset": ["--data", "--grid", "--help", "--loss", "--out", "--radius", "--spec", "-h"],
     "converge": ["--help", "--ns", "--out", "--seed", "--spec", "--tol", "--trials", "-h"],
 }
 
@@ -369,6 +369,47 @@ def test_riskset_grid_row_count(planar_file, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "theta_1,theta_2,r_1,r_2"
     assert len(lines) == 1 + 101 * 101
+
+
+def test_frontier_and_riskset_on_data(tmp_path, capsys):
+    # both read a dataset as solve does, squared or logistic, over solve's
+    # default ball when --radius is absent; each row reads the data's own risks
+    squared = draw_dataset(planar_spec(), n_per_group=200, rng=np.random.default_rng(0))
+    logistic = random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=200, radius=2.0)
+    for ds in (squared, logistic):
+        data = tmp_path / f"{ds.loss}.csv"
+        write_dataset_csv(ds, data)
+        model = group_risk_model(risk_models.load_dataset_csv(str(data), loss=ds.loss))
+        for radius in (None, "1.5"):
+            source = ["--data", str(data), "--loss", ds.loss]
+            source += [] if radius is None else ["--radius", radius]
+            assert main(["solve", "--methods", "ri"] + source) == 0, ds.loss
+            ball = json.loads(capsys.readouterr().out)["ball"]
+            frame = model.frame(ball)
+            assert main(["frontier", "--weights", "20"] + source) == 0, ds.loss
+            header, *rows = capsys.readouterr().out.strip().split("\n")
+            assert header == "lambda,rho1,rho2,r1,r2"
+            rows = np.array([[float(v) for v in row.split(",")] for row in rows])
+            assert len(rows) >= 20 and np.all(np.diff(rows[:, 1]) > 0), ds.loss
+            rho = (frame.baseline_array() - rows[:, 3:]) / frame.gap_array()
+            assert np.allclose(rho, rows[:, 1:3], rtol=0.0, atol=1e-12), ds.loss
+            assert main(["riskset", "--grid", "11"] + source) == 0, ds.loss
+            header, *rows = capsys.readouterr().out.strip().split("\n")
+            assert header == "theta_1,theta_2,r_1,r_2" and len(rows) == 11 * 11
+            rows = np.array([[float(v) for v in row.split(",")] for row in rows])
+            assert np.max(np.linalg.norm(rows[:, :2], axis=1)) == pytest.approx(ball, rel=1e-12)
+            assert np.array_equal(model.values(rows[:, :2]), rows[:, 2:]), ds.loss
+    # three groups have no two-group frontier, and a spec takes no --radius
+    data = tmp_path / "three.csv"
+    write_dataset_csv(draw_dataset(three_group_spec(), 50, np.random.default_rng(0)), data)
+    capsys.readouterr()
+    assert main(["frontier", "--data", str(data)]) == 4
+    assert capsys.readouterr().err == "error: frontier tracing needs exactly two groups, got 3\n"
+    path = tmp_path / "planar.json"
+    save_problem_spec(planar_spec(), path)
+    for command in ("frontier", "riskset"):
+        assert main([command, "--spec", str(path), "--radius", "1"]) == 2, command
+        assert main([command, "--spec", str(path), "--data", str(data)]) == 2, command
 
 
 def test_compare_oracle_agreement(spec_file, tmp_path):

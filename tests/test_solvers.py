@@ -182,12 +182,12 @@ def test_solution_unique_across_random_starts(motivating):
 
 
 def test_uncertified_when_budget_is_tiny(monkeypatch):
-    # spec 17 of the seed-7 stream with m cycling through 2, 3, 4: one round and
-    # its Newton tries leave ri's gap at 0.15, and the full budget certifies it.
+    # spec 37 of the seed-7 stream with m cycling through 2, 3, 4: one round and
+    # its Newton tries leave ri's gap at 0.31, and the full budget certifies it.
     # Each solve gets a model built for it, so the ri memo holds no solve made
     # under the other budget
     rng = np.random.default_rng(7)
-    spec = [random_problem_spec(rng, m=(2, 3, 4)[i % 3], d=2, radius=3.0) for i in range(18)][17]
+    spec = [random_problem_spec(rng, m=(2, 3, 4)[i % 3], d=2, radius=3.0) for i in range(38)][37]
     monkeypatch.setattr(solvers, "_MAX_ITERS", 1)
     rep = solve("ri", *_setup(spec), spec.radius, CFG)
     assert not rep.certified(1e-6)
@@ -605,6 +605,67 @@ def test_two_group_solves_certify():
             # no-harm spec 9 needs the most weighted minimizations of these (22)
             assert rep.iterations < 100, rep.iterations
     assert len(refused) == 12 and min(refused) >= 100
+
+
+# criterion-3 draws (seed 7, d = 2) with four groups where no point improves
+# every group: all four tie at 0 at theta = 0, a vertex with more ties than d + 1
+_DEGENERATE_VERTICES = (13, 17, 31, 38, 41, 80, 82, 85, 101, 129, 133, 165, 177, 181)
+
+
+def _criterion_3_specs(n: int) -> list:
+    rng = np.random.default_rng(7)
+    return [random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0) for _ in range(n)]
+
+
+def test_worst_group_solves_close_fast_at_a_degenerate_vertex():
+    # the endgame's first d + 1 tied groups can carry a negative multiplier
+    # there; moving on to the next choice of them closed these in 8-9
+    # evaluations, where keeping the first took 26-39
+    specs = _criterion_3_specs(182)
+    for i in _DEGENERATE_VERTICES:
+        assert len(specs[i].groups) == 4, i
+        model, frame = _setup(specs[i])
+        for method in ("ri", "mmv"):
+            rep = solve(method, model, frame, specs[i].radius, CFG)
+            assert rep.objective_value == 0.0, (i, method, rep.objective_value)
+            assert rep.certified(CFG.tol), (i, method, rep.certificate_gap)
+            assert rep.iterations <= 12, (i, method, rep.iterations)
+
+
+def test_nash_refuses_from_the_ri_certificate_in_either_order(monkeypatch):
+    # at a degenerate vertex the ri solve's lower bound already shows that no
+    # point gains above tol, so nash after ri refuses without a weighted
+    # minimization of its own; alone, it refuses just the same
+    specs = _criterion_3_specs(182)
+    message = "no point gives every group a gain: every worst improvement is <= 1.0e-06"
+    real_minimize = QuadraticGroupRisks.minimize
+    calls = []
+
+    def minimize(self, w, radius):
+        calls.append(w)
+        return real_minimize(self, w, radius)
+
+    for i in _DEGENERATE_VERTICES:
+        model, frame = _setup(specs[i])
+        with pytest.raises(DegenerateBargainError) as alone:
+            solve("nash", model, frame, specs[i].radius, CFG)
+        assert str(alone.value) == message, i
+        model, frame = _setup(specs[i])
+        solve("ri", model, frame, specs[i].radius, CFG)
+        calls.clear()
+        with monkeypatch.context() as patch, pytest.raises(DegenerateBargainError) as after:
+            patch.setattr(QuadraticGroupRisks, "minimize", minimize)
+            solve("nash", model, frame, specs[i].radius, CFG)
+        assert str(after.value) == message, i
+        assert not calls, (i, len(calls))
+    # where every group can gain, nash's report does not depend on whether ri ran first
+    for i in (0, 1, 4, 5):
+        model, frame = _setup(specs[i])
+        alone = solve("nash", model, frame, specs[i].radius, CFG)
+        model, frame = _setup(specs[i])
+        solve("ri", model, frame, specs[i].radius, CFG)
+        after = solve("nash", model, frame, specs[i].radius, CFG)
+        assert alone.certified(CFG.tol) and repr(alone) == repr(after), i
 
 
 def test_nash_budget_stop_without_a_positive_point_is_a_convergence_error(monkeypatch):
