@@ -4,8 +4,9 @@ Exit codes: 0 on success, 2 for configuration problems or a request too
 large for memory (MemoryError), 3 for a degenerate frame or when nash shows
 no point lifts every group above tol, 4 for unsupported dimensionality, 5
 when a logistic minimization (an ideal fit or a solve's weighted
-minimization), a nash solve or the convergence study stops without
-converging. Outputs are written atomically, byte-identical for fixed inputs.
+minimization) or the convergence study stops without converging, or when
+nash's start, the point of an ri solve stopped short of its bound, leaves
+some group no gain. Outputs are written atomically, byte-identical for fixed inputs.
 
 Each flag's type and default live in `build_parser`: a malformed flag, or a
 run with neither or both of `--spec` and `--data` (`converge` takes `--spec`

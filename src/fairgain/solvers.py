@@ -29,12 +29,12 @@ constraints is tried. Every dual bound is taken with the pins' caps raised
 by the slack a candidate may break them by, and less a rounding allowance
 that grows with its terms, so that multipliers in the hundreds still give a
 sound bound. The reported certificate is the true primal-dual gap. The
-product-of-gains criterion minimizes an AM-GM bound on its log-gain sum
-over the weightings, with the same weighted minimizations as its candidate
-points; it refuses first when the ri solve's certified bound shows that no
-point gains above tol. ri, leximin's stage 0 and nash's refusal test share
-one solve per (model, frame, ball, config): a memo with one entry keeps the
-last such solve, and with it the last model.
+product-of-gains criterion takes damped Newton steps on its log-gain sum
+from the ri point, each certified by an AM-GM bound at the weights 1/gains,
+one weighted minimization; it refuses first when the ri solve's certified
+bound shows that no point gains above tol. ri, leximin's stage 0 and nash's
+refusal test and start share one solve per (model, frame, ball, config): a
+memo with one entry keeps the last such solve, and with it the last model.
 
 solve(method, model, frame, ball, cfg) is the only solver entry, and its report's
 objective_value is core.criterion_value at the reported risks, clamped at 0.
@@ -58,7 +58,6 @@ from fairgain.core import (
     ImprovementProfile,
     RiskProfile,
     SolverReport,
-    criterion_scores,
     criterion_value,
     group_scores,
     relative_improvements,
@@ -68,6 +67,7 @@ from fairgain.risk_models import (
     LogisticGroupRisks,
     ProblemSpec,
     QuadraticGroupRisks,
+    minimize_quadratic_ball,
     project_ball,
 )
 
@@ -273,7 +273,9 @@ def _dual_minimax(
         theta_hat, _, low = model.minimize(w, ball)
         # the sum rounds at its terms' scale, which grows with the multipliers
         best_lower = max(best_lower, low + const - 128.0 * _EPS * (abs(low) + abs(const)))
-        return theta_hat
+        # the ball solve meets the sphere only to its tolerance: a minimizer
+        # just outside would score below the ball's minimum
+        return project_ball(theta_hat, ball)
 
     tried, tried_gap = None, np.inf
 
@@ -286,15 +288,14 @@ def _dual_minimax(
         or weighted by the master, closest to their caps first, d + 1
         constraints at most. A try is made once that set holds two
         constraints, and again only when the set changes or the gap has
-        shrunk _RETRY_SHRINK-fold since the last try. With pins near, the
-        first d + 1 free groups are kept, and the next choice of as many pins
-        follows while some pin's multiplier comes out negative, one choice
-        per near pin at most. Without, the next choice of min(d + 1, |near|)
-        free groups follows while some free multiplier comes out negative,
-        one choice per near group at most: where more than d + 1 groups tie,
-        some d + 1 of them carry nonnegative multipliers (Caratheodory). The
-        tries stop once the gap closes, or a try is dropped. Neither the
-        Newton points nor the dual minimizers reach the master.
+        shrunk _RETRY_SHRINK-fold since the last try. A choice is
+        min(d + 1, |near|) free groups and as many near pins as fill d + 1;
+        the pins vary first, and the next choice follows while some chosen
+        multiplier comes out negative, max(|near|, |close|) choices at most:
+        where more than d + 1 groups tie, some d + 1 of them carry
+        nonnegative multipliers (Caratheodory). The tries stop once the gap
+        closes, or a try is dropped. Neither the Newton points nor the dual
+        minimizers reach the master.
         """
         nonlocal tried, tried_gap
         gap, dim = best_upper - best_lower, model.dim
@@ -308,14 +309,14 @@ def _dual_minimax(
         near = near[np.lexsort((-lam[near], -best_f[free[near]]))]
         close = close[np.argsort(pin_caps[close] - best_f[pin_idx[close]], kind="stable")]
         size = min(dim + 1, len(near))
-        if len(close):  # the worst free groups, then each choice of pins in turn
-            choices = itertools.combinations(close, min(dim + 1 - size, len(close)))
-            tries = ((near[:size], np.array(sub, dtype=int)) for sub in choices)
-        else:  # each choice of free groups in turn
-            choices = itertools.combinations(near, size)
-            tries = ((np.array(sub, dtype=int), close) for sub in choices)
+        # each choice of pins under the worst free groups, then the next choice of free groups
+        tries = itertools.product(
+            itertools.combinations(near, size),
+            itertools.combinations(close, min(dim + 1 - size, len(close))),
+        )
         used = 0
-        for chosen, sub in itertools.islice(tries, len(close) or len(near)):
+        for chosen, sub in itertools.islice(tries, max(len(near), len(close))):
+            chosen, sub = np.array(chosen, dtype=int), np.array(sub, dtype=int)
             out = _kkt_newton(
                 model, shifts, scales, best_theta, best_f, best_upper, np.concatenate([lam[chosen], mu[sub]]),
                 np.concatenate([free[chosen], pin_idx[sub]]), size, pin_caps[sub], ball,
@@ -331,8 +332,7 @@ def _dual_minimax(
                 lam_free[chosen], mu_pin[sub] = weights[:size] / total, weights[size:]
                 dual_at(lam_free, mu_pin)
                 used += 1
-            varied = y[size:] if len(close) else y[:size]
-            if best_upper - best_lower <= 0.5 * cfg.tol or not (varied < 0.0).any():
+            if best_upper - best_lower <= 0.5 * cfg.tol or not (y < 0.0).any():
                 break
         return used
 
@@ -450,71 +450,58 @@ _ri_minimax = lru_cache(maxsize=1)(_worst_group_minimax)
 
 
 def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tuple:
-    """(theta, iterations, certificate) maximizing the sum of log gains over the ball.
+    """(theta, iterations, certificate) maximizing phi = sum_g log(b_g - R_g) over the ball.
 
-    By AM-GM, U(w) = m log(h(w)/m) - sum_g log w_g bounds the log-gain sum for any
-    w > 0, where h(w) = w.b - lower(w) and lower is the weighted minimization's
-    certified bound. BFGS minimizes U over z = log w; the weighted minimizers are
-    the candidates and the gap is the least U less the best candidate's score. A w
-    with h(w) <= tol * (w . gaps) bounds every point's worst relative improvement by
-    tol, and the solve refuses. With lam = w * gaps put on the simplex, h(w) / (w . gaps)
-    is minus the ri dual value at lam, so such a w exists exactly when the ri dual's
-    maximum is at least -tol, and the ri solve's certified lower bound shows it. That
-    test, on the memoized ri solve, comes first and spares the search its weighted
-    minimizations; the test inside the search stays for an ri solve left short of
-    its bound, and keeps log h finite. The search ends when the gap closes, the
-    budget runs out, or the next step's predicted drop is at most 4e-16 of U, where
-    rounding hides any drop. iterations counts the weighted minimizations.
+    By AM-GM, U(w) = m log(h(w)/m) - sum_g log w_g bounds phi for any w > 0,
+    where h(w) = w.b - lower(w) and lower is the weighted minimization's
+    certified bound. With lam = w * gaps put on the simplex, h(w) / (w . gaps)
+    is minus the ri dual value at lam, so the memoized ri solve's certified
+    lower bound shows when some w bounds every point's worst relative
+    improvement by tol: then the solve refuses. Otherwise damped Newton climbs
+    phi from the ri point, in the logistic minimize's step form: with
+    w = 1/gains the model's gradient is sum_g w_g grad R_g and its Hessian
+    sum_g w_g (hess R_g + w_g grad R_g grad R_g'), and a step is halved until
+    phi rises or the predicted rise is at most 4e-16 of phi. Each iterate
+    takes U at its own w = 1/gains, where w . (b - R) = m makes h >= m and U
+    meets phi at the optimum; the gap is the least U less phi at the last
+    iterate, and iterations counts the weighted minimizations. An ri point
+    with a gain <= 0, which only an uncertified ri solve leaves, raises
+    ConvergenceError.
     """
     m = frame.num_groups
-    base, gaps = frame.baseline_array(), frame.gap_array()
-    best, best_theta, least, evals = -np.inf, None, np.inf, 0
-    degenerate = DegenerateBargainError(
-        f"no point gives every group a gain: every worst improvement is <= {cfg.tol:.1e}"
-    )
-    if -_ri_minimax("ri", model, frame, ball, cfg)[2] <= cfg.tol:
-        raise degenerate
-
-    def bound(z: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best, best_theta, least, evals
-        log_w = z - z.max()  # U is scale-free; this keeps w <= 1 and log w finite
-        w = np.exp(log_w)
-        theta, _, low = model.minimize(w, ball)
-        evals += 1
-        h = float(w @ base) - low
-        if h <= cfg.tol * float(w @ gaps):
-            raise degenerate
-        vals = model.values(theta)
-        score = float(criterion_scores("nash", frame, vals))
-        if score > best:
-            best, best_theta = score, theta
-        value = m * np.log(h / m) - float(log_w.sum())
-        least = min(least, value)
-        return value, m * w * (base - vals) / h - 1.0
-
-    z = -np.log(gaps)
-    value, grad = bound(z)
-    inv_hess, step = np.eye(m), 1.0
-    while least - best > cfg.tol and evals < _MAX_ITERS:
-        direction = -inv_hess @ grad
-        if -step * float(grad @ direction) <= 4e-16 * abs(value):
-            break  # the predicted drop is within U's rounding: no trial can show one
-        trial = z + step * direction
-        trial_value, trial_grad = bound(trial)
-        if trial_value > value + 1e-4 * step * float(grad @ direction):
-            step *= 0.5
-            continue
-        s, y = trial - z, trial_grad - grad
-        if float(s @ y) > 0.0:
-            shrink = np.eye(m) - np.outer(s, y) / float(s @ y)
-            inv_hess = shrink @ inv_hess @ shrink.T + np.outer(s, s) / float(s @ y)
-        z, value, grad, step = trial, trial_value, trial_grad, 1.0
-    if best_theta is None:
-        raise ConvergenceError(
-            f"nash found no point with every gain positive in {evals} weighted minimizations"
+    base = frame.baseline_array()
+    theta, _, ri_lower, _ = _ri_minimax("ri", model, frame, ball, cfg)
+    if -ri_lower <= cfg.tol:
+        raise DegenerateBargainError(
+            f"no point gives every group a gain: every worst improvement is <= {cfg.tol:.1e}"
         )
-    # U bounds every attained score, so a negative difference is rounding
-    return best_theta, evals, max(least - best, 0.0)
+    gains = base - model.values(theta)
+    if not gains.min() > 0.0:
+        raise ConvergenceError(f"nash's start, the ri point, leaves a group gain of {gains.min():.3e}")
+    phi, least, evals = float(np.log(gains).sum()), np.inf, 0
+    while evals < _MAX_ITERS:
+        w = 1.0 / gains
+        low = model.minimize(w, ball)[2]
+        evals += 1
+        least = min(least, m * math.log((float(w @ base) - low) / m) + phi)
+        if least - phi <= cfg.tol:
+            break
+        wg = w[:, None] * model.gradients(theta)
+        grad = wg.sum(axis=0)
+        hess = (w @ model.hessians(theta).reshape(m, -1)).reshape(grad.size, -1) + wg.T @ wg
+        step = theta - minimize_quadratic_ball(hess, hess @ theta - grad, ball)[0]
+        t = 1.0
+        while t * float(grad @ step) > 4e-16 * abs(phi):
+            cand = project_ball(theta - t * step, ball)
+            cand_gains = base - model.values(cand)
+            if cand_gains.min() > 0.0 and (cand_phi := float(np.log(cand_gains).sum())) > phi:
+                theta, gains, phi = cand, cand_gains, cand_phi
+                break
+            t *= 0.5
+        else:
+            break  # rounding hides any rise in phi
+    # U bounds phi everywhere, so a negative difference is rounding
+    return theta, evals, max(least - phi, 0.0)
 
 
 def _leximin(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tuple:
