@@ -170,26 +170,17 @@ def relative_improvements(risks: np.ndarray, frame: BargainingFrame) -> np.ndarr
 
 # Every worst-group criterion scores a risk profile by its worst group,
 # min_g (shifts_g - R_g) / scales_g: one maximin with its own reference point
-# and unit. Each entry maps a frame to (shifts, scales, floor, sign): floor is
-# an a priori lower bound on the minimax max_g (R_g - shifts_g) / scales_g that
-# the solvers run, and sign * score is the reported objective.
+# and unit. Each entry maps a frame to (shifts, scales, sign), and
+# sign * score is the reported objective.
 WORST_GROUP: dict[str, Callable[[BargainingFrame], tuple]] = {
-    # the worst relative improvement (Kalai-Smorodinsky); the minimax cannot go
-    # below -1 when ideals are true optima
-    "ri": lambda f: (f.baseline_array(), f.gap_array(), -1.0, 1.0),
+    # the worst relative improvement (Kalai-Smorodinsky)
+    "ri": lambda f: (f.baseline_array(), f.gap_array(), 1.0),
     # the worst per-group risk, reported as a risk
-    "gdro": lambda f: (
-        np.zeros(f.num_groups), np.ones(f.num_groups), float(f.ideal_array().max()), -1.0
-    ),
+    "gdro": lambda f: (np.zeros(f.num_groups), np.ones(f.num_groups), -1.0),
     # the worst absolute gain (baseline minus risk)
-    "mmv": lambda f: (
-        f.baseline_array(),
-        np.ones(f.num_groups),
-        float((f.ideal_array() - f.baseline_array()).max()),
-        1.0,
-    ),
+    "mmv": lambda f: (f.baseline_array(), np.ones(f.num_groups), 1.0),
     # the worst regret against the ideal risks, reported as a regret
-    "mmr": lambda f: (f.ideal_array(), np.ones(f.num_groups), 0.0, -1.0),
+    "mmr": lambda f: (f.ideal_array(), np.ones(f.num_groups), -1.0),
 }
 
 
@@ -203,7 +194,7 @@ def _worst_group_terms(method: str, frame: BargainingFrame) -> tuple:
 
 def group_scores(method: str, frame: BargainingFrame, risks) -> np.ndarray:
     """Per-group (shifts - R) / scales of a worst-group criterion; last axis indexes groups."""
-    shifts, scales, _, _ = _worst_group_terms(method, frame)
+    shifts, scales, _ = _worst_group_terms(method, frame)
     scores = shifts - _risk_rows(risks, frame)
     scores /= scales
     return scores
@@ -243,4 +234,4 @@ def criterion_value(method: str, frame: BargainingFrame, risks) -> float:
             raise ValueError("the log-gains objective needs strictly positive gains")
         return score
     # sign -1 makes -0.0 of a zero score; + 0.0 reports it as 0.0
-    return _worst_group_terms(method, frame)[3] * score + 0.0
+    return _worst_group_terms(method, frame)[2] * score + 0.0

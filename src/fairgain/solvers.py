@@ -6,12 +6,14 @@ solved in primal-dual form. Every weighting of the normalized group
 objectives yields a weighted risk minimization over the ball, the risk
 model's minimize(w, radius), whose certified bound bounds the minimax value:
 exact for quadratic risks, and for logistic ones the linearization bound at
-the Newton minimizer (stationarity 1e-8, not a step budget). Cutting
-planes over the weightings push that bound up while the weighted minimizers
-double as primal candidates. The master's dual weights on the cuts combine
-the stored candidates into one more point whose worst normalized risk is at
-most the master value, so the primal side closes with the dual even when
-weighted minimizers are non-unique. The master is a matrix game over the
+the Newton minimizer (stationarity 1e-8, not a step budget). The lower
+bound comes from such dual evaluations alone, the first at uniform weights,
+so the certificate holds for any frame. Cutting planes over the weightings
+push that bound up while the weighted minimizers double as primal
+candidates. The master's dual weights on the cuts combine the stored
+candidates into one more point whose worst normalized risk is at most the
+master value, so the primal side closes with the dual even when weighted
+minimizers are non-unique. The master is a matrix game over the
 free groups' weights, with unbounded multipliers on pinned groups, solved
 exactly for any number of groups by one warm-started tableau simplex. The
 cutting plane closes the lower bound slowly, so after each round an
@@ -36,8 +38,9 @@ bound shows that no point gains above tol. ri, leximin's stage 0 and nash's
 refusal test and start share one solve per (model, frame, ball, config): a
 memo with one entry keeps the last such solve, and with it the last model.
 
-solve(method, model, frame, ball, cfg) is the only solver entry, and its report's
-objective_value is core.criterion_value at the reported risks, clamped at 0.
+solve(method, model, frame, ball, cfg) is the only solver entry, ball a
+positive finite radius, and its report's objective_value is
+core.criterion_value at the reported risks, clamped at 0.
 """
 
 from __future__ import annotations
@@ -113,9 +116,10 @@ class _GameMaster:
     """The cutting-plane master of one :func:`_dual_minimax` call, solved exactly.
 
     The master is max t over lam on the simplex and mu >= 0 subject to
-    t <= cut_i . (lam, mu) for every stored cut i. Its value is at least the
-    caller's a priori bound floor, so with the free entries shifted by
-    K = 1 - floor, (lam, mu) / (t + K) solves min 1'x subject to
+    t <= cut_i . (lam, mu) for every stored cut i. Every cut is taken at a
+    point of the ball, so by weak duality its value is at least any dual
+    bound low the caller has, and with the free entries shifted by
+    K = 1 - low, (lam, mu) / (t + K) solves min 1'x subject to
     (C_F + K) x + C_P z >= 1 and x, z >= 0, whose dual max 1'y subject to
     (C_F + K)^T y <= 1, C_P^T y <= 0 and y >= 0 has one row per group and one
     column per cut. Its slack basis is feasible and a new cut c enters at
@@ -128,26 +132,25 @@ class _GameMaster:
     pinned bases away from the near-singular ones where pricing stalls.
     """
 
-    def __init__(self, m_free: int, n_pin: int, floor: float):
+    def __init__(self, m_free: int, n_pin: int, low: float):
         n = m_free + n_pin
-        self.m_free, self.shift = m_free, 1.0 - floor
-        self.cols = np.zeros((n, 0))  # one shifted column per stored cut
+        self.m_free, self.shift, self.seen = m_free, 1.0 - low, 0  # seen: the cuts entered so far
         tableau = np.eye(n + 1)
         tableau[:, 0] = np.concatenate([[0.0], np.ones(m_free), np.zeros(n_pin)])
         self.warm = list(range(1, n + 1)), tableau
 
-    def solve(self, cuts: list) -> tuple[np.ndarray, np.ndarray, float, np.ndarray] | None:
-        """(lam, mu, value, alpha) over all cuts stored so far, or None.
+    def solve(self, cuts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(lam, mu, alpha) over all cuts stored so far, or None.
 
-        value is min_i cut_i . (lam, mu); alpha >= 0 sums to 1, and by LP duality
-        max((alpha @ cuts)[:m_free]) is at most the value. None: no mix of the
+        alpha >= 0 sums to 1, and by LP duality max((alpha @ cuts)[:m_free]) is
+        at most the master value min_i cut_i . (lam, mu). None: no mix of the
         stored points meets every pin (mu is unbounded), or the simplex failed.
         """
-        n = self.cols.shape[0]
-        new = np.array(cuts[self.cols.shape[1] :]).reshape(-1, n).T
-        new[: self.m_free] += self.shift
-        self.cols = np.concatenate([self.cols, new], axis=1)
         basis, tableau = self.warm
+        n = len(basis)
+        new = np.array(cuts[self.seen :]).reshape(-1, n).T
+        new[: self.m_free] += self.shift
+        self.seen = len(cuts)
         entered = tableau[:, 1 : n + 1] @ new  # B^-1 c, and 1 - duals . c once row 0 gains 1
         entered[0] += 1.0
         found = self._pivot(basis, np.concatenate([tableau, entered], axis=1))
@@ -161,10 +164,8 @@ class _GameMaster:
         mass = y.sum()
         if mass <= 0.0 or total <= 0.0:
             return None
-        # cut_i . (lam, mu) is column i weighed by the mix pi / total, less the shift
         mix = pi / total
-        value = float((mix @ self.cols).min()) - self.shift
-        return mix[: self.m_free], mix[self.m_free :], value, y / mass
+        return mix[: self.m_free], mix[self.m_free :], y / mass
 
     def _pivot(self, basis, tableau) -> tuple[list, np.ndarray] | None:
         """An optimal basis and its tableau, or None: unbounded or out of pivots."""
@@ -201,7 +202,6 @@ def _dual_minimax(
     scales: np.ndarray,
     ball: float,
     cfg: SolverConfig,
-    floor: float,
     warm: Sequence[np.ndarray] = (),
     pin_idx: np.ndarray | None = None,
     pin_caps: np.ndarray | None = None,
@@ -210,21 +210,21 @@ def _dual_minimax(
 
     Pinned groups, when given, are hard constraints
     (R_j - shifts_j)/scales_j <= pin_caps_j; their multipliers are any
-    mu >= 0 next to the simplex weights of the free groups. Each cut
-    keeps the point it was taken at; before every dual evaluation the master
-    LP's dual weights combine those points into one more candidate, which
-    lies in the ball and by convexity scores at most the master value, so
-    the master's saturation closes the primal side too. Saturation is a
-    master value that meets the lower bound above the floor; one below the
-    lower bound or at the floor marks a stalled tableau, and the rounds go
-    on. After each round the endgame's KKT Newton steps add a candidate and
-    a dual evaluation of their own, which the master never sees. Returns (theta, upper, lower,
-    evals) where upper - lower is a sound certificate by weak duality, evals
-    counts the starting points and dual evaluations, the endgame's included,
-    and floor is a caller-supplied a priori lower bound. Some warm point must
-    meet every pin, so that a feasible candidate exists. One that sits on a
-    pin's cap can stall the master's single warm pass, so each leximin stage
-    starts from a point that clears every pin by a margin.
+    mu >= 0 next to the simplex weights of the free groups. The lower bound
+    rises only through dual evaluations, the first at uniform free weights
+    and mu = 0, whose bound also sets the master's shift. Each cut keeps the
+    point it was taken at; before every dual evaluation the master LP's dual
+    weights combine those points into one more candidate, which lies in the
+    ball and by convexity scores at most the master value, so once the
+    master's value meets the lower bound the primal side closes too. After
+    each round the endgame's KKT Newton steps add a candidate and a dual
+    evaluation of their own, which the master never sees. Returns (theta,
+    upper, lower, evals) where upper - lower is a sound certificate by weak
+    duality, and evals counts the starting points and dual evaluations, the
+    endgame's included. Some warm point must meet every pin, so that a
+    feasible candidate exists. One that sits on a pin's cap can stall the
+    master's single warm pass, so each leximin stage starts from a point
+    that clears every pin by a margin.
     """
     m = model.num_groups
     pin_idx = np.array([], dtype=int) if pin_idx is None else np.asarray(pin_idx, int)
@@ -241,7 +241,7 @@ def _dual_minimax(
     best_upper = np.inf
     best_theta: np.ndarray | None = None
     best_f = np.zeros(m)  # the normalized risks at best_theta
-    master = _GameMaster(len(free), len(pin_idx), floor)
+    best_lower = -np.inf
     cuts: list[np.ndarray] = []
     points: list[np.ndarray] = []
 
@@ -339,31 +339,22 @@ def _dual_minimax(
     track(np.zeros(model.dim))
     for point in warm:
         track(np.asarray(point, dtype=float))
+    track(dual_at(np.full(len(free), 1.0 / len(free)), np.zeros(len(pin_idx))))
     evals = len(cuts)
 
-    best_lower = floor
-    zero_mu = np.zeros(len(pin_idx))
-    seeds = [np.full(len(free), 1.0 / len(free))]
-    seeds += list(np.eye(len(free))) if len(free) > 1 else []
-    for lam in seeds:
-        track(dual_at(lam, zero_mu))
-        evals += 1
-
-    saturation = max(1e-12, 0.05 * cfg.tol)
+    master = _GameMaster(len(free), len(pin_idx), best_lower)
     for _ in range(_MAX_ITERS):
         if best_upper - best_lower <= 0.5 * cfg.tol:
             break
         picked = master.solve(cuts)
         if picked is None:
             break
-        lam, mu, master_val, alpha = picked
+        lam, mu, alpha = picked
         track(alpha @ np.asarray(points))
         track(dual_at(lam, mu))
         evals += 1
         if best_upper - best_lower > 0.5 * cfg.tol:
             evals += endgame(lam, mu)
-        if abs(master_val - best_lower) <= saturation and master_val > floor:
-            break
 
     return best_theta, best_upper, min(best_lower, best_upper), evals
 
@@ -394,7 +385,7 @@ def _kkt_newton(
     """
     d, k = len(theta), len(idx)
     inv = 1.0 / scales[idx]
-    r2 = math.inf if ball is None else ball * ball
+    r2 = ball * ball
     # on the sphere to within the ball solve's tolerance, 2e-10 of ball^2
     sphere = float(theta @ theta) >= r2 * (1.0 - 1e-9)
     row, n = d + 1, d + 2 + k  # nu's row is d, t's is row, and the multipliers' follow
@@ -439,8 +430,8 @@ def _kkt_newton(
 
 def _worst_group_minimax(method: str, model, frame: BargainingFrame, ball: float, cfg: SolverConfig):
     """One worst-group criterion's :func:`_dual_minimax`, unpinned, from the usual warm points."""
-    shifts, scales, floor, _ = WORST_GROUP[method](frame)
-    out = _dual_minimax(model, shifts, scales, ball, cfg, floor, _initial_point(model.dim, ball, cfg))
+    shifts, scales, _ = WORST_GROUP[method](frame)
+    out = _dual_minimax(model, shifts, scales, ball, cfg, _initial_point(model.dim, ball, cfg))
     out[0].setflags(write=False)  # the memo below hands this array to every later caller
     return out
 
@@ -519,7 +510,7 @@ def _leximin(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> t
     """
     m = frame.num_groups
     band = cfg.tol / 4.0
-    base, gaps, floor, _ = WORST_GROUP["ri"](frame)
+    base, gaps, _ = WORST_GROUP["ri"](frame)
     pins: dict[int, float] = {}
     k, iters, cert = 0, 0, -np.inf
     while len(pins) < m:
@@ -529,7 +520,7 @@ def _leximin(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> t
             give = band * (2.0 - 0.5**k)
             caps = np.array([give - pins[g] for g in pin_idx])
             theta, hi, lo, used = _dual_minimax(
-                model, base, gaps, ball, cfg, floor=floor, warm=(theta,),
+                model, base, gaps, ball, cfg, warm=(theta,),
                 pin_idx=pin_idx, pin_caps=caps,
             )
         else:
@@ -555,7 +546,13 @@ def solve(
     ball: float,
     cfg: SolverConfig = SolverConfig(),
 ) -> SolverReport:
-    """Solve one named criterion; the report's values all read its risks, clamped at 0."""
+    """Solve one named criterion; the report's values all read its risks, clamped at 0.
+
+    ball must be a positive finite radius: without a ball a logistic dual
+    bound is -inf, and no dual bound would set the minimax master's shift.
+    """
+    if ball is None or not 0.0 < ball < math.inf:
+        raise ValueError(f"ball must be a positive finite radius, got {ball!r}")
     if method in WORST_GROUP:
         run = _ri_minimax if method == "ri" else _worst_group_minimax
         theta, hi, lo, iters = run(method, model, frame, ball, cfg)

@@ -192,7 +192,7 @@ def objective_and_supergradient(
     value = criterion_value(method, frame, vals)
     if method == "nash":
         return value, -(grads / (frame.baseline_array() - vals)[:, None]).sum(axis=0)
-    _, scales, _, sign = WORST_GROUP[method](frame)
+    _, scales, sign = WORST_GROUP[method](frame)
     a = int(group_scores(method, frame, vals).argmin())
     return value, -sign * grads[a] / scales[a]
 

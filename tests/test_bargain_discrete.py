@@ -181,7 +181,7 @@ def test_picks_follow_the_core_criterion_scores():
         for method in ("ri", "leximin", "gdro", "mmv", "mmr", "nash"):
             scores = criterion_scores(method, frame, rows)
             terms = WORST_GROUP.get(method.replace("leximin", "ri"))
-            sign = 1.0 if method == "nash" else terms(frame)[3]
+            sign = 1.0 if method == "nash" else terms(frame)[2]
             for row, score in zip(rows, scores):
                 assert criterion_scores(method, frame, row) == score
                 if score == -np.inf:

@@ -104,7 +104,7 @@ def test_scores_of_a_column_major_block_are_the_row_formula_exactly():
         risks = rng.uniform(0.0, 7.0, size=(1000, m))
         block = np.asfortranarray(risks)
         for method in (*WORST_GROUP, "leximin"):
-            shifts, scales, _, _ = WORST_GROUP[method.replace("leximin", "ri")](frame)
+            shifts, scales, _ = WORST_GROUP[method.replace("leximin", "ri")](frame)
             np.testing.assert_array_equal(
                 group_scores(method, frame, block), (shifts - risks) / scales
             )
