@@ -14,11 +14,12 @@ only), prints argparse's usage line and an `error:` line naming the flag.
 Range checks (`tol`, `--trials`, `--weights`, `--grid`) are the library's own
 ValueErrors, which `main` maps to exit 2 with that error's message.
 
-`compare --oracle-grid STEP` scores the ball grid with the run's risk model,
-for --spec and --data alike, in blocks of about 65K points, keeping only each
-criterion's best row, so its memory is one block, and its time grows as
-(2r/STEP)^d; the README gives measured times. A logistic model scores the grid
-point by point, so a logistic grid is far slower per point.
+`compare --oracle-grid STEP` takes each criterion's best over the ball grid,
+scored with the run's risk model, for --spec and --data alike. The grid is cut
+into tiles of up to 64 points a side, each bounded from its centre by
+convexity, and only tiles whose bound can still win are scored, so the result
+is a full scan's, bit for bit; the README gives measured times. A logistic
+model scores the grid point by point, so a logistic grid is far slower per point.
 """
 
 from __future__ import annotations
@@ -145,35 +146,81 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Grid candidates scanned per oracle block, however fine the grid.
-_ORACLE_BLOCK = 1 << 16
+# Axis points along each side of an oracle tile, however fine the grid.
+_ORACLE_TILE = 64
 
 
-def _oracle_grid_blocks(dim: int, ball: float, step: float):
-    """The oracle grid in blocks of about _ORACLE_BLOCK points, in meshgrid("ij") row order.
+def _oracle_tiles(dim: int, ball: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle grid's axis and its tiles' (first, last) axis indices, (tiles, dim, 2).
 
-    Both grids keep only the points within the ball, and no block is empty.
+    A tile is a product of runs of up to _ORACLE_TILE axis points; tiles whose
+    box misses the ball are left out. The 1-d axis keeps only in-ball points.
     """
     axis = np.arange(-ball, ball + step / 2.0, step)
     if dim == 1:
         axis = axis[np.abs(axis) <= ball]
-        return (axis[i : i + _ORACLE_BLOCK, None] for i in range(0, len(axis), _ORACLE_BLOCK))
-    return _ball_grid_pieces(axis, ball)
+    first = np.arange(0, len(axis), _ORACLE_TILE)
+    runs = np.column_stack([first, np.minimum(first + _ORACLE_TILE, len(axis)) - 1])
+    picks = np.meshgrid(*[np.arange(len(runs))] * dim, indexing="ij")
+    tiles = runs[np.stack(picks, axis=-1).reshape(-1, dim)]
+    near = np.clip(0.0, axis[tiles[..., 0]], axis[tiles[..., 1]])
+    # sqrt(x*x + y*y) <= ball passes no point much beyond the ball
+    return axis, tiles[np.sqrt((near * near).sum(axis=1)) <= ball * (1.0 + 1e-12)]
 
 
-def _ball_grid_pieces(axis: np.ndarray, ball: float):
-    # whole x-rows while one fits in a block, else slices of one x-row: either
-    # way the in-ball points come in row-major order
-    cols = min(len(axis), _ORACLE_BLOCK)
-    rows = max(1, _ORACLE_BLOCK // len(axis))
-    for start in range(0, len(axis), rows):
-        xs = axis[start : start + rows]
-        for first in range(0, len(axis), cols):
-            ys = axis[first : first + cols]
-            # sqrt(x*x + y*y) is bit for bit np.linalg.norm of an (x, y) row
-            i, j = np.nonzero(np.sqrt((xs * xs)[:, None] + ys * ys) <= ball)
-            if len(i):
-                yield np.column_stack([xs[i], ys[j]])
+def _tile_points(axis: np.ndarray, ball: float, tile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A tile's grid points within the ball (n, dim) and their meshgrid("ij") indices, in order."""
+    (a, a_last), *rest = tile
+    xs = axis[a : a_last + 1]
+    if not rest:
+        return xs[:, None], np.arange(a, a_last + 1)
+    ((b, b_last),) = rest
+    ys = axis[b : b_last + 1]
+    # sqrt(x*x + y*y) is bit for bit np.linalg.norm of an (x, y) row
+    i, j = np.nonzero(np.sqrt((xs * xs)[:, None] + ys * ys) <= ball)
+    return np.column_stack([xs[i], ys[j]]), (a + i) * len(axis) + b + j
+
+
+def _tile_lower_risks(model, axis: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+    """Lower bounds (tiles, m) on each group's risk, as `values` computes it, over each tile's box.
+
+    A convex risk lies above its tangent plane at the box's centre c, so over
+    a box of half-widths h it is at least R_g(c) - |grad R_g(c)| . h. A
+    quadratic risk can fall below that plane by curvature |x - c|^2, the
+    depth of A's most negative eigenvalue: the spec loader admits
+    eigenvalues of cov down to -1e-10 of its scale, and as much asymmetry,
+    so the gradient is taken with A's symmetric part. A logistic risk is
+    convex. The last term covers the rounding of `values` at c and at the
+    grid points, of the gradient and of h: each term the model adds is at
+    most scale within reach of 0, and 1e-13 of scale per summand is hundreds
+    of times the rounding of any one summand.
+    """
+    lo, hi = axis[tiles[..., 0]], axis[tiles[..., 1]]
+    centres = (lo + hi) / 2.0
+    half = np.maximum(hi - centres, centres - lo)
+    reach = float(np.abs(axis).max())
+    lower = model.values(centres)
+    if isinstance(model, QuadraticGroupRisks):
+        A = model.A
+        sym = (A + A.transpose(0, 2, 1)) / 2.0
+        grads = 2.0 * (np.einsum("gjk,tk->tgj", sym, centres) - model.c)
+        scale = (
+            np.abs(A).sum(axis=(1, 2)) * reach * reach
+            + 2.0 * np.abs(model.c).sum(axis=1) * reach
+            + np.abs(model.k)
+        )
+        summands = model.dim + 2
+        curvature = np.maximum(0.0, -np.linalg.eigvalsh(sym)[:, 0])
+    else:
+        grads = np.array([model.gradients(c) for c in centres]).reshape(*lower.shape, model.dim)
+        # |z| <= |x|_1 reach, and a row's loss adds at most log 2 + 2 |z|
+        scale = np.array([1.0 + 2.0 * reach * np.abs(X).sum(axis=1).mean() for X in model.features])
+        summands = np.array([len(X) + model.dim for X in model.features])
+        curvature = np.zeros(model.num_groups)
+    lower -= np.einsum("tgj,tj->tg", np.abs(grads), half)
+    lower -= np.outer((half * half).sum(axis=1), curvature)
+    lower -= 1e-13 * (summands + 100) * scale
+    return lower
 
 
 def _oracle_objectives(
@@ -181,22 +228,42 @@ def _oracle_objectives(
 ) -> dict[str, float]:
     """Each method's discrete oracle value over the ball grid of the given step.
 
-    The model scores each row with the bits it has in any batch, so each
-    criterion's best score over the blocks is its best over the whole grid.
-    Leximin's value is its first stage's, the worst relative improvement.
+    Every criterion score falls as any risk rises, so a tile's lower risks
+    bound every score in it. Each criterion visits tiles by falling bound
+    until a bound drops below its best score; nash also stops at a bound of
+    -inf once it has a row, since no row beats that. A visited tile is scored
+    once, for every criterion, with the bits its rows get in any batch, and
+    ties go to the lower meshgrid("ij") index. So each criterion keeps the
+    row a scan of the whole grid keeps. Leximin's value is its first
+    stage's, the worst relative improvement.
     """
     if model.dim > 2:
         raise UnsupportedDimensionError("--oracle-grid covers d <= 2")
     criterion = {method: "ri" if method == "leximin" else method for method in methods}
-    best = {}
-    for thetas in _oracle_grid_blocks(model.dim, ball, step):
-        risks = model.values(thetas)
-        for name in set(criterion.values()):
-            scores = criterion_scores(name, frame, risks)
-            i = int(np.argmax(scores))
-            if name not in best or scores[i] > best[name][0]:
-                # a copy, so the kept row does not keep its whole block alive
-                best[name] = (scores[i], risks[i].copy())
+    names = tuple(dict.fromkeys(criterion.values()))
+    axis, tiles = _oracle_tiles(model.dim, ball, step)
+    lower = _tile_lower_risks(model, axis, tiles)
+    bounds = {name: criterion_scores(name, frame, lower) for name in names}
+    best = {}  # criterion -> (score, grid index, risks) of its first best row so far
+    scored = set()
+    for name in names:
+        for t in np.argsort(-bounds[name], kind="stable"):
+            bound = bounds[name][t]
+            if name in best and (bound < best[name][0] or bound == -np.inf):
+                break
+            if t in scored:
+                continue
+            scored.add(t)
+            thetas, index = _tile_points(axis, ball, tiles[t])
+            if not len(thetas):
+                continue
+            risks = model.values(thetas)
+            for other in names:
+                scores = criterion_scores(other, frame, risks)
+                k = int(np.argmax(scores))
+                kept = best.get(other)
+                if kept is None or (scores[k], -index[k]) > (kept[0], -kept[1]):
+                    best[other] = (scores[k], index[k], risks[k])
     if not best:
         raise ValueError(
             f"--oracle-grid step {step} leaves no grid point in the ball of radius {ball}"
@@ -206,7 +273,7 @@ def _oracle_objectives(
         raise DegenerateBargainError(
             "no candidate strictly improves on the baseline for every group"
         )
-    return {method: criterion_value(method, frame, best[c][1]) for method, c in criterion.items()}
+    return {method: criterion_value(method, frame, best[c][2]) for method, c in criterion.items()}
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -18,10 +18,17 @@ import pytest
 
 from fairgain import cli, risk_models
 from fairgain.cli import main
-from fairgain.core import ConvergenceError, criterion_scores, criterion_value
+from fairgain.core import (
+    ConvergenceError,
+    DegenerateBargainError,
+    criterion_scores,
+    criterion_value,
+)
 from fairgain.empirical_study import run_convergence
 from fairgain.risk_models import (
     GroupedDataset,
+    GroupLinearModel,
+    ProblemSpec,
     draw_dataset,
     load_problem_spec,
     population_frame,
@@ -35,6 +42,7 @@ from tests.conftest import (
     motivating_spec,
     planar_spec,
     random_logistic_dataset,
+    random_problem_spec,
     three_group_spec,
 )
 
@@ -501,27 +509,36 @@ def test_one_dimensional_oracle_grid_stays_in_the_ball(tmp_path, capsys):
     assert main(["compare", "--spec", str(path), "--oracle-grid", "0.3"]) == 0
     _assert_no_oracle_beats_its_certificate(reports, capsys.readouterr().out)
     # at step 1e-3 the axis ends at 1.0000000000000018
-    assert np.abs(np.concatenate(list(cli._oracle_grid_blocks(1, 1.0, 1e-3)))).max() <= 1.0
+    assert np.abs(_tiled_grid(1, 1.0, 1e-3)).max() <= 1.0
 
 
-def test_oracle_grid_blocks_cover_the_grid_in_order(monkeypatch):
+def _tiled_grid(dim: int, ball: float, step: float) -> np.ndarray:
+    # every tile's points in the ball, in the order of their grid index
+    axis, tiles = cli._oracle_tiles(dim, ball, step)
+    assert (tiles[..., 1] - tiles[..., 0] < cli._ORACLE_TILE).all()
+    pieces = [cli._tile_points(axis, ball, tile) for tile in tiles]
+    points = np.concatenate([p for p, _ in pieces])
+    index = np.concatenate([i for _, i in pieces])
+    assert len(np.unique(index)) == len(index)
+    return points[np.argsort(index)]
+
+
+def test_oracle_tiles_cover_the_grid_in_order(monkeypatch):
     for ball, step in ((1.0, 0.02), (1.0, 0.3), (1.0, 1.0), (5.0, 0.05)):
         axis = np.arange(-ball, ball + step / 2.0, step)
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         plane = np.column_stack([xx.ravel(), yy.ravel()])
         plane = plane[np.linalg.norm(plane, axis=1) <= ball]
-        # block 7 slices the x-rows of every grid but the coarsest two
+        # tile 7 cuts the axis of every grid but the coarsest two
         line = axis[np.abs(axis) <= ball][:, None]
-        for block in (1, 7, 64, cli._ORACLE_BLOCK):
-            monkeypatch.setattr(cli, "_ORACLE_BLOCK", block)
+        for tile in (1, 7, 64, cli._ORACLE_TILE):
+            monkeypatch.setattr(cli, "_ORACLE_TILE", tile)
             for dim, grid in ((1, line), (2, plane)):
-                blocks = list(cli._oracle_grid_blocks(dim, ball, step))
-                np.testing.assert_array_equal(np.concatenate(blocks), grid)
-                assert max(map(len, blocks)) <= block
+                np.testing.assert_array_equal(_tiled_grid(dim, ball, step), grid)
 
 
-def test_oracle_blocks_change_no_output(tmp_path, monkeypatch):
-    # at the default block each of these grids is one block: the whole grid at once
+def test_oracle_tiles_change_no_output(tmp_path, monkeypatch):
+    # tile 1 bounds single points, 7 cuts every axis, and 64 is the default
     opposing = tmp_path / "opposing.json"
     opposing.write_text(OPPOSING_SPEC)
     specs = {}
@@ -536,19 +553,19 @@ def test_oracle_blocks_change_no_output(tmp_path, monkeypatch):
         (specs["motivating"], "1e-3", ",".join(METHODS)),
         (specs["planar"], "0.02", ",".join(METHODS)),
         (specs["three_group"], "0.05", ",".join(METHODS)),
-        # ri and leximin tie at 0 in every block; nash finds no row helping both
+        # ri and leximin tie at 0 in every tiling; nash finds no row helping both
         (opposing, "0.5", "ri,leximin,gdro,mmv,mmr"),
         (opposing, "0.5", ",".join(METHODS)),
     ]
     seen = {}
-    for block in (1, 7, 64, cli._ORACLE_BLOCK):
-        monkeypatch.setattr(cli, "_ORACLE_BLOCK", block)
+    for tile in (1, 7, 64, cli._ORACLE_TILE):
+        monkeypatch.setattr(cli, "_ORACLE_TILE", tile)
         for i, (path, step, methods) in enumerate(runs):
-            out = tmp_path / f"run{i}-{block}.csv"
+            out = tmp_path / f"run{i}-{tile}.csv"
             argv = ["compare", "--spec", str(path), "--oracle-grid", step, "--methods", methods]
             code = main(argv + ["--out", str(out)])
             got = (code, out.read_bytes() if out.exists() else None)
-            assert seen.setdefault(i, got) == got, (path.name, step, block)
+            assert seen.setdefault(i, got) == got, (path.name, step, tile)
     assert [seen[i][0] for i in range(len(runs))] == [0, 0, 0, 0, 3]
 
 
@@ -586,7 +603,7 @@ def test_oracle_column_is_each_criterion_best_over_the_grid(tmp_path, capsys):
         assert oracle["leximin"] == oracle["ri"], i
 
 
-def test_oracle_memory_is_bounded_by_the_block():
+def test_oracle_memory_is_bounded_by_the_tile():
     # planar: 785K points in the ball, which take 69 MB to score all at once;
     # logistic: 10K points, whose scores against each group's 500 rows, taken
     # all at once, would hold 41 MB
@@ -606,6 +623,76 @@ def test_oracle_memory_is_bounded_by_the_block():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def _exhaustive_oracle(model, frame, ball: float, step: float) -> dict[str, str] | None:
+    # every in-ball grid point scored at once, each criterion's first best row; None for a nash refusal
+    axis = np.arange(-ball, ball + step / 2.0, step)
+    grid = np.stack(np.meshgrid(*[axis] * model.dim, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, model.dim)
+    risks = model.values(grid[np.linalg.norm(grid, axis=1) <= ball])
+    out = {}
+    for method in METHODS:
+        scores = criterion_scores("ri" if method == "leximin" else method, frame, risks)
+        if method == "nash" and scores.max() == -np.inf:
+            return None
+        out[method] = criterion_value(method, frame, risks[np.argmax(scores)]).hex()
+    return out
+
+
+def test_oracle_matches_an_exhaustive_scan_bit_for_bit(tmp_path):
+    # the first 30 specs of acceptance criterion 3
+    rng = np.random.default_rng(7)
+    specs = [
+        (random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0), 0.01)
+        for _ in range(30)
+    ]
+    opposing = tmp_path / "opposing.json"
+    opposing.write_text(OPPOSING_SPEC)
+    # both groups' unconstrained optima lie outside the ball
+    outside = (
+        GroupLinearModel(np.array([3.0, 0.5]), 1.0, np.eye(2)),
+        GroupLinearModel(np.array([-0.5, 4.0]), 2.0, np.diag([2.0, 0.5])),
+    )
+    # an eigenvalue of -9e-11 and an asymmetry of 5e-11, which the loader admits
+    off = 1.0 + 9e-11
+    concave = (
+        GroupLinearModel(np.array([1.0, 0.0]), 1.0, np.eye(2)),
+        GroupLinearModel(np.array([0.0, 2.0]), 1.0, np.array([[1.0, off + 5e-11], [off, 1.0]])),
+    )
+    specs += [
+        (motivating_spec(), 1e-4),
+        # ri and leximin tie at 0, and no point helps both groups
+        (load_problem_spec(opposing), 1e-3),
+        (ProblemSpec(outside, 1.0), 0.01),
+        (ProblemSpec(concave, 2.0), 0.01),
+    ]
+    jobs = [(group_risk_model(spec), population_frame(spec), spec.radius, step) for spec, step in specs]
+    for seed in (0, 2):
+        ds = random_logistic_dataset(np.random.default_rng(seed), m=3, d=2, n=200, radius=2.0)
+        model = group_risk_model(ds)
+        jobs.append((model, model.frame(2.0), 2.0, 0.05))
+    refusals = 0
+    for i, (model, frame, ball, step) in enumerate(jobs):
+        expected = _exhaustive_oracle(model, frame, ball, step)
+        if expected is None:
+            refusals += 1
+            with pytest.raises(DegenerateBargainError):
+                cli._oracle_objectives(model, frame, ball, step, METHODS)
+            continue
+        got = cli._oracle_objectives(model, frame, ball, step, METHODS)
+        assert {method: value.hex() for method, value in got.items()} == expected, i
+    assert 0 < refusals < len(jobs)
+
+
+def test_oracle_scores_a_small_share_of_the_planar_grid():
+    # the benchmark's planar request: 3,141,529 grid points lie in the ball
+    spec = planar_spec()
+    model = group_risk_model(spec)
+    values, rows = model.values, []
+    model.values = lambda thetas: rows.append(len(thetas)) or values(thetas)
+    cli._oracle_objectives(model, population_frame(spec), spec.radius, 1e-3, METHODS)
+    assert sum(rows) <= 0.05 * 3_141_529, sum(rows)
 
 
 def test_compare_oracle_on_data(tmp_path, capsys):
