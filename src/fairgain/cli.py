@@ -109,8 +109,8 @@ def _load_source(
         model = group_risk_model(load_dataset_csv(args.data, loss=args.loss or "squared"))
         ball = args.radius
         if ball is None:
-            # generous default: twice the largest per-group fit, found without a ball
-            fits = (model.minimize(w, None)[0] for w in np.eye(model.num_groups))
+            # generous default: twice the largest per-group fit over an infinite radius
+            fits = (model.minimize(w, np.inf)[0] for w in np.eye(model.num_groups))
             ball = max(1.0, 2.0 * max(float(np.linalg.norm(theta)) for theta in fits))
     return model, model.frame(ball), ball
 
@@ -188,8 +188,7 @@ def _tile_lower_risks(model, axis: np.ndarray, tiles: np.ndarray) -> np.ndarray:
     a box of half-widths h it is at least R_g(c) - |grad R_g(c)| . h. A
     quadratic risk can fall below that plane by curvature |x - c|^2, the
     depth of A's most negative eigenvalue: the spec loader admits
-    eigenvalues of cov down to -1e-10 of its scale, and as much asymmetry,
-    so the gradient is taken with A's symmetric part. A logistic risk is
+    eigenvalues of cov down to -1e-10 of its scale. A logistic risk is
     convex. The last term covers the rounding of `values` at c and at the
     grid points, of the gradient and of h: each term the model adds is at
     most scale within reach of 0, and 1e-13 of scale per summand is hundreds
@@ -202,15 +201,14 @@ def _tile_lower_risks(model, axis: np.ndarray, tiles: np.ndarray) -> np.ndarray:
     lower = model.values(centres)
     if isinstance(model, QuadraticGroupRisks):
         A = model.A
-        sym = (A + A.transpose(0, 2, 1)) / 2.0
-        grads = 2.0 * (np.einsum("gjk,tk->tgj", sym, centres) - model.c)
+        grads = 2.0 * (np.einsum("gjk,tk->tgj", A, centres) - model.c)
         scale = (
             np.abs(A).sum(axis=(1, 2)) * reach * reach
             + 2.0 * np.abs(model.c).sum(axis=1) * reach
             + np.abs(model.k)
         )
         summands = model.dim + 2
-        curvature = np.maximum(0.0, -np.linalg.eigvalsh(sym)[:, 0])
+        curvature = np.maximum(0.0, -np.linalg.eigvalsh(A)[:, 0])
     else:
         grads = np.array([model.gradients(c) for c in centres]).reshape(*lower.shape, model.dim)
         # |z| <= |x|_1 reach, and a row's loss adds at most log 2 + 2 |z|

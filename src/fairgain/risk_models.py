@@ -10,21 +10,23 @@ Empirical side: per-group (X, y) samples under squared or logistic loss. Both
 risk models, QuadraticGroupRisks (specs and squared loss, solved exactly) and
 LogisticGroupRisks (projected damped Newton), have one contract for any
 weighting w >= 0 of the groups: minimize(w, radius) returns (theta, value,
-lower) for sum_g w_g R_g over the ball (no ball without a radius), lower a
+lower) for sum_g w_g R_g over the ball of a radius in (0, inf], lower a
 certified bound on its minimum. The solvers' dual evaluations are its weighted
 cases, and frame(radius) builds the bargaining frame from its one-hot cases:
 each group's ideal risk is its own least risk over the ball, and the baseline
 is the zero predictor for quadratic risks and the pooled base rate for logistic
-risks. Every dual evaluation runs the quadratic minimize, which calls the 2-d
-dot that tensordot wraps and has minimize_quadratic_ball take its small steps
-on Python floats, with numpy's bits. Each model's values(theta) scores one
-parameter or a batch of them, each batch row with the same bits in a batch of
-any size. The quadratic batch is an elementwise kernel over (m, n) arrays that
-adds the d coordinates' terms in a fixed order. At d <= 2 its rows are bit for
-bit those of a tensor contraction over the coordinates; at d = 3 a contraction
-may add the terms in another order, so rows (riskset's too) differ by rounding
-only. Each model's lipschitz_bound(radius) bounds every group's gradient norm
-over the ball, which turns a risk-set grid's spacing into a risk tolerance.
+risks. A quadratic model stores the symmetric part of each A_g, so its values,
+gradients, Hessians and minimize all read one quadratic. Every dual evaluation
+runs the quadratic minimize, which calls the 2-d dot that tensordot wraps and
+has minimize_quadratic_ball take its small steps on Python floats, with numpy's
+bits. Each model's values(theta) scores one parameter or a batch of them, each
+batch row with the same bits in a batch of any size. The quadratic batch is an
+elementwise kernel over (m, n) arrays that adds the d coordinates' terms in a
+fixed order. At d <= 2 its rows are bit for bit those of a tensor contraction
+over the coordinates; at d = 3 a contraction may add the terms in another
+order, so rows (riskset's too) differ by rounding only. Each model's
+lipschitz_bound(radius) bounds every group's gradient norm over the ball, which
+turns a risk-set grid's spacing into a risk tolerance.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ class ProblemSpec:
 
 
 def minimize_quadratic_ball(
-    A: np.ndarray, c: np.ndarray, radius: float | None
+    A: np.ndarray, c: np.ndarray, radius: float
 ) -> tuple[np.ndarray, float]:
-    """Minimize theta' A theta - 2 c' theta over the Euclidean ball (no ball without a radius).
+    """Minimize theta' A theta - 2 c' theta over the Euclidean ball of a radius in (0, inf].
 
     A must be symmetric PSD with c in its range (moment callers' c is; the
     logistic Newton step's A is definite); a non-finite A or c, or a radius
@@ -151,7 +153,7 @@ def minimize_quadratic_ball(
     entries = A.ravel().tolist() + c.tolist()
     if not all(map(math.isfinite, entries)):
         raise ValueError("quadratic coefficients must be finite")
-    if radius is not None and not radius > 0.0:
+    if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     if len(entries) == 2:  # d = 1, V = 1: V' c and V theta are 0.0 + the entry, v @ v one product
         s, b, V = entries[:1], [entries[1] + 0.0], None
@@ -166,7 +168,7 @@ def minimize_quadratic_ball(
         return np.zeros_like(c), 0.0
     cutoff = _EIG_CUTOFF * smax
     t = [bi / si if si > cutoff else 0.0 for bi, si in zip(b, s)]
-    if radius is not None and not math.sqrt(t[0] * t[0] if V is None else np.dot(t, t)) <= radius:
+    if not math.sqrt(t[0] * t[0] if V is None else np.dot(t, t)) <= radius:
         lo, hi = 0.0, math.sqrt(b[0] * b[0] if V is None else np.dot(b, b)) / float(radius)
         lam = max(hi / 2.0, 1e-16)  # steps exceed lo >= 0, midpoints halve toward lo: s + lam > 0
         target = math.pow(radius, 2.0)  # the libm call radius**2 makes
@@ -190,14 +192,16 @@ def _sum(terms: list[float]) -> float:
 
 
 class QuadraticGroupRisks:
-    """Group risks of the form theta' A_g theta - 2 c_g' theta + k_g."""
+    """Group risks theta' A_g theta - 2 c_g' theta + k_g, each A_g stored as its symmetric part."""
 
     def __init__(self, A: np.ndarray, c: np.ndarray, k: np.ndarray):
-        self.A = np.asarray(A, dtype=float)
+        A = np.asarray(A, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.k = np.asarray(k, dtype=float)
-        if self.A.ndim != 3 or self.c.ndim != 2 or self.k.ndim != 1:
+        if A.ndim != 3 or self.c.ndim != 2 or self.k.ndim != 1:
             raise ValueError("expected stacked per-group quadratic coefficients")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+            self.A = (A + A.transpose(0, 2, 1)) / 2.0
         if not all(np.isfinite(x).all() for x in (self.A, self.c, self.k)):
             raise ValueError("quadratic risk moments must be finite")
         self.num_groups, self.dim = self.c.shape
@@ -255,11 +259,8 @@ class QuadraticGroupRisks:
         spectral = np.abs(np.linalg.eigvalsh(self.A)).max(axis=1)
         return float(2.0 * np.max(spectral * radius + np.linalg.norm(self.c, axis=1)))
 
-    def minimize(self, w: np.ndarray, radius: float | None) -> tuple[np.ndarray, float, float]:
-        """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value.
-
-        Without a radius there is no ball.
-        """
+    def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
+        """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value."""
         w = np.asarray(w, dtype=float)
         # the 2-d dot that np.tensordot(w, A, axes=1) runs, without its wrapper
         A = np.dot(w.reshape(1, -1), self._A_rows).reshape(self.dim, self.dim)
@@ -267,7 +268,7 @@ class QuadraticGroupRisks:
         value = quad + float(w @ self.k)
         return theta, value, value
 
-    def frame(self, radius: float | None) -> BargainingFrame:
+    def frame(self, radius: float) -> BargainingFrame:
         """Baseline k (the zero predictor) and each group's one-hot minimum over the ball.
 
         Raises DegenerateFrameError when some group cannot improve on the
@@ -338,10 +339,8 @@ class GroupedDataset:
         return self.features[0].shape[1]
 
 
-def project_ball(theta: np.ndarray, radius: float | None) -> np.ndarray:
-    """Nearest point of the ball (no-op without a radius)."""
-    if radius is None:
-        return theta
+def project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
+    """Nearest point of the ball."""
     nrm = np.linalg.norm(theta)
     return theta if nrm <= radius else theta * (radius / nrm)
 
@@ -405,8 +404,8 @@ class LogisticGroupRisks:
         """
         return float(max(np.linalg.norm(X, axis=1).mean() for X in self.features))
 
-    def minimize(self, w: np.ndarray, radius: float | None) -> tuple[np.ndarray, float, float]:
-        """Minimize sum_g w_g R_g(theta) over the ball (no ball without a radius), w >= 0.
+    def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
+        """Minimize sum_g w_g R_g(theta) over the ball, w >= 0.
 
         Damped Newton from theta = 0 over the groups with w_g > 0 alone, for
         at most _NEWTON_ITERS steps. Every step heads for the second-order
@@ -418,8 +417,8 @@ class LogisticGroupRisks:
         and ConvergenceError is raised when it does not. Returns (theta,
         value, lower) with that residual at most 1e-8 and lower the
         linearization bound at theta: the least value + gradient . (x - theta)
-        over the ball, which without a ball is value where the gradient is
-        exactly 0 and -inf otherwise.
+        over the ball, which over an infinite radius is value where the
+        gradient is exactly 0 and -inf otherwise.
         """
         w = np.asarray(w, dtype=float)
         active = np.flatnonzero(w > 0.0)
@@ -433,9 +432,8 @@ class LogisticGroupRisks:
             grad = w @ self.gradients(theta)
             resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
             if resid <= 1e-8:
-                if radius is None:
-                    return theta, cur, cur if not grad.any() else -np.inf
-                return theta, cur, cur - radius * float(np.linalg.norm(grad)) - float(grad @ theta)
+                gnorm = float(np.linalg.norm(grad))  # inf * 0 is nan: a zero gradient adds nothing
+                return theta, cur, cur - (radius * gnorm if gnorm else 0.0) - float(grad @ theta)
             if it == _NEWTON_ITERS:
                 break
             H = 1e-12 * np.eye(self.dim)
@@ -460,7 +458,7 @@ class LogisticGroupRisks:
         msg = f"logistic minimization stalled with stationarity residual {resid:.3e}"
         raise ConvergenceError(msg)
 
-    def frame(self, radius: float | None) -> BargainingFrame:
+    def frame(self, radius: float) -> BargainingFrame:
         """Baseline at the pooled base rate and each group's least risk over the ball.
 
         The baseline predicts the pooled share of positive labels for every

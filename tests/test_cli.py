@@ -556,7 +556,17 @@ def test_oracle_tiles_change_no_output(tmp_path, monkeypatch):
         # ri and leximin tie at 0 in every tiling; nash finds no row helping both
         (opposing, "0.5", "ri,leximin,gdro,mmv,mmr"),
         (opposing, "0.5", ",".join(METHODS)),
+        # a step just under 2r/21: at tile 7 a visited tile holds no in-ball point
+        (specs["three_group"], "0.4761", ",".join(METHODS)),
     ]
+    tile_points, empty = cli._tile_points, []
+
+    def spy(axis, ball, tile):
+        thetas, index = tile_points(axis, ball, tile)
+        empty.append(not len(thetas))
+        return thetas, index
+
+    monkeypatch.setattr(cli, "_tile_points", spy)
     seen = {}
     for tile in (1, 7, 64, cli._ORACLE_TILE):
         monkeypatch.setattr(cli, "_ORACLE_TILE", tile)
@@ -566,7 +576,8 @@ def test_oracle_tiles_change_no_output(tmp_path, monkeypatch):
             code = main(argv + ["--out", str(out)])
             got = (code, out.read_bytes() if out.exists() else None)
             assert seen.setdefault(i, got) == got, (path.name, step, tile)
-    assert [seen[i][0] for i in range(len(runs))] == [0, 0, 0, 0, 3]
+    assert [seen[i][0] for i in range(len(runs))] == [0, 0, 0, 0, 3, 0]
+    assert any(empty)
 
 
 def test_oracle_column_is_each_criterion_best_over_the_grid(tmp_path, capsys):

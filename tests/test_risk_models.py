@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -115,7 +116,7 @@ def _wrapper_minimize(model, w, radius):
         b = V.T @ c
         live = s > 1e-10 * smax
         theta_eig = np.where(live, b / np.where(live, s, 1.0), 0.0)
-        if radius is not None and np.linalg.norm(theta_eig) > radius:
+        if np.linalg.norm(theta_eig) > radius:
             lo, hi = 0.0, float(np.linalg.norm(b) / radius)
             lam = max(hi / 2.0, 1e-16)
             target = radius**2
@@ -171,11 +172,11 @@ def test_minimize_matches_the_wrapper_calls_bit_for_bit():
                 reach = float(np.linalg.norm(free))
                 # radii on both sides of the free minimizer, just in and just out
                 near = (reach * (1.0 + 1e-6), reach * (1.0 - 1e-6)) if reach > 0.0 else ()
-                for radius in (None, 0.05, 1.0, 50.0, *near):
+                for radius in (np.inf, 0.05, 1.0, 50.0, *near):
                     assert _bits(model.minimize(w, radius)) == _bits(_wrapper_minimize(model, w, radius))
                     if not w.any():
                         branches.add("zero")
-                    elif radius is None:
+                    elif radius == np.inf:
                         branches.add("no ball")
                     else:
                         inside = reach <= radius
@@ -221,7 +222,7 @@ def test_minimize_refuses_non_finite_coefficients_and_a_radius_not_above_zero():
         ([[2.0]], [-np.inf]),
     )
     for A, c in bad:
-        for radius in (None, 1.0):
+        for radius in (np.inf, 1.0):
             with pytest.raises(ValueError, match="finite"):
                 minimize_quadratic_ball(np.array(A), np.array(c), radius)
     for radius in (0.0, -1.0, np.nan):
@@ -244,14 +245,51 @@ def test_minimize_raises_linalgerror_when_eigh_does_not_converge(monkeypatch):
     monkeypatch.setattr(risk_models, "_eigh", unconverged)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for radius in (None, 1.0):
+        for radius in (np.inf, 1.0):
             with pytest.raises(np.linalg.LinAlgError):
                 minimize_quadratic_ball(np.eye(3), np.ones(3), radius)
 
 
+def test_minimize_bounds_the_values_it_scores_for_an_asymmetric_a(tmp_path):
+    # the kernel's eigh reads one triangle of A and values reads all of it; a
+    # dual bound is sound only when both read one quadratic. A skew part K
+    # leaves theta' A theta alone, and the loader admits an asymmetry of
+    # 1e-10 of cov's scale
+    rng = np.random.default_rng(41)
+    models = []
+    for i in range(100):
+        m, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        F = rng.normal(size=(m, d, d))
+        S = F @ F.transpose(0, 2, 1) / d + 0.05 * np.eye(d)
+        K = rng.normal(size=(m, d, d))
+        beta = rng.normal(size=(m, d)) * rng.uniform(0.5, 4.0)
+        c = np.einsum("gjk,gk->gj", S, beta)
+        k = np.einsum("gj,gj->g", beta, c) + rng.uniform(0.3, 12.0, size=m)
+        A = S + K - K.transpose(0, 2, 1)
+        models.append((QuadraticGroupRisks(A, c, k), A))
+        scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))[:, None, None]
+        cov = S + 0.99e-10 * scale * np.triu(np.ones((d, d)), 1)
+        groups = [{"beta": b.tolist(), "sigma2": 1.0, "cov": C.tolist()} for b, C in zip(beta, cov)]
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps({"radius": 3.0, "groups": groups}))
+        models.append((QuadraticGroupRisks.from_problem_spec(load_problem_spec(path)), cov))
+    eps, count = np.finfo(float).eps, 0
+    for model, A in models:
+        m = model.num_groups
+        for w in (*np.eye(m), *rng.dirichlet(np.ones(m), size=m)):
+            for radius in (0.5, 3.0, 50.0):
+                theta, _, lower = model.minimize(w, radius)
+                # 128 ulps of the terms that values adds, and no other slack
+                terms = np.abs(np.einsum("j,gjk,k->g", theta, A, theta))
+                terms += 2.0 * np.abs(model.c @ theta) + np.abs(model.k)
+                assert lower <= float(w @ model.values(theta)) + 128.0 * eps * float(w @ terms)
+                count += 1
+    assert count > 3000
+
+
 def test_d1_minimize_and_convergence_study_call_no_lapack(monkeypatch, motivating):
     model = QuadraticGroupRisks.from_problem_spec(motivating)
-    calls = [(w, r) for w in (np.array([0.3, 0.7]), np.eye(2)[1], np.zeros(2)) for r in (None, 1.0, 10.0)]
+    calls = [(w, r) for w in (np.array([0.3, 0.7]), np.eye(2)[1], np.zeros(2)) for r in (np.inf, 1.0, 10.0)]
     want = [_bits(model.minimize(w, r)) for w, r in calls]
     want_study = run_convergence(motivating, (100, 400), trials=2, seed=5)
 
@@ -440,12 +478,12 @@ def test_unconstrained_fit_matches_lstsq():
     y = X @ np.array([0.3, -0.2]) + rng.normal(size=50) * 0.1
     model = QuadraticGroupRisks.from_dataset(GroupedDataset(features=(X, X), labels=(y, -y)))
     expect, *_ = np.linalg.lstsq(X, y, rcond=None)
-    theta, value, _ = model.minimize(np.array([1.0, 0.0]), None)
+    theta, value, _ = model.minimize(np.array([1.0, 0.0]), np.inf)
     np.testing.assert_allclose(theta, expect, atol=1e-8)
-    # without a ball the frame's ideals are the least-squares residuals
+    # over an infinite radius the frame's ideals are the least-squares residuals
     residual = float(np.mean((y - X @ expect) ** 2))
-    np.testing.assert_allclose(model.frame(None).ideal_array(), [residual, residual], rtol=1e-12)
-    assert value == model.frame(None).ideal_risks[0]
+    np.testing.assert_allclose(model.frame(np.inf).ideal_array(), [residual, residual], rtol=1e-12)
+    assert value == model.frame(np.inf).ideal_risks[0]
 
 
 def test_squared_baseline_is_the_zero_predictor():
@@ -505,7 +543,7 @@ def test_logistic_minimize_fits_the_weighted_groups_alone():
     model = LogisticGroupRisks.from_dataset(ds)
     alone = LogisticGroupRisks(ds.features[1::2], ds.labels[1::2])
     w = np.array([0.0, 0.7, 0.0, 0.3])
-    for radius in (2.0, None):
+    for radius in (2.0, np.inf):
         theta, *bounds = model.minimize(w, radius)
         alone_theta, *alone_bounds = alone.minimize(w[1::2], radius)
         np.testing.assert_array_equal(theta, alone_theta)

@@ -449,6 +449,33 @@ def test_worst_group_solves_certify_on_the_master_witnesses():
             assert rep.certified(CFG.tol), (k, method, rep.certificate_gap)
 
 
+def test_a_master_out_of_pivots_stops_the_minimax_with_a_sound_report(monkeypatch):
+    # the second draw of the many-group seeding 100 + 7m + d at m = d = 32:
+    # under mmv the master's simplex runs out of pivots at 40 cuts, and the
+    # loop stops on the master's None with what the dual evaluations certified
+    real, outcomes = _GameMaster._pivot, []
+
+    def spy(self, basis, tableau):
+        found = real(self, basis, tableau)
+        outcomes.append(found is None)
+        return found
+
+    monkeypatch.setattr(_GameMaster, "_pivot", spy)
+    rng = np.random.default_rng(100 + 7 * 32 + 32)
+    random_problem_spec(rng, m=32, d=32, radius=3.0)
+    spec = random_problem_spec(rng, m=32, d=32, radius=3.0)
+    model, frame = _setup(spec)
+    rep = solve("mmv", model, frame, spec.radius, CFG)
+    assert any(outcomes)
+    assert np.linalg.norm(rep.parameter) <= spec.radius
+    assert rep.objective_value == criterion_value("mmv", frame, rep.risk_profile.as_array())
+    # the bench gate's soundness check: the certified bound beats every other method's point
+    bound = rep.objective_value + rep.certificate_gap
+    for method in ("ri", "gdro", "mmr"):
+        theta = np.asarray(solve(method, model, frame, spec.radius, CFG).parameter)
+        assert criterion_value("mmv", frame, model.values(theta)) <= bound, method
+
+
 def test_leximin_certifies_where_a_warm_point_on_a_pin_stalled():
     # criterion-3 specs (seed 7), rank-deficient draw 490 (counting None draws)
     # and spec 72 of the seed-5 stream with m in 2-5 and d in 1-4, where a
@@ -968,11 +995,11 @@ def test_one_newton_routine_serves_fits_and_dual_evaluations(m, monkeypatch):
     for g in range(m):
         # the frame's ideal is the one-hot minimize, bit for bit
         assert frame.ideal_risks[g] == model.minimize(np.eye(m)[g], radius)[1]
-        # without a radius the fit is stationary unprojected; half its norm binds
-        theta, value, lower = model.minimize(np.eye(m)[g], None)
+        # over an infinite radius the fit is stationary unprojected; half its norm binds
+        theta, value, lower = model.minimize(np.eye(m)[g], np.inf)
         grad = np.eye(m)[g] @ model.gradients(theta)
         assert np.linalg.norm(grad) <= 1e-8
-        # without a ball the bound is value at an exact zero gradient, else -inf
+        # over an infinite radius the bound is value at an exact zero gradient, else -inf
         assert lower == (value if not grad.any() else -np.inf)
         half = 0.5 * float(np.linalg.norm(theta))
         assert np.linalg.norm(model.minimize(np.eye(m)[g], half)[0]) == pytest.approx(half)
