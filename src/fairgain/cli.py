@@ -43,8 +43,6 @@ from fairgain.core import (
     criterion_scores,
     criterion_value,
 )
-from fairgain.empirical_study import gap_certificate, run_convergence
-from fairgain.geometry import sample_risk_set, trace_frontier
 from fairgain.risk_models import (
     LogisticGroupRisks,
     QuadraticGroupRisks,
@@ -318,6 +316,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
+    from fairgain.geometry import trace_frontier  # only frontier and riskset load geometry
+
     model, frame, ball = _load_source(args)
     trace = trace_frontier(model, frame, ball, args.weights)
     lines = ["lambda,rho1,rho2,r1,r2"]
@@ -330,6 +330,8 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 
 
 def cmd_riskset(args: argparse.Namespace) -> int:
+    from fairgain.geometry import sample_risk_set
+
     # the frame is built first, so a degenerate one surfaces before the big sample
     model, _, ball = _load_source(args)
     sample = sample_risk_set(model, ball, grid=args.grid)
@@ -344,6 +346,8 @@ def cmd_riskset(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
+    from fairgain.empirical_study import gap_certificate, run_convergence  # only converge loads it
+
     spec = load_problem_spec(args.spec)
     seed = args.seed if args.seed is not None else 0
     # --seed seeds the Monte Carlo draws only, as run_convergence's seed does

@@ -16,21 +16,23 @@ master value, so the primal side closes with the dual even when weighted
 minimizers are non-unique. The master is a matrix game over the
 free groups' weights, with unbounded multipliers on pinned groups, solved
 exactly for any number of groups by one warm-started tableau simplex. The
-cutting plane closes the lower bound slowly, so after each round an
-endgame takes Newton steps on the KKT system of the constraints near-active
-at the best point (Nocedal & Wright 2006, ch. 18), with each group's
-Hessian from the risk model's hessians(theta). The Newton point is one more
-candidate, scored exactly, and its multipliers, clipped at 0 with the free
-part put on the simplex, give one more weighted minimization: by weak
-duality a valid lower bound for any such weights, so the endgame can close
-the gap sooner but never makes it unsound. The master sees neither. A try
-whose Newton steps stop converging is dropped unscored. A negative
-multiplier on a chosen constraint marks the wrong active set, as at a
-degenerate vertex where more than d + 1 groups tie, and the next choice of
-constraints is tried. Every dual bound is taken with the pins' caps raised
-by the slack a candidate may break them by, and less a rounding allowance
-that grows with its terms, so that multipliers in the hundreds still give a
-sound bound. The reported certificate is the true primal-dual gap. The
+cutting plane closes the lower bound slowly, so an endgame takes Newton
+steps on the KKT system of the constraints near-active at the best point
+(Nocedal & Wright 2006, ch. 18), with each group's Hessian from the risk
+model's hessians(theta): once from the uniform weights, before any master
+round, where at most d + 1 constraints make a single choice, and after each
+round. The Newton point is one more candidate, scored exactly, and its
+multipliers, clipped at 0 with the free part put on the simplex, give one
+more weighted minimization: by weak duality a valid lower bound for any
+such weights, so the endgame can close the gap sooner but never makes it
+unsound. The master sees neither. A try whose Newton residual stops halving
+is dropped unscored; a weight may pass below 0 on the way. A negative
+multiplier at the end marks the wrong active set, as at a degenerate vertex
+where more than d + 1 groups tie, and the next choice of constraints is
+tried. Every dual bound is taken with the pins' caps raised by the slack a
+candidate may break them by, and less a rounding allowance that grows with
+its terms, so that multipliers in the hundreds still give a sound bound.
+The reported certificate is the true primal-dual gap. The
 product-of-gains criterion takes damped Newton steps on its log-gain sum
 from the ri point, each certified by an AM-GM bound at the weights 1/gains,
 one weighted minimization; it refuses first when the ri solve's certified
@@ -216,9 +218,10 @@ def _dual_minimax(
     point it was taken at; before every dual evaluation the master LP's dual
     weights combine those points into one more candidate, which lies in the
     ball and by convexity scores at most the master value, so once the
-    master's value meets the lower bound the primal side closes too. After
-    each round the endgame's KKT Newton steps add a candidate and a dual
-    evaluation of their own, which the master never sees. Returns (theta,
+    master's value meets the lower bound the primal side closes too. The
+    endgame's KKT Newton steps, from the uniform weights when at most d + 1
+    constraints make one choice and after each round, add a candidate and a
+    dual evaluation of their own, which the master never sees. Returns (theta,
     upper, lower, evals) where upper - lower is a sound certificate by weak
     duality, and evals counts the starting points and dual evaluations, the
     endgame's included. Some warm point must meet every pin, so that a
@@ -282,10 +285,11 @@ def _dual_minimax(
     def endgame(lam: np.ndarray, mu: np.ndarray) -> int:
         """KKT Newton tries from the incumbent; returns the dual evaluations made.
 
-        The constraints are the free groups within the gap of the incumbent's
-        worst one or weighted by the master, worst first and, among ties,
-        the master's heaviest first, then pins within the gap of their caps
-        or weighted by the master, closest to their caps first, d + 1
+        lam and mu are the master's weights, or the opening uniform ones,
+        which weigh every free group. The constraints are the free groups
+        within the gap of the incumbent's worst one or weighted by lam, worst
+        first and, among ties, the heaviest first, then pins within the gap
+        of their caps or weighted by mu, closest to their caps first, d + 1
         constraints at most. A try is made once that set holds two
         constraints, and again only when the set changes or the gap has
         shrunk _RETRY_SHRINK-fold since the last try. A choice is
@@ -339,8 +343,12 @@ def _dual_minimax(
     track(np.zeros(model.dim))
     for point in warm:
         track(np.asarray(point, dtype=float))
-    track(dual_at(np.full(len(free), 1.0 / len(free)), np.zeros(len(pin_idx))))
+    lam, mu = np.full(len(free), 1.0 / len(free)), np.zeros(len(pin_idx))
+    track(dual_at(lam, mu))
     evals = len(cuts)
+    # at most d + 1 constraints make one choice, so the endgame opens at uniform weights
+    if len(lam) + len(mu) <= model.dim + 1 and best_upper - best_lower > 0.5 * cfg.tol:
+        evals += endgame(lam, mu)
 
     master = _GameMaster(len(free), len(pin_idx), best_lower)
     for _ in range(_MAX_ITERS):
@@ -372,16 +380,17 @@ def _kkt_newton(
     solves the symmetric Hessian system of
     L = t + y . (f - c t - b) + nu (|theta|^2 - ball^2) / 2 in the unknowns
     (theta, nu, t, y) by least squares, which also settles the singular
-    systems of rank-deficient groups. y starts from the master's weights,
-    put on the simplex over the free groups, and nu from 0. The steps stop
-    after _KKT_STEPS, once the residual is within _FEAS_TOL, or at a
-    non-finite step, and theta is pulled into the ball. The first step often
-    raises the residual as it sets nu and t, and so does the sphere's row
-    when it joins; a later step that fails to halve it, or leaves a free
-    group's weight below 0, means Newton's local convergence is missing or
-    the active set is wrong, and the try is dropped: None. Steps that
-    converge within two steps, or run out, return the multipliers whatever
-    their signs; the caller reads a negative one as a wrong active set.
+    systems of rank-deficient groups. y starts from the given weights (the
+    master's, or uniform), put on the simplex over the free groups, and nu
+    from 0. The steps stop after _KKT_STEPS, once the residual is within
+    _FEAS_TOL, or at a non-finite step, and theta is pulled into the ball.
+    The first step often raises the residual as it sets nu and t, and so
+    does the sphere's row when it joins; a later step that fails to halve it
+    means Newton's local convergence is missing, and the try is dropped:
+    None. A free weight may pass below 0 on the way, as (6.5, -5.5) on one
+    two-group solve that ends at (0.91, 0.09). Steps that converge or run
+    out return the multipliers whatever their signs; the caller reads a
+    negative one as a wrong active set.
     """
     d, k = len(theta), len(idx)
     inv = 1.0 / scales[idx]
@@ -412,7 +421,7 @@ def _kkt_newton(
         norm = math.sqrt(float(resid @ resid))
         if norm <= _FEAS_TOL:
             break
-        if step >= 2 and (norm > 0.5 * last or float(y[:n_free].min()) < 0.0):
+        if step >= 2 and norm > 0.5 * last:
             return None
         last = norm
         kkt[:d, :d] = ((y * inv) @ model.hessians(theta)[idx].reshape(k, d * d)).reshape(d, d)

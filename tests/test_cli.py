@@ -835,12 +835,15 @@ def test_a_request_too_large_for_memory_exits_2(planar_file):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy serves the hull check and the tests only; the CLI starts on numpy alone
+    # scipy serves the hull check and the tests only; the CLI starts on numpy
+    # alone, and loads geometry and the convergence study only for the
+    # commands that run them
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = (
         "import sys, fairgain.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m in ('fairgain.geometry', 'fairgain.empirical_study')))"
     )
     run = subprocess.run(
         [sys.executable, "-c", probe],

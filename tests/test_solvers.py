@@ -182,12 +182,13 @@ def test_solution_unique_across_random_starts(motivating):
 
 
 def test_uncertified_when_budget_is_tiny(monkeypatch):
-    # spec 37 of the seed-7 stream with m cycling through 2, 3, 4: one round and
-    # its Newton tries leave ri's gap at 0.31, and the full budget certifies it.
-    # Each solve gets a model built for it, so the ri memo holds no solve made
-    # under the other budget
+    # spec 14 of the seed-7 stream with m cycling through 2, 3, 4: with four
+    # groups over two features no Newton try opens the loop, one round and its
+    # tries leave ri's gap at 0.32, and the full budget certifies it. Each solve
+    # gets a model built for it, so the ri memo holds no solve made under the
+    # other budget
     rng = np.random.default_rng(7)
-    spec = [random_problem_spec(rng, m=(2, 3, 4)[i % 3], d=2, radius=3.0) for i in range(38)][37]
+    spec = [random_problem_spec(rng, m=(2, 3, 4)[i % 3], d=2, radius=3.0) for i in range(15)][14]
     monkeypatch.setattr(solvers, "_MAX_ITERS", 1)
     rep = solve("ri", *_setup(spec), spec.radius, CFG)
     assert not rep.certified(1e-6)
@@ -371,9 +372,10 @@ def test_segment_master_matches_linprog(m_free, n_pin):
 
 
 def test_master_solves_of_mmr_on_a_logistic_dataset_match_highs(monkeypatch):
-    # every master solve of the mmr loop on logistic dataset 5 returns HiGHS's
-    # optimum; the warm tableau carries rounding from solve to solve (1.1e-16
-    # off HiGHS's bracket here, over 4 solves)
+    # every master solve of the mmr loop on a four-group, two-feature logistic
+    # dataset returns HiGHS's optimum; with more groups than d + 1 no Newton try
+    # opens the loop, so the master runs (4 solves, each within HiGHS's bracket
+    # here, although the warm tableau carries rounding from solve to solve)
     real, calls = _GameMaster.solve, []
 
     def spy(self, cuts):
@@ -382,7 +384,7 @@ def test_master_solves_of_mmr_on_a_logistic_dataset_match_highs(monkeypatch):
         return picked
 
     monkeypatch.setattr(_GameMaster, "solve", spy)
-    model = group_risk_model(random_logistic_dataset(np.random.default_rng(5)))
+    model = group_risk_model(random_logistic_dataset(np.random.default_rng(0), m=4, d=2))
     solve("mmr", model, model.frame(LOGISTIC_RADIUS), LOGISTIC_RADIUS, CFG)
     assert calls
     for cuts, (lam, mu, alpha), m_free, n in calls:
@@ -403,9 +405,10 @@ def _witness_draws() -> dict[int, object]:
 
 def test_every_master_solve_agrees_with_highs_on_the_witness_draws(monkeypatch):
     # each master solve of ri, gdro, mmv and mmr on the witness draws and the
-    # other draws among the stream's first 60, and of mmr on logistic dataset
-    # 5, lies within 1e-8 of HiGHS's bracket and returns None only where mu is
-    # unbounded (the Newton endgame leaves the witnesses alone under 500 solves)
+    # other draws among the stream's first 60, and of mmr on the four-group
+    # logistic dataset above, lies within 1e-8 of HiGHS's bracket and returns
+    # None only where mu is unbounded (the Newton endgame leaves the witnesses
+    # alone under 500 solves)
     real, calls = _GameMaster.solve, []
 
     def spy(self, cuts):
@@ -414,7 +417,7 @@ def test_every_master_solve_agrees_with_highs_on_the_witness_draws(monkeypatch):
         return picked
 
     monkeypatch.setattr(_GameMaster, "solve", spy)
-    model = group_risk_model(random_logistic_dataset(np.random.default_rng(5)))
+    model = group_risk_model(random_logistic_dataset(np.random.default_rng(0), m=4, d=2))
     solve("mmr", model, model.frame(LOGISTIC_RADIUS), LOGISTIC_RADIUS, CFG)
     witnesses, draws = _witness_draws(), np.random.default_rng(123)
     others = [rank_deficient_spec(draws) for _ in range(60)]
@@ -522,13 +525,30 @@ def test_leximin_goes_on_where_the_master_stalls_below_the_lower_bound_or_at_the
         assert rep.certified(CFG.tol), rep.certificate_gap
 
 
-def test_one_feature_two_group_ri_solves_certify_within_five_evaluations():
-    # the convergence study's shape: two groups, one feature, sampled moments;
-    # the cutting plane alone took 11-13 evaluations on 18 of these draws, and
-    # the KKT Newton step closes both bounds by the second round
+def test_one_feature_two_group_ri_solves_certify_without_a_master_solve(monkeypatch):
+    # the convergence study's shape: two groups, one feature, sampled moments,
+    # plus the population spec of the convergence benchmark's second study.
+    # The cutting plane alone took 11-13 evaluations on 18 of the draws; the
+    # KKT Newton try at the uniform dual evaluation closes both bounds before
+    # any master round, so each solve counts theta = 0, that evaluation and
+    # the try's. On the study's spec the try passes through weights
+    # (6.5, -5.5) on its way to (0.91, 0.09): a try dropped for a negative
+    # weight would leave the work to the master
+    real, calls = _GameMaster.solve, []
+
+    def spy(self, cuts):
+        calls.append(len(cuts))
+        return real(self, cuts)
+
+    monkeypatch.setattr(_GameMaster, "solve", spy)
+    groups = tuple(
+        GroupLinearModel(beta=np.array([b]), sigma2=s, cov=np.eye(1))
+        for b, s in ((5.1, 9.15), (0.52, 9.86))
+    )
+    study = ProblemSpec(groups=groups, radius=10.0)
+    cases = [(*_setup(study), study.radius)]
     rng = np.random.default_rng(3)
-    draws = 0
-    while draws < 20:
+    while len(cases) < 21:
         betas, sigma2 = rng.uniform(0.5, 8.0, 2), rng.uniform(0.5, 10.0, 2)
         groups = tuple(
             GroupLinearModel(beta=np.array([b]), sigma2=float(s), cov=np.eye(1))
@@ -537,13 +557,14 @@ def test_one_feature_two_group_ri_solves_certify_within_five_evaluations():
         spec = ProblemSpec(groups=groups, radius=10.0)
         model = risk_models.draw_moments(spec, int(rng.choice([100, 400, 1600, 6400, 25600])), rng)
         try:
-            frame = model.frame(spec.radius)
+            cases.append((model, model.frame(spec.radius), spec.radius))
         except DegenerateFrameError:
             continue
-        draws += 1
-        rep = solve("ri", model, frame, spec.radius, CFG)
-        assert rep.certified(CFG.tol), (draws, rep.certificate_gap)
-        assert rep.iterations <= 5, (draws, rep.iterations)
+    for k, (model, frame, radius) in enumerate(cases):
+        rep = solve("ri", model, frame, radius, CFG)
+        assert rep.certified(CFG.tol), (k, rep.certificate_gap)
+        assert rep.iterations <= 3, (k, rep.iterations)
+        assert not calls, (k, calls)
 
 
 def test_kkt_newton_takes_the_sphere_on_once_a_step_leaves_the_ball():
