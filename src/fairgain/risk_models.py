@@ -15,18 +15,17 @@ certified bound on its minimum. The solvers' dual evaluations are its weighted
 cases, and frame(radius) builds the bargaining frame from its one-hot cases:
 each group's ideal risk is its own least risk over the ball, and the baseline
 is the zero predictor for quadratic risks and the pooled base rate for logistic
-risks. A quadratic model stores the symmetric part of each A_g, so its values,
-gradients, Hessians and minimize all read one quadratic. Every dual evaluation
-runs the quadratic minimize, which calls the 2-d dot that tensordot wraps and
-has minimize_quadratic_ball take its small steps on Python floats, with numpy's
-bits. Each model's values(theta) scores one parameter or a batch of them, each
-batch row with the same bits in a batch of any size. The quadratic batch is an
-elementwise kernel over (m, n) arrays that adds the d coordinates' terms in a
-fixed order. At d <= 2 its rows are bit for bit those of a tensor contraction
-over the coordinates; at d = 3 a contraction may add the terms in another
-order, so rows (riskset's too) differ by rounding only. Each model's
-lipschitz_bound(radius) bounds every group's gradient norm over the ball, which
-turns a risk-set grid's spacing into a risk tolerance.
+risks. A quadratic model stores the symmetric part of each A_g, which a spec's
+c and k read too, so values, gradients, Hessians and minimize all read one
+quadratic. Every dual evaluation runs the quadratic minimize, which calls the
+2-d dot that tensordot wraps and has minimize_quadratic_ball take its small
+steps on Python floats, with numpy's bits. Each model's values(theta) scores
+one parameter or a batch of them, each batch row with the same bits in a batch
+of any size. The quadratic batch is an elementwise kernel over (m, n) arrays
+that adds the d coordinates' terms in a fixed order. At d <= 2 its rows are
+bit for bit those of a tensor contraction over the coordinates; at d = 3 a
+contraction may add the terms in another order, so rows (riskset's too)
+differ by rounding only.
 """
 
 from __future__ import annotations
@@ -191,6 +190,12 @@ def _sum(terms: list[float]) -> float:
     return reduce(add, terms, 0.0) if len(terms) < 8 else float(np.add.reduce(np.array(terms)))
 
 
+def _symmetric_part(A: np.ndarray) -> np.ndarray:
+    """(A_g + A_g') / 2 for each stacked A_g, which a symmetric A_g keeps bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+        return (A + A.transpose(0, 2, 1)) / 2.0
+
+
 class QuadraticGroupRisks:
     """Group risks theta' A_g theta - 2 c_g' theta + k_g, each A_g stored as its symmetric part."""
 
@@ -200,8 +205,7 @@ class QuadraticGroupRisks:
         self.k = np.asarray(k, dtype=float)
         if A.ndim != 3 or self.c.ndim != 2 or self.k.ndim != 1:
             raise ValueError("expected stacked per-group quadratic coefficients")
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
-            self.A = (A + A.transpose(0, 2, 1)) / 2.0
+        self.A = _symmetric_part(A)
         if not all(np.isfinite(x).all() for x in (self.A, self.c, self.k)):
             raise ValueError("quadratic risk moments must be finite")
         self.num_groups, self.dim = self.c.shape
@@ -209,9 +213,9 @@ class QuadraticGroupRisks:
 
     @classmethod
     def from_problem_spec(cls, spec: ProblemSpec) -> "QuadraticGroupRisks":
-        A = np.stack([g.cov for g in spec.groups])
-        c = np.stack([g.cov @ g.beta for g in spec.groups])
-        k = np.array([float(g.beta @ (g.cov @ g.beta)) + g.sigma2 for g in spec.groups])
+        A = _symmetric_part(np.stack([g.cov for g in spec.groups]))
+        c = np.stack([S @ g.beta for S, g in zip(A, spec.groups)])
+        k = np.array([float(g.beta @ c_g) + g.sigma2 for c_g, g in zip(c, spec.groups)])
         return cls(A, c, k)
 
     @classmethod
@@ -253,11 +257,6 @@ class QuadraticGroupRisks:
     def hessians(self, theta: np.ndarray) -> np.ndarray:
         """Each group's Hessian (m, d, d): 2 A_g at any theta."""
         return 2.0 * self.A
-
-    def lipschitz_bound(self, radius: float) -> float:
-        """Bound on every group's gradient norm over the ball: 2 (lmax(A_g) r + |c_g|)."""
-        spectral = np.abs(np.linalg.eigvalsh(self.A)).max(axis=1)
-        return float(2.0 * np.max(spectral * radius + np.linalg.norm(self.c, axis=1)))
 
     def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
         """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value."""
@@ -395,14 +394,6 @@ class LogisticGroupRisks:
             h = np.maximum(p * (1.0 - p), 1e-12)
             out[g] = (X * h[:, None]).T @ X / X.shape[0]
         return out
-
-    def lipschitz_bound(self, radius: float) -> float:
-        """Bound on every group's gradient norm at any theta: mean_i |x_i|.
-
-        The gradient mean_i (sigmoid(x_i' theta) - y_i) x_i needs no radius,
-        since |sigmoid(z) - y| <= 1 for labels in [0, 1].
-        """
-        return float(max(np.linalg.norm(X, axis=1).mean() for X in self.features))
 
     def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
         """Minimize sum_g w_g R_g(theta) over the ball, w >= 0.

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -93,6 +94,8 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.tol == np.inf:  # every gap would meet it, after one iteration
             raise ValueError("tol must be finite")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def group_risk_model(source: ProblemSpec | GroupedDataset):
@@ -110,8 +113,8 @@ def _initial_point(dim: int, radius: float, cfg: SolverConfig) -> tuple[np.ndarr
     """Warm points besides theta = 0, which every solve tracks: one seeded draw, or none."""
     if cfg.seed is None:
         return ()
-    rng = np.random.default_rng(cfg.seed)
-    return (project_ball(rng.normal(0.0, radius / 2.0, dim), radius),)
+    gauss = random.Random(cfg.seed).gauss  # numpy has loaded random; numpy.random is a slow import
+    return (project_ball(np.array([gauss(0.0, radius / 2.0) for _ in range(dim)]), radius),)
 
 
 class _GameMaster:
@@ -464,9 +467,10 @@ def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tupl
     phi rises or the predicted rise is at most 4e-16 of phi. Each iterate
     takes U at its own w = 1/gains, where w . (b - R) = m makes h >= m and U
     meets phi at the optimum; the gap is the least U less phi at the last
-    iterate, and iterations counts the weighted minimizations. An ri point
-    with a gain <= 0, which only an uncertified ri solve leaves, raises
-    ConvergenceError.
+    iterate, each U raised by 128 ulps of the terms of h, of its log and of
+    phi, since h cancels as w grows. iterations counts the weighted
+    minimizations. An ri point with a gain <= 0, which only an uncertified
+    ri solve leaves, raises ConvergenceError.
     """
     m = frame.num_groups
     base = frame.baseline_array()
@@ -483,7 +487,10 @@ def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tupl
         w = 1.0 / gains
         low = model.minimize(w, ball)[2]
         evals += 1
-        least = min(least, m * math.log((float(w @ base) - low) / m) + phi)
+        # as in dual_at, h = w . b - low, the log and phi round at their terms' scale
+        wb = float(w @ base)
+        bound = m * math.log((wb - low + 128.0 * _EPS * (abs(wb) + abs(low))) / m)
+        least = min(least, bound + phi + 128.0 * _EPS * (abs(bound) + float(np.abs(np.log(gains)).sum())))
         if least - phi <= cfg.tol:
             break
         wg = w[:, None] * model.gradients(theta)

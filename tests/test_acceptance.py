@@ -24,13 +24,7 @@ from fairgain import bargain_discrete as bd
 from fairgain import cli
 from fairgain.core import BargainingFrame
 from fairgain.empirical_study import gap_certificate, run_convergence
-from fairgain.geometry import (
-    count_diagonal_crossings,
-    diagonal_intersection,
-    hull_pareto_check,
-    sample_risk_set,
-    trace_frontier,
-)
+from fairgain.geometry import sample_risk_set, trace_frontier
 from fairgain.risk_models import (
     LogisticGroupRisks,
     ProblemSpec,
@@ -41,6 +35,12 @@ from fairgain.solvers import (
     QuadraticGroupRisks,
     SolverConfig,
     solve,
+)
+from oracles import (
+    count_diagonal_crossings,
+    diagonal_intersection,
+    hull_pareto_check,
+    quadratic_lipschitz_bound,
 )
 
 TOL = SolverConfig().tol
@@ -287,7 +287,7 @@ def test_criterion_08_hull_pareto_geometry():
         spec = planar_spec()
         model = QuadraticGroupRisks.from_problem_spec(spec)
         sample = sample_risk_set(model, spec.radius, grid=201)
-        tol = 2.0 * sample.spacing * model.lipschitz_bound(spec.radius)
+        tol = 2.0 * sample.spacing * quadratic_lipschitz_bound(model, spec.radius)
         report = hull_pareto_check(sample, tolerance=tol)
         assert report.ok, f"violation {report.max_violation:.3e} > {tol:.3e}"
         # hollow negative control: a quarter circle bulging away from the hull

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import resource
@@ -162,6 +163,8 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
     assert main(["solve", "--spec", spec_file, "--loss", "logistic"]) == 2
     assert main(["compare", "--spec", spec_file, "--radius", "0.1"]) == 2
     assert main(["compare", "--spec", spec_file, "--loss", "squared"]) == 2
+    for command in ("solve", "compare"):
+        assert main([command, "--spec", spec_file, "--seed", "-1"]) == 2, command
     for command in ("frontier", "riskset"):
         assert main([command, "--spec", spec_file, "--seed", "5"]) == 2, command
         assert main([command, "--spec", spec_file, "--tol", "3"]) == 2, command
@@ -835,9 +838,8 @@ def test_a_request_too_large_for_memory_exits_2(planar_file):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy serves the hull check and the tests only; the CLI starts on numpy
-    # alone, and loads geometry and the convergence study only for the
-    # commands that run them
+    # scipy serves the tests only; the CLI starts on numpy alone, and loads
+    # geometry and the convergence study only for the commands that run them
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = (
@@ -856,18 +858,49 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
-def test_solve_and_compare_load_no_numpy_ma(spec_file):
-    # np.unique, and so np.setdiff1d, imports numpy.ma on first use, which costs a
-    # CLI process over 10 ms. The probe runs without --seed, which loads numpy.random
+def test_every_command_runs_without_scipy(spec_file, tmp_path):
+    # the package depends on numpy alone: with scipy unimportable, each
+    # command runs to exit 0
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    for command in ("solve", "compare"):
+    commands = [
+        ["solve", "--spec", spec_file],
+        ["compare", "--spec", spec_file, "--oracle-grid", "0.05"],
+        ["frontier", "--spec", spec_file, "--weights", "20"],
+        ["riskset", "--spec", spec_file, "--grid", "11"],
+        ["converge", "--spec", spec_file, "--ns", "100,400", "--trials", "3"],
+    ]
+    commands = [[*argv, "--out", str(tmp_path / argv[0])] for argv in commands]
+    probe = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from fairgain.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    print(main(argv))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert run.stdout.split() == ["0"] * len(commands), run.stderr
+
+
+def test_solve_and_compare_load_no_numpy_ma(spec_file):
+    # np.unique, and so np.setdiff1d, imports numpy.ma on first use, which costs a
+    # CLI process over 10 ms, and numpy.random's import costs about as much; a
+    # seeded run draws its warm point with the standard library's generator
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for command, seed in itertools.product(("solve", "compare"), ([], ["--seed", "5"])):
         probe = (
             "import contextlib, io, sys\n"
             "from fairgain.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = main([{command!r}, '--spec', {spec_file!r}])\n"
-            "print(code, 'numpy.ma' in sys.modules)"
+            f"    code = main([{command!r}, '--spec', {spec_file!r}, *{seed!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)"
         )
         run = subprocess.run(
             [sys.executable, "-c", probe],
@@ -877,7 +910,7 @@ def test_solve_and_compare_load_no_numpy_ma(spec_file):
             check=True,
             timeout=120,
         )
-        assert run.stdout.strip() == "0 False", command
+        assert run.stdout.strip() == "0 False False", (command, seed)
 
 
 def test_data_whose_moments_overflow_exits_2_with_one_error_line(tmp_path, capsys):

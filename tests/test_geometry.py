@@ -8,11 +8,7 @@ import pytest
 from fairgain import geometry
 from fairgain.core import UnsupportedDimensionError, relative_improvements
 from fairgain.geometry import (
-    DiagonalNotBracketedError,
     FrontierTrace,
-    count_diagonal_crossings,
-    diagonal_intersection,
-    hull_pareto_check,
     sample_risk_set,
     trace_frontier,
     weighted_improvement_argmax,
@@ -32,6 +28,14 @@ from tests.conftest import (
     random_problem_spec,
     three_group_spec,
 )
+from tests.oracles import (
+    DiagonalNotBracketedError,
+    count_diagonal_crossings,
+    diagonal_intersection,
+    hull_pareto_check,
+    logistic_lipschitz_bound,
+    quadratic_lipschitz_bound,
+)
 
 
 def _trace(spec: ProblemSpec, n_weights: int):
@@ -46,7 +50,7 @@ def _sample(spec: ProblemSpec, grid: int):
 def _grid_slack(spec: ProblemSpec, sample) -> float:
     # how far a grid point's risks can sit from those of the nearest ball point
     model = QuadraticGroupRisks.from_problem_spec(spec)
-    return sample.spacing * model.lipschitz_bound(spec.radius)
+    return sample.spacing * quadratic_lipschitz_bound(model, spec.radius)
 
 
 def test_trace_is_monotone_and_feasible(motivating):
@@ -234,7 +238,7 @@ def test_riskset_minima_approach_ideals(planar):
 
 def test_lipschitz_bound_dominates_differences(planar):
     rng = np.random.default_rng(4)
-    L = QuadraticGroupRisks.from_problem_spec(planar).lipschitz_bound(planar.radius)
+    L = quadratic_lipschitz_bound(QuadraticGroupRisks.from_problem_spec(planar), planar.radius)
     t = rng.normal(size=(200, 2))
     t /= np.maximum(np.linalg.norm(t, axis=1, keepdims=True), 1.0)
     u = rng.normal(size=(200, 2))
@@ -249,7 +253,7 @@ def test_lipschitz_bound_dominates_differences(planar):
 
 def test_logistic_lipschitz_bound_dominates_gradients():
     model = LogisticGroupRisks.from_dataset(random_logistic_dataset(np.random.default_rng(3)))
-    L = model.lipschitz_bound(LOGISTIC_RADIUS)
+    L = logistic_lipschitz_bound(model)
     rng = np.random.default_rng(5)
     t = rng.normal(size=(2000, model.dim))
     t *= LOGISTIC_RADIUS / np.maximum(np.linalg.norm(t, axis=1, keepdims=True), 1.0)

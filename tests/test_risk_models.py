@@ -287,6 +287,32 @@ def test_minimize_bounds_the_values_it_scores_for_an_asymmetric_a(tmp_path):
     assert count > 3000
 
 
+def test_spec_values_match_the_centred_form_for_an_asymmetric_cov():
+    # A is cov's symmetric part S, and c and k read the same S, so values is
+    # (theta - beta)' S (theta - beta) + sigma2 expanded; at 0.99e-10 of the
+    # loader's asymmetry limit it keeps within a few ulps of its terms
+    rng = np.random.default_rng(43)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        m, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        F = rng.normal(size=(m, d, d))
+        S = F @ F.transpose(0, 2, 1) / d + 0.05 * np.eye(d)
+        beta = rng.normal(size=(m, d)) * rng.uniform(0.5, 4.0)
+        sigma2 = rng.uniform(0.3, 12.0, size=m)
+        scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))[:, None, None]
+        cov = S + 0.99e-10 * scale * np.triu(np.ones((d, d)), 1)
+        groups = tuple(GroupLinearModel(beta=b, sigma2=s, cov=C) for b, s, C in zip(beta, sigma2, cov))
+        model = QuadraticGroupRisks.from_problem_spec(ProblemSpec(groups=groups, radius=3.0))
+        sym = (cov + cov.transpose(0, 2, 1)) / 2.0
+        for theta in rng.normal(size=(20, d)) * 3.0:
+            diff = theta - beta
+            centred = np.einsum("gj,gjk,gk->g", diff, sym, diff) + sigma2
+            # every product values adds, in absolute value
+            terms = np.einsum("j,gjk,k->g", np.abs(theta), np.abs(model.A), np.abs(theta))
+            terms += 2.0 * np.abs(model.c) @ np.abs(theta) + np.abs(model.k)
+            assert np.all(np.abs(model.values(theta) - centred) <= 4.0 * eps * terms)
+
+
 def test_d1_minimize_and_convergence_study_call_no_lapack(monkeypatch, motivating):
     model = QuadraticGroupRisks.from_problem_spec(motivating)
     calls = [(w, r) for w in (np.array([0.3, 0.7]), np.eye(2)[1], np.zeros(2)) for r in (np.inf, 1.0, 10.0)]

@@ -764,6 +764,26 @@ def test_nash_refuses_from_the_ri_certificate_in_either_order(monkeypatch):
         assert alone.certified(CFG.tol) and repr(alone) == repr(after), i
 
 
+def test_nash_certificate_holds_against_a_solve_from_a_moved_start(monkeypatch):
+    # criterion-3 spec 148: from the ri point moved by 1e-9 to 1e-6, nash stops
+    # up to 2.8e-11 below its solve from the ri point itself, where rounding
+    # hides any rise in phi; h = w . b - lower cancels there (w . b is 2.8e5,
+    # h is 2), and without a rounding allowance every such stop reported 0.0
+    spec = _criterion_3_specs(149)[148]
+    model, frame = _setup(spec)
+    reference = solve("nash", model, frame, spec.radius, CFG)
+    ri_minimax = solvers._ri_minimax
+    theta, hi, lo, evals = ri_minimax("ri", model, frame, spec.radius, CFG)
+    for size, axis in itertools.product((1e-9, 1e-8, 1e-7, 1e-6), (0, 1)):
+        for sign in (1.0, -1.0):
+            moved = theta + sign * size * np.eye(2)[axis]
+            monkeypatch.setattr(solvers, "_ri_minimax", lambda *args: (moved, hi, lo, evals))
+            rep = solve("nash", model, frame, spec.radius, CFG)
+            assert rep.certified(CFG.tol), (size, axis, sign, rep.certificate_gap)
+            assert rep.objective_value + rep.certificate_gap >= reference.objective_value, (size, axis, sign)
+            assert reference.objective_value + reference.certificate_gap >= rep.objective_value, (size, axis, sign)
+
+
 def test_nash_budget_stop_without_a_positive_point_is_a_convergence_error(monkeypatch):
     # on no-harm spec 9 two rounds leave the ri solve short of its bound, at a
     # point where some group loses: nash has no start with every gain positive
