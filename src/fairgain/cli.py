@@ -208,7 +208,7 @@ def _tile_lower_risks(model, axis: np.ndarray, tiles: np.ndarray) -> np.ndarray:
         summands = model.dim + 2
         curvature = np.maximum(0.0, -np.linalg.eigvalsh(A)[:, 0])
     else:
-        grads = np.array([model.gradients(c) for c in centres]).reshape(*lower.shape, model.dim)
+        grads = np.array([model.derivatives(c)[1] for c in centres]).reshape(*lower.shape, model.dim)
         # |z| <= |x|_1 reach, and a row's loss adds at most log 2 + 2 |z|
         scale = np.array([1.0 + 2.0 * reach * np.abs(X).sum(axis=1).mean() for X in model.features])
         summands = np.array([len(X) + model.dim for X in model.features])

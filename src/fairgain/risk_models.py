@@ -8,24 +8,25 @@ ball of a given radius.
 
 Empirical side: per-group (X, y) samples under squared or logistic loss. Both
 risk models, QuadraticGroupRisks (specs and squared loss, solved exactly) and
-LogisticGroupRisks (projected damped Newton), have one contract for any
-weighting w >= 0 of the groups: minimize(w, radius) returns (theta, value,
-lower) for sum_g w_g R_g over the ball of a radius in (0, inf], lower a
-certified bound on its minimum. The solvers' dual evaluations are its weighted
-cases, and frame(radius) builds the bargaining frame from its one-hot cases:
-each group's ideal risk is its own least risk over the ball, and the baseline
-is the zero predictor for quadratic risks and the pooled base rate for logistic
-risks. A quadratic model stores the symmetric part of each A_g, which a spec's
-c and k read too, so values, gradients, Hessians and minimize all read one
-quadratic. Every dual evaluation runs the quadratic minimize, which calls the
-2-d dot that tensordot wraps and has minimize_quadratic_ball take its small
-steps on Python floats, with numpy's bits. Each model's values(theta) scores
-one parameter or a batch of them, each batch row with the same bits in a batch
-of any size. The quadratic batch is an elementwise kernel over (m, n) arrays
-that adds the d coordinates' terms in a fixed order. At d <= 2 its rows are
-bit for bit those of a tensor contraction over the coordinates; at d = 3 a
-contraction may add the terms in another order, so rows (riskset's too)
-differ by rounding only.
+LogisticGroupRisks, have one contract: derivatives(theta) gives the risks,
+gradients and Hessians at one parameter in one pass, and for any weighting
+w >= 0 of the groups minimize(w, radius) returns (theta, value, lower) for
+sum_g w_g R_g over the ball of a radius in (0, inf], lower a certified bound on
+its minimum. The solvers' dual evaluations are its weighted cases, and
+frame(radius) builds the bargaining frame from its one-hot cases: each group's
+ideal risk is its own least risk over the ball, and the baseline is the zero
+predictor for quadratic risks and the pooled base rate for logistic risks.
+newton_ball, the damped projected Newton of the logistic minimize and of the
+solvers' nash, minimizes a separable convex function of the risks. A quadratic
+model stores the symmetric part of each A_g, which a spec's c and k read too,
+so values, derivatives and minimize all read one quadratic, and its minimize
+has minimize_quadratic_ball take its small steps on Python floats, with
+numpy's bits. Each model's values(theta) scores one parameter or a batch of
+them, each batch row with the same bits in a batch of any size. The quadratic
+batch is an elementwise kernel over (m, n) arrays that adds the d coordinates'
+terms in a fixed order. At d <= 2 its rows are bit for bit those of a tensor
+contraction over the coordinates; at d = 3 a contraction may add the terms in
+another order, so rows (riskset's too) differ by rounding only.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fairgain.core import BargainingFrame, ConvergenceError
 _eigh = np.linalg._umath_linalg.eigh_lo  # the gufunc np.linalg.eigh(A) runs, without its wrapper
 _EIG_CUTOFF = 1e-10  # relative truncation for pseudo-inverse style solves
 _BALL_TOL = 1e-10
-_NEWTON_ITERS = 500  # Newton steps a logistic minimize may take
+_NEWTON_ITERS = 500  # Newton steps one newton_ball call may take
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -251,12 +252,10 @@ class QuadraticGroupRisks:
         At = self.A @ theta
         return theta @ At.T - 2.0 * self.c @ theta + self.k
 
-    def gradients(self, theta: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.A @ theta - self.c)
-
-    def hessians(self, theta: np.ndarray) -> np.ndarray:
-        """Each group's Hessian (m, d, d): 2 A_g at any theta."""
-        return 2.0 * self.A
+    def derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Risks (m,), gradients (m, d) and Hessians 2 A_g (m, d, d) at one parameter (d,)."""
+        At = self.A @ theta
+        return theta @ At.T - 2.0 * self.c @ theta + self.k, 2.0 * (At - self.c), 2.0 * self.A
 
     def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
         """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value."""
@@ -350,6 +349,55 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def newton_ball(derivatives, phi, theta: np.ndarray, radius: float) -> tuple:
+    """(theta, risks, gradient, steps, residual) minimizing phi(R(theta)) over the ball.
+
+    phi is separable and convex in the group risks: phi(R) gives (phi, phi',
+    phi'') with one derivative per group, and phi = inf outside its domain;
+    derivatives(theta) gives R, gradients and Hessians. Damped Newton from
+    theta: each step heads for the ball minimizer of the model with gradient
+    g = sum_g phi'_g grad R_g and Hessian 1e-12 I + sum_g (phi'_g hess R_g +
+    phi''_g grad R_g grad R_g'), halved until phi drops or the predicted drop
+    t g . step is at most 4e-16 of |phi|, about two ulps, where rounding hides
+    any drop. The full step is then taken if it stays in the domain and
+    shrinks the residual |theta - P(theta - g)|, P the ball projection. The
+    steps stop at a residual of at most 1e-8, at a full step not taken, or
+    after _NEWTON_ITERS steps; R and g are those of the returned theta.
+    """
+    R, G, H = derivatives(theta)
+    cur, d1, d2 = phi(R)
+    for it in range(_NEWTON_ITERS + 1):
+        grad = d1 @ G
+        resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
+        if resid <= 1e-8 or it == _NEWTON_ITERS:
+            break
+        hess = 1e-12 * np.eye(len(theta))
+        for w_g, H_g in zip(d1, H):
+            hess += w_g * H_g
+        hess += (d2[:, None] * G).T @ G
+        step = theta - minimize_quadratic_ball(hess, hess @ theta - grad, radius)[0]
+        t = 1.0
+        while t * float(grad @ step) > 4e-16 * abs(cur):
+            cand = project_ball(theta - t * step, radius)
+            out = derivatives(cand)
+            val, *ds = phi(out[0])
+            if val < cur:
+                theta, (R, G, H), cur, (d1, d2) = cand, out, val, ds
+                break
+            t *= 0.5
+        else:
+            # rounding hides phi's drop this close to the optimum
+            cand = project_ball(theta - step, radius)
+            out = derivatives(cand)
+            val, *ds = phi(out[0])
+            if not val < math.inf or (
+                np.linalg.norm(cand - project_ball(cand - ds[0] @ out[1], radius)) >= resid
+            ):
+                break
+            theta, (R, G, H), cur, (d1, d2) = cand, out, val, ds
+    return theta, R, grad, it, resid
+
+
 class LogisticGroupRisks:
     """Per-group mean logistic loss of a linear score."""
 
@@ -380,36 +428,24 @@ class LogisticGroupRisks:
             out[g] = np.mean(np.logaddexp(0.0, z) - y * z)
         return out
 
-    def gradients(self, theta: np.ndarray) -> np.ndarray:
-        out = np.empty((self.num_groups, self.dim))
+    def derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Risks (m,), gradients (m, d) and Hessians X' diag(max(p (1 - p), 1e-12)) X / n at theta (d,)."""
+        m, d = self.num_groups, self.dim
+        vals, grads, hess = np.empty(m), np.empty((m, d)), np.empty((m, d, d))
         for g, (X, y) in enumerate(zip(self.features, self.labels)):
-            out[g] = X.T @ (sigmoid(X @ theta) - y) / X.shape[0]
-        return out
-
-    def hessians(self, theta: np.ndarray) -> np.ndarray:
-        """Each group's Hessian (m, d, d): X' diag(p (1 - p)) X / n, p(1 - p) floored at 1e-12."""
-        out = np.empty((self.num_groups, self.dim, self.dim))
-        for g, X in enumerate(self.features):
-            p = sigmoid(X @ theta)
-            h = np.maximum(p * (1.0 - p), 1e-12)
-            out[g] = (X * h[:, None]).T @ X / X.shape[0]
-        return out
+            z = X @ theta
+            p = sigmoid(z)
+            vals[g] = np.mean(np.logaddexp(0.0, z) - y * z)
+            grads[g] = X.T @ (p - y) / X.shape[0]
+            hess[g] = (X * np.maximum(p * (1.0 - p), 1e-12)[:, None]).T @ X / X.shape[0]
+        return vals, grads, hess
 
     def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
-        """Minimize sum_g w_g R_g(theta) over the ball, w >= 0.
+        """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0, by newton_ball from 0.
 
-        Damped Newton from theta = 0 over the groups with w_g > 0 alone, for
-        at most _NEWTON_ITERS steps. Every step heads for the second-order
-        model's minimizer over the ball and is halved until the value drops,
-        or until the predicted drop t * gradient . step is at most 4e-16 of
-        the value, about two ulps, where rounding hides any drop. If no
-        halved step drops the value, the full step is taken when it shrinks
-        the residual |theta - P(theta - gradient)|, P the ball projection,
-        and ConvergenceError is raised when it does not. Returns (theta,
-        value, lower) with that residual at most 1e-8 and lower the
-        linearization bound at theta: the least value + gradient . (x - theta)
-        over the ball, which over an infinite radius is value where the
-        gradient is exactly 0 and -inf otherwise.
+        Reads the groups with w_g > 0 alone; a residual above 1e-8 raises
+        ConvergenceError. lower is the least value + gradient . (x - theta)
+        over the ball: over an infinite radius, value where the gradient is exactly 0, else -inf.
         """
         w = np.asarray(w, dtype=float)
         active = np.flatnonzero(w > 0.0)
@@ -417,37 +453,14 @@ class LogisticGroupRisks:
         if 0 < len(active) < self.num_groups:
             rows = [self.features[g] for g in active], [self.labels[g] for g in active]
             return LogisticGroupRisks(*rows).minimize(w[active], radius)
-        theta = np.zeros(self.dim)
-        cur = float(w @ self.values(theta))
-        for it in range(_NEWTON_ITERS + 1):
-            grad = w @ self.gradients(theta)
-            resid = float(np.linalg.norm(theta - project_ball(theta - grad, radius)))
-            if resid <= 1e-8:
-                gnorm = float(np.linalg.norm(grad))  # inf * 0 is nan: a zero gradient adds nothing
-                return theta, cur, cur - (radius * gnorm if gnorm else 0.0) - float(grad @ theta)
-            if it == _NEWTON_ITERS:
-                break
-            H = 1e-12 * np.eye(self.dim)
-            for w_g, H_g in zip(w, self.hessians(theta)):
-                H += w_g * H_g
-            step = theta - minimize_quadratic_ball(H, H @ theta - grad, radius)[0]
-            t = 1.0
-            while t * float(grad @ step) > 4e-16 * abs(cur):
-                cand = project_ball(theta - t * step, radius)
-                val = float(w @ self.values(cand))
-                if val < cur:
-                    theta, cur = cand, val
-                    break
-                t *= 0.5
-            else:
-                # rounding hides the value's drop this close to the optimum
-                cand = project_ball(theta - step, radius)
-                cand_grad = w @ self.gradients(cand)
-                if np.linalg.norm(cand - project_ball(cand - cand_grad, radius)) >= resid:
-                    break
-                theta, cur = cand, float(w @ self.values(cand))
-        msg = f"logistic minimization stalled with stationarity residual {resid:.3e}"
-        raise ConvergenceError(msg)
+        theta, risks, grad, _, resid = newton_ball(
+            self.derivatives, lambda R: (float(w @ R), w, np.zeros_like(w)), np.zeros(self.dim), radius
+        )
+        if resid > 1e-8:
+            raise ConvergenceError(f"logistic minimization stalled with stationarity residual {resid:.3e}")
+        cur = float(w @ risks)
+        gnorm = float(np.linalg.norm(grad))  # inf * 0 is nan: a zero gradient adds nothing
+        return theta, cur, cur - (radius * gnorm if gnorm else 0.0) - float(grad @ theta)
 
     def frame(self, radius: float) -> BargainingFrame:
         """Baseline at the pooled base rate and each group's least risk over the ball.
@@ -537,7 +550,7 @@ def load_dataset_csv(
     label_offset) so the zero predictor is the natural status quo.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig drops a leading BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -550,8 +563,7 @@ def load_dataset_csv(
             if name != f"x{j}":
                 raise ValueError(f"{path}: feature column {j} must be named x{j}, got {name!r}")
         d = len(header) - 2
-        order: list[str] = []
-        rows: dict[str, list[tuple[float, list[float]]]] = {}
+        rows: dict[str, tuple[list, list]] = {}  # each group's labels and feature rows
         for ln, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -563,18 +575,15 @@ def load_dataset_csv(
                 xv = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: non-numeric value ({exc})") from None
-            if label not in rows:
-                rows[label] = []
-                order.append(label)
-            rows[label].append((yv, xv))
-    if len(order) < 2:
+            if not all(map(math.isfinite, [yv, *xv])):  # float() reads nan and inf
+                raise ValueError(f"{path}:{ln}: non-finite value")
+            ys, xs = rows.setdefault(label, ([], []))
+            ys.append(yv)
+            xs.append(xv)
+    if len(rows) < 2:
         raise ValueError(f"{path}: needs at least two groups")
-    features = []
-    labels = []
-    for name in order:
-        ys, xs = zip(*rows[name])
-        features.append(np.array(xs, dtype=float))
-        labels.append(np.array(ys, dtype=float))
+    features = [np.array(xs, dtype=float) for _, xs in rows.values()]
+    labels = [np.array(ys, dtype=float) for ys, _ in rows.values()]
     offset = 0.0
     if loss == "squared":
         pooled = np.concatenate(labels)
@@ -584,7 +593,7 @@ def load_dataset_csv(
         features=tuple(features),
         labels=tuple(labels),
         loss=loss,
-        group_names=tuple(order),
+        group_names=tuple(rows),
         label_offset=offset,
     )
 

@@ -18,27 +18,26 @@ free groups' weights, with unbounded multipliers on pinned groups, solved
 exactly for any number of groups by one warm-started tableau simplex. The
 cutting plane closes the lower bound slowly, so an endgame takes Newton
 steps on the KKT system of the constraints near-active at the best point
-(Nocedal & Wright 2006, ch. 18), with each group's Hessian from the risk
-model's hessians(theta): once from the uniform weights, before any master
-round, where at most d + 1 constraints make a single choice, and after each
-round. The Newton point is one more candidate, scored exactly, and its
-multipliers, clipped at 0 with the free part put on the simplex, give one
-more weighted minimization: by weak duality a valid lower bound for any
-such weights, so the endgame can close the gap sooner but never makes it
-unsound. The master sees neither. A try whose Newton residual stops halving
-is dropped unscored; a weight may pass below 0 on the way. A negative
-multiplier at the end marks the wrong active set, as at a degenerate vertex
-where more than d + 1 groups tie, and the next choice of constraints is
-tried. Every dual bound is taken with the pins' caps raised by the slack a
-candidate may break them by, and less a rounding allowance that grows with
-its terms, so that multipliers in the hundreds still give a sound bound.
-The reported certificate is the true primal-dual gap. The
-product-of-gains criterion takes damped Newton steps on its log-gain sum
-from the ri point, each certified by an AM-GM bound at the weights 1/gains,
-one weighted minimization; it refuses first when the ri solve's certified
-bound shows that no point gains above tol. ri, leximin's stage 0 and nash's
-refusal test and start share one solve per (model, frame, ball, config): a
-memo with one entry keeps the last such solve, and with it the last model.
+(Nocedal & Wright 2006, ch. 18), one derivatives(theta) call a step: once
+from the uniform weights, before any master round, where at most d + 1
+constraints make a single choice, and after each round. The Newton point is
+one more candidate, scored exactly, and its multipliers, clipped at 0 with
+the free part put on the simplex, give one more weighted minimization: by
+weak duality a valid lower bound for any such weights, so the endgame can
+close the gap sooner but never makes it unsound. The master sees neither. A
+try whose residual stops halving is dropped; one that ends with a negative
+multiplier, the wrong active set, moves on to the next choice of
+constraints. Every dual bound is taken with the pins' caps raised by the
+slack a candidate may break them by, and less a rounding allowance that
+grows with its terms, so that multipliers in the hundreds still give a sound
+bound. The reported certificate is the true primal-dual gap. The
+product-of-gains criterion climbs its log-gain sum from the ri point by the
+logistic fit's damped Newton, risk_models.newton_ball, and is certified
+once, by an AM-GM bound at the weights 1/gains of its stationary point; it
+refuses first when the ri solve's certified bound shows that no point gains
+above tol. ri, leximin's stage 0 and nash's refusal test and start share one
+solve per (model, frame, ball, config): a memo with one entry keeps the last
+such solve, and with it the last model.
 
 solve(method, model, frame, ball, cfg) is the only solver entry, ball a
 positive finite radius, and its report's objective_value is
@@ -73,14 +72,14 @@ from fairgain.risk_models import (
     LogisticGroupRisks,
     ProblemSpec,
     QuadraticGroupRisks,
-    minimize_quadratic_ball,
+    newton_ball,
     project_ball,
 )
 
 METHODS = ("ri", "leximin", "gdro", "mmv", "mmr", "nash")
 
 
-# the budget: cutting-plane rounds of one minimax, weighted minimizations of one nash solve
+# the budget: cutting-plane rounds of one minimax or leximin stage
 _MAX_ITERS = 120
 
 
@@ -325,7 +324,7 @@ def _dual_minimax(
         for chosen, sub in itertools.islice(tries, max(len(near), len(close))):
             chosen, sub = np.array(chosen, dtype=int), np.array(sub, dtype=int)
             out = _kkt_newton(
-                model, shifts, scales, best_theta, best_f, best_upper, np.concatenate([lam[chosen], mu[sub]]),
+                model, shifts, scales, best_theta, best_upper, np.concatenate([lam[chosen], mu[sub]]),
                 np.concatenate([free[chosen], pin_idx[sub]]), size, pin_caps[sub], ball,
             )
             if out is None:
@@ -371,11 +370,11 @@ def _dual_minimax(
 
 
 def _kkt_newton(
-    model, shifts, scales, theta, f, t, y, idx, n_free, caps, ball
+    model, shifts, scales, theta, t, y, idx, n_free, caps, ball
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """(theta, y) after Newton steps on the KKT system of one active set, or None.
 
-    With f = (R - shifts) / scales, f at theta given, the free groups
+    With f = (R - shifts) / scales, the free groups
     idx[:n_free] are held at f_a = t, the pins idx[n_free:] at f_j = caps,
     and theta on the sphere |theta| = ball once it starts there or a step
     leaves the ball; until then the sphere's row holds nu at 0. With y the
@@ -411,12 +410,12 @@ def _kkt_newton(
     kkt[d, d] = 0.0 if sphere else 1.0
     diag, last = np.arange(d), math.inf
     for step in range(_KKT_STEPS):
-        if step:
-            f = (model.values(theta) - shifts) / scales
+        risks, grads, hessians = model.derivatives(theta)  # the model's one call of the step
+        f = (risks - shifts) / scales
         sq = float(theta @ theta)
         if not sphere and sq > r2:  # the ball turns active: its row joins, and the residual restarts
             sphere, last, kkt[d, d] = True, math.inf, 0.0
-        g = model.gradients(theta)[idx] * inv[:, None]
+        g = grads[idx] * inv[:, None]
         resid[:d] = y @ g + nu * theta
         resid[d] = 0.5 * (sq - r2) if sphere else nu
         resid[row] = 1.0 - float(c @ y)
@@ -427,7 +426,7 @@ def _kkt_newton(
         if step >= 2 and norm > 0.5 * last:
             return None
         last = norm
-        kkt[:d, :d] = ((y * inv) @ model.hessians(theta)[idx].reshape(k, d * d)).reshape(d, d)
+        kkt[:d, :d] = ((y * inv) @ hessians[idx].reshape(k, d * d)).reshape(d, d)
         kkt[:d, row + 1 :] = g.T
         kkt[row + 1 :, :d] = g
         if sphere:
@@ -456,21 +455,18 @@ def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tupl
     """(theta, iterations, certificate) maximizing phi = sum_g log(b_g - R_g) over the ball.
 
     By AM-GM, U(w) = m log(h(w)/m) - sum_g log w_g bounds phi for any w > 0,
-    where h(w) = w.b - lower(w) and lower is the weighted minimization's
-    certified bound. With lam = w * gaps put on the simplex, h(w) / (w . gaps)
-    is minus the ri dual value at lam, so the memoized ri solve's certified
-    lower bound shows when some w bounds every point's worst relative
-    improvement by tol: then the solve refuses. Otherwise damped Newton climbs
-    phi from the ri point, in the logistic minimize's step form: with
-    w = 1/gains the model's gradient is sum_g w_g grad R_g and its Hessian
-    sum_g w_g (hess R_g + w_g grad R_g grad R_g'), and a step is halved until
-    phi rises or the predicted rise is at most 4e-16 of phi. Each iterate
-    takes U at its own w = 1/gains, where w . (b - R) = m makes h >= m and U
-    meets phi at the optimum; the gap is the least U less phi at the last
-    iterate, each U raised by 128 ulps of the terms of h, of its log and of
-    phi, since h cancels as w grows. iterations counts the weighted
-    minimizations. An ri point with a gain <= 0, which only an uncertified
-    ri solve leaves, raises ConvergenceError.
+    where h(w) = w.b - lower(w), lower the weighted minimization's certified
+    bound. With lam = w * gaps on the simplex, h(w) / (w . gaps) is minus the
+    ri dual value at lam, so the memoized ri solve's lower bound shows when
+    some w bounds every point's worst relative improvement by tol: then the
+    solve refuses. Otherwise newton_ball minimizes -phi (phi' = 1/gains,
+    phi'' = 1/gains^2) from the ri point in u = theta / ball, so its stop and
+    damping do not read the scale that the parameters share with the ball.
+    U is taken once, at w = 1/gains of its last point: w . (b - R) = m makes
+    h >= m, at the optimum U meets phi, and U is raised by 128 ulps of the
+    terms of h, of its log and of phi, since h cancels as w grows. iterations
+    counts the Newton steps and the weighted minimization. An ri point with a
+    gain <= 0, left only by an uncertified ri solve, raises ConvergenceError.
     """
     m = frame.num_groups
     base = frame.baseline_array()
@@ -482,33 +478,27 @@ def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tupl
     gains = base - model.values(theta)
     if not gains.min() > 0.0:
         raise ConvergenceError(f"nash's start, the ri point, leaves a group gain of {gains.min():.3e}")
-    phi, least, evals = float(np.log(gains).sum()), np.inf, 0
-    while evals < _MAX_ITERS:
+
+    def minus_phi(risks: np.ndarray) -> tuple:
+        gains = base - risks
+        if not gains.min() > 0.0:
+            return math.inf, None, None
         w = 1.0 / gains
-        low = model.minimize(w, ball)[2]
-        evals += 1
-        # as in dual_at, h = w . b - low, the log and phi round at their terms' scale
-        wb = float(w @ base)
-        bound = m * math.log((wb - low + 128.0 * _EPS * (abs(wb) + abs(low))) / m)
-        least = min(least, bound + phi + 128.0 * _EPS * (abs(bound) + float(np.abs(np.log(gains)).sum())))
-        if least - phi <= cfg.tol:
-            break
-        wg = w[:, None] * model.gradients(theta)
-        grad = wg.sum(axis=0)
-        hess = (w @ model.hessians(theta).reshape(m, -1)).reshape(grad.size, -1) + wg.T @ wg
-        step = theta - minimize_quadratic_ball(hess, hess @ theta - grad, ball)[0]
-        t = 1.0
-        while t * float(grad @ step) > 4e-16 * abs(phi):
-            cand = project_ball(theta - t * step, ball)
-            cand_gains = base - model.values(cand)
-            if cand_gains.min() > 0.0 and (cand_phi := float(np.log(cand_gains).sum())) > phi:
-                theta, gains, phi = cand, cand_gains, cand_phi
-                break
-            t *= 0.5
-        else:
-            break  # rounding hides any rise in phi
-    # U bounds phi everywhere, so a negative difference is rounding
-    return theta, evals, max(least - phi, 0.0)
+        return -float(np.log(gains).sum()), w, w * w
+
+    def derivatives(u: np.ndarray) -> tuple:  # the model in u = theta / ball
+        risks, grads, hessians = model.derivatives(ball * u)
+        return risks, ball * grads, ball * ball * hessians
+
+    u, risks, _, steps, _ = newton_ball(derivatives, minus_phi, theta / ball, 1.0)
+    w = 1.0 / (base - risks)
+    low = model.minimize(w, ball)[2]
+    # as in dual_at, h = w . b - low, the log and phi round at their terms' scale
+    wb = float(w @ base)
+    bound = m * math.log((wb - low + 128.0 * _EPS * (abs(wb) + abs(low))) / m)
+    # -sum_g log w_g is phi, so U - phi is bound; U bounds phi everywhere, so a negative gap is rounding
+    gap = bound + 128.0 * _EPS * (abs(bound) + float(np.abs(np.log(w)).sum()))
+    return ball * u, steps + 1, max(gap, 0.0)
 
 
 def _leximin(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tuple:

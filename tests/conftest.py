@@ -187,8 +187,7 @@ def objective_and_supergradient(
     if method == "leximin":
         raise ValueError(f"unknown objective {method!r}")
     theta = np.asarray(theta, dtype=float)
-    vals = model.values(theta)
-    grads = model.gradients(theta)
+    vals, grads, _ = model.derivatives(theta)
     value = criterion_value(method, frame, vals)
     if method == "nash":
         return value, -(grads / (frame.baseline_array() - vals)[:, None]).sum(axis=0)

@@ -860,17 +860,23 @@ def test_cli_import_loads_no_scipy():
 
 def test_every_command_runs_without_scipy(spec_file, tmp_path):
     # the package depends on numpy alone: with scipy unimportable, each
-    # command runs to exit 0
+    # command runs to exit 0, a logistic fit too (CI's numpy-only step runs both)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    logit = tmp_path / "logit.csv"
+    logit.write_text(
+        "group,y,x1,x2\na,1,1.0,0.5\na,0,-1.0,0.2\na,1,0.8,-0.3\na,0,-0.5,-1.0\na,1,0.3,1.2\n"
+        "b,1,0.2,1.0\nb,0,0.4,-1.1\nb,1,-0.6,0.9\nb,0,1.1,-0.4\nb,0,-0.2,-0.7\n"
+    )
     commands = [
         ["solve", "--spec", spec_file],
+        ["solve", "--data", str(logit), "--loss", "logistic"],
         ["compare", "--spec", spec_file, "--oracle-grid", "0.05"],
         ["frontier", "--spec", spec_file, "--weights", "20"],
         ["riskset", "--spec", spec_file, "--grid", "11"],
         ["converge", "--spec", spec_file, "--ns", "100,400", "--trials", "3"],
     ]
-    commands = [[*argv, "--out", str(tmp_path / argv[0])] for argv in commands]
+    commands = [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(commands)]
     probe = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -911,6 +917,32 @@ def test_solve_and_compare_load_no_numpy_ma(spec_file):
             timeout=120,
         )
         assert run.stdout.strip() == "0 False False", (command, seed)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("", "{path}: empty file"),
+        ("group,y,x1\na,1,2\nb,1\n", "{path}:3: expected 3 fields, got 2"),
+        ("group,y,x1\na,1,2\nb,one,2\n", "{path}:3: non-numeric value (could not convert string to float: 'one')"),
+        ("group,y,x1\na,1,2\na,2,1\n", "{path}: needs at least two groups"),
+        # float() reads nan and inf; centring would spread a NaN label to every group
+        ("group,y,x1\na,1,2\nb,nan,2\n", "{path}:3: non-finite value"),
+        ("group,y,x1\na,1,2\n\nb,0,-inf\n", "{path}:4: non-finite value"),
+        # Excel's "CSV UTF-8" starts with a byte order mark
+        ("\ufeffgroup,y,x1\na,1,2\na,2,1\nb,0,1\nb,1,3\n", None),
+    ],
+    ids=["empty", "fields", "non-numeric", "one-group", "nan-label", "inf-feature", "bom"],
+)
+def test_dataset_csv_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, text, error):
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    code = main(["solve", "--data", str(data), "--radius", "2", "--methods", "ri", "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    if error is None:
+        assert (code, err) == (0, "")
+        return
+    assert (code, err) == (2, f"error: {error.format(path=data)}\n")
 
 
 def test_data_whose_moments_overflow_exits_2_with_one_error_line(tmp_path, capsys):

@@ -257,7 +257,7 @@ def test_logistic_lipschitz_bound_dominates_gradients():
     rng = np.random.default_rng(5)
     t = rng.normal(size=(2000, model.dim))
     t *= LOGISTIC_RADIUS / np.maximum(np.linalg.norm(t, axis=1, keepdims=True), 1.0)
-    norms = [np.linalg.norm(model.gradients(theta), axis=1).max() for theta in t]
+    norms = [np.linalg.norm(model.derivatives(theta)[1], axis=1).max() for theta in t]
     assert max(norms) <= L
 
 

@@ -582,6 +582,27 @@ def test_logistic_minimize_fits_the_weighted_groups_alone():
     assert not theta.any() and value == lower == 0.0
 
 
+def test_derivatives_give_the_bits_of_values_and_the_closed_forms():
+    # one pass gives the risks with the bits of values(theta), 2 (A theta - c)
+    # and 2 A for quadratic risks, and for logistic ones X'(p - y)/n and
+    # X' diag(p (1 - p)) X / n with p (1 - p) floored at 1e-12
+    rng = np.random.default_rng(8)
+    quadratic = QuadraticGroupRisks.from_problem_spec(random_problem_spec(rng, m=3, d=3))
+    logistic = LogisticGroupRisks.from_dataset(random_logistic_dataset(rng, m=3, d=3))
+    for theta in rng.normal(scale=2.0, size=(20, 3)):
+        risks, grads, hess = quadratic.derivatives(theta)
+        assert risks.tobytes() == quadratic.values(theta).tobytes()
+        assert grads.tobytes() == (2.0 * (quadratic.A @ theta - quadratic.c)).tobytes()
+        assert hess.tobytes() == (2.0 * quadratic.A).tobytes()
+        risks, grads, hess = logistic.derivatives(theta)
+        assert risks.tobytes() == logistic.values(theta).tobytes()
+        for g, (X, y) in enumerate(zip(logistic.features, logistic.labels)):
+            p = sigmoid(X @ theta)
+            assert grads[g].tobytes() == (X.T @ (p - y) / len(X)).tobytes()
+            h = np.maximum(p * (1.0 - p), 1e-12)
+            assert hess[g].tobytes() == ((X * h[:, None]).T @ X / len(X)).tobytes()
+
+
 def test_logistic_fit_non_convergence_raises(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(200, 2))

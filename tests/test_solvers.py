@@ -41,10 +41,13 @@ from tests.conftest import (
     _random_psd,
     assert_oracle_within_certificate,
     centred_risks,
+    motivating_spec,
     objective_and_supergradient,
+    planar_spec,
     rank_deficient_spec,
     random_logistic_dataset,
     random_problem_spec,
+    three_group_spec,
 )
 
 CFG = SolverConfig(tol=1e-6)
@@ -578,7 +581,7 @@ def test_kkt_newton_takes_the_sphere_on_once_a_step_leaves_the_ball():
     shifts, scales, theta = np.zeros(2), np.ones(2), np.zeros(2)
     f = model.values(theta)
     out = solvers._kkt_newton(
-        model, shifts, scales, theta, f, float(f.max()), np.array([0.5, 0.5]),
+        model, shifts, scales, theta, float(f.max()), np.array([0.5, 0.5]),
         np.array([0, 1]), 2, np.array([]), 2.0,
     )
     assert out is not None
@@ -602,8 +605,8 @@ def test_kkt_newton_bounds_are_sound_and_its_accepted_points_feasible(monkeypatc
     dual_next = []
     seen = {"bounds": 0, "pinned": 0, "accepted": 0}
 
-    def newton(model, shifts, scales, theta, f, t, y, idx, n_free, caps, ball):
-        out = real_newton(model, shifts, scales, theta, f, t, y, idx, n_free, caps, ball)
+    def newton(model, shifts, scales, theta, t, y, idx, n_free, caps, ball):
+        out = real_newton(model, shifts, scales, theta, t, y, idx, n_free, caps, ball)
         if out is not None:
             calls[-1].append(("point", out[0]))
         # the endgame evaluates the dual next unless it dropped the try or no
@@ -681,8 +684,8 @@ def test_two_group_solves_certify():
     specs += [
         random_problem_spec(rng, m=int(rng.integers(2, 5)), d=2, radius=3.0) for _ in range(60)
     ]
-    # nash's Newton from the ri point takes at most 6 weighted minimizations
-    # here, 462 in all
+    # nash's Newton from the ri point takes at most 7 steps here, and its
+    # iterations (the steps and one weighted minimization) sum to 660
     refused = []
     for i, spec in enumerate(specs):
         model, frame = _setup(spec)
@@ -782,6 +785,62 @@ def test_nash_certificate_holds_against_a_solve_from_a_moved_start(monkeypatch):
             assert rep.certified(CFG.tol), (size, axis, sign, rep.certificate_gap)
             assert rep.objective_value + rep.certificate_gap >= reference.objective_value, (size, axis, sign)
             assert reference.objective_value + reference.certificate_gap >= rep.objective_value, (size, axis, sign)
+
+
+def test_nash_takes_its_certificate_once_at_its_stationary_point(monkeypatch):
+    # after ri, nash climbs by Newton steps alone and makes one weighted
+    # minimization, at w = 1/gains of its last point; iterations counts the
+    # steps and that minimization
+    real_minimize, real_newton = QuadraticGroupRisks.minimize, solvers.newton_ball
+    calls, steps = [], []
+
+    def minimize(self, w, radius):
+        calls.append(np.asarray(w, dtype=float))
+        return real_minimize(self, w, radius)
+
+    def newton_ball(*args):
+        out = real_newton(*args)
+        steps.append(out[3])
+        return out
+
+    certified = 0
+    for i, spec in enumerate(_criterion_3_specs(60)):
+        model, frame = _setup(spec)
+        solve("ri", model, frame, spec.radius, CFG)
+        calls.clear()
+        steps.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(QuadraticGroupRisks, "minimize", minimize)
+            patch.setattr(solvers, "newton_ball", newton_ball)
+            try:
+                rep = solve("nash", model, frame, spec.radius, CFG)
+            except DegenerateBargainError:
+                assert not calls and not steps, i
+                continue
+        gains = frame.baseline_array() - model.values(np.array(rep.parameter))
+        assert len(calls) == 1 and calls[0].tobytes() == (1.0 / gains).tobytes(), i
+        assert rep.iterations == steps[0] + 1 and rep.certified(CFG.tol), (i, rep.certificate_gap)
+        certified += 1
+    assert certified >= 30, certified
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+@pytest.mark.parametrize("make", [motivating_spec, planar_spec, three_group_spec])
+def test_nash_certifies_whatever_the_parameters_scale(make, scale):
+    # betas, ball and noise scaled together by s move every gain's log by the
+    # same 2 log s, so nash's point scales by s and its gap stays put. Run in
+    # theta units, newton_ball's 1e-8 stop would meet the ri start at s = 1e8
+    # (gap 0.2) and stop short at 1e6 (gaps up to 5e-5)
+    spec = make()
+    groups = [GroupLinearModel(beta=g.beta * scale, sigma2=g.sigma2 * scale**2, cov=g.cov) for g in spec.groups]
+    scaled = ProblemSpec(groups=tuple(groups), radius=spec.radius * scale)
+    model, frame = _setup(spec)
+    reference = solve("nash", model, frame, spec.radius, CFG)
+    model, frame = _setup(scaled)
+    rep = solve("nash", model, frame, scaled.radius, CFG)
+    assert rep.certified(CFG.tol), rep.certificate_gap
+    assert rep.objective_value == pytest.approx(reference.objective_value + frame.num_groups * 2.0 * np.log(scale), abs=1e-8)
+    np.testing.assert_allclose(np.array(rep.parameter) / scale, reference.parameter, rtol=0.0, atol=1e-5)
 
 
 def test_nash_budget_stop_without_a_positive_point_is_a_convergence_error(monkeypatch):
@@ -1025,7 +1084,7 @@ def test_one_newton_routine_serves_fits_and_dual_evaluations(m, monkeypatch):
     for w in weights:
         theta, value, lower = model.minimize(w, radius)
         assert value == float(w @ model.values(theta))
-        grad = w @ model.gradients(theta)
+        grad = w @ model.derivatives(theta)[1]
         assert np.linalg.norm(theta - project_ball(theta - grad, radius)) <= 1e-8
         # the linearization bound at theta, min over the ball of value + grad . (x - theta)
         assert lower == value - radius * float(np.linalg.norm(grad)) - float(grad @ theta)
@@ -1038,7 +1097,7 @@ def test_one_newton_routine_serves_fits_and_dual_evaluations(m, monkeypatch):
         assert frame.ideal_risks[g] == model.minimize(np.eye(m)[g], radius)[1]
         # over an infinite radius the fit is stationary unprojected; half its norm binds
         theta, value, lower = model.minimize(np.eye(m)[g], np.inf)
-        grad = np.eye(m)[g] @ model.gradients(theta)
+        grad = np.eye(m)[g] @ model.derivatives(theta)[1]
         assert np.linalg.norm(grad) <= 1e-8
         # over an infinite radius the bound is value at an exact zero gradient, else -inf
         assert lower == (value if not grad.any() else -np.inf)
@@ -1073,16 +1132,21 @@ def test_logistic_solves_certify():
 
 def test_newton_stops_halving_once_rounding_hides_the_drop(monkeypatch):
     # a halving search run past the value's rounding made 56 values passes
-    # in one weighted minimization of this solve
+    # in one weighted minimization of this solve; each trial step is one
+    # derivatives pass now
     model = group_risk_model(random_logistic_dataset(np.random.default_rng(2), m=3, d=4, n=1000))
     frame = model.frame(LOGISTIC_RADIUS)
     cls = risk_models.LogisticGroupRisks
-    values, minimize = cls.values, cls.minimize
+    values, derivatives, minimize = cls.values, cls.derivatives, cls.minimize
     passes, per_call = [0], []
 
     def counted_values(self, theta):
         passes[0] += 1
         return values(self, theta)
+
+    def counted_derivatives(self, theta):
+        passes[0] += 1
+        return derivatives(self, theta)
 
     def counted_minimize(self, w, radius):
         # a call restricted to the active groups counts once more, with the same passes
@@ -1092,6 +1156,7 @@ def test_newton_stops_halving_once_rounding_hides_the_drop(monkeypatch):
         return out
 
     monkeypatch.setattr(cls, "values", counted_values)
+    monkeypatch.setattr(cls, "derivatives", counted_derivatives)
     monkeypatch.setattr(cls, "minimize", counted_minimize)
     report = solve("leximin", model, frame, LOGISTIC_RADIUS, CFG)
     assert report.certified(CFG.tol)
@@ -1102,7 +1167,7 @@ def test_nash_certifies_logistic_seeds_6_to_11():
     # U is scale-free but the logistic minimize's stationarity stop is not:
     # on seed 7, at a weighting scaled to max w = 1, h is 4.5e-3 and
     # m (value - lower) / h leaves a gap of 2.7e-6. At w = 1/gains of a Newton
-    # iterate h >= m, and U closes to 6.8e-13 in 6 weighted minimizations
+    # iterate h >= m, and U at the stationary point leaves 6.9e-11 after 6 Newton steps
     for seed in range(6, 12):
         model = group_risk_model(random_logistic_dataset(np.random.default_rng(seed)))
         frame = model.frame(LOGISTIC_RADIUS)
