@@ -104,7 +104,7 @@ def _load_source(
         spec = load_problem_spec(args.spec)
         model, ball = group_risk_model(spec), spec.radius
     else:
-        model = group_risk_model(load_dataset_csv(args.data, loss=args.loss or "squared"))
+        model = load_dataset_csv(args.data, loss=args.loss or "squared")
         ball = args.radius
         if ball is None:
             # generous default: twice the largest per-group fit over an infinite radius

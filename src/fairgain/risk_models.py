@@ -60,8 +60,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class GroupLinearModel:
     """One group's regression population: coefficients, noise, feature moments.
 
-    `factor` is F = V sqrt(S) from cov = V S V', so F F' = cov; Gaussian
-    features Z F' have second moments cov whatever cov's rank.
+    `factor` is F = V sqrt(S) from cov = V S V', so F F' = cov: `draw_moments`'s
+    Gaussian features Z F' have second moments cov whatever cov's rank.
     """
 
     beta: np.ndarray
@@ -220,13 +220,14 @@ class QuadraticGroupRisks:
         return cls(A, c, k)
 
     @classmethod
-    def from_dataset(cls, ds: GroupedDataset) -> "QuadraticGroupRisks":
-        if ds.loss != "squared":
-            raise ValueError("sufficient-statistic risks need squared loss")
+    def from_rows(
+        cls, features: Sequence[np.ndarray], labels: Sequence[np.ndarray]
+    ) -> "QuadraticGroupRisks":
+        """Each group's mean squared loss mean((y - X theta)^2), from its moments."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
-            A = np.stack([X.T @ X / X.shape[0] for X in ds.features])
-            c = np.stack([X.T @ y / X.shape[0] for X, y in zip(ds.features, ds.labels)])
-            k = np.array([float(np.mean(y**2)) for y in ds.labels])
+            A = np.stack([X.T @ X / X.shape[0] for X in features])
+            c = np.stack([X.T @ y / X.shape[0] for X, y in zip(features, labels)])
+            k = np.array([float(np.mean(y**2)) for y in labels])
         return cls(A, c, k)
 
     def values(self, theta: np.ndarray) -> np.ndarray:
@@ -283,58 +284,6 @@ def population_frame(spec: ProblemSpec) -> BargainingFrame:
 
 # --------------------------------------------------------------------------
 # empirical side
-
-
-@dataclass(frozen=True)
-class GroupedDataset:
-    """Per-group samples under one loss.
-
-    labels for 'logistic' must be 0/1. `label_offset` records the pooled mean
-    removed from regression labels at ingestion time.
-    """
-
-    features: tuple[np.ndarray, ...]
-    labels: tuple[np.ndarray, ...]
-    loss: str = "squared"
-    group_names: tuple[str, ...] = ()
-    label_offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        feats = tuple(_readonly(np.atleast_2d(f)) for f in self.features)
-        labs = tuple(_readonly(np.atleast_1d(y)) for y in self.labels)
-        if len(feats) < 2:
-            raise ValueError("a grouped dataset needs at least two groups")
-        if len(feats) != len(labs):
-            raise ValueError("feature and label group counts disagree")
-        d = feats[0].shape[1]
-        for g, (X, y) in enumerate(zip(feats, labs)):
-            if X.ndim != 2 or X.shape[1] != d:
-                raise ValueError(f"group {g}: features must be 2-d with {d} columns")
-            if y.shape != (X.shape[0],) or X.shape[0] < 1:
-                raise ValueError(f"group {g}: needs matching nonempty features and labels")
-            if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-                raise ValueError(f"group {g}: non-finite values")
-        if self.loss not in ("squared", "logistic"):
-            raise ValueError(f"loss must be 'squared' or 'logistic', got {self.loss!r}")
-        if self.loss == "logistic":
-            for g, y in enumerate(labs):
-                if not np.all((y == 0) | (y == 1)):
-                    raise ValueError(f"group {g}: logistic labels must be 0 or 1")
-        names = tuple(self.group_names) or tuple(str(g) for g in range(len(feats)))
-        if len(names) != len(feats):
-            raise ValueError("group_names length must match the group count")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "group_names", names)
-        object.__setattr__(self, "label_offset", float(self.label_offset))
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.features)
-
-    @property
-    def dim(self) -> int:
-        return self.features[0].shape[1]
 
 
 def project_ball(theta: np.ndarray, radius: float) -> np.ndarray:
@@ -407,12 +356,6 @@ class LogisticGroupRisks:
         self.num_groups = len(self.features)
         self.dim = self.features[0].shape[1]
 
-    @classmethod
-    def from_dataset(cls, ds: GroupedDataset) -> "LogisticGroupRisks":
-        if ds.loss != "logistic":
-            raise ValueError("expected a logistic-loss dataset")
-        return cls(ds.features, ds.labels)
-
     def values(self, theta: np.ndarray) -> np.ndarray:
         """Risks (m,) at one parameter (d,), or (n, m) at each row of a batch (n, d)."""
         if theta.ndim == 2:
@@ -482,11 +425,13 @@ class LogisticGroupRisks:
 
 def load_problem_spec(path: str | Path) -> ProblemSpec:
     """Read a population spec from JSON: radius plus per-group beta/sigma2/cov."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # utf-8-sig drops a leading BOM
         try:
             raw = json.load(fh)
         except RecursionError:  # the parser recurses once per nested array or object
             raise ValueError("problem spec JSON is nested too deeply") from None
+        except ValueError as exc:  # a JSON syntax or UTF-8 decoding error
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict) or "groups" not in raw or "radius" not in raw:
         raise ValueError("problem spec JSON needs 'radius' and 'groups'")
     if not isinstance(raw["groups"], list):
@@ -528,27 +473,14 @@ def _numbers(value, depth: int = 2) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def save_problem_spec(spec: ProblemSpec, path: str | Path) -> None:
-    """Write a population spec as JSON (inverse of load_problem_spec)."""
-    payload = {
-        "radius": spec.radius,
-        "groups": [
-            {"beta": g.beta.tolist(), "sigma2": g.sigma2, "cov": g.cov.tolist()}
-            for g in spec.groups
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def load_dataset_csv(path: str | Path, loss: str = "squared") -> QuadraticGroupRisks | LogisticGroupRisks:
+    """The risk model of group,y,x1..xd rows under a loss; groups keep first-appearance order.
 
-
-def load_dataset_csv(
-    path: str | Path,
-    loss: str = "squared",
-) -> GroupedDataset:
-    """Read group,y,x1..xd rows; groups keep first-appearance order.
-
-    Regression labels are centered by the pooled mean (recorded in
-    label_offset) so the zero predictor is the natural status quo.
+    Squared-loss labels are centred by their pooled mean, so the zero
+    predictor is the natural status quo; logistic labels must be 0 or 1.
     """
+    if loss not in ("squared", "logistic"):
+        raise ValueError(f"loss must be 'squared' or 'logistic', got {loss!r}")
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig drops a leading BOM
         reader = csv.reader(fh)
@@ -577,6 +509,8 @@ def load_dataset_csv(
                 raise ValueError(f"{path}:{ln}: non-numeric value ({exc})") from None
             if not all(map(math.isfinite, [yv, *xv])):  # float() reads nan and inf
                 raise ValueError(f"{path}:{ln}: non-finite value")
+            if loss == "logistic" and yv not in (0.0, 1.0):
+                raise ValueError(f"{path}:{ln}: logistic labels must be 0 or 1, got {yv!r}")
             ys, xs = rows.setdefault(label, ([], []))
             ys.append(yv)
             xs.append(xv)
@@ -584,59 +518,20 @@ def load_dataset_csv(
         raise ValueError(f"{path}: needs at least two groups")
     features = [np.array(xs, dtype=float) for _, xs in rows.values()]
     labels = [np.array(ys, dtype=float) for ys, _ in rows.values()]
-    offset = 0.0
-    if loss == "squared":
-        pooled = np.concatenate(labels)
-        offset = float(pooled.mean())
-        labels = [y - offset for y in labels]
-    return GroupedDataset(
-        features=tuple(features),
-        labels=tuple(labels),
-        loss=loss,
-        group_names=tuple(rows),
-        label_offset=offset,
-    )
-
-
-def write_dataset_csv(ds: GroupedDataset, path: str | Path) -> None:
-    """Write group,y,x1..xd rows; regression labels get their offset restored."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "y"] + [f"x{j}" for j in range(1, ds.dim + 1)])
-        for name, X, y in zip(ds.group_names, ds.features, ds.labels):
-            shift = ds.label_offset if ds.loss == "squared" else 0.0
-            for xi, yi in zip(X, y):
-                writer.writerow([name, repr(float(yi + shift))] + [repr(float(v)) for v in xi])
-
-
-def draw_dataset(
-    spec: ProblemSpec, n_per_group: int, rng: np.random.Generator
-) -> GroupedDataset:
-    """Sample a squared-loss dataset from the population spec.
-
-    Features are Gaussian with the group's second-moment matrix; labels are
-    beta' x plus Gaussian noise at the group's sigma2. `draw_moments` draws
-    `QuadraticGroupRisks.from_dataset` of this sample exactly, without rows.
-    """
-    if n_per_group < 1:
-        raise ValueError("n_per_group must be at least 1")
-    features = []
-    labels = []
-    for g in spec.groups:
-        X = rng.standard_normal((n_per_group, g.dim)) @ g.factor.T
-        y = X @ g.beta + rng.normal(0.0, np.sqrt(g.sigma2), n_per_group)
-        features.append(X)
-        labels.append(y)
-    return GroupedDataset(features=tuple(features), labels=tuple(labels), loss="squared")
+    if loss == "logistic":
+        return LogisticGroupRisks(features, labels)
+    with np.errstate(over="ignore"):  # an overflowing mean leaves moments refused as non-finite
+        offset = float(np.concatenate(labels).mean())
+    return QuadraticGroupRisks.from_rows(features, [y - offset for y in labels])
 
 
 def draw_moments(
     spec: ProblemSpec, n_per_group: int, rng: np.random.Generator
 ) -> QuadraticGroupRisks:
-    """Draw `QuadraticGroupRisks.from_dataset(draw_dataset(...))` in law, in O(d^3) at any n.
+    """Draw `QuadraticGroupRisks.from_rows` of n rows per group in law, in O(d^3) at any n.
 
-    With X = Z F' (F the group's covariance factor), Gaussian Z = QR and r = min(n, d),
+    A group's rows are Gaussian features X = Z F' (F its covariance factor)
+    and labels X beta plus N(0, sigma2) noise. With Z = QR and r = min(n, d),
     R is r x d upper trapezoidal with R_ii = sqrt(chi2(n - i)) and N(0, 1)
     above the diagonal (Bartlett 1933), and Q'y = R F' beta + u with
     u = Q' eps ~ N(0, sigma2 I_r) independent of R. So X'X = B B', X'y = B Q'y

@@ -68,8 +68,6 @@ from fairgain.core import (
     relative_improvements,
 )
 from fairgain.risk_models import (
-    GroupedDataset,
-    LogisticGroupRisks,
     ProblemSpec,
     QuadraticGroupRisks,
     newton_ball,
@@ -97,15 +95,9 @@ class SolverConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def group_risk_model(source: ProblemSpec | GroupedDataset):
-    """Build the risk evaluator a continuous solver needs."""
-    if isinstance(source, ProblemSpec):
-        return QuadraticGroupRisks.from_problem_spec(source)
-    if isinstance(source, GroupedDataset):
-        if source.loss == "squared":
-            return QuadraticGroupRisks.from_dataset(source)
-        return LogisticGroupRisks.from_dataset(source)
-    raise TypeError(f"cannot build group risks from {type(source).__name__}")
+def group_risk_model(spec: ProblemSpec) -> QuadraticGroupRisks:
+    """The population risks of a spec; load_dataset_csv builds a dataset's."""
+    return QuadraticGroupRisks.from_problem_spec(spec)
 
 
 def _initial_point(dim: int, radius: float, cfg: SolverConfig) -> tuple[np.ndarray, ...]:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +15,6 @@ from fairgain.core import (
     group_scores,
 )
 from fairgain.risk_models import (
-    GroupedDataset,
     GroupLinearModel,
     LogisticGroupRisks,
     ProblemSpec,
@@ -21,6 +24,9 @@ from fairgain.risk_models import (
 
 # the ball random_logistic_dataset checks its frame over by default
 LOGISTIC_RADIUS = 3.0
+
+# a dataset's rows: each group's features (n_g, d) and labels (n_g,)
+Rows = tuple[list[np.ndarray], list[np.ndarray]]
 
 
 def motivating_spec() -> ProblemSpec:
@@ -151,10 +157,48 @@ def rank_deficient_spec(rng: np.random.Generator) -> ProblemSpec | None:
     return spec
 
 
+def save_problem_spec(spec: ProblemSpec, path: str | Path) -> None:
+    """Write a population spec as the JSON load_problem_spec reads."""
+    payload = {
+        "radius": spec.radius,
+        "groups": [
+            {"beta": g.beta.tolist(), "sigma2": g.sigma2, "cov": g.cov.tolist()}
+            for g in spec.groups
+        ],
+    }
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_dataset_csv(rows: Rows, path: str | Path) -> None:
+    """Write rows as the group,y,x1..xd CSV load_dataset_csv reads, group g named str(g)."""
+    features, labels = rows
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["group", "y"] + [f"x{j}" for j in range(1, features[0].shape[1] + 1)])
+        for name, (X, y) in enumerate(zip(features, labels)):
+            for xi, yi in zip(X, y):
+                writer.writerow([str(name), repr(float(yi))] + [repr(float(v)) for v in xi])
+
+
+def draw_dataset(spec: ProblemSpec, n_per_group: int, rng: np.random.Generator) -> Rows:
+    """Sample squared-loss rows from the population spec.
+
+    Features are Gaussian with the group's second-moment matrix; labels are
+    beta' x plus Gaussian noise at the group's sigma2. `draw_moments` draws
+    `QuadraticGroupRisks.from_rows` of these rows in law, without rows.
+    """
+    features, labels = [], []
+    for g in spec.groups:
+        X = rng.standard_normal((n_per_group, g.dim)) @ g.factor.T
+        features.append(X)
+        labels.append(X @ g.beta + rng.normal(0.0, np.sqrt(g.sigma2), n_per_group))
+    return features, labels
+
+
 def random_logistic_dataset(
     rng: np.random.Generator, m: int = 3, d: int = 3, n: int = 300, radius: float = LOGISTIC_RADIUS
-) -> GroupedDataset:
-    """Draw a logistic dataset whose groups all gain from their own fit over the ball.
+) -> Rows:
+    """Draw logistic rows whose groups all gain from their own fit over the ball.
 
     Each group's features are Gaussian around a random shift and its labels
     follow a logistic model with its own random coefficients, so several
@@ -167,12 +211,11 @@ def random_logistic_dataset(
             w = rng.normal(size=d) * 1.5
             features.append(X)
             labels.append((rng.uniform(size=n) < sigmoid(X @ w)).astype(float))
-        ds = GroupedDataset(tuple(features), tuple(labels), loss="logistic")
         try:
-            LogisticGroupRisks.from_dataset(ds).frame(radius)
+            LogisticGroupRisks(features, labels).frame(radius)
         except DegenerateFrameError:
             continue
-        return ds
+        return features, labels
 
 
 def objective_and_supergradient(

@@ -19,6 +19,7 @@ from conftest import (
     planar_spec,
     random_logistic_dataset,
     random_problem_spec,
+    save_problem_spec,
 )
 from fairgain import bargain_discrete as bd
 from fairgain import cli
@@ -29,7 +30,6 @@ from fairgain.risk_models import (
     LogisticGroupRisks,
     ProblemSpec,
     population_frame,
-    save_problem_spec,
 )
 from fairgain.solvers import (
     QuadraticGroupRisks,
@@ -129,8 +129,7 @@ def test_criterion_04_diagonal_equals_maximin():
         # the paper's own case, the Kalai-Smorodinsky reading on a logistic classifier
         rng = np.random.default_rng(5)
         for _ in range(6):
-            ds = random_logistic_dataset(rng, m=2, d=2, n=300, radius=3.0)
-            model = LogisticGroupRisks.from_dataset(ds)
+            model = LogisticGroupRisks(*random_logistic_dataset(rng, m=2, d=2, n=300, radius=3.0))
             problems.append((model, model.frame(3.0)))
         worst = 0.0
         for i, (model, frame) in enumerate(problems):

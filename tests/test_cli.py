@@ -27,24 +27,24 @@ from fairgain.core import (
 )
 from fairgain.empirical_study import run_convergence
 from fairgain.risk_models import (
-    GroupedDataset,
     GroupLinearModel,
+    LogisticGroupRisks,
     ProblemSpec,
-    draw_dataset,
     load_problem_spec,
     population_frame,
-    save_problem_spec,
-    write_dataset_csv,
 )
 from fairgain.solvers import METHODS, SolverConfig, group_risk_model
 from tests.conftest import (
     assert_oracle_within_certificate,
     centred_risks,
+    draw_dataset,
     motivating_spec,
     planar_spec,
     random_logistic_dataset,
     random_problem_spec,
+    save_problem_spec,
     three_group_spec,
+    write_dataset_csv,
 )
 
 OPPOSING_SPEC = (
@@ -318,10 +318,9 @@ def test_exit_code_dimension(tmp_path, capsys):
 
 def _logistic_csv(tmp_path) -> str:
     rng = np.random.default_rng(5)
-    ds = draw_dataset(motivating_spec(), n_per_group=50, rng=rng)
-    labels = tuple((y > 0).astype(float) for y in ds.labels)
+    features, labels = draw_dataset(motivating_spec(), n_per_group=50, rng=rng)
     data = tmp_path / "labels.csv"
-    write_dataset_csv(GroupedDataset(ds.features, labels, loss="logistic"), data)
+    write_dataset_csv((features, [(y > 0).astype(float) for y in labels]), data)
     return str(data)
 
 
@@ -387,29 +386,29 @@ def test_frontier_and_riskset_on_data(tmp_path, capsys):
     # default ball when --radius is absent; each row reads the data's own risks
     squared = draw_dataset(planar_spec(), n_per_group=200, rng=np.random.default_rng(0))
     logistic = random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=200, radius=2.0)
-    for ds in (squared, logistic):
-        data = tmp_path / f"{ds.loss}.csv"
-        write_dataset_csv(ds, data)
-        model = group_risk_model(risk_models.load_dataset_csv(str(data), loss=ds.loss))
+    for loss, sample in (("squared", squared), ("logistic", logistic)):
+        data = tmp_path / f"{loss}.csv"
+        write_dataset_csv(sample, data)
+        model = risk_models.load_dataset_csv(str(data), loss=loss)
         for radius in (None, "1.5"):
-            source = ["--data", str(data), "--loss", ds.loss]
+            source = ["--data", str(data), "--loss", loss]
             source += [] if radius is None else ["--radius", radius]
-            assert main(["solve", "--methods", "ri"] + source) == 0, ds.loss
+            assert main(["solve", "--methods", "ri"] + source) == 0, loss
             ball = json.loads(capsys.readouterr().out)["ball"]
             frame = model.frame(ball)
-            assert main(["frontier", "--weights", "20"] + source) == 0, ds.loss
+            assert main(["frontier", "--weights", "20"] + source) == 0, loss
             header, *rows = capsys.readouterr().out.strip().split("\n")
             assert header == "lambda,rho1,rho2,r1,r2"
             rows = np.array([[float(v) for v in row.split(",")] for row in rows])
-            assert len(rows) >= 20 and np.all(np.diff(rows[:, 1]) > 0), ds.loss
+            assert len(rows) >= 20 and np.all(np.diff(rows[:, 1]) > 0), loss
             rho = (frame.baseline_array() - rows[:, 3:]) / frame.gap_array()
-            assert np.allclose(rho, rows[:, 1:3], rtol=0.0, atol=1e-12), ds.loss
-            assert main(["riskset", "--grid", "11"] + source) == 0, ds.loss
+            assert np.allclose(rho, rows[:, 1:3], rtol=0.0, atol=1e-12), loss
+            assert main(["riskset", "--grid", "11"] + source) == 0, loss
             header, *rows = capsys.readouterr().out.strip().split("\n")
             assert header == "theta_1,theta_2,r_1,r_2" and len(rows) == 11 * 11
             rows = np.array([[float(v) for v in row.split(",")] for row in rows])
             assert np.max(np.linalg.norm(rows[:, :2], axis=1)) == pytest.approx(ball, rel=1e-12)
-            assert np.array_equal(model.values(rows[:, :2]), rows[:, 2:]), ds.loss
+            assert np.array_equal(model.values(rows[:, :2]), rows[:, 2:]), loss
     # three groups have no two-group frontier, and a spec takes no --radius
     data = tmp_path / "three.csv"
     write_dataset_csv(draw_dataset(three_group_spec(), 50, np.random.default_rng(0)), data)
@@ -622,8 +621,8 @@ def test_oracle_memory_is_bounded_by_the_tile():
     # logistic: 10K points, whose scores against each group's 500 rows, taken
     # all at once, would hold 41 MB
     spec = planar_spec()
-    logistic = group_risk_model(
-        random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=500, radius=2.0)
+    logistic = LogisticGroupRisks(
+        *random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=500, radius=2.0)
     )
     jobs = (
         (group_risk_model(spec), population_frame(spec), spec.radius, 2e-3),
@@ -683,8 +682,9 @@ def test_oracle_matches_an_exhaustive_scan_bit_for_bit(tmp_path):
     ]
     jobs = [(group_risk_model(spec), population_frame(spec), spec.radius, step) for spec, step in specs]
     for seed in (0, 2):
-        ds = random_logistic_dataset(np.random.default_rng(seed), m=3, d=2, n=200, radius=2.0)
-        model = group_risk_model(ds)
+        model = LogisticGroupRisks(
+            *random_logistic_dataset(np.random.default_rng(seed), m=3, d=2, n=200, radius=2.0)
+        )
         jobs.append((model, model.frame(2.0), 2.0, 0.05))
     refusals = 0
     for i, (model, frame, ball, step) in enumerate(jobs):
@@ -714,13 +714,13 @@ def test_compare_oracle_on_data(tmp_path, capsys):
     # loss; no grid point may beat a certified continuous objective
     squared = draw_dataset(planar_spec(), n_per_group=200, rng=np.random.default_rng(0))
     logistic = random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=200, radius=2.0)
-    for ds, radius in ((squared, "1"), (logistic, "2")):
-        data = tmp_path / f"{ds.loss}.csv"
-        write_dataset_csv(ds, data)
-        source = ["--data", str(data), "--loss", ds.loss, "--radius", radius]
-        assert main(["solve"] + source) == 0, ds.loss
+    for loss, sample, radius in (("squared", squared, "1"), ("logistic", logistic, "2")):
+        data = tmp_path / f"{loss}.csv"
+        write_dataset_csv(sample, data)
+        source = ["--data", str(data), "--loss", loss, "--radius", radius]
+        assert main(["solve"] + source) == 0, loss
         reports = json.loads(capsys.readouterr().out)["methods"]
-        assert main(["compare"] + source + ["--oracle-grid", "0.02"]) == 0, ds.loss
+        assert main(["compare"] + source + ["--oracle-grid", "0.02"]) == 0, loss
         _assert_no_oracle_beats_its_certificate(reports, capsys.readouterr().out)
 
 
@@ -779,9 +779,8 @@ def test_converge_seed_seeds_only_the_draws(tmp_path):
 
 def test_solve_from_dataset_csv(tmp_path):
     rng = np.random.default_rng(33)
-    ds = draw_dataset(motivating_spec(), n_per_group=5000, rng=rng)
     data = tmp_path / "toy.csv"
-    write_dataset_csv(ds, data)
+    write_dataset_csv(draw_dataset(motivating_spec(), n_per_group=5000, rng=rng), data)
     out = tmp_path / "report.json"
     code = main(
         [
@@ -808,9 +807,8 @@ def test_solve_from_dataset_csv(tmp_path):
 
 def test_solve_from_dataset_default_ball(tmp_path):
     rng = np.random.default_rng(34)
-    ds = draw_dataset(motivating_spec(), n_per_group=400, rng=rng)
     data = tmp_path / "toy.csv"
-    write_dataset_csv(ds, data)
+    write_dataset_csv(draw_dataset(motivating_spec(), n_per_group=400, rng=rng), data)
     out = tmp_path / "report.json"
     assert main(["solve", "--data", str(data), "--methods", "ri", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -860,7 +858,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_every_command_runs_without_scipy(spec_file, tmp_path):
     # the package depends on numpy alone: with scipy unimportable, each
-    # command runs to exit 0, a logistic fit too (CI's numpy-only step runs both)
+    # command runs to exit 0, a CSV's squared and logistic fits too (CI's
+    # numpy-only step runs them all)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     logit = tmp_path / "logit.csv"
@@ -870,6 +869,7 @@ def test_every_command_runs_without_scipy(spec_file, tmp_path):
     )
     commands = [
         ["solve", "--spec", spec_file],
+        ["solve", "--data", str(logit)],
         ["solve", "--data", str(logit), "--loss", "logistic"],
         ["compare", "--spec", spec_file, "--oracle-grid", "0.05"],
         ["frontier", "--spec", spec_file, "--weights", "20"],
@@ -920,24 +920,36 @@ def test_solve_and_compare_load_no_numpy_ma(spec_file):
 
 
 @pytest.mark.parametrize(
-    "text, error",
+    "text, loss, error",
     [
-        ("", "{path}: empty file"),
-        ("group,y,x1\na,1,2\nb,1\n", "{path}:3: expected 3 fields, got 2"),
-        ("group,y,x1\na,1,2\nb,one,2\n", "{path}:3: non-numeric value (could not convert string to float: 'one')"),
-        ("group,y,x1\na,1,2\na,2,1\n", "{path}: needs at least two groups"),
+        ("", "squared", "{path}: empty file"),
+        ("group,y,x1\na,1,2\nb,1\n", "squared", "{path}:3: expected 3 fields, got 2"),
+        (
+            "group,y,x1\na,1,2\nb,one,2\n",
+            "squared",
+            "{path}:3: non-numeric value (could not convert string to float: 'one')",
+        ),
+        ("group,y,x1\na,1,2\na,2,1\n", "squared", "{path}: needs at least two groups"),
         # float() reads nan and inf; centring would spread a NaN label to every group
-        ("group,y,x1\na,1,2\nb,nan,2\n", "{path}:3: non-finite value"),
-        ("group,y,x1\na,1,2\n\nb,0,-inf\n", "{path}:4: non-finite value"),
+        ("group,y,x1\na,1,2\nb,nan,2\n", "squared", "{path}:3: non-finite value"),
+        ("group,y,x1\na,1,2\n\nb,0,-inf\n", "squared", "{path}:4: non-finite value"),
+        (
+            "group,y,x1\na,1,2\na,0,1\nb,0.5,1\nb,1,3\n",
+            "logistic",
+            "{path}:4: logistic labels must be 0 or 1, got 0.5",
+        ),
         # Excel's "CSV UTF-8" starts with a byte order mark
-        ("\ufeffgroup,y,x1\na,1,2\na,2,1\nb,0,1\nb,1,3\n", None),
+        ("\ufeffgroup,y,x1\na,1,2\na,2,1\nb,0,1\nb,1,3\n", "squared", None),
     ],
-    ids=["empty", "fields", "non-numeric", "one-group", "nan-label", "inf-feature", "bom"],
+    ids=[
+        "empty", "fields", "non-numeric", "one-group", "nan-label", "inf-feature", "logistic-label", "bom",
+    ],
 )
-def test_dataset_csv_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, text, error):
+def test_dataset_csv_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, text, loss, error):
     data = tmp_path / "data.csv"
     data.write_text(text, encoding="utf-8")
-    code = main(["solve", "--data", str(data), "--radius", "2", "--methods", "ri", "--out", str(tmp_path / "r.json")])
+    argv = ["solve", "--data", str(data), "--loss", loss, "--radius", "2", "--methods", "ri"]
+    code = main(argv + ["--out", str(tmp_path / "r.json")])
     err = capsys.readouterr().err
     if error is None:
         assert (code, err) == (0, "")
@@ -945,24 +957,53 @@ def test_dataset_csv_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, te
     assert (code, err) == (2, f"error: {error.format(path=data)}\n")
 
 
-def test_data_whose_moments_overflow_exits_2_with_one_error_line(tmp_path, capsys):
-    # x1 * x1 = 1e400 and y * y overflow, so the squared-loss moments are inf. They
-    # are refused as non-finite with one error line and no RuntimeWarning, in
-    # process (where warnings are errors) and in a child that only prints them
-    data = tmp_path / "overflow.csv"
-    data.write_text("group,y,x1,x2\na,1e200,1e200,1\na,1.0,0.5,0.2\na,2.0,0.1,0.9\n"
-                    "b,0.5,0.3,0.3\nb,1.5,0.7,0.1\n")
-    assert main(["solve", "--data", str(data), "--radius", "2"]) == 2
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # a byte order mark, as Windows editors save UTF-8
+        ('\ufeff{"radius": 10.0, "groups": [{"beta": [2.0], "sigma2": 1.0}, {"beta": [7.0], "sigma2": 9.0}]}', None),
+        ('{"radius": 10.0, "groups": [', "{path}: Expecting value: line 1 column 29 (char 28)"),
+    ],
+    ids=["bom", "syntax"],
+)
+def test_spec_json_errors_exit_2_naming_the_file(tmp_path, capsys, command, text, error):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    argv = [command, "--spec", str(spec), "--out", str(tmp_path / "out")]
+    code = main(argv + (["--ns", "100,400", "--trials", "2"] if command == "converge" else []))
     err = capsys.readouterr().err
-    assert err == "error: quadratic risk moments must be finite\n"
+    if error is None:
+        assert (code, err) == (0, "")
+        return
+    assert (code, err) == (2, f"error: {error.format(path=spec)}\n")
+
+
+def test_data_whose_moments_overflow_exits_2_with_one_error_line(tmp_path, capsys):
+    # x1 * x1 = 1e400 and y * y overflow, so the squared-loss moments are inf;
+    # in the second file the labels' pooled mean, which centres them, overflows
+    # first. Both are refused as non-finite with one error line and no
+    # RuntimeWarning, in process (where warnings are errors) and in a child
+    # that only prints them
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    for flags in ([], ["-W", "error::RuntimeWarning"]):
-        run = subprocess.run(
-            [sys.executable, *flags, "-m", "fairgain.cli", "solve", "--data", str(data), "--radius", "2"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
+    for i, text in enumerate(
+        (
+            "group,y,x1,x2\na,1e200,1e200,1\na,1.0,0.5,0.2\na,2.0,0.1,0.9\nb,0.5,0.3,0.3\nb,1.5,0.7,0.1\n",
+            "group,y,x1\na,1e308,1\na,1e308,2\nb,1,0.5\nb,2,0.3\n",
         )
-        assert (run.returncode, run.stderr, run.stdout) == (2, err, ""), flags
+    ):
+        data = tmp_path / f"overflow{i}.csv"
+        data.write_text(text)
+        assert main(["solve", "--data", str(data), "--radius", "2"]) == 2, i
+        err = capsys.readouterr().err
+        assert err == "error: quadratic risk moments must be finite\n", i
+        for flags in ([], ["-W", "error::RuntimeWarning"]):
+            run = subprocess.run(
+                [sys.executable, *flags, "-m", "fairgain.cli", "solve", "--data", str(data), "--radius", "2"],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=120,
+            )
+            assert (run.returncode, run.stderr, run.stdout) == (2, err, ""), (i, flags)

@@ -93,9 +93,9 @@ def test_single_trial_gap_is_small_at_large_n(motivating):
 
 
 def test_run_convergence_draws_no_rows(motivating, monkeypatch):
-    def no_rows(self):
-        raise AssertionError("the study built a GroupedDataset")
+    def no_rows(cls, features, labels):
+        raise AssertionError("the study built a model from rows")
 
-    monkeypatch.setattr(risk_models.GroupedDataset, "__post_init__", no_rows)
+    monkeypatch.setattr(risk_models.QuadraticGroupRisks, "from_rows", classmethod(no_rows))
     res = run_convergence(motivating, (100, 25600), trials=4, seed=5, cfg=CFG)
     assert np.all(np.isfinite(res.gaps))

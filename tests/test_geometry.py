@@ -252,7 +252,7 @@ def test_lipschitz_bound_dominates_differences(planar):
 
 
 def test_logistic_lipschitz_bound_dominates_gradients():
-    model = LogisticGroupRisks.from_dataset(random_logistic_dataset(np.random.default_rng(3)))
+    model = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(3)))
     L = logistic_lipschitz_bound(model)
     rng = np.random.default_rng(5)
     t = rng.normal(size=(2000, model.dim))

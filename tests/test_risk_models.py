@@ -13,27 +13,26 @@ from fairgain import risk_models
 from fairgain.core import ConvergenceError, DegenerateFrameError
 from fairgain.empirical_study import run_convergence
 from fairgain.risk_models import (
-    GroupedDataset,
     GroupLinearModel,
     LogisticGroupRisks,
     ProblemSpec,
     QuadraticGroupRisks,
-    draw_dataset,
     draw_moments,
     load_dataset_csv,
     load_problem_spec,
     minimize_quadratic_ball,
     population_frame,
-    save_problem_spec,
     sigmoid,
-    write_dataset_csv,
 )
 from tests.conftest import (
     LOGISTIC_RADIUS,
+    draw_dataset,
     motivating_spec,
     random_logistic_dataset,
     random_problem_spec,
+    save_problem_spec,
     three_group_spec,
+    write_dataset_csv,
 )
 
 
@@ -61,8 +60,8 @@ def test_model_values_rows_do_not_depend_on_the_batch():
             spec = random_problem_spec(rng, m=m, d=d)
             cases.append((QuadraticGroupRisks.from_problem_spec(spec), spec.radius, 1000))
     for d, m in ((1, 2), (2, 3), (3, 2)):
-        ds = random_logistic_dataset(rng, m=m, d=d, n=60)
-        cases.append((LogisticGroupRisks.from_dataset(ds), LOGISTIC_RADIUS, 200))
+        model = LogisticGroupRisks(*random_logistic_dataset(rng, m=m, d=d, n=60))
+        cases.append((model, LOGISTIC_RADIUS, 200))
     for model, radius, n in cases:
         batch = rng.uniform(-radius, radius, size=(n, model.dim))
         risks = model.values(batch)
@@ -464,15 +463,13 @@ def test_empirical_risk_three_point_example():
     # single group, three points, squared loss; average at theta = 3
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 7.0, 8.0])
-    ds = GroupedDataset(features=(X, X), labels=(y, y), loss="squared")
-    r = QuadraticGroupRisks.from_dataset(ds).values(np.array([3.0]))
+    r = QuadraticGroupRisks.from_rows((X, X), (y, y)).values(np.array([3.0]))
     # residuals 1, -1, 1 -> mean squared 1
     assert r[0] == pytest.approx(1.0)
 
     X2 = np.array([[1.0], [2.0], [3.0]])
     y2 = np.array([0.0, 2.0, 10.0])
-    ds2 = GroupedDataset(features=(X2, X2), labels=(y2, y2))
-    r2 = QuadraticGroupRisks.from_dataset(ds2).values(np.array([3.0]))
+    r2 = QuadraticGroupRisks.from_rows((X2, X2), (y2, y2)).values(np.array([3.0]))
     # residuals 3, 4, -1 -> (9 + 16 + 1) / 3
     assert r2[0] == pytest.approx(26.0 / 3.0)
 
@@ -480,8 +477,8 @@ def test_empirical_risk_three_point_example():
 def test_frame_ideals_beat_probes():
     rng = np.random.default_rng(21)
     spec = random_problem_spec(rng, m=2, d=3, radius=2.0)
-    ds = draw_dataset(spec, n_per_group=400, rng=rng)
-    model = QuadraticGroupRisks.from_dataset(ds)
+    features, labels = draw_dataset(spec, n_per_group=400, rng=rng)
+    model = QuadraticGroupRisks.from_rows(features, labels)
     frame = model.frame(spec.radius)
     for g in range(2):
         theta = model.minimize(np.eye(2)[g], spec.radius)[0]
@@ -493,7 +490,7 @@ def test_frame_ideals_beat_probes():
             / np.linalg.norm(probes, axis=1, keepdims=True)
         )
         # each probe's mean squared residual, straight from the rows
-        Xg, yg = ds.features[g], ds.labels[g]
+        Xg, yg = features[g], labels[g]
         vals = np.mean((probes @ Xg.T - yg) ** 2, axis=1)
         assert frame.ideal_risks[g] <= vals.min() + 1e-9
 
@@ -502,7 +499,7 @@ def test_unconstrained_fit_matches_lstsq():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(50, 2))
     y = X @ np.array([0.3, -0.2]) + rng.normal(size=50) * 0.1
-    model = QuadraticGroupRisks.from_dataset(GroupedDataset(features=(X, X), labels=(y, -y)))
+    model = QuadraticGroupRisks.from_rows((X, X), (y, -y))
     expect, *_ = np.linalg.lstsq(X, y, rcond=None)
     theta, value, _ = model.minimize(np.array([1.0, 0.0]), np.inf)
     np.testing.assert_allclose(theta, expect, atol=1e-8)
@@ -514,8 +511,7 @@ def test_unconstrained_fit_matches_lstsq():
 
 def test_squared_baseline_is_the_zero_predictor():
     X = np.ones((4, 1))
-    ds = GroupedDataset(features=(X, X), labels=(np.ones(4), np.full(4, 2.0)))
-    model = QuadraticGroupRisks.from_dataset(ds)
+    model = QuadraticGroupRisks.from_rows((X, X), (np.ones(4), np.full(4, 2.0)))
     frame = model.frame(1.0)
     assert frame.baseline_risks == (1.0, 4.0)
     assert frame.baseline_risks == tuple(model.values(np.zeros(1)))
@@ -538,8 +534,7 @@ def test_logistic_baseline_and_fit():
     w = np.array([1.2, -0.8])
     y1 = (rng.uniform(size=500) < 1.0 / (1.0 + np.exp(-X1 @ w))).astype(float)
     y2 = (rng.uniform(size=500) < 1.0 / (1.0 + np.exp(-X2 @ w))).astype(float)
-    ds = GroupedDataset(features=(X1, X2), labels=(y1, y2), loss="logistic")
-    model = LogisticGroupRisks.from_dataset(ds)
+    model = LogisticGroupRisks((X1, X2), (y1, y2))
     frame = model.frame(5.0)
     # fitting helps both groups, so every gap is positive
     assert all(b > i for b, i in zip(frame.baseline_risks, frame.ideal_risks))
@@ -565,9 +560,9 @@ def test_logistic_fit_residual_is_small():
 
 
 def test_logistic_minimize_fits_the_weighted_groups_alone():
-    ds = random_logistic_dataset(np.random.default_rng(3), m=4, d=2, n=150, radius=2.0)
-    model = LogisticGroupRisks.from_dataset(ds)
-    alone = LogisticGroupRisks(ds.features[1::2], ds.labels[1::2])
+    features, labels = random_logistic_dataset(np.random.default_rng(3), m=4, d=2, n=150, radius=2.0)
+    model = LogisticGroupRisks(features, labels)
+    alone = LogisticGroupRisks(features[1::2], labels[1::2])
     w = np.array([0.0, 0.7, 0.0, 0.3])
     for radius in (2.0, np.inf):
         theta, *bounds = model.minimize(w, radius)
@@ -575,7 +570,7 @@ def test_logistic_minimize_fits_the_weighted_groups_alone():
         np.testing.assert_array_equal(theta, alone_theta)
         assert bounds == alone_bounds
     for g, ideal in enumerate(model.frame(2.0).ideal_risks):
-        group = LogisticGroupRisks(ds.features[g : g + 1], ds.labels[g : g + 1])
+        group = LogisticGroupRisks(features[g : g + 1], labels[g : g + 1])
         assert ideal == group.minimize(np.ones(1), 2.0)[1]
     # no group carries weight: theta = 0 is already stationary
     theta, value, lower = model.minimize(np.zeros(4), 2.0)
@@ -588,7 +583,7 @@ def test_derivatives_give_the_bits_of_values_and_the_closed_forms():
     # X' diag(p (1 - p)) X / n with p (1 - p) floored at 1e-12
     rng = np.random.default_rng(8)
     quadratic = QuadraticGroupRisks.from_problem_spec(random_problem_spec(rng, m=3, d=3))
-    logistic = LogisticGroupRisks.from_dataset(random_logistic_dataset(rng, m=3, d=3))
+    logistic = LogisticGroupRisks(*random_logistic_dataset(rng, m=3, d=3))
     for theta in rng.normal(scale=2.0, size=(20, 3)):
         risks, grads, hess = quadratic.derivatives(theta)
         assert risks.tobytes() == quadratic.values(theta).tobytes()
@@ -615,34 +610,24 @@ def test_logistic_fit_non_convergence_raises(monkeypatch):
     assert float(str(err.value).rsplit(" ", 1)[1]) > 1e-8
 
 
-def test_dataset_validation():
-    X = np.ones((4, 1))
-    y = np.ones(4)
-    with pytest.raises(ValueError):
-        GroupedDataset(features=(X,), labels=(y,))
-    with pytest.raises(ValueError):
-        GroupedDataset(features=(X, X), labels=(y, np.ones(3)))
-    with pytest.raises(ValueError):
-        GroupedDataset(features=(X, np.ones((4, 2))), labels=(y, y))
-    with pytest.raises(ValueError):
-        GroupedDataset(features=(X, X), labels=(y, y * 0.5), loss="logistic")
-
-
 def test_csv_round_trip(tmp_path):
+    # squared loss reads the moments of the rows with pooled-mean-centred
+    # labels, logistic loss the rows themselves, groups in file order
     rng = np.random.default_rng(17)
     spec = random_problem_spec(rng, m=3, d=2, radius=1.5)
-    ds = draw_dataset(spec, n_per_group=25, rng=rng)
+    features, labels = draw_dataset(spec, n_per_group=25, rng=rng)
     path = tmp_path / "data.csv"
-    write_dataset_csv(ds, path)
+    write_dataset_csv((features, labels), path)
     back = load_dataset_csv(path, loss="squared")
-    assert back.group_names == ds.group_names
-    for a, b in zip(back.features, ds.features):
-        np.testing.assert_allclose(a, b, atol=1e-12)
-    # label offsets may differ in representation but decoded labels agree
-    for a, b, in zip(back.labels, ds.labels):
-        np.testing.assert_allclose(
-            a + back.label_offset, b + ds.label_offset, atol=1e-12
-        )
+    offset = np.concatenate(labels).mean()
+    expect = QuadraticGroupRisks.from_rows(features, [y - offset for y in labels])
+    for a, b in ((back.A, expect.A), (back.c, expect.c), (back.k, expect.k)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+    binary = [(y > 0).astype(float) for y in labels]
+    write_dataset_csv((features, binary), path)
+    back = load_dataset_csv(path, loss="logistic")
+    for a, b in zip(back.features + back.labels, features + binary):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_csv_header_is_checked(tmp_path):
@@ -652,10 +637,17 @@ def test_csv_header_is_checked(tmp_path):
         load_dataset_csv(path)
 
 
+def test_csv_loss_name_is_checked(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("group,y,x1\na,1.0,2.0\nb,0.0,2.0\n")
+    with pytest.raises(ValueError, match="loss must be 'squared' or 'logistic', got 'hinge'"):
+        load_dataset_csv(path, loss="hinge")
+
+
 def test_sample_frame_tracks_population(motivating):
     rng = np.random.default_rng(99)
-    ds = draw_dataset(motivating, n_per_group=200_000, rng=rng)
-    frame = QuadraticGroupRisks.from_dataset(ds).frame(motivating.radius)
+    rows = draw_dataset(motivating, n_per_group=200_000, rng=rng)
+    frame = QuadraticGroupRisks.from_rows(*rows).frame(motivating.radius)
     pop = population_frame(motivating)
     np.testing.assert_allclose(
         frame.baseline_array(), pop.baseline_array(), rtol=0.05
@@ -691,13 +683,13 @@ def _stacked_moments(model: QuadraticGroupRisks) -> np.ndarray:
 def test_draw_moments_matches_moments_of_drawn_rows(spec, n):
     # every entry of (A, c, k): the mean is exact (E[A] = cov, E[c] = cov beta,
     # E[k] = beta' cov beta + sigma2), and mean and variance agree with
-    # from_dataset(draw_dataset(...)), each within 5 Monte Carlo standard errors
+    # from_rows(*draw_dataset(...)), each within 5 Monte Carlo standard errors
     draws = 2000
     rng = np.random.default_rng(100 + n)
     fast = np.array([_stacked_moments(draw_moments(spec, n, rng)) for _ in range(draws)])
     rows = np.array(
         [
-            _stacked_moments(QuadraticGroupRisks.from_dataset(draw_dataset(spec, n, rng)))
+            _stacked_moments(QuadraticGroupRisks.from_rows(*draw_dataset(spec, n, rng)))
             for _ in range(draws)
         ]
     )
@@ -722,5 +714,3 @@ def test_draw_moments_needs_a_sample(motivating):
     for n in (0, -3):
         with pytest.raises(ValueError):
             draw_moments(motivating, n, rng)
-        with pytest.raises(ValueError):
-            draw_dataset(motivating, n, rng)

@@ -21,10 +21,9 @@ from fairgain.core import (
 )
 from fairgain import cli, risk_models, solvers
 from fairgain.risk_models import (
-    GroupedDataset,
     GroupLinearModel,
+    LogisticGroupRisks,
     ProblemSpec,
-    draw_dataset,
     population_frame,
     project_ball,
 )
@@ -41,6 +40,7 @@ from tests.conftest import (
     _random_psd,
     assert_oracle_within_certificate,
     centred_risks,
+    draw_dataset,
     motivating_spec,
     objective_and_supergradient,
     planar_spec,
@@ -230,7 +230,7 @@ def test_solve_refuses_a_ball_that_is_not_a_positive_finite_radius(motivating, m
     # without a ball a logistic dual bound is -inf, and no dual bound could
     # set the minimax master's shift; every method refuses before it minimizes
     quadratic = QuadraticGroupRisks.from_problem_spec(motivating)
-    logistic = group_risk_model(random_logistic_dataset(np.random.default_rng(0)))
+    logistic = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(0)))
     for model in (quadratic, logistic):
         frame, calls = model.frame(3.0), []
         monkeypatch.setattr(model, "minimize", lambda w, radius: calls.append(radius))
@@ -387,7 +387,7 @@ def test_master_solves_of_mmr_on_a_logistic_dataset_match_highs(monkeypatch):
         return picked
 
     monkeypatch.setattr(_GameMaster, "solve", spy)
-    model = group_risk_model(random_logistic_dataset(np.random.default_rng(0), m=4, d=2))
+    model = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(0), m=4, d=2))
     solve("mmr", model, model.frame(LOGISTIC_RADIUS), LOGISTIC_RADIUS, CFG)
     assert calls
     for cuts, (lam, mu, alpha), m_free, n in calls:
@@ -420,7 +420,7 @@ def test_every_master_solve_agrees_with_highs_on_the_witness_draws(monkeypatch):
         return picked
 
     monkeypatch.setattr(_GameMaster, "solve", spy)
-    model = group_risk_model(random_logistic_dataset(np.random.default_rng(0), m=4, d=2))
+    model = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(0), m=4, d=2))
     solve("mmr", model, model.frame(LOGISTIC_RADIUS), LOGISTIC_RADIUS, CFG)
     witnesses, draws = _witness_draws(), np.random.default_rng(123)
     others = [rank_deficient_spec(draws) for _ in range(60)]
@@ -912,7 +912,7 @@ def test_logistic_model_solvable():
     w = np.array([1.0, -0.6])
     y1 = (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-X1 @ w))).astype(float)
     y2 = (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-(X2 @ w) - 0.4))).astype(float)
-    model = group_risk_model(GroupedDataset(features=(X1, X2), labels=(y1, y2), loss="logistic"))
+    model = LogisticGroupRisks((X1, X2), (y1, y2))
     frame = model.frame(4.0)
     rep = solve("ri", model, frame, 4.0, CFG)
     rho = rep.improvement_profile.as_array()
@@ -1052,7 +1052,7 @@ def test_quadratic_minimize_is_exact(fixture, request):
     m = spec.num_groups
     rng = np.random.default_rng(31)
     population, frame = _setup(spec)
-    sample = group_risk_model(draw_dataset(spec, 50, rng))
+    sample = QuadraticGroupRisks.from_rows(*draw_dataset(spec, 50, rng))
     probes = _ball_points(rng, 2000, spec.dim, spec.radius)
     weights = [rng.uniform(size=m) * 10.0 ** rng.uniform(-1, 1) for _ in range(6)]
     weights += list(np.eye(m))
@@ -1073,8 +1073,8 @@ def test_quadratic_minimize_is_exact(fixture, request):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_one_newton_routine_serves_fits_and_dual_evaluations(m, monkeypatch):
     rng = np.random.default_rng(20 + m)
-    ds = random_logistic_dataset(rng, m=m)
-    model, radius = group_risk_model(ds), LOGISTIC_RADIUS
+    features, labels = random_logistic_dataset(rng, m=m)
+    model, radius = LogisticGroupRisks(features, labels), LOGISTIC_RADIUS
     probes = _ball_points(rng, 2000, model.dim, radius)
     probe_vals = model.values(probes)
     weights = [rng.uniform(size=m) * 10.0 ** rng.uniform(-1, 1) for _ in range(6)]
@@ -1105,8 +1105,8 @@ def test_one_newton_routine_serves_fits_and_dual_evaluations(m, monkeypatch):
         assert np.linalg.norm(model.minimize(np.eye(m)[g], half)[0]) == pytest.approx(half)
     # the baseline predicts the pooled share p of positive labels for every
     # row: a group with share q_g scores -q_g log p - (1 - q_g) log(1 - p)
-    p = float(np.concatenate(ds.labels).mean())
-    q = np.array([y.mean() for y in ds.labels])
+    p = float(np.concatenate(labels).mean())
+    q = np.array([y.mean() for y in labels])
     pooled = -q * np.log(p) - (1.0 - q) * np.log(1.0 - p)
     np.testing.assert_allclose(frame.baseline_array(), pooled, rtol=1e-13)
 
@@ -1115,7 +1115,7 @@ def test_logistic_solves_certify():
     # six seeded datasets with boundary ideals; nash may refuse only where
     # the ri certificate shows that no point gives every group a gain
     for seed in range(6):
-        model = group_risk_model(random_logistic_dataset(np.random.default_rng(seed)))
+        model = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(seed)))
         frame = model.frame(LOGISTIC_RADIUS)
         reports = {}
         for method in METHODS:
@@ -1134,7 +1134,7 @@ def test_newton_stops_halving_once_rounding_hides_the_drop(monkeypatch):
     # a halving search run past the value's rounding made 56 values passes
     # in one weighted minimization of this solve; each trial step is one
     # derivatives pass now
-    model = group_risk_model(random_logistic_dataset(np.random.default_rng(2), m=3, d=4, n=1000))
+    model = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(2), m=3, d=4, n=1000))
     frame = model.frame(LOGISTIC_RADIUS)
     cls = risk_models.LogisticGroupRisks
     values, derivatives, minimize = cls.values, cls.derivatives, cls.minimize
@@ -1163,13 +1163,37 @@ def test_newton_stops_halving_once_rounding_hides_the_drop(monkeypatch):
     assert per_call and max(per_call) <= 10, max(per_call)
 
 
+def test_newton_takes_the_full_step_where_rounding_hides_every_drop():
+    # phi shifted by 1e12 has an ulp of 1.2e-4, above every drop of this fit,
+    # so no halved step can lower it: the search stops at once and takes the
+    # full step, the same point the unshifted fit accepts. A search that
+    # halved until t * g . step reached 0 would take over 2,000 passes here
+    model = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(2), m=3, d=4, n=1000))
+    w = np.array([0.5, 0.3, 0.2])
+    fits = {}
+    for shift in (0.0, 1e12):
+        passes = [0]
+
+        def counted(theta):
+            passes[0] += 1
+            return model.derivatives(theta)
+
+        def phi(R):
+            return shift + float(w @ R), w, np.zeros_like(w)
+
+        theta, _, _, steps, resid = risk_models.newton_ball(counted, phi, np.zeros(model.dim), LOGISTIC_RADIUS)
+        assert resid <= 1e-8 and passes[0] == steps + 1, (shift, passes[0], steps)
+        fits[shift] = theta.tobytes()
+    assert fits[0.0] == fits[1e12]
+
+
 def test_nash_certifies_logistic_seeds_6_to_11():
     # U is scale-free but the logistic minimize's stationarity stop is not:
     # on seed 7, at a weighting scaled to max w = 1, h is 4.5e-3 and
     # m (value - lower) / h leaves a gap of 2.7e-6. At w = 1/gains of a Newton
     # iterate h >= m, and U at the stationary point leaves 6.9e-11 after 6 Newton steps
     for seed in range(6, 12):
-        model = group_risk_model(random_logistic_dataset(np.random.default_rng(seed)))
+        model = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(seed)))
         frame = model.frame(LOGISTIC_RADIUS)
         ri = solve("ri", model, frame, LOGISTIC_RADIUS, CFG)
         try:
@@ -1199,7 +1223,7 @@ def test_nash_dual_bound_is_sound(motivating, three_group, planar):
     rng = np.random.default_rng(5)
     problems = [(*_setup(spec), spec.radius) for spec in (motivating, three_group, planar)]
     for seed in range(6):
-        model = group_risk_model(random_logistic_dataset(np.random.default_rng(seed)))
+        model = LogisticGroupRisks(*random_logistic_dataset(np.random.default_rng(seed)))
         problems.append((model, model.frame(LOGISTIC_RADIUS), LOGISTIC_RADIUS))
     for model, frame, radius in problems:
         top = float(_probe_scores("nash", radius, model, frame, rng).max())
