@@ -11,6 +11,7 @@ relative improvement of a candidate rescales its risk into [.., 1] units where
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -41,7 +42,7 @@ def _as_float_tuple(values: Iterable[float], name: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
     if len(out) == 0:
         raise ValueError(f"{name} must contain at least one group")
-    if not all(np.isfinite(v) for v in out):
+    if not all(map(math.isfinite, out)):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
 
@@ -93,7 +94,11 @@ class ImprovementProfile:
 
 @dataclass(frozen=True)
 class BargainingFrame:
-    """Baseline (status quo) and ideal (group-wise best) risks, per group."""
+    """Baseline (status quo) and ideal (group-wise best) risks, per group.
+
+    The baseline, ideal and gap arrays are built once, read-only, since the
+    solvers and the criteria table read them on every call.
+    """
 
     baseline_risks: tuple[float, ...]
     ideal_risks: tuple[float, ...]
@@ -115,6 +120,13 @@ class BargainingFrame:
                 )
         object.__setattr__(self, "baseline_risks", base)
         object.__setattr__(self, "ideal_risks", ideal)
+        base_arr, ideal_arr = np.array(base), np.array(ideal)
+        for name, arr in (("_baseline", base_arr), ("_ideal", ideal_arr), ("_gaps", base_arr - ideal_arr)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __reduce__(self):  # a pickled or copied frame builds its read-only arrays anew
+        return BargainingFrame, (self.baseline_risks, self.ideal_risks)
 
     @property
     def num_groups(self) -> int:
@@ -125,13 +137,13 @@ class BargainingFrame:
         return tuple(b - i for b, i in zip(self.baseline_risks, self.ideal_risks))
 
     def baseline_array(self) -> np.ndarray:
-        return np.asarray(self.baseline_risks, dtype=float)
+        return self._baseline
 
     def ideal_array(self) -> np.ndarray:
-        return np.asarray(self.ideal_risks, dtype=float)
+        return self._ideal
 
     def gap_array(self) -> np.ndarray:
-        return self.baseline_array() - self.ideal_array()
+        return self._gaps
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from pathlib import Path
 from typing import Sequence
@@ -44,7 +44,15 @@ import numpy as np
 
 from fairgain.core import BargainingFrame, ConvergenceError
 
-_eigh = np.linalg._umath_linalg.eigh_lo  # the gufunc np.linalg.eigh(A) runs, without its wrapper
+
+
+def _eigh_public(a: np.ndarray, signature=None) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh itself, for a numpy without the private gufunc."""
+    return np.linalg.eigh(a)
+
+
+# the gufunc np.linalg.eigh(A) runs, without its wrapper, where numpy has it
+_eigh = getattr(getattr(np.linalg, "_umath_linalg", None), "eigh_lo", _eigh_public)
 _EIG_CUTOFF = 1e-10  # relative truncation for pseudo-inverse style solves
 _BALL_TOL = 1e-10
 _NEWTON_ITERS = 500  # Newton steps one newton_ball call may take
@@ -211,6 +219,7 @@ class QuadraticGroupRisks:
             raise ValueError("quadratic risk moments must be finite")
         self.num_groups, self.dim = self.c.shape
         self._A_rows = self.A.reshape(self.num_groups, -1)
+        self._hessians = _readonly(2.0 * self.A)  # constant, and read on every Newton step
 
     @classmethod
     def from_problem_spec(cls, spec: ProblemSpec) -> "QuadraticGroupRisks":
@@ -256,7 +265,7 @@ class QuadraticGroupRisks:
     def derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Risks (m,), gradients (m, d) and Hessians 2 A_g (m, d, d) at one parameter (d,)."""
         At = self.A @ theta
-        return theta @ At.T - 2.0 * self.c @ theta + self.k, 2.0 * (At - self.c), 2.0 * self.A
+        return theta @ At.T - 2.0 * self.c @ theta + self.k, 2.0 * (At - self.c), self._hessians
 
     def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
         """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value."""
@@ -544,8 +553,10 @@ def draw_moments(
     A, c, k = [], [], []
     for g in spec.groups:
         r = min(n, g.dim)
-        R = np.triu(rng.standard_normal((r, g.dim)), 1)
-        R[np.arange(r), np.arange(r)] = np.sqrt(rng.chisquare(n - np.arange(r)))
+        below, diag = _bartlett_pattern(r, g.dim)
+        R = rng.standard_normal((r, g.dim))
+        R[below] = 0.0
+        R[diag, diag] = np.sqrt(rng.chisquare(n - diag))
         B = g.factor @ R.T
         qy = B.T @ g.beta + rng.normal(0.0, np.sqrt(g.sigma2), r)
         # chisquare(0) is not allowed: with n == r no noise lies outside Q
@@ -553,4 +564,13 @@ def draw_moments(
         A.append(B @ B.T / n)
         c.append(B @ qy / n)
         k.append((float(qy @ qy) + rest) / n)
-    return QuadraticGroupRisks(np.stack(A), np.stack(c), np.array(k))
+    return QuadraticGroupRisks(np.array(A), np.array(c), np.array(k))
+
+
+@lru_cache(maxsize=64)
+def _bartlett_pattern(r: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r x d mask below the diagonal, which np.triu(Z, 1) zeroes too, and the indices 0..r-1."""
+    below, diag = np.tri(r, d, -1, dtype=bool), np.arange(r)
+    below.setflags(write=False)
+    diag.setflags(write=False)
+    return below, diag

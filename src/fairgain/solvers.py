@@ -188,7 +188,15 @@ _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-11
 _KKT_STEPS = 6  # the most Newton steps of one endgame try
 _RETRY_SHRINK = 0.01  # an unchanged active set is tried again once the gap is this share of its last
-_lstsq = np.linalg._umath_linalg.lstsq  # the gufunc np.linalg.lstsq runs, without its wrapper
+
+
+def _lstsq_public(a, b, rcond, signature=None):
+    """np.linalg.lstsq itself, for a numpy whose private gufunc has another name (1.x has two)."""
+    return np.linalg.lstsq(a, b, rcond=rcond)
+
+
+# the gufunc np.linalg.lstsq runs, without its wrapper, where numpy names it lstsq
+_lstsq = getattr(getattr(np.linalg, "_umath_linalg", None), "lstsq", _lstsq_public)
 _EPS = float(np.finfo(float).eps)  # lstsq's rcond is _EPS times the larger dimension, as numpy's default
 
 
@@ -344,10 +352,12 @@ def _dual_minimax(
     if len(lam) + len(mu) <= model.dim + 1 and best_upper - best_lower > 0.5 * cfg.tol:
         evals += endgame(lam, mu)
 
-    master = _GameMaster(len(free), len(pin_idx), best_lower)
+    master = None  # built at the first round: a solve the opening closes needs none
     for _ in range(_MAX_ITERS):
         if best_upper - best_lower <= 0.5 * cfg.tol:
             break
+        if master is None:
+            master = _GameMaster(len(free), len(pin_idx), best_lower)
         picked = master.solve(cuts)
         if picked is None:
             break

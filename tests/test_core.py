@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,25 @@ def test_frame_gaps():
     assert MOTIVATING.num_groups == 2
     assert MOTIVATING.gaps == (4.0, 49.0)
     np.testing.assert_array_equal(MOTIVATING.gap_array(), [4.0, 49.0])
+
+
+def test_frame_arrays_hold_the_tuples_bits_and_refuse_writes():
+    # built once at construction: np.array of each tuple and their difference,
+    # bit for bit, and read-only, since every caller gets the same arrays
+    rng = np.random.default_rng(4)
+    frames = [MOTIVATING]
+    for m in (2, 3, 5):
+        ideal = rng.uniform(0.0, 3.0, m)
+        frames.append(BargainingFrame(tuple(ideal + rng.uniform(0.1, 50.0, m)), tuple(ideal)))
+    frames += [copy.deepcopy(MOTIVATING), pickle.loads(pickle.dumps(MOTIVATING))]
+    for frame in frames:
+        base, ideal = np.array(frame.baseline_risks), np.array(frame.ideal_risks)
+        arrays = frame.baseline_array(), frame.ideal_array(), frame.gap_array()
+        for got, want in zip(arrays, (base, ideal, base - ideal)):
+            assert got.dtype == float and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
+        assert frame.gap_array() is arrays[2]
 
 
 def test_degenerate_frame_rejected():

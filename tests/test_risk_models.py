@@ -28,6 +28,7 @@ from tests.conftest import (
     LOGISTIC_RADIUS,
     draw_dataset,
     motivating_spec,
+    planar_spec,
     random_logistic_dataset,
     random_problem_spec,
     save_problem_spec,
@@ -205,9 +206,9 @@ def test_the_kernels_eigh_gufunc_gives_np_linalg_eighs_bits():
             F = rng.normal(size=(d, int(rng.integers(1, d + 1))))
             A = F @ F.T * rng.uniform(0.01, 100.0)
             s, V = risk_models._eigh(A, signature="d->dd")
-            want = np.linalg.eigh(A)
-            assert s.tobytes() == want.eigenvalues.tobytes()
-            assert V.tobytes() == want.eigenvectors.tobytes()
+            want_s, want_V = np.linalg.eigh(A)  # a plain pair before numpy 2.0's EighResult
+            assert s.tobytes() == want_s.tobytes()
+            assert V.tobytes() == want_V.tobytes()
 
 
 def test_minimize_refuses_non_finite_coefficients_and_a_radius_not_above_zero():
@@ -589,6 +590,8 @@ def test_derivatives_give_the_bits_of_values_and_the_closed_forms():
         assert risks.tobytes() == quadratic.values(theta).tobytes()
         assert grads.tobytes() == (2.0 * (quadratic.A @ theta - quadratic.c)).tobytes()
         assert hess.tobytes() == (2.0 * quadratic.A).tobytes()
+        with pytest.raises(ValueError, match="read-only"):  # one stored array serves every call
+            hess[0, 0, 0] = 1.0
         risks, grads, hess = logistic.derivatives(theta)
         assert risks.tobytes() == logistic.values(theta).tobytes()
         for g, (X, y) in enumerate(zip(logistic.features, logistic.labels)):
@@ -707,6 +710,37 @@ def test_draw_moments_matches_moments_of_drawn_rows(spec, n):
     assert np.all(np.abs(fast.mean(axis=0) - rows.mean(axis=0)) <= mean_bound)
     var_bound = 5.0 * np.hypot(var_se(fast), var_se(rows)) + slack
     assert np.all(np.abs(fast.var(axis=0) - rows.var(axis=0)) <= var_bound)
+
+
+def _triu_draw_moments(spec, n, rng):
+    # draw_moments with np.triu, np.arange and np.stack per group, as it once read
+    A, c, k = [], [], []
+    for g in spec.groups:
+        r = min(n, g.dim)
+        R = np.triu(rng.standard_normal((r, g.dim)), 1)
+        R[np.arange(r), np.arange(r)] = np.sqrt(rng.chisquare(n - np.arange(r)))
+        B = g.factor @ R.T
+        qy = B.T @ g.beta + rng.normal(0.0, np.sqrt(g.sigma2), r)
+        rest = g.sigma2 * rng.chisquare(n - r) if n > r else 0.0
+        A.append(B @ B.T / n)
+        c.append(B @ qy / n)
+        k.append((float(qy @ qy) + rest) / n)
+    return QuadraticGroupRisks(np.stack(A), np.stack(c), np.array(k))
+
+
+def test_draw_moments_gives_the_bits_of_the_triu_form(motivating):
+    # the cached masks leave every moment, and the stream after the draw,
+    # bit for bit those of the per-group np.triu form, at n below and above d
+    specs = (motivating, planar_spec(), three_group_spec(), _zero_eigenvalue_spec())
+    for spec in specs:
+        for n in (1, 2, 3, 5, 400):
+            for seed in range(5):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                model = draw_moments(spec, n, rng)
+                want = _triu_draw_moments(spec, n, ref)
+                for got, exp in zip((model.A, model.c, model.k), (want.A, want.c, want.k)):
+                    assert got.tobytes() == exp.tobytes(), (spec.dim, n, seed)
+                assert rng.random() == ref.random()
 
 
 def test_draw_moments_needs_a_sample(motivating):

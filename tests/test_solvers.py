@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import itertools
+import sys
+import types
 import weakref
 
 import numpy as np
@@ -534,16 +537,21 @@ def test_one_feature_two_group_ri_solves_certify_without_a_master_solve(monkeypa
     # The cutting plane alone took 11-13 evaluations on 18 of the draws; the
     # KKT Newton try at the uniform dual evaluation closes both bounds before
     # any master round, so each solve counts theta = 0, that evaluation and
-    # the try's. On the study's spec the try passes through weights
-    # (6.5, -5.5) on its way to (0.91, 0.09): a try dropped for a negative
-    # weight would leave the work to the master
-    real, calls = _GameMaster.solve, []
+    # the try's, and builds no master at all. On the study's spec the try
+    # passes through weights (6.5, -5.5) on its way to (0.91, 0.09): a try
+    # dropped for a negative weight would leave the work to the master
+    real, real_init, calls, built = _GameMaster.solve, _GameMaster.__init__, [], []
 
     def spy(self, cuts):
         calls.append(len(cuts))
         return real(self, cuts)
 
+    def init_spy(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
     monkeypatch.setattr(_GameMaster, "solve", spy)
+    monkeypatch.setattr(_GameMaster, "__init__", init_spy)
     groups = tuple(
         GroupLinearModel(beta=np.array([b]), sigma2=s, cov=np.eye(1))
         for b, s in ((5.1, 9.15), (0.52, 9.86))
@@ -568,6 +576,7 @@ def test_one_feature_two_group_ri_solves_certify_without_a_master_solve(monkeypa
         assert rep.certified(CFG.tol), (k, rep.certificate_gap)
         assert rep.iterations <= 3, (k, rep.iterations)
         assert not calls, (k, calls)
+        assert not built, (k, built)
 
 
 def test_kkt_newton_takes_the_sphere_on_once_a_step_leaves_the_ball():
@@ -1273,8 +1282,11 @@ def test_rank_deficient_specs_report_or_refuse():
 
 
 def test_free_groups_are_the_groups_not_pinned(monkeypatch):
-    # the master holds one weight per free group, and is built after one
-    # dual evaluation, which weighs the free groups uniformly in normalized units
+    # the master holds one weight per free group, and is built at the first
+    # round, after one dual evaluation, which weighs the free groups uniformly
+    # in normalized units. The master is built only for a round, and a tol no
+    # gap meets, its 128-ulp allowance included, makes every pin pattern run one
+    cfg = SolverConfig(tol=1e-300)
     spec = random_problem_spec(np.random.default_rng(2), m=4, d=2)
     model, frame = _setup(spec)
     shifts, scales, _ = solvers.WORST_GROUP["ri"](frame)
@@ -1297,13 +1309,56 @@ def test_free_groups_are_the_groups_not_pinned(monkeypatch):
             seen.clear()
             sizes.clear()
             solvers._dual_minimax(
-                model, shifts, scales, spec.radius, CFG,
+                model, shifts, scales, spec.radius, cfg,
                 pin_idx=np.array(pins, dtype=int), pin_caps=np.full(n_pin, 1e9),
             )
             uniform = np.zeros(4)
             uniform[free] = 1.0 / (len(free) * scales[free])
             assert sizes == [(len(free), 1)], pins
             np.testing.assert_allclose(seen[0], uniform, rtol=1e-15, atol=0.0)
+
+
+def test_a_numpy_without_the_private_gufuncs_gets_the_same_bits(monkeypatch):
+    # numpy 1.x runs lstsq through gufuncs named lstsq_m and lstsq_n, so a
+    # module copy loaded where numpy.linalg._umath_linalg lacks the names binds
+    # the public wrappers, which run the same gufuncs: same bits on the KKT
+    # systems of a few solves and on 2 x 2 and 3 x 3 ball minimizations
+    real, systems = solvers._lstsq, []
+
+    def record(a, b, rcond, signature):
+        systems.append((a.copy(), b.copy(), rcond))
+        return real(a, b, rcond, signature=signature)
+
+    monkeypatch.setattr(solvers, "_lstsq", record)
+    rng = np.random.default_rng(9)
+    for spec in (three_group_spec(), *(random_problem_spec(rng, m=m, d=2) for m in (2, 3, 4))):
+        model, frame = _setup(spec)
+        for method in ("ri", "gdro", "mmr"):
+            solve(method, model, frame, spec.radius, CFG)
+    assert len(systems) >= 20
+    monkeypatch.setattr(np.linalg, "_umath_linalg", types.SimpleNamespace())
+    copies = []
+    for module in (solvers, risk_models):
+        name = f"{module.__name__}_without_gufuncs"
+        loader = importlib.util.spec_from_file_location(name, module.__file__)
+        copy = importlib.util.module_from_spec(loader)
+        monkeypatch.setitem(sys.modules, name, copy)
+        loader.loader.exec_module(copy)
+        copies.append(copy)
+    bare_solvers, bare_models = copies
+    assert bare_solvers._lstsq is bare_solvers._lstsq_public
+    assert bare_models._eigh is bare_models._eigh_public
+    for a, b, rcond in systems:
+        got = bare_solvers._lstsq(a, b, rcond, signature="ddd->ddid")[0]
+        assert got.tobytes() == real(a, b, rcond, signature="ddd->ddid")[0].tobytes()
+    for d in (2, 3):
+        for _ in range(50):
+            F = rng.normal(size=(d, int(rng.integers(1, d + 1))))
+            A, c = F @ F.T, F @ rng.normal(size=F.shape[1])
+            for radius in (0.1, 1.0, 100.0):
+                got = bare_models.minimize_quadratic_ball(A, c, radius)
+                want = risk_models.minimize_quadratic_ball(A, c, radius)
+                assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
 def _affine_model(model, a, b):
