@@ -14,12 +14,13 @@ only), prints argparse's usage line and an `error:` line naming the flag.
 Range checks (`tol`, `--trials`, `--weights`, `--grid`) are the library's own
 ValueErrors, which `main` maps to exit 2 with that error's message.
 
-`compare --oracle-grid STEP` takes each criterion's best over the ball grid,
-scored with the run's risk model, for --spec and --data alike. The grid is cut
-into tiles of up to 64 points a side, each bounded from its centre by
-convexity, and only tiles whose bound can still win are scored, so the result
-is a full scan's, bit for bit; the README gives measured times. A logistic
-model scores the grid point by point, so a logistic grid is far slower per point.
+`compare --oracle-grid STEP` takes each criterion's best over the ball grid
+at d <= 3, scored with the run's risk model, for --spec and --data alike. The
+grid is cut into tiles of at most 4,096 points (64 a side at d = 2, 16 at
+d = 3), each bounded by the model's box_lower from its centre, and only tiles
+whose bound can still win are scored, so the result is a full scan's, bit for
+bit; the README gives measured times. A logistic model scores the grid point
+by point, so a logistic grid is far slower per point.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 import stat
 import sys
 import tempfile
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +45,7 @@ from fairgain.core import (
     criterion_scores,
     criterion_value,
 )
-from fairgain.risk_models import (
-    LogisticGroupRisks,
-    QuadraticGroupRisks,
-    load_dataset_csv,
-    load_problem_spec,
-)
+from fairgain.risk_models import load_dataset_csv, load_problem_spec
 from fairgain.solvers import METHODS, SolverConfig, group_risk_model, solve
 
 EXIT_OK = 0
@@ -94,9 +91,7 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _load_source(
-    args: argparse.Namespace,
-) -> tuple[QuadraticGroupRisks | LogisticGroupRisks, BargainingFrame, float]:
+def _load_source(args: argparse.Namespace) -> tuple[object, BargainingFrame, float]:
     """(risk model, frame, ball) of the run's --spec or --data input; argparse allows just one."""
     if args.spec is not None:
         if args.loss is not None or args.radius is not None:
@@ -144,79 +139,37 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Axis points along each side of an oracle tile, however fine the grid.
-_ORACLE_TILE = 64
+# Grid points in an oracle tile at most, however fine the grid: 64 a side at d = 2, 16 at d = 3.
+_TILE_POINTS = 4096
 
 
 def _oracle_tiles(dim: int, ball: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     """The oracle grid's axis and its tiles' (first, last) axis indices, (tiles, dim, 2).
 
-    A tile is a product of runs of up to _ORACLE_TILE axis points; tiles whose
-    box misses the ball are left out. The 1-d axis keeps only in-ball points.
+    A tile is a product of runs of the same number of axis points, the most
+    whose dim-th power is at most _TILE_POINTS; tiles whose box misses the
+    ball are left out.
     """
     axis = np.arange(-ball, ball + step / 2.0, step)
-    if dim == 1:
-        axis = axis[np.abs(axis) <= ball]
-    first = np.arange(0, len(axis), _ORACLE_TILE)
-    runs = np.column_stack([first, np.minimum(first + _ORACLE_TILE, len(axis)) - 1])
+    side = int(_TILE_POINTS ** (1.0 / dim) + 1e-9)  # a float root may fall just short of an integer
+    first = np.arange(0, len(axis), side)
+    runs = np.column_stack([first, np.minimum(first + side, len(axis)) - 1])
     picks = np.meshgrid(*[np.arange(len(runs))] * dim, indexing="ij")
     tiles = runs[np.stack(picks, axis=-1).reshape(-1, dim)]
     near = np.clip(0.0, axis[tiles[..., 0]], axis[tiles[..., 1]])
-    # sqrt(x*x + y*y) <= ball passes no point much beyond the ball
+    # the slack passes no point much beyond the ball
     return axis, tiles[np.sqrt((near * near).sum(axis=1)) <= ball * (1.0 + 1e-12)]
 
 
 def _tile_points(axis: np.ndarray, ball: float, tile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A tile's grid points within the ball (n, dim) and their meshgrid("ij") indices, in order."""
-    (a, a_last), *rest = tile
-    xs = axis[a : a_last + 1]
-    if not rest:
-        return xs[:, None], np.arange(a, a_last + 1)
-    ((b, b_last),) = rest
-    ys = axis[b : b_last + 1]
-    # sqrt(x*x + y*y) is bit for bit np.linalg.norm of an (x, y) row
-    i, j = np.nonzero(np.sqrt((xs * xs)[:, None] + ys * ys) <= ball)
-    return np.column_stack([xs[i], ys[j]]), (a + i) * len(axis) + b + j
-
-
-def _tile_lower_risks(model, axis: np.ndarray, tiles: np.ndarray) -> np.ndarray:
-    """Lower bounds (tiles, m) on each group's risk, as `values` computes it, over each tile's box.
-
-    A convex risk lies above its tangent plane at the box's centre c, so over
-    a box of half-widths h it is at least R_g(c) - |grad R_g(c)| . h. A
-    quadratic risk can fall below that plane by curvature |x - c|^2, the
-    depth of A's most negative eigenvalue: the spec loader admits
-    eigenvalues of cov down to -1e-10 of its scale. A logistic risk is
-    convex. The last term covers the rounding of `values` at c and at the
-    grid points, of the gradient and of h: each term the model adds is at
-    most scale within reach of 0, and 1e-13 of scale per summand is hundreds
-    of times the rounding of any one summand.
-    """
-    lo, hi = axis[tiles[..., 0]], axis[tiles[..., 1]]
-    centres = (lo + hi) / 2.0
-    half = np.maximum(hi - centres, centres - lo)
-    reach = float(np.abs(axis).max())
-    lower = model.values(centres)
-    if isinstance(model, QuadraticGroupRisks):
-        A = model.A
-        grads = 2.0 * (np.einsum("gjk,tk->tgj", A, centres) - model.c)
-        scale = (
-            np.abs(A).sum(axis=(1, 2)) * reach * reach
-            + 2.0 * np.abs(model.c).sum(axis=1) * reach
-            + np.abs(model.k)
-        )
-        summands = model.dim + 2
-        curvature = np.maximum(0.0, -np.linalg.eigvalsh(A)[:, 0])
-    else:
-        grads = np.array([model.derivatives(c)[1] for c in centres]).reshape(*lower.shape, model.dim)
-        # |z| <= |x|_1 reach, and a row's loss adds at most log 2 + 2 |z|
-        scale = np.array([1.0 + 2.0 * reach * np.abs(X).sum(axis=1).mean() for X in model.features])
-        summands = np.array([len(X) + model.dim for X in model.features])
-        curvature = np.zeros(model.num_groups)
-    lower -= np.einsum("tgj,tj->tg", np.abs(grads), half)
-    lower -= np.outer((half * half).sum(axis=1), curvature)
-    lower -= 1e-13 * (summands + 100) * scale
-    return lower
+    runs = tile.tolist()
+    sides = [axis[first : last + 1] for first, last in runs]
+    # the squares added left to right, as np.linalg.norm adds a row's at d <= 3
+    hits = np.nonzero(np.sqrt(reduce(np.add.outer, [x * x for x in sides])) <= ball)
+    spots = [first + i for (first, _), i in zip(runs, hits)]  # each point's axis indices
+    index = reduce(lambda flat, k: flat * len(axis) + k, spots)
+    return np.column_stack([x[i] for x, i in zip(sides, hits)]), index
 
 
 def _oracle_objectives(
@@ -224,21 +177,25 @@ def _oracle_objectives(
 ) -> dict[str, float]:
     """Each method's discrete oracle value over the ball grid of the given step.
 
-    Every criterion score falls as any risk rises, so a tile's lower risks
-    bound every score in it. Each criterion visits tiles by falling bound
-    until a bound drops below its best score; nash also stops at a bound of
-    -inf once it has a row, since no row beats that. A visited tile is scored
+    Every criterion score falls as any risk rises, so a tile's lower risks,
+    from the model's box_lower, bound every score in it. Each criterion
+    visits tiles by falling bound until a bound drops below its best score;
+    nash also stops at a bound of -inf once it has a row, since no row beats
+    that. A visited tile is scored
     once, for every criterion, with the bits its rows get in any batch, and
     ties go to the lower meshgrid("ij") index. So each criterion keeps the
     row a scan of the whole grid keeps. Leximin's value is its first
     stage's, the worst relative improvement.
     """
-    if model.dim > 2:
-        raise UnsupportedDimensionError("--oracle-grid covers d <= 2")
+    if model.dim > 3:
+        raise UnsupportedDimensionError(f"--oracle-grid covers d <= 3, got d = {model.dim}")
     criterion = {method: "ri" if method == "leximin" else method for method in methods}
     names = tuple(dict.fromkeys(criterion.values()))
     axis, tiles = _oracle_tiles(model.dim, ball, step)
-    lower = _tile_lower_risks(model, axis, tiles)
+    lo, hi = axis[tiles[..., 0]], axis[tiles[..., 1]]
+    centres = (lo + hi) / 2.0
+    half = np.maximum(hi - centres, centres - lo)
+    lower = model.box_lower(centres, half, float(np.abs(axis).max()))
     bounds = {name: criterion_scores(name, frame, lower) for name in names}
     best = {}  # criterion -> (score, grid index, risks) of its first best row so far
     scored = set()
@@ -438,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--oracle-grid",
         type=positive_float,
-        help="grid step for a discrete enumeration oracle column (d <= 2)",
+        help="grid step for a discrete enumeration oracle column (d <= 3)",
     )
 
     p_fr = sub.add_parser("frontier", help="trace the two-group improvement frontier")

@@ -16,12 +16,14 @@ its minimum. The solvers' dual evaluations are its weighted cases, and
 frame(radius) builds the bargaining frame from its one-hot cases: each group's
 ideal risk is its own least risk over the ball, and the baseline is the zero
 predictor for quadratic risks and the pooled base rate for logistic risks.
-newton_ball, the damped projected Newton of the logistic minimize and of the
-solvers' nash, minimizes a separable convex function of the risks. A quadratic
-model stores the symmetric part of each A_g, which a spec's c and k read too,
-so values, derivatives and minimize all read one quadratic, and its minimize
-has minimize_quadratic_ball take its small steps on Python floats, with
-numpy's bits. Each model's values(theta) scores one parameter or a batch of
+box_lower(centres, half, reach) bounds values from below over the boxes the
+CLI's grid oracle tiles the ball with. newton_ball, the damped projected
+Newton of the logistic minimize and of the solvers' nash, minimizes a
+separable convex function of the risks. A quadratic model stores the
+symmetric part of each A_g, which a spec's c and k read too, so values,
+derivatives and minimize all read one quadratic, and its minimize has
+minimize_quadratic_ball take its small steps on Python floats, with numpy's
+bits. Each model's values(theta) scores one parameter or a batch of
 them, each batch row with the same bits in a batch of any size. The quadratic
 batch is an elementwise kernel over (m, n) arrays that adds the d coordinates'
 terms in a fixed order. At d <= 2 its rows are bit for bit those of a tensor
@@ -43,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from fairgain.core import BargainingFrame, ConvergenceError
-
 
 
 def _eigh_public(a: np.ndarray, signature=None) -> tuple[np.ndarray, np.ndarray]:
@@ -205,6 +206,25 @@ def _symmetric_part(A: np.ndarray) -> np.ndarray:
         return (A + A.transpose(0, 2, 1)) / 2.0
 
 
+def _box_lower(lower, grads, half, curvature, summands, scale) -> np.ndarray:
+    """Lower bounds (n, m) on risks over n boxes, from the risks `lower` and gradients at their centres.
+
+    A convex risk lies above its tangent plane at the box's centre c, so over
+    the box it is at least R_g(c) - |grad R_g(c)| . h. A quadratic risk can
+    fall below that plane by curvature |x - c|^2, the depth of A's most
+    negative eigenvalue: the spec loader admits eigenvalues of cov down to
+    -1e-10 of its scale. The last term covers the rounding of `values` at c
+    and at the box's points, of the gradient and of h: each of the summands
+    a model adds is at most scale within reach of 0, and 1e-13 of scale per
+    summand is hundreds of times the rounding of any one summand. `lower` is
+    lowered in place, keeping the layout of `values`, which scores fastest.
+    """
+    lower -= np.einsum("tgj,tj->tg", np.abs(grads), half)
+    lower -= np.outer((half * half).sum(axis=1), curvature)
+    lower -= 1e-13 * (summands + 100) * scale
+    return lower
+
+
 class QuadraticGroupRisks:
     """Group risks theta' A_g theta - 2 c_g' theta + k_g, each A_g stored as its symmetric part."""
 
@@ -266,6 +286,17 @@ class QuadraticGroupRisks:
         """Risks (m,), gradients (m, d) and Hessians 2 A_g (m, d, d) at one parameter (d,)."""
         At = self.A @ theta
         return theta @ At.T - 2.0 * self.c @ theta + self.k, 2.0 * (At - self.c), self._hessians
+
+    def box_lower(self, centres: np.ndarray, half: np.ndarray, reach: float) -> np.ndarray:
+        """Lower bounds (n, m) on `values` over the boxes centres +- half (n, d), within reach of 0."""
+        grads = 2.0 * (np.einsum("gjk,tk->tgj", self.A, centres) - self.c)
+        scale = (
+            np.abs(self.A).sum(axis=(1, 2)) * reach * reach
+            + 2.0 * np.abs(self.c).sum(axis=1) * reach
+            + np.abs(self.k)
+        )
+        curvature = np.maximum(0.0, -np.linalg.eigvalsh(self.A)[:, 0])
+        return _box_lower(self.values(centres), grads, half, curvature, self.dim + 2, scale)
 
     def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
         """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0; lower is value."""
@@ -392,6 +423,15 @@ class LogisticGroupRisks:
             hess[g] = (X * np.maximum(p * (1.0 - p), 1e-12)[:, None]).T @ X / X.shape[0]
         return vals, grads, hess
 
+    def box_lower(self, centres: np.ndarray, half: np.ndarray, reach: float) -> np.ndarray:
+        """Lower bounds (n, m) on `values` over the boxes centres +- half (n, d), within reach of 0."""
+        values = self.values(centres)
+        grads = np.array([self.derivatives(c)[1] for c in centres]).reshape(*values.shape, self.dim)
+        # |z| <= |x|_1 reach, and a row's loss adds at most log 2 + 2 |z|
+        scale = np.array([1.0 + 2.0 * reach * np.abs(X).sum(axis=1).mean() for X in self.features])
+        summands = np.array([len(X) + self.dim for X in self.features])
+        return _box_lower(values, grads, half, np.zeros(self.num_groups), summands, scale)
+
     def minimize(self, w: np.ndarray, radius: float) -> tuple[np.ndarray, float, float]:
         """(theta, value, lower) minimizing sum_g w_g R_g over the ball, w >= 0, by newton_ball from 0.
 
@@ -454,7 +494,10 @@ def load_problem_spec(path: str | Path) -> ProblemSpec:
             raise ValueError(f"group {i}: 'beta' must have at least one entry")
         cov = _spec_array(entry.get("cov", np.eye(beta.size).tolist()), f"group {i}: 'cov'")
         sigma2 = _spec_number(entry["sigma2"], f"group {i}: 'sigma2'")
-        groups.append(GroupLinearModel(beta=beta, sigma2=sigma2, cov=cov))
+        try:
+            groups.append(GroupLinearModel(beta=beta, sigma2=sigma2, cov=cov))
+        except ValueError as exc:
+            raise ValueError(f"group {i}: {exc}") from None
     return ProblemSpec(groups=tuple(groups), radius=_spec_number(raw["radius"], "'radius'"))
 
 

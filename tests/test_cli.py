@@ -281,6 +281,52 @@ def test_empty_beta_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: group 0: 'beta' must have at least one entry\n"
 
 
+_ONE_D = {"beta": [1.0], "sigma2": 1.0}
+_TWO_D = {"beta": [1.0, 2.0], "sigma2": 1.0}
+
+
+@pytest.mark.parametrize(
+    "name, content, error",
+    [
+        (
+            "spec.json",
+            {"radius": 1.0, "groups": [_ONE_D, {"beta": [[1.0, 2.0]], "sigma2": 1.0}]},
+            "group 1: beta must be a vector",
+        ),
+        (
+            "spec.json",
+            {"radius": 1.0, "groups": [_TWO_D, {**_TWO_D, "cov": [[1.0]]}]},
+            "group 1: cov must be 2x2, got (1, 1)",
+        ),
+        (
+            "spec.json",
+            {"radius": 1.0, "groups": [_TWO_D, {**_TWO_D, "cov": [[1, 0.5], [0, 1]]}]},
+            "group 1: cov must be symmetric",
+        ),
+        (
+            "spec.json",
+            {"radius": 1.0, "groups": [_ONE_D, {"beta": [float("nan")], "sigma2": 1.0}]},
+            "group 1: beta must be finite",
+        ),
+        (
+            "spec.json",
+            {"radius": 1.0, "groups": [_ONE_D, _TWO_D]},
+            "all groups must share the feature dimension",
+        ),
+        ("spec.json", {"groups": [_ONE_D, _ONE_D]}, "problem spec JSON needs 'radius' and 'groups'"),
+        ("data.csv", "grp,y,x1\na,1.0,0.5\nb,0.0,1.0\n", "{path}: header must be group,y,x1,...,xd"),
+    ],
+    ids=["beta-matrix", "cov-shape", "cov-asymmetric", "beta-nan", "mixed-dims", "no-radius", "csv-header"],
+)
+def test_an_input_check_exits_2_with_one_error_line(tmp_path, capsys, name, content, error):
+    # a group model's own check is prefixed with the group, as the loader's checks are
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    source = "--data" if name.endswith(".csv") else "--spec"
+    assert main(["solve", source, str(path)]) == 2
+    assert capsys.readouterr().err == "error: " + error.format(path=path) + "\n"
+
+
 def test_help_for_every_subcommand(capsys):
     parser = cli.build_parser()
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -314,6 +360,7 @@ def test_exit_code_dimension(tmp_path, capsys):
     assert main(["riskset", "--spec", str(path)]) == 4
     assert capsys.readouterr().err == "error: grid sampling covers d <= 3, got d = 4\n"
     assert main(["compare", "--spec", str(path), "--oracle-grid", "0.5"]) == 4
+    assert capsys.readouterr().err == "error: --oracle-grid covers d <= 3, got d = 4\n"
 
 
 def _logistic_csv(tmp_path) -> str:
@@ -514,10 +561,17 @@ def test_one_dimensional_oracle_grid_stays_in_the_ball(tmp_path, capsys):
     assert np.abs(_tiled_grid(1, 1.0, 1e-3)).max() <= 1.0
 
 
+def _ball_grid(dim: int, ball: float, step: float) -> np.ndarray:
+    # the oracle's grid: the axis's meshgrid("ij") points in the ball, in order
+    axis = np.arange(-ball, ball + step / 2.0, step)
+    grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    return grid[np.linalg.norm(grid, axis=1) <= ball]
+
+
 def _tiled_grid(dim: int, ball: float, step: float) -> np.ndarray:
     # every tile's points in the ball, in the order of their grid index
     axis, tiles = cli._oracle_tiles(dim, ball, step)
-    assert (tiles[..., 1] - tiles[..., 0] < cli._ORACLE_TILE).all()
+    assert (np.prod(tiles[..., 1] - tiles[..., 0] + 1, axis=1) <= cli._TILE_POINTS).all()
     pieces = [cli._tile_points(axis, ball, tile) for tile in tiles]
     points = np.concatenate([p for p, _ in pieces])
     index = np.concatenate([i for _, i in pieces])
@@ -526,21 +580,20 @@ def _tiled_grid(dim: int, ball: float, step: float) -> np.ndarray:
 
 
 def test_oracle_tiles_cover_the_grid_in_order(monkeypatch):
-    for ball, step in ((1.0, 0.02), (1.0, 0.3), (1.0, 1.0), (5.0, 0.05)):
-        axis = np.arange(-ball, ball + step / 2.0, step)
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        plane = np.column_stack([xx.ravel(), yy.ravel()])
-        plane = plane[np.linalg.norm(plane, axis=1) <= ball]
-        # tile 7 cuts the axis of every grid but the coarsest two
-        line = axis[np.abs(axis) <= ball][:, None]
-        for tile in (1, 7, 64, cli._ORACLE_TILE):
-            monkeypatch.setattr(cli, "_ORACLE_TILE", tile)
-            for dim, grid in ((1, line), (2, plane)):
-                np.testing.assert_array_equal(_tiled_grid(dim, ball, step), grid)
+    # tiles of 1 point, and of 50 and 512 points (7 and 22 a side at d = 2,
+    # 3 and 8 at d = 3), which cut the axes of the finer grids
+    grids = [(1.0, 0.02), (1.0, 0.3), (1.0, 1.0), (5.0, 0.05)]
+    cubes = [(1.0, 0.1), (1.0, 0.3), (1.0, 1.0), (2.0, 0.1)]
+    for points in (1, 50, 512, cli._TILE_POINTS):
+        monkeypatch.setattr(cli, "_TILE_POINTS", points)
+        for dim, ball, step in [(d, *g) for d in (1, 2) for g in grids] + [(3, *g) for g in cubes]:
+            grid = _ball_grid(dim, ball, step)
+            np.testing.assert_array_equal(_tiled_grid(dim, ball, step), grid, (dim, ball, step))
 
 
 def test_oracle_tiles_change_no_output(tmp_path, monkeypatch):
-    # tile 1 bounds single points, 7 cuts every axis, and 64 is the default
+    # tiles of 1 point bound single points, of 49 (7 a side at d = 2, 3 at
+    # d = 3) and 512 cut every axis, and 4,096 is the default
     opposing = tmp_path / "opposing.json"
     opposing.write_text(OPPOSING_SPEC)
     specs = {}
@@ -548,6 +601,7 @@ def test_oracle_tiles_change_no_output(tmp_path, monkeypatch):
         ("motivating", motivating_spec()),
         ("planar", planar_spec()),
         ("three_group", three_group_spec()),
+        ("cubic", random_problem_spec(np.random.default_rng(3), m=3, d=3, radius=3.0)),
     ):
         specs[name] = tmp_path / f"{name}.json"
         save_problem_spec(spec, specs[name])
@@ -558,8 +612,9 @@ def test_oracle_tiles_change_no_output(tmp_path, monkeypatch):
         # ri and leximin tie at 0 in every tiling; nash finds no row helping both
         (opposing, "0.5", "ri,leximin,gdro,mmv,mmr"),
         (opposing, "0.5", ",".join(METHODS)),
-        # a step just under 2r/21: at tile 7 a visited tile holds no in-ball point
+        # a step just under 2r/21: at 7 a side a visited tile holds no in-ball point
         (specs["three_group"], "0.4761", ",".join(METHODS)),
+        (specs["cubic"], "0.2", ",".join(METHODS)),
     ]
     tile_points, empty = cli._tile_points, []
 
@@ -570,15 +625,15 @@ def test_oracle_tiles_change_no_output(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_tile_points", spy)
     seen = {}
-    for tile in (1, 7, 64, cli._ORACLE_TILE):
-        monkeypatch.setattr(cli, "_ORACLE_TILE", tile)
+    for points in (1, 49, 512, cli._TILE_POINTS):
+        monkeypatch.setattr(cli, "_TILE_POINTS", points)
         for i, (path, step, methods) in enumerate(runs):
-            out = tmp_path / f"run{i}-{tile}.csv"
+            out = tmp_path / f"run{i}-{points}.csv"
             argv = ["compare", "--spec", str(path), "--oracle-grid", step, "--methods", methods]
             code = main(argv + ["--out", str(out)])
             got = (code, out.read_bytes() if out.exists() else None)
-            assert seen.setdefault(i, got) == got, (path.name, step, tile)
-    assert [seen[i][0] for i in range(len(runs))] == [0, 0, 0, 0, 3, 0]
+            assert seen.setdefault(i, got) == got, (path.name, step, points)
+    assert [seen[i][0] for i in range(len(runs))] == [0, 0, 0, 0, 3, 0, 0]
     assert any(empty)
 
 
@@ -619,14 +674,17 @@ def test_oracle_column_is_each_criterion_best_over_the_grid(tmp_path, capsys):
 def test_oracle_memory_is_bounded_by_the_tile():
     # planar: 785K points in the ball, which take 69 MB to score all at once;
     # logistic: 10K points, whose scores against each group's 500 rows, taken
-    # all at once, would hold 41 MB
+    # all at once, would hold 41 MB; cubic: 113M points in the ball, whose
+    # tiles held 54 MB at 64 points a side
     spec = planar_spec()
     logistic = LogisticGroupRisks(
         *random_logistic_dataset(np.random.default_rng(0), m=2, d=2, n=500, radius=2.0)
     )
+    cubic = random_problem_spec(np.random.default_rng(4), m=3, d=3, radius=3.0)
     jobs = (
         (group_risk_model(spec), population_frame(spec), spec.radius, 2e-3),
         (logistic, logistic.frame(2.0), 2.0, 0.035),
+        (group_risk_model(cubic), population_frame(cubic), cubic.radius, 0.01),
     )
     for model, frame, ball, step in jobs:
         tracemalloc.start()
@@ -638,19 +696,31 @@ def test_oracle_memory_is_bounded_by_the_tile():
         assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
-def _exhaustive_oracle(model, frame, ball: float, step: float) -> dict[str, str] | None:
-    # every in-ball grid point scored at once, each criterion's first best row; None for a nash refusal
-    axis = np.arange(-ball, ball + step / 2.0, step)
-    grid = np.stack(np.meshgrid(*[axis] * model.dim, indexing="ij"), axis=-1)
-    grid = grid.reshape(-1, model.dim)
-    risks = model.values(grid[np.linalg.norm(grid, axis=1) <= ball])
+def _exhaustive_oracle(model, frame, ball: float, step: float) -> dict[str, str]:
+    # every in-ball grid point scored at once, each criterion's first best row; no nash where it refuses
+    risks = model.values(_ball_grid(model.dim, ball, step))
     out = {}
     for method in METHODS:
         scores = criterion_scores("ri" if method == "leximin" else method, frame, risks)
-        if method == "nash" and scores.max() == -np.inf:
-            return None
-        out[method] = criterion_value(method, frame, risks[np.argmax(scores)]).hex()
+        if scores.max() > -np.inf:
+            out[method] = criterion_value(method, frame, risks[np.argmax(scores)]).hex()
     return out
+
+
+def _assert_oracle_matches_an_exhaustive_scan(jobs) -> tuple[int, int]:
+    # the oracle's bits against the scan's for every method, and a nash refusal
+    # where the scan has no nash row; returns (values matched, refusals)
+    matched = refusals = 0
+    for i, (model, frame, ball, step) in enumerate(jobs):
+        expected = _exhaustive_oracle(model, frame, ball, step)
+        if "nash" not in expected:
+            refusals += 1
+            with pytest.raises(DegenerateBargainError):
+                cli._oracle_objectives(model, frame, ball, step, METHODS)
+        got = cli._oracle_objectives(model, frame, ball, step, tuple(expected))
+        assert {method: value.hex() for method, value in got.items()} == expected, i
+        matched += len(got)
+    return matched, refusals
 
 
 def test_oracle_matches_an_exhaustive_scan_bit_for_bit(tmp_path):
@@ -686,17 +756,25 @@ def test_oracle_matches_an_exhaustive_scan_bit_for_bit(tmp_path):
             *random_logistic_dataset(np.random.default_rng(seed), m=3, d=2, n=200, radius=2.0)
         )
         jobs.append((model, model.frame(2.0), 2.0, 0.05))
-    refusals = 0
-    for i, (model, frame, ball, step) in enumerate(jobs):
-        expected = _exhaustive_oracle(model, frame, ball, step)
-        if expected is None:
-            refusals += 1
-            with pytest.raises(DegenerateBargainError):
-                cli._oracle_objectives(model, frame, ball, step, METHODS)
-            continue
-        got = cli._oracle_objectives(model, frame, ball, step, METHODS)
-        assert {method: value.hex() for method, value in got.items()} == expected, i
+    _, refusals = _assert_oracle_matches_an_exhaustive_scan(jobs)
     assert 0 < refusals < len(jobs)
+
+
+def test_three_dimensional_oracle_matches_an_exhaustive_scan_bit_for_bit():
+    rng = np.random.default_rng(5)
+    jobs = []
+    for _ in range(40):
+        spec = random_problem_spec(rng, m=int(rng.integers(2, 5)), d=3, radius=3.0)
+        step = float(rng.choice([0.1, 0.15, 0.29]))
+        jobs.append((group_risk_model(spec), population_frame(spec), spec.radius, step))
+    for seed in range(3):
+        model = LogisticGroupRisks(
+            *random_logistic_dataset(np.random.default_rng(seed), m=2, d=3, n=60, radius=2.0)
+        )
+        jobs.append((model, model.frame(2.0), 2.0, 0.25))
+    quadratic = _assert_oracle_matches_an_exhaustive_scan(jobs[:40])
+    logistic = _assert_oracle_matches_an_exhaustive_scan(jobs[40:])
+    assert (quadratic, logistic) == ((234, 6), (17, 1))
 
 
 def test_oracle_scores_a_small_share_of_the_planar_grid():

@@ -1281,6 +1281,36 @@ def test_rank_deficient_specs_report_or_refuse():
         assert rep.objective_value + rep.certificate_gap >= top, k
 
 
+def test_three_dimensional_census_specs_stay_within_the_grid_oracle():
+    # the d = 3 specs of the seed-5 census stream against --oracle-grid 0.1;
+    # nash is left out where its solve refuses or no grid row gains for every group
+    rng = np.random.default_rng(5)
+    checked, refused, gridless = 0, 0, 0
+    for k in range(300):
+        spec = random_problem_spec(rng, m=int(rng.integers(2, 6)), d=int(rng.integers(1, 4)))
+        if spec.dim != 3:
+            continue
+        model, frame = _setup(spec)
+        reports = {}
+        for method in METHODS:
+            try:
+                reports[method] = solve(method, model, frame, spec.radius, CFG)
+            except DegenerateBargainError:
+                refused += 1
+        try:
+            oracle = cli._oracle_objectives(model, frame, spec.radius, 0.1, reports)
+        except DegenerateBargainError:
+            gridless += 1
+            reports.pop("nash")
+            oracle = cli._oracle_objectives(model, frame, spec.radius, 0.1, reports)
+        for method, value in oracle.items():
+            rep = reports[method]
+            assert rep.certified(CFG.tol), (k, method)
+            assert_oracle_within_certificate(method, rep.objective_value, rep.certificate_gap, value)
+        checked += len(oracle)
+    assert (checked, refused, gridless) == (631, 18, 11)
+
+
 def test_free_groups_are_the_groups_not_pinned(monkeypatch):
     # the master holds one weight per free group, and is built at the first
     # round, after one dual evaluation, which weighs the free groups uniformly
