@@ -5,9 +5,11 @@ spec (`draw_moments`, exactly the moments of n rows per group, at a cost that
 does not grow with n), solve the maximin relative-improvement problem on the
 empirical risks, and score the returned parameter under the population risks.
 The per-trial gap is the population maximin value minus the population worst
-improvement at that plug-in point, so when the empirical problem has several
-optima it depends on which one the solver returns. Its median should shrink
-like one over the square root of the sample size.
+improvement at that plug-in point. Each trial's solve starts warm at the
+population optimum, so when the empirical problem has several optima the gap
+is that of the optimum this warm-started solve reaches. Its median should
+shrink like one over the square root of the sample size. A population or
+trial solve that stops short of tol raises ConvergenceError.
 
 The sample is conditioned: a draw whose empirical frame is degenerate, or in
 which some group's empirical baseline-to-ideal gap is at most half the
@@ -29,7 +31,7 @@ from fairgain.core import (
     relative_improvements,
 )
 from fairgain.risk_models import ProblemSpec, QuadraticGroupRisks, draw_moments
-from fairgain.solvers import SolverConfig, solve
+from fairgain.solvers import SolverConfig, minimax, solve
 
 _GAP_FLOOR = 1e-8  # keeps log-log slope fits finite when a trial lands exactly
 
@@ -72,12 +74,20 @@ def fit_rate_slope(sample_sizes, gaps: np.ndarray) -> float:
 
 def _population_target(
     spec: ProblemSpec, cfg: SolverConfig
-) -> tuple[QuadraticGroupRisks, BargainingFrame, float]:
-    """Population risks, frame and maximin value that every trial is scored against."""
+) -> tuple[QuadraticGroupRisks, BargainingFrame, float, np.ndarray]:
+    """Population risks, frame, maximin value and point that every trial is scored against.
+
+    The point warm-starts every trial's solve. A solve that stops short of
+    tol raises ConvergenceError: every gap would be measured from its value.
+    """
     model = QuadraticGroupRisks.from_problem_spec(spec)
     frame = model.frame(spec.radius)
-    value = float(solve("ri", model, frame, spec.radius, cfg).objective_value)
-    return model, frame, value
+    report = solve("ri", model, frame, spec.radius, cfg)
+    if not report.certified(cfg.tol):
+        raise ConvergenceError(
+            f"the population ri solve stopped at gap {report.certificate_gap:.3e} above tol {cfg.tol:.1e}"
+        )
+    return model, frame, float(report.objective_value), np.asarray(report.parameter)
 
 
 def _trial_gap(
@@ -86,16 +96,18 @@ def _trial_gap(
     trial: int,
     seed: int,
     cfg: SolverConfig,
-    target: tuple[QuadraticGroupRisks, BargainingFrame, float],
+    target: tuple[QuadraticGroupRisks, BargainingFrame, float, np.ndarray],
 ) -> tuple[float, int]:
     """One empirical solve scored under the population, and the draws rejected first.
 
     A draw whose empirical frame is degenerate, or whose smallest
     baseline-to-ideal gap is at most half the population's, is too degenerate
     to define a stable empirical frame, so it is resampled under the next
-    attempt's seed.
+    attempt's seed. The solve starts warm at the population point, which lies
+    O(n^-1/2) from the empirical optimum, and only its point and certificate
+    are read; one that stops short of tol raises ConvergenceError.
     """
-    pop_model, pop_frame, pop_value = target
+    pop_model, pop_frame, pop_value, pop_point = target
     min_gap_required = 0.5 * float(pop_frame.gap_array().min())
     for attempt in range(200):
         rng = np.random.default_rng(
@@ -110,8 +122,11 @@ def _trial_gap(
             break
     else:
         raise ConvergenceError(f"could not draw a usable sample of size {n} in 200 attempts")
-    report = solve("ri", emp, frame, spec.radius, cfg)
-    theta = np.asarray(report.parameter)
+    theta, upper, lower, _ = minimax("ri", emp, frame, spec.radius, cfg, warm=(pop_point,))
+    if upper - lower > cfg.tol:
+        raise ConvergenceError(
+            f"the ri solve of trial {trial} at n = {n} stopped at gap {upper - lower:.3e} above tol {cfg.tol:.1e}"
+        )
     pop_rho = relative_improvements(pop_model.values(theta), pop_frame)
     raw = pop_value - float(pop_rho.min())
     if raw < -10.0 * cfg.tol:
@@ -144,6 +159,8 @@ def run_convergence(
         raise ValueError(f"sample sizes must increase strictly, got {sizes}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if seed < 0:  # SeedSequence's own message would not name the seed
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     cfg = cfg or SolverConfig()
     target = _population_target(spec, cfg)
     gaps = np.empty((len(sizes), trials))

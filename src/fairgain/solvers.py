@@ -39,9 +39,13 @@ above tol. ri, leximin's stage 0 and nash's refusal test and start share one
 solve per (model, frame, ball, config): a memo with one entry keeps the last
 such solve, and with it the last model.
 
-solve(method, model, frame, ball, cfg) is the only solver entry, ball a
-positive finite radius, and its report's objective_value is
-core.criterion_value at the reported risks, clamped at 0.
+solve(method, model, frame, ball, cfg) is the solver entry for all six
+criteria, ball a positive finite radius, and its report's objective_value is
+core.criterion_value at the reported risks, clamped at 0. Beside it,
+minimax(method, model, frame, ball, cfg, warm) returns a worst-group
+criterion's point and certificate bounds without a report, and takes warm
+points: the convergence study starts each trial's solve at the population
+optimum.
 """
 
 from __future__ import annotations
@@ -441,16 +445,40 @@ def _kkt_newton(
     return project_ball(theta, ball), y
 
 
-def _worst_group_minimax(method: str, model, frame: BargainingFrame, ball: float, cfg: SolverConfig):
-    """One worst-group criterion's :func:`_dual_minimax`, unpinned, from the usual warm points."""
+def minimax(
+    method: str,
+    model,
+    frame: BargainingFrame,
+    ball: float,
+    cfg: SolverConfig = SolverConfig(),
+    warm: Sequence[np.ndarray] = (),
+) -> tuple[np.ndarray, float, float, int]:
+    """(theta, upper, lower, evaluations) of one worst-group criterion, unpinned.
+
+    method is ri, gdro, mmv or mmr, and upper - lower is the certificate
+    that solve reports. Each warm point must be finite with shape (d,); it is
+    projected onto the ball and tracked after theta = 0 and the seeded point
+    of cfg.seed, so a start near the optimum saves the endgame Newton steps.
+    Without warm points this is the solve that solve(method, ...) reports.
+    The returned theta is read-only: the ri memo hands it to every later
+    caller.
+    """
+    if method not in WORST_GROUP:
+        raise ValueError(f"minimax takes one of {tuple(WORST_GROUP)}, got {method!r}")
     shifts, scales, _ = WORST_GROUP[method](frame)
-    out = _dual_minimax(model, shifts, scales, ball, cfg, _initial_point(model.dim, ball, cfg))
-    out[0].setflags(write=False)  # the memo below hands this array to every later caller
+    points = list(_initial_point(model.dim, ball, cfg))
+    for point in warm:
+        point = np.array(point, dtype=float)  # a copy: the caller's array is not frozen below
+        if point.shape != (model.dim,) or not np.isfinite(point).all():
+            raise ValueError(f"a warm point must be finite with shape ({model.dim},), got {point.tolist()}")
+        points.append(project_ball(point, ball))
+    out = _dual_minimax(model, shifts, scales, ball, cfg, points)
+    out[0].setflags(write=False)
     return out
 
 
 # the last ri solve, keyed by the model's identity and the frame, ball and config by value
-_ri_minimax = lru_cache(maxsize=1)(_worst_group_minimax)
+_ri_minimax = lru_cache(maxsize=1)(minimax)
 
 
 def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tuple:
@@ -562,7 +590,7 @@ def solve(
     if ball is None or not 0.0 < ball < math.inf:
         raise ValueError(f"ball must be a positive finite radius, got {ball!r}")
     if method in WORST_GROUP:
-        run = _ri_minimax if method == "ri" else _worst_group_minimax
+        run = _ri_minimax if method == "ri" else minimax
         theta, hi, lo, iters = run(method, model, frame, ball, cfg)
         cert = hi - lo
     elif method == "leximin":

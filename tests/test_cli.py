@@ -165,6 +165,10 @@ def test_exit_code_config_errors(tmp_path, spec_file, capsys):
     assert main(["compare", "--spec", spec_file, "--loss", "squared"]) == 2
     for command in ("solve", "compare"):
         assert main([command, "--spec", spec_file, "--seed", "-1"]) == 2, command
+    # run_convergence checks its seed itself, so the message names it
+    capsys.readouterr()
+    assert main(["converge", "--spec", spec_file, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
     for command in ("frontier", "riskset"):
         assert main([command, "--spec", spec_file, "--seed", "5"]) == 2, command
         assert main([command, "--spec", spec_file, "--tol", "3"]) == 2, command
@@ -381,6 +385,13 @@ def test_exit_code_convergence(tmp_path, monkeypatch, capsys):
     code = main(["solve", "--data", data, "--loss", "logistic", "--methods", "ri"])
     assert code == 5
     assert capsys.readouterr().err.startswith("error: logistic minimization stalled")
+
+
+def test_exit_code_convergence_in_an_uncertified_study(spec_file, capsys):
+    # every ri solve of this study stops near a gap of 5e-14, which no tol of 1e-300 admits
+    argv = ["converge", "--spec", spec_file, "--ns", "100,400", "--trials", "3", "--tol", "1e-300"]
+    assert main(argv) == 5
+    assert capsys.readouterr().err.startswith("error: the population ri solve stopped at gap")
 
 
 def test_exit_code_convergence_in_a_dual_evaluation(tmp_path, monkeypatch, capsys):

@@ -7,8 +7,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fairgain import risk_models
+from fairgain import empirical_study, risk_models
+from fairgain.core import ConvergenceError
 from fairgain.empirical_study import (
+    _population_target,
+    _trial_gap,
     fit_rate_slope,
     gap_certificate,
     run_convergence,
@@ -56,6 +59,30 @@ def test_different_seeds_differ(motivating):
 def test_single_size_rejected(motivating):
     with pytest.raises(ValueError):
         run_convergence(motivating, (150,), trials=4, seed=1, cfg=CFG)
+
+
+def test_an_uncertified_solve_stops_the_study(motivating):
+    # every ri solve of this study stops near a gap of 5e-14, above this tol
+    tight = SolverConfig(tol=1e-300)
+    with pytest.raises(ConvergenceError, match="population ri solve stopped at gap"):
+        run_convergence(motivating, (100, 400), trials=2, seed=0, cfg=tight)
+    target = _population_target(motivating, CFG)
+    with pytest.raises(ConvergenceError, match="solve of trial 1 at n = 400 stopped at gap"):
+        _trial_gap(motivating, 400, 1, 0, tight, target)
+
+
+def test_trials_start_warm_at_the_population_point(motivating, monkeypatch):
+    starts, real = [], empirical_study.minimax
+
+    def spy(*args, warm=()):
+        starts.append(warm)
+        return real(*args, warm=warm)
+
+    monkeypatch.setattr(empirical_study, "minimax", spy)
+    run_convergence(motivating, (100, 400), trials=2, seed=0, cfg=CFG)
+    point = _population_target(motivating, CFG)[3]
+    assert len(starts) == 4
+    assert all(len(warm) == 1 and warm[0].tobytes() == point.tobytes() for warm in starts)
 
 
 def test_gap_decreases_with_n(motivating):

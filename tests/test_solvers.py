@@ -36,6 +36,7 @@ from fairgain.solvers import (
     SolverConfig,
     _GameMaster,
     group_risk_model,
+    minimax,
     solve,
 )
 from tests.conftest import (
@@ -1507,6 +1508,55 @@ def test_the_ri_memo_keeps_only_the_last_model_alive():
     solve("ri", QuadraticGroupRisks.from_problem_spec(spec), frame, spec.radius, CFG)
     gc.collect()
     assert last() is None
+
+
+WORST_GROUP_METHODS = ("ri", "gdro", "mmv", "mmr")
+
+
+def test_minimax_without_warm_points_is_the_solve():
+    for i, spec in enumerate(_criterion_3_specs(60)):
+        model, frame = _setup(spec)
+        for method in WORST_GROUP_METHODS:
+            theta, hi, lo, evals = minimax(method, model, frame, spec.radius, CFG)
+            rep = solve(method, model, frame, spec.radius, CFG)
+            assert rep.parameter == tuple(theta), (i, method)
+            assert (rep.certificate_gap, rep.iterations) == (hi - lo, evals), (i, method)
+
+
+def test_minimax_certifies_from_any_warm_point():
+    # warm at the cold solve's point, at a seeded point inside the ball and at
+    # one 10 radii out, every solve certifies inside the ball; ri's bracket
+    # meets the cold solve's (mmv's need not: ROADMAP item 1's false bound)
+    draws = np.random.default_rng(123)
+    deficient = (s for s in (rank_deficient_spec(draws) for _ in itertools.count()) if s is not None)
+    specs = _criterion_3_specs(100) + list(itertools.islice(deficient, 100))
+    for i, spec in enumerate(specs):
+        model, frame = _setup(spec)
+        ball = spec.radius
+        u = np.random.default_rng(i).normal(size=model.dim)
+        u /= np.linalg.norm(u)
+        for method in WORST_GROUP_METHODS:
+            cold = minimax(method, model, frame, ball, CFG)
+            for warm in (cold[0], 0.5 * ball * u, 10.0 * ball * u):
+                theta, hi, lo, _ = minimax(method, model, frame, ball, CFG, warm=(warm,))
+                assert hi - lo <= CFG.tol and np.linalg.norm(theta) <= ball * (1.0 + 1e-12), (i, method)
+                if method == "ri":
+                    assert lo <= cold[1] and cold[2] <= hi, (i, warm)
+
+
+def test_minimax_refuses_a_warm_point_that_is_not_a_finite_vector(motivating):
+    model, frame = _setup(motivating)
+    for warm in (np.array([np.nan]), np.array([np.inf]), np.zeros(2), np.zeros((1, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="warm point"):
+            minimax("ri", model, frame, motivating.radius, CFG, warm=(warm,))
+    with pytest.raises(ValueError, match="minimax takes one of"):
+        minimax("leximin", model, frame, motivating.radius, CFG)
+    # minimax freezes the point it returns, but a warm point at the optimum,
+    # which it returns, stays the caller's to write
+    warm = np.array(minimax("gdro", model, frame, motivating.radius, CFG)[0])
+    theta = minimax("gdro", model, frame, motivating.radius, CFG, warm=(warm,))[0]
+    assert not theta.flags.writeable and theta.tobytes() == warm.tobytes()
+    warm[0] = 0.0
 
 
 def test_a_larger_ball_that_keeps_one_ideal_never_hurts_the_other_group():
