@@ -122,7 +122,7 @@ def _trial_gap(
             break
     else:
         raise ConvergenceError(f"could not draw a usable sample of size {n} in 200 attempts")
-    theta, upper, lower, _ = minimax("ri", emp, frame, spec.radius, cfg, warm=(pop_point,))
+    theta, upper, lower, _, _ = minimax("ri", emp, frame, spec.radius, cfg, warm=(pop_point,))
     if upper - lower > cfg.tol:
         raise ConvergenceError(
             f"the ri solve of trial {trial} at n = {n} stopped at gap {upper - lower:.3e} above tol {cfg.tol:.1e}"

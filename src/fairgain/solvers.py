@@ -20,7 +20,10 @@ cutting plane closes the lower bound slowly, so an endgame takes Newton
 steps on the KKT system of the constraints near-active at the best point
 (Nocedal & Wright 2006, ch. 18), one derivatives(theta) call a step: once
 from the uniform weights, before any master round, where at most d + 1
-constraints make a single choice, and after each round. The Newton point is
+constraints make a single choice, and after each round. A pinned leximin
+stage first makes one more try, from a start that a second-order estimate
+reads off the previous stage's point and multipliers, which move smoothly as
+the pins' caps shift (Fiacco 1983). The Newton point is
 one more candidate, scored exactly, and its multipliers, clipped at 0 with
 the free part put on the simplex, give one more weighted minimization: by
 weak duality a valid lower bound for any such weights, so the endgame can
@@ -37,15 +40,16 @@ once, by an AM-GM bound at the weights 1/gains of its stationary point; it
 refuses first when the ri solve's certified bound shows that no point gains
 above tol. ri, leximin's stage 0 and nash's refusal test and start share one
 solve per (model, frame, ball, config): a memo with one entry keeps the last
-such solve, and with it the last model.
+such solve, with the weights behind its lower bound that open leximin's
+stage 1, and with it the last model.
 
 solve(method, model, frame, ball, cfg) is the solver entry for all six
 criteria, ball a positive finite radius, and its report's objective_value is
 core.criterion_value at the reported risks, clamped at 0. Beside it,
 minimax(method, model, frame, ball, cfg, warm) returns a worst-group
-criterion's point and certificate bounds without a report, and takes warm
-points: the convergence study starts each trial's solve at the population
-optimum.
+criterion's point, certificate bounds, evaluations and the weights behind
+its lower bound without a report, and takes warm points: the convergence
+study starts each trial's solve at the population optimum.
 """
 
 from __future__ import annotations
@@ -213,7 +217,8 @@ def _dual_minimax(
     warm: Sequence[np.ndarray] = (),
     pin_idx: np.ndarray | None = None,
     pin_caps: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, float, int]:
+    opening: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, float, float, int, np.ndarray]:
     """Minimize F(theta) = max over free groups of (R_g - shifts_g)/scales_g.
 
     Pinned groups, when given, are hard constraints
@@ -227,10 +232,17 @@ def _dual_minimax(
     master's value meets the lower bound the primal side closes too. The
     endgame's KKT Newton steps, from the uniform weights when at most d + 1
     constraints make one choice and after each round, add a candidate and a
-    dual evaluation of their own, which the master never sees. Returns (theta,
-    upper, lower, evals) where upper - lower is a sound certificate by weak
-    duality, and evals counts the starting points and dual evaluations, the
-    endgame's included. Some warm point must meet every pin, so that a
+    dual evaluation of their own, which the master never sees. opening, when
+    given, is (start, lam, mu): one more Newton try, made right after the
+    uniform evaluation, on the free groups with lam > 0 and the pins with
+    mu > 0, from start with those weights; start itself is never a
+    candidate. Returns (theta, upper, lower, evals, weights) where
+    upper - lower is a sound certificate by weak duality, evals counts the
+    starting points and dual evaluations, the endgame's included, and
+    weights (m,) holds the free groups' lam and the pins' mu of the
+    evaluation that set the lower bound: one model.minimize there, with
+    dual_at's constant and allowance, gives lower, or upper where rounding
+    lifts that value above it. Some warm point must meet every pin, so that a
     feasible candidate exists. One that sits on a pin's cap can stall the
     master's single warm pass, so each leximin stage starts from a point
     that clears every pin by a margin.
@@ -251,6 +263,8 @@ def _dual_minimax(
     best_theta: np.ndarray | None = None
     best_f = np.zeros(m)  # the normalized risks at best_theta
     best_lower = -np.inf
+    # the free groups' and the pins' weights behind best_lower, zero while it is -inf
+    best_lam, best_mu = np.zeros(len(free)), np.zeros(len(pin_idx))
     cuts: list[np.ndarray] = []
     points: list[np.ndarray] = []
 
@@ -273,23 +287,49 @@ def _dual_minimax(
 
     def dual_at(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Raise the lower bound to the dual value at (lam, mu); returns the weighted minimizer."""
-        nonlocal best_lower
+        nonlocal best_lower, best_lam, best_mu, evals
         w, const = lam * inv_free, -float(lam @ shift_free)
         if len(pin_idx):  # unpinned, w is lam * inv_free and mu's terms are empty
             w = np.zeros(m)
             w[free], w[pin_idx] = lam * inv_free, mu * inv_pin
             const -= float(mu @ shift_pin)
         theta_hat, _, low = model.minimize(w, ball)
+        evals += 1
         # the sum rounds at its terms' scale, which grows with the multipliers
-        best_lower = max(best_lower, low + const - 128.0 * _EPS * (abs(low) + abs(const)))
+        bound = low + const - 128.0 * _EPS * (abs(low) + abs(const))
+        if bound > best_lower:
+            best_lower, best_lam, best_mu = bound, lam, mu
         # the ball solve meets the sphere only to its tolerance: a minimizer
         # just outside would score below the ball's minimum
         return project_ball(theta_hat, ball)
 
+    def attempt(start, lam, mu, chosen, sub) -> np.ndarray | None:
+        """One KKT Newton try from start on the free groups chosen and the pins sub.
+
+        Scores the Newton point and evaluates the dual at its multipliers,
+        clipped at 0 with the free part put on the simplex, where some free
+        one stays positive. Returns the multipliers, or None: the try was dropped.
+        """
+        out = _kkt_newton(
+            model, shifts, scales, start, best_upper, np.concatenate([lam[chosen], mu[sub]]),
+            np.concatenate([free[chosen], pin_idx[sub]]), len(chosen), pin_caps[sub], ball,
+        )
+        if out is None:
+            return None
+        theta, y = out
+        score(theta)
+        weights = np.maximum(y, 0.0)
+        total = float(weights[: len(chosen)].sum())
+        if total > 0.0:
+            lam_free, mu_pin = np.zeros(len(free)), np.zeros(len(pin_idx))
+            lam_free[chosen], mu_pin[sub] = weights[: len(chosen)] / total, weights[len(chosen) :]
+            dual_at(lam_free, mu_pin)
+        return y
+
     tried, tried_gap = None, np.inf
 
-    def endgame(lam: np.ndarray, mu: np.ndarray) -> int:
-        """KKT Newton tries from the incumbent; returns the dual evaluations made.
+    def endgame(lam: np.ndarray, mu: np.ndarray) -> None:
+        """KKT Newton tries from the incumbent.
 
         lam and mu are the master's weights, or the opening uniform ones,
         which weigh every free group. The constraints are the free groups
@@ -313,7 +353,7 @@ def _dual_minimax(
         close = np.flatnonzero((best_f[pin_idx] - pin_caps >= -gap) | (mu > 0.0))
         key = near.tolist(), close.tolist()
         if len(near) + len(close) < 2 or (key == tried and gap > _RETRY_SHRINK * tried_gap):
-            return 0
+            return
         tried, tried_gap = key, gap
         # worst first, and among ties (a degenerate vertex) the master's heaviest first
         near = near[np.lexsort((-lam[near], -best_f[free[near]]))]
@@ -324,37 +364,23 @@ def _dual_minimax(
             itertools.combinations(near, size),
             itertools.combinations(close, min(dim + 1 - size, len(close))),
         )
-        used = 0
         for chosen, sub in itertools.islice(tries, max(len(near), len(close))):
-            chosen, sub = np.array(chosen, dtype=int), np.array(sub, dtype=int)
-            out = _kkt_newton(
-                model, shifts, scales, best_theta, best_upper, np.concatenate([lam[chosen], mu[sub]]),
-                np.concatenate([free[chosen], pin_idx[sub]]), size, pin_caps[sub], ball,
-            )
-            if out is None:
+            y = attempt(best_theta, lam, mu, np.array(chosen, dtype=int), np.array(sub, dtype=int))
+            if y is None or best_upper - best_lower <= 0.5 * cfg.tol or not (y < 0.0).any():
                 break
-            theta, y = out
-            score(theta)
-            weights = np.maximum(y, 0.0)
-            total = float(weights[:size].sum())
-            if total > 0.0:
-                lam_free, mu_pin = np.zeros(len(free)), np.zeros(len(pin_idx))
-                lam_free[chosen], mu_pin[sub] = weights[:size] / total, weights[size:]
-                dual_at(lam_free, mu_pin)
-                used += 1
-            if best_upper - best_lower <= 0.5 * cfg.tol or not (y < 0.0).any():
-                break
-        return used
 
+    evals = 1 + len(warm)  # the starting points, and below one per dual evaluation
     track(np.zeros(model.dim))
     for point in warm:
         track(np.asarray(point, dtype=float))
     lam, mu = np.full(len(free), 1.0 / len(free)), np.zeros(len(pin_idx))
     track(dual_at(lam, mu))
-    evals = len(cuts)
+    if opening is not None and best_upper - best_lower > 0.5 * cfg.tol:
+        start, lam_0, mu_0 = opening
+        attempt(start, lam_0, mu_0, np.flatnonzero(lam_0 > 0.0), np.flatnonzero(mu_0 > 0.0))
     # at most d + 1 constraints make one choice, so the endgame opens at uniform weights
     if len(lam) + len(mu) <= model.dim + 1 and best_upper - best_lower > 0.5 * cfg.tol:
-        evals += endgame(lam, mu)
+        endgame(lam, mu)
 
     master = None  # built at the first round: a solve the opening closes needs none
     for _ in range(_MAX_ITERS):
@@ -368,11 +394,12 @@ def _dual_minimax(
         lam, mu, alpha = picked
         track(alpha @ np.asarray(points))
         track(dual_at(lam, mu))
-        evals += 1
         if best_upper - best_lower > 0.5 * cfg.tol:
-            evals += endgame(lam, mu)
+            endgame(lam, mu)
 
-    return best_theta, best_upper, min(best_lower, best_upper), evals
+    weights = np.zeros(m)
+    weights[free], weights[pin_idx] = best_lam, best_mu
+    return best_theta, best_upper, min(best_lower, best_upper), evals, weights
 
 
 def _kkt_newton(
@@ -452,16 +479,19 @@ def minimax(
     ball: float,
     cfg: SolverConfig = SolverConfig(),
     warm: Sequence[np.ndarray] = (),
-) -> tuple[np.ndarray, float, float, int]:
-    """(theta, upper, lower, evaluations) of one worst-group criterion, unpinned.
+) -> tuple[np.ndarray, float, float, int, np.ndarray]:
+    """(theta, upper, lower, evaluations, weights) of one worst-group criterion, unpinned.
 
     method is ri, gdro, mmv or mmr, and upper - lower is the certificate
-    that solve reports. Each warm point must be finite with shape (d,); it is
-    projected onto the ball and tracked after theta = 0 and the seeded point
-    of cfg.seed, so a start near the optimum saves the endgame Newton steps.
-    Without warm points this is the solve that solve(method, ...) reports.
-    The returned theta is read-only: the ri memo hands it to every later
-    caller.
+    that solve reports. weights (m,) lie on the simplex: the dual point
+    behind lower, whose one weighted minimization, with the groups' shifts
+    and scales and a 128-ulp allowance, gives lower (or upper, where
+    rounding lifts it above). Each warm point must be finite with shape
+    (d,); it is projected onto the ball and tracked after theta = 0 and the
+    seeded point of cfg.seed, so a start near the optimum saves the endgame
+    Newton steps. Without warm points this is the solve that
+    solve(method, ...) reports. The returned theta and weights are
+    read-only: the ri memo hands them to every later caller.
     """
     if method not in WORST_GROUP:
         raise ValueError(f"minimax takes one of {tuple(WORST_GROUP)}, got {method!r}")
@@ -474,6 +504,7 @@ def minimax(
         points.append(project_ball(point, ball))
     out = _dual_minimax(model, shifts, scales, ball, cfg, points)
     out[0].setflags(write=False)
+    out[4].setflags(write=False)
     return out
 
 
@@ -500,7 +531,7 @@ def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tupl
     """
     m = frame.num_groups
     base = frame.baseline_array()
-    theta, _, ri_lower, _ = _ri_minimax("ri", model, frame, ball, cfg)
+    theta, _, ri_lower, _, _ = _ri_minimax("ri", model, frame, ball, cfg)
     if -ri_lower <= cfg.tol:
         raise DegenerateBargainError(
             f"no point gives every group a gain: every worst improvement is <= {cfg.tol:.1e}"
@@ -531,6 +562,66 @@ def _nash(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tupl
     return ball * u, steps + 1, max(gap, 0.0)
 
 
+def _pinned_opening(model, base, gaps, ball, theta, weights, pin_idx, caps) -> tuple | None:
+    """(start, lam, mu), the Newton start that opens a pinned leximin stage, or None.
+
+    theta and weights are the previous stage's point and the weights behind
+    its lower bound, and y their part on this stage's pins, normalized to sum
+    1. In f = (R - base)/gaps the previous stage was stationary at theta with
+    those weights, so sum_j y_j grad f_j, with the sphere's share nu theta
+    where theta lies on it, is about 0, and the pins' first-order terms cancel:
+    the stage's optimum lies about sqrt(slack) away, slack = min_j (cap_j -
+    f_j(theta)) > 0. To second order it minimizes g0 . delta, g0 the gradient
+    of the worst free group, subject to delta' H delta / 2 <= slack, with
+    H = sum_j y_j hess f_j (+ nu I on the sphere), over the tangent space on
+    which every weighted pin but the heaviest, and the sphere, hold at first
+    order: the pins' ratio may move between stages, and H alone would lead
+    across them. With B an orthonormal basis of that space, z = (B'HB)^-1 B'g0
+    and s = sqrt(g0'Bz / (2 slack)), the try starts at P_ball(theta - Bz/s)
+    with pin multipliers s y and the worst free group's weight 1. None, and
+    the stage opens as any other: no pin weighted or no slack, no tangent
+    space left, or H not positive definite on it.
+    """
+    y = weights[pin_idx]
+    total = float(y.sum())
+    if not total > 0.0:
+        return None
+    y = y / total
+    risks, grads, hessians = model.derivatives(theta)
+    f = (risks - base) / gaps
+    slack = float((caps - f[pin_idx]).min())
+    if not slack > 0.0:
+        return None
+    g = grads / gaps[:, None]
+    is_free = np.ones(len(f), dtype=bool)
+    is_free[pin_idx] = False
+    free = np.flatnonzero(is_free)
+    worst = int(np.argmax(f[free]))
+    hess = np.tensordot(y / gaps[pin_idx], hessians[pin_idx], axes=1)
+    weighted = np.flatnonzero(y > 0.0)
+    normals = g[pin_idx[weighted[np.argsort(-y[weighted], kind="stable")][1:]]]
+    sq = float(theta @ theta)
+    if sq >= ball * ball * (1.0 - 1e-9):  # on the sphere, as _kkt_newton reads it
+        nu = max(-float(theta @ (y @ g[pin_idx])) / sq, 0.0)
+        hess = hess + nu * np.eye(len(theta))
+        normals = np.vstack([normals, theta])
+    if len(normals) >= len(theta):
+        return None
+    basis = np.linalg.svd(normals)[2][len(normals) :].T if len(normals) else np.eye(len(theta))
+    g0 = basis.T @ g[free[worst]]
+    try:
+        z = np.linalg.solve(basis.T @ hess @ basis, g0)
+    except np.linalg.LinAlgError:
+        return None
+    curv = float(g0 @ z)
+    if not (curv > 0.0 and np.isfinite(z).all()):
+        return None
+    scale = math.sqrt(curv / (2.0 * slack))
+    lam = np.zeros(len(free))
+    lam[worst] = 1.0
+    return project_ball(theta - basis @ z / scale, ball), lam, scale * y
+
+
 def _leximin(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> tuple:
     """(theta, iterations, certificate) lexicographically maximizing sorted improvements.
 
@@ -539,7 +630,9 @@ def _leximin(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> t
     pinned group may give up band * (2 - 2**-k) of its pin, band = tol/4, so
     stage k-1's point, from which stage k starts warm, clears each pin by at
     least band * 2**-k, and no pin gives up tol/2. The pins go to the dual as
-    hard constraints while it re-maximizes the worst improvement of the rest.
+    hard constraints while it re-maximizes the worst improvement of the rest,
+    and stage k opens with one Newton try from _pinned_opening's estimate,
+    read off stage k-1's point and the weights behind its lower bound.
     The certificate is the largest stage gap, or stage 0's bound on the worst
     improvement less the worst improvement at the returned point where this
     is larger, since the later stages may give up part of the band.
@@ -555,12 +648,12 @@ def _leximin(model, frame: BargainingFrame, ball: float, cfg: SolverConfig) -> t
             # rho_j >= pin - give reads as f_j <= give - pin in normalized risk units
             give = band * (2.0 - 0.5**k)
             caps = np.array([give - pins[g] for g in pin_idx])
-            theta, hi, lo, used = _dual_minimax(
-                model, base, gaps, ball, cfg, warm=(theta,),
-                pin_idx=pin_idx, pin_caps=caps,
+            theta, hi, lo, used, weights = _dual_minimax(
+                model, base, gaps, ball, cfg, warm=(theta,), pin_idx=pin_idx, pin_caps=caps,
+                opening=_pinned_opening(model, base, gaps, ball, theta, weights, pin_idx, caps),
             )
         else:
-            theta, hi, lo, used = _ri_minimax("ri", model, frame, ball, cfg)
+            theta, hi, lo, used, weights = _ri_minimax("ri", model, frame, ball, cfg)
             bound = -hi + (hi - lo)
         k += 1
         iters += used
@@ -591,7 +684,7 @@ def solve(
         raise ValueError(f"ball must be a positive finite radius, got {ball!r}")
     if method in WORST_GROUP:
         run = _ri_minimax if method == "ri" else minimax
-        theta, hi, lo, iters = run(method, model, frame, ball, cfg)
+        theta, hi, lo, iters, _ = run(method, model, frame, ball, cfg)
         cert = hi - lo
     elif method == "leximin":
         theta, iters, cert = _leximin(model, frame, ball, cfg)
