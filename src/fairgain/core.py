@@ -132,10 +132,6 @@ class BargainingFrame:
     def num_groups(self) -> int:
         return len(self.baseline_risks)
 
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        return tuple(b - i for b, i in zip(self.baseline_risks, self.ideal_risks))
-
     def baseline_array(self) -> np.ndarray:
         return self._baseline
 

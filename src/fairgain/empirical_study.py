@@ -8,8 +8,9 @@ The per-trial gap is the population maximin value minus the population worst
 improvement at that plug-in point. Each trial's solve starts warm at the
 population optimum, so when the empirical problem has several optima the gap
 is that of the optimum this warm-started solve reaches. Its median should
-shrink like one over the square root of the sample size. A population or
-trial solve that stops short of tol raises ConvergenceError.
+shrink like one over the square root of the sample size, and the result
+derives its log-log slope and per-size high quantiles from the gaps. A
+population or trial solve that stops short of tol raises ConvergenceError.
 
 The sample is conditioned: a draw whose empirical frame is degenerate, or in
 which some group's empirical baseline-to-ideal gap is at most half the
@@ -20,7 +21,7 @@ degenerate, not every draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,36 +32,38 @@ from fairgain.core import (
     relative_improvements,
 )
 from fairgain.risk_models import ProblemSpec, QuadraticGroupRisks, draw_moments
-from fairgain.solvers import SolverConfig, minimax, solve
+from fairgain.solvers import SolverConfig, minimax
 
 _GAP_FLOOR = 1e-8  # keeps log-log slope fits finite when a trial lands exactly
+QUANTILE_DELTA = 0.1  # the summary's per-size gap quantile is the (1 - delta) one
 
 
 @dataclass(frozen=True)
 class ConvergenceResult:
+    """A study's gaps, and a summary derived from them alone, so it never goes stale."""
+
     sample_sizes: tuple[int, ...]
     gaps: np.ndarray  # (len(sample_sizes), trials), clipped below at 0
-    fitted_slope: float
     trials: int
     seed: int
     rejected: tuple[int, ...]
     population_value: float
+    fitted_slope: float = field(init=False)  # of log median gap against log n
+    quantiles: tuple[float, ...] = field(init=False)  # per size, the (1 - QUANTILE_DELTA) one
+    quantile_non_increasing: bool = field(init=False)
 
     def __post_init__(self) -> None:
         gaps = np.array(self.gaps, dtype=float)
         if gaps.shape != (len(self.sample_sizes), self.trials):
             raise ValueError("gaps must be (len(sample_sizes), trials)")
         gaps.setflags(write=False)
+        q = np.quantile(gaps, 1.0 - QUANTILE_DELTA, axis=1)
         object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "rejected", tuple(int(k) for k in self.rejected))
-
-
-@dataclass(frozen=True)
-class GapCertificate:
-    delta: float
-    quantiles: tuple[float, ...]
-    non_increasing: bool
+        object.__setattr__(self, "fitted_slope", fit_rate_slope(self.sample_sizes, gaps))
+        object.__setattr__(self, "quantiles", tuple(float(v) for v in q))
+        object.__setattr__(self, "quantile_non_increasing", bool(np.all(np.diff(q) <= 1e-15)))
 
 
 def fit_rate_slope(sample_sizes, gaps: np.ndarray) -> float:
@@ -82,12 +85,12 @@ def _population_target(
     """
     model = QuadraticGroupRisks.from_problem_spec(spec)
     frame = model.frame(spec.radius)
-    report = solve("ri", model, frame, spec.radius, cfg)
-    if not report.certified(cfg.tol):
+    theta, upper, lower, _, _ = minimax("ri", model, frame, spec.radius, cfg)
+    if upper - lower > cfg.tol:
         raise ConvergenceError(
-            f"the population ri solve stopped at gap {report.certificate_gap:.3e} above tol {cfg.tol:.1e}"
+            f"the population ri solve stopped at gap {upper - lower:.3e} above tol {cfg.tol:.1e}"
         )
-    return model, frame, float(report.objective_value), np.asarray(report.parameter)
+    return model, frame, -upper + 0.0, theta  # the ri objective f = (R - b) / gap is -rho
 
 
 def _trial_gap(
@@ -149,7 +152,7 @@ def run_convergence(
     Each (size, trial, attempt) triple keys its own generator, so results are
     reproducible regardless of execution order. Draws whose empirical frame is
     degenerate or whose gap is at most half the population's are resampled
-    and counted in `rejected`.
+    and counted in `rejected`. The result derives its summary from the gaps.
     """
     sizes = [int(n) for n in sample_sizes]
     if len(sizes) < 2 or any(n < 2 for n in sizes):
@@ -169,24 +172,11 @@ def run_convergence(
         for trial in range(trials):
             gaps[i, trial], skipped = _trial_gap(spec, n, trial, seed, cfg, target)
             rejected[i] += skipped
-    slope = fit_rate_slope(sizes, gaps)
     return ConvergenceResult(
         sample_sizes=tuple(sizes),
         gaps=gaps,
-        fitted_slope=slope,
         trials=trials,
         seed=seed,
         rejected=tuple(rejected),
         population_value=target[2],
-    )
-
-
-def gap_certificate(result: ConvergenceResult, delta: float = 0.1) -> GapCertificate:
-    """Per-size (1 - delta) gap quantiles and whether they shrink with n."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must sit strictly between 0 and 1")
-    q = np.quantile(result.gaps, 1.0 - delta, axis=1)
-    non_increasing = bool(np.all(np.diff(q) <= 1e-15))
-    return GapCertificate(
-        delta=delta, quantiles=tuple(float(v) for v in q), non_increasing=non_increasing
     )

@@ -24,7 +24,7 @@ from conftest import (
 from fairgain import bargain_discrete as bd
 from fairgain import cli
 from fairgain.core import BargainingFrame
-from fairgain.empirical_study import gap_certificate, run_convergence
+from fairgain.empirical_study import run_convergence
 from fairgain.geometry import sample_risk_set, trace_frontier
 from fairgain.risk_models import (
     LogisticGroupRisks,
@@ -306,10 +306,9 @@ def test_criterion_09_convergence_rate():
             trials=50,
             seed=0,
         )
-        cert = gap_certificate(result, delta=0.1)
         elapsed = time.perf_counter() - start
         assert -0.65 <= result.fitted_slope <= -0.35, result.fitted_slope
-        assert cert.non_increasing, cert.quantiles
+        assert result.quantile_non_increasing, result.quantiles
         assert elapsed < 300.0, f"{elapsed:.1f}s"
 
 

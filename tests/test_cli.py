@@ -864,6 +864,12 @@ def test_converge_seed_seeds_only_the_draws(tmp_path):
     gaps = [float(line.split(",")[2]) for line in out.read_text().split()[1:]]
     study = run_convergence(load_problem_spec(spec), [100, 400], 4, 3, SolverConfig())
     assert gaps == study.gaps.ravel().tolist()
+    # the summary is the result's own, read off bit for bit
+    summary = json.loads((tmp_path / "gaps.csv.summary.json").read_text())
+    assert summary["fitted_slope"] == study.fitted_slope
+    assert summary["quantiles"] == list(study.quantiles)
+    assert summary["quantile_non_increasing"] is study.quantile_non_increasing
+    assert summary["quantile_delta"] == 0.1
 
 
 def test_solve_from_dataset_csv(tmp_path):

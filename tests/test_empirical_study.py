@@ -10,13 +10,13 @@ import pytest
 from fairgain import empirical_study, risk_models
 from fairgain.core import ConvergenceError
 from fairgain.empirical_study import (
+    ConvergenceResult,
     _population_target,
     _trial_gap,
     fit_rate_slope,
-    gap_certificate,
     run_convergence,
 )
-from fairgain.solvers import SolverConfig
+from fairgain.solvers import SolverConfig, solve
 
 CFG = SolverConfig(tol=1e-6)
 
@@ -72,6 +72,7 @@ def test_an_uncertified_solve_stops_the_study(motivating):
 
 
 def test_trials_start_warm_at_the_population_point(motivating, monkeypatch):
+    point = _population_target(motivating, CFG)[3]
     starts, real = [], empirical_study.minimax
 
     def spy(*args, warm=()):
@@ -80,38 +81,63 @@ def test_trials_start_warm_at_the_population_point(motivating, monkeypatch):
 
     monkeypatch.setattr(empirical_study, "minimax", spy)
     run_convergence(motivating, (100, 400), trials=2, seed=0, cfg=CFG)
-    point = _population_target(motivating, CFG)[3]
-    assert len(starts) == 4
-    assert all(len(warm) == 1 and warm[0].tobytes() == point.tobytes() for warm in starts)
+    # the population target's solve runs cold, then each trial starts at its point
+    assert len(starts) == 5
+    assert starts[0] == ()
+    assert all(len(warm) == 1 and warm[0].tobytes() == point.tobytes() for warm in starts[1:])
+
+
+def test_population_value_is_the_reported_ri_objective(motivating, three_group):
+    # f = (R - b) / gap is exactly -rho, so -upper is the ri objective at the point
+    for spec in (motivating, three_group):
+        model, frame, value, point = _population_target(spec, CFG)
+        report = solve("ri", model, frame, spec.radius, CFG)
+        assert value == report.objective_value
+        assert point.tobytes() == np.asarray(report.parameter).tobytes()
 
 
 def test_gap_decreases_with_n(motivating):
     res = run_convergence(motivating, (100, 400, 1600, 6400), trials=64, seed=3, cfg=CFG)
-    cert = gap_certificate(res, delta=0.25)
-    assert len(cert.quantiles) == 4
+    q = np.quantile(res.gaps, 0.75, axis=1)
+    assert len(q) == 4
     # 75th percentile of the gap falls as the sample grows
-    assert cert.non_increasing
+    assert np.all(np.diff(q) <= 1e-15)
     assert res.fitted_slope < -0.3
 
 
 def test_certificate_matches_numpy_quantiles(motivating):
     res = run_convergence(motivating, (100, 400), trials=10, seed=9, cfg=CFG)
-    cert = gap_certificate(res, delta=0.1)
     expect = np.quantile(res.gaps, 0.9, axis=1)
-    np.testing.assert_allclose(cert.quantiles, expect, atol=1e-15)
+    np.testing.assert_allclose(res.quantiles, expect, atol=1e-15)
+    assert res.quantile_non_increasing == bool(np.all(np.diff(expect) <= 1e-15))
 
 
 def test_shuffled_gaps_fail_certificate(motivating):
     res = run_convergence(
         motivating, (100, 400, 1600, 6400), trials=64, seed=3, cfg=CFG
     )
-    cert = gap_certificate(res, delta=0.25)
-    assert cert.non_increasing
+    assert np.all(np.diff(np.quantile(res.gaps, 0.75, axis=1)) <= 1e-15)
     # reversing the size axis makes the quantile sequence increase
-    fake = dataclasses.replace(
-        res, gaps=res.gaps[::-1].copy(), fitted_slope=-res.fitted_slope
+    fake = dataclasses.replace(res, gaps=res.gaps[::-1].copy())
+    assert not np.all(np.diff(np.quantile(fake.gaps, 0.75, axis=1)) <= 1e-15)
+
+
+def test_replaced_gaps_carry_their_own_summary(motivating):
+    res = run_convergence(motivating, (100, 400, 1600), trials=8, seed=2, cfg=CFG)
+    reversed_gaps = res.gaps[::-1].copy()
+    replaced = dataclasses.replace(res, gaps=reversed_gaps)
+    fresh = ConvergenceResult(
+        sample_sizes=res.sample_sizes,
+        gaps=reversed_gaps,
+        trials=res.trials,
+        seed=res.seed,
+        rejected=res.rejected,
+        population_value=res.population_value,
     )
-    assert not gap_certificate(fake, delta=0.25).non_increasing
+    summary = ("fitted_slope", "quantiles", "quantile_non_increasing")
+    assert [getattr(replaced, k) for k in summary] == [getattr(fresh, k) for k in summary]
+    assert replaced.fitted_slope == fit_rate_slope(res.sample_sizes, reversed_gaps)
+    assert replaced.fitted_slope != res.fitted_slope
 
 
 def test_single_trial_gap_is_small_at_large_n(motivating):

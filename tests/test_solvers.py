@@ -1655,5 +1655,5 @@ def test_a_larger_ball_that_keeps_one_ideal_never_hurts_the_other_group():
         assert kept[1] == pytest.approx(kept[0], rel=1e-12), k
         small, large = (solve("ri", model, f, r, CFG) for f, r in zip(frames, radii))
         rise = large.risk_profile.values[i] - small.risk_profile.values[i]
-        slack = small.certificate_gap * frames[0].gaps[i] + large.certificate_gap * frames[1].gaps[i]
+        slack = small.certificate_gap * frames[0].gap_array()[i] + large.certificate_gap * frames[1].gap_array()[i]
         assert rise <= slack, (k, rise, slack)
