@@ -5,9 +5,11 @@ spec (`draw_moments`, exactly the moments of n rows per group, at a cost that
 does not grow with n), solve the maximin relative-improvement problem on the
 empirical risks, and score the returned parameter under the population risks.
 The per-trial gap is the population maximin value minus the population worst
-improvement at that plug-in point. Each trial's solve starts warm at the
-population optimum, so when the empirical problem has several optima the gap
-is that of the optimum this warm-started solve reaches. Its median should
+improvement at that plug-in point. Each trial's solve resumes the
+population solve: it opens with one KKT Newton try from the population
+optimum and the multipliers behind its lower bound, which both lie
+O(n^-1/2) from the empirical ones, so when the empirical problem has several
+optima the gap is that of the optimum this resumed solve reaches. Its median should
 shrink like one over the square root of the sample size, and the result
 derives its log-log slope and per-size high quantiles from the gaps. A
 population or trial solve that stops short of tol raises ConvergenceError.
@@ -21,6 +23,7 @@ degenerate, not every draw.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,22 +78,24 @@ def fit_rate_slope(sample_sizes, gaps: np.ndarray) -> float:
     return float(coef[0])
 
 
-def _population_target(
-    spec: ProblemSpec, cfg: SolverConfig
-) -> tuple[QuadraticGroupRisks, BargainingFrame, float, np.ndarray]:
-    """Population risks, frame, maximin value and point that every trial is scored against.
+Target = tuple[QuadraticGroupRisks, BargainingFrame, float, np.ndarray, np.ndarray]
 
-    The point warm-starts every trial's solve. A solve that stops short of
-    tol raises ConvergenceError: every gap would be measured from its value.
+
+def _population_target(spec: ProblemSpec, cfg: SolverConfig) -> Target:
+    """Population risks, frame, maximin value, point and weights that every trial is scored against.
+
+    The point and the weights behind the solve's lower bound resume every
+    trial's solve. A solve that stops short of tol raises ConvergenceError:
+    every gap would be measured from its value.
     """
     model = QuadraticGroupRisks.from_problem_spec(spec)
     frame = model.frame(spec.radius)
-    theta, upper, lower, _, _ = minimax("ri", model, frame, spec.radius, cfg)
+    theta, upper, lower, _, weights = minimax("ri", model, frame, spec.radius, cfg)
     if upper - lower > cfg.tol:
         raise ConvergenceError(
             f"the population ri solve stopped at gap {upper - lower:.3e} above tol {cfg.tol:.1e}"
         )
-    return model, frame, -upper + 0.0, theta  # the ri objective f = (R - b) / gap is -rho
+    return model, frame, -upper + 0.0, theta, weights  # the ri objective f = (R - b) / gap is -rho
 
 
 def _trial_gap(
@@ -99,18 +104,20 @@ def _trial_gap(
     trial: int,
     seed: int,
     cfg: SolverConfig,
-    target: tuple[QuadraticGroupRisks, BargainingFrame, float, np.ndarray],
+    target: Target,
 ) -> tuple[float, int]:
     """One empirical solve scored under the population, and the draws rejected first.
 
     A draw whose empirical frame is degenerate, or whose smallest
     baseline-to-ideal gap is at most half the population's, is too degenerate
     to define a stable empirical frame, so it is resampled under the next
-    attempt's seed. The solve starts warm at the population point, which lies
-    O(n^-1/2) from the empirical optimum, and only its point and certificate
-    are read; one that stops short of tol raises ConvergenceError.
+    attempt's seed. The solve resumes from the population point and weights,
+    which lie O(n^-1/2) from the empirical optimum and its multipliers, so one
+    Newton try and its one weighted minimization usually certify it; only its
+    point and certificate are read, and one that stops short of tol raises
+    ConvergenceError.
     """
-    pop_model, pop_frame, pop_value, pop_point = target
+    pop_model, pop_frame, pop_value, pop_point, pop_weights = target
     min_gap_required = 0.5 * float(pop_frame.gap_array().min())
     for attempt in range(200):
         rng = np.random.default_rng(
@@ -125,7 +132,9 @@ def _trial_gap(
             break
     else:
         raise ConvergenceError(f"could not draw a usable sample of size {n} in 200 attempts")
-    theta, upper, lower, _, _ = minimax("ri", emp, frame, spec.radius, cfg, warm=(pop_point,))
+    theta, upper, lower, _, _ = minimax(
+        "ri", emp, frame, spec.radius, cfg, warm=(pop_point,), weights=pop_weights
+    )
     if upper - lower > cfg.tol:
         raise ConvergenceError(
             f"the ri solve of trial {trial} at n = {n} stopped at gap {upper - lower:.3e} above tol {cfg.tol:.1e}"
@@ -138,6 +147,13 @@ def _trial_gap(
             "the population solve is inconsistent"
         )
     return max(raw, 0.0), attempt
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a non-integral value raises ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be integers, got {value!r}")
+    return int(value)
 
 
 def run_convergence(
@@ -153,13 +169,15 @@ def run_convergence(
     reproducible regardless of execution order. Draws whose empirical frame is
     degenerate or whose gap is at most half the population's are resampled
     and counted in `rejected`. The result derives its summary from the gaps.
+    Sizes, trials and seed must be integers (numpy's too), never bools.
     """
-    sizes = [int(n) for n in sample_sizes]
+    sizes = [_integer(n, "sample_sizes") for n in sample_sizes]
     if len(sizes) < 2 or any(n < 2 for n in sizes):
         raise ValueError("need at least two sample sizes of at least 2")
     # the slope fit needs two distinct sizes, and the quantile check reads in size order
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sample sizes must increase strictly, got {sizes}")
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be positive")
     if seed < 0:  # SeedSequence's own message would not name the seed

@@ -7,10 +7,9 @@ objectives yields a weighted risk minimization over the ball, the risk
 model's minimize(w, radius), whose certified bound bounds the minimax value:
 exact for quadratic risks, and for logistic ones the linearization bound at
 the Newton minimizer (stationarity 1e-8, not a step budget). The lower
-bound comes from such dual evaluations alone, the first at uniform weights,
-so the certificate holds for any frame. Cutting planes over the weightings
-push that bound up while the weighted minimizers double as primal
-candidates. The master's dual weights on the cuts combine the stored
+bound comes from such dual evaluations alone, so the certificate holds for
+any frame. Cutting planes over the weightings push that bound up while the
+weighted minimizers double as primal candidates. The master's dual weights on the cuts combine the stored
 candidates into one more point whose worst normalized risk is at most the
 master value, so the primal side closes with the dual even when weighted
 minimizers are non-unique. The master is a matrix game over the
@@ -20,10 +19,14 @@ cutting plane closes the lower bound slowly, so an endgame takes Newton
 steps on the KKT system of the constraints near-active at the best point
 (Nocedal & Wright 2006, ch. 18), one derivatives(theta) call a step: once
 from the uniform weights, before any master round, where at most d + 1
-constraints make a single choice, and after each round. A pinned leximin
-stage first makes one more try, from a start that a second-order estimate
-reads off the previous stage's point and multipliers, which move smoothly as
-the pins' caps shift (Fiacco 1983). The Newton point is
+constraints make a single choice, and after each round. A solve may be
+given an opening, a start and multipliers near its optimum's, and then
+tries from it before anything else: a pinned leximin stage, from a start
+that a second-order estimate reads off the previous stage's point and
+multipliers, which move smoothly as the pins' caps shift (Fiacco 1983), and
+a resumed minimax, from an earlier solve's point and weights. A dual
+evaluation at uniform weights comes next, and is skipped when such an
+opening has closed the gap. The Newton point is
 one more candidate, scored exactly, and its multipliers, clipped at 0 with
 the free part put on the simplex, give one more weighted minimization: by
 weak duality a valid lower bound for any such weights, so the endgame can
@@ -46,10 +49,11 @@ stage 1, and with it the last model.
 solve(method, model, frame, ball, cfg) is the solver entry for all six
 criteria, ball a positive finite radius, and its report's objective_value is
 core.criterion_value at the reported risks, clamped at 0. Beside it,
-minimax(method, model, frame, ball, cfg, warm) returns a worst-group
-criterion's point, certificate bounds, evaluations and the weights behind
-its lower bound without a report, and takes warm points: the convergence
-study starts each trial's solve at the population optimum.
+minimax(method, model, frame, ball, cfg, warm, weights) returns a
+worst-group criterion's point, certificate bounds, evaluations and the
+weights behind its lower bound without a report, and takes warm points and
+weights to resume from: the convergence study resumes each trial's solve
+from the population optimum and its weights.
 """
 
 from __future__ import annotations
@@ -224,19 +228,22 @@ def _dual_minimax(
     Pinned groups, when given, are hard constraints
     (R_j - shifts_j)/scales_j <= pin_caps_j; their multipliers are any
     mu >= 0 next to the simplex weights of the free groups. The lower bound
-    rises only through dual evaluations, the first at uniform free weights
-    and mu = 0, whose bound also sets the master's shift. Each cut keeps the
-    point it was taken at; before every dual evaluation the master LP's dual
-    weights combine those points into one more candidate, which lies in the
-    ball and by convexity scores at most the master value, so once the
-    master's value meets the lower bound the primal side closes too. The
+    rises only through dual evaluations, one at uniform free weights and
+    mu = 0 among them, and the best bound when the master is built sets its
+    shift. Each cut keeps the point it was taken at; before every dual
+    evaluation the master LP's dual weights combine those points into one
+    more candidate, which lies in the ball and by convexity scores at most
+    the master value, so once the master's value meets the lower bound the
+    primal side closes too. The
     endgame's KKT Newton steps, from the uniform weights when at most d + 1
     constraints make one choice and after each round, add a candidate and a
     dual evaluation of their own, which the master never sees. opening, when
-    given, is (start, lam, mu): one more Newton try, made right after the
-    uniform evaluation, on the free groups with lam > 0 and the pins with
-    mu > 0, from start with those weights; start itself is never a
-    candidate. Returns (theta, upper, lower, evals, weights) where
+    given, is (start, lam, mu): one more Newton try, made first, once the
+    starting points are scored, on the free groups with lam > 0 and the pins
+    with mu > 0, from start with those weights; start itself is never a
+    candidate. The uniform evaluation follows only while the gap is open, so
+    an opening that closes it costs one Newton try and one weighted
+    minimization. Returns (theta, upper, lower, evals, weights) where
     upper - lower is a sound certificate by weak duality, evals counts the
     starting points and dual evaluations, the endgame's included, and
     weights (m,) holds the free groups' lam and the pins' mu of the
@@ -373,11 +380,12 @@ def _dual_minimax(
     track(np.zeros(model.dim))
     for point in warm:
         track(np.asarray(point, dtype=float))
-    lam, mu = np.full(len(free), 1.0 / len(free)), np.zeros(len(pin_idx))
-    track(dual_at(lam, mu))
-    if opening is not None and best_upper - best_lower > 0.5 * cfg.tol:
+    if opening is not None:  # a given opening goes first: it may close the gap on its own
         start, lam_0, mu_0 = opening
         attempt(start, lam_0, mu_0, np.flatnonzero(lam_0 > 0.0), np.flatnonzero(mu_0 > 0.0))
+    lam, mu = np.full(len(free), 1.0 / len(free)), np.zeros(len(pin_idx))
+    if best_upper - best_lower > 0.5 * cfg.tol:
+        track(dual_at(lam, mu))
     # at most d + 1 constraints make one choice, so the endgame opens at uniform weights
     if len(lam) + len(mu) <= model.dim + 1 and best_upper - best_lower > 0.5 * cfg.tol:
         endgame(lam, mu)
@@ -479,30 +487,48 @@ def minimax(
     ball: float,
     cfg: SolverConfig = SolverConfig(),
     warm: Sequence[np.ndarray] = (),
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float, int, np.ndarray]:
     """(theta, upper, lower, evaluations, weights) of one worst-group criterion, unpinned.
 
     method is ri, gdro, mmv or mmr, and upper - lower is the certificate
-    that solve reports. weights (m,) lie on the simplex: the dual point
-    behind lower, whose one weighted minimization, with the groups' shifts
-    and scales and a 128-ulp allowance, gives lower (or upper, where
-    rounding lifts it above). Each warm point must be finite with shape
-    (d,); it is projected onto the ball and tracked after theta = 0 and the
-    seeded point of cfg.seed, so a start near the optimum saves the endgame
-    Newton steps. Without warm points this is the solve that
-    solve(method, ...) reports. The returned theta and weights are
-    read-only: the ri memo hands them to every later caller.
+    that solve reports. The returned weights (m,) lie on the simplex: the
+    dual point behind lower, whose one weighted minimization, with the
+    groups' shifts and scales and a 128-ulp allowance, gives lower (or
+    upper, where rounding lifts it above). Each warm point must be finite
+    with shape (d,); it is projected onto the ball and tracked after
+    theta = 0 and the seeded point of cfg.seed, so a start near the optimum
+    saves the endgame Newton steps. weights, when given, are multipliers
+    such as an earlier solve returned, finite and nonnegative with shape
+    (m,) and a positive sum, and need a warm point: the solve opens with one
+    KKT Newton try from the first warm point on the groups they weigh, before
+    the uniform dual evaluation, which runs only if that try leaves the gap
+    open. So an earlier solve's point and weights resume a nearby problem's
+    solve. Without warm points this is the solve that solve(method, ...)
+    reports. The returned theta and weights are read-only: the ri memo hands
+    them to every later caller.
     """
     if method not in WORST_GROUP:
         raise ValueError(f"minimax takes one of {tuple(WORST_GROUP)}, got {method!r}")
     shifts, scales, _ = WORST_GROUP[method](frame)
-    points = list(_initial_point(model.dim, ball, cfg))
+    seeded, given = _initial_point(model.dim, ball, cfg), []
     for point in warm:
         point = np.array(point, dtype=float)  # a copy: the caller's array is not frozen below
         if point.shape != (model.dim,) or not np.isfinite(point).all():
             raise ValueError(f"a warm point must be finite with shape ({model.dim},), got {point.tolist()}")
-        points.append(project_ball(point, ball))
-    out = _dual_minimax(model, shifts, scales, ball, cfg, points)
+        given.append(project_ball(point, ball))
+    opening = None
+    if weights is not None:
+        lam = np.array(weights, dtype=float)  # a copy, as for the warm points
+        m = model.num_groups
+        if lam.shape != (m,) or not (np.isfinite(lam).all() and (lam >= 0.0).all() and lam.sum() > 0.0):
+            raise ValueError(
+                f"weights must be finite and nonnegative with shape ({m},) and a positive sum, got {lam.tolist()}"
+            )
+        if not given:
+            raise ValueError("weights open the solve from the first warm point, and none was given")
+        opening = given[0], lam, np.zeros(0)
+    out = _dual_minimax(model, shifts, scales, ball, cfg, [*seeded, *given], opening=opening)
     out[0].setflags(write=False)
     out[4].setflags(write=False)
     return out

@@ -16,7 +16,7 @@ from fairgain.empirical_study import (
     fit_rate_slope,
     run_convergence,
 )
-from fairgain.solvers import SolverConfig, solve
+from fairgain.solvers import SolverConfig, minimax, solve
 
 CFG = SolverConfig(tol=1e-6)
 
@@ -72,12 +72,13 @@ def test_an_uncertified_solve_stops_the_study(motivating):
 
 
 def test_trials_start_warm_at_the_population_point(motivating, monkeypatch):
-    point = _population_target(motivating, CFG)[3]
-    starts, real = [], empirical_study.minimax
+    point, weights = _population_target(motivating, CFG)[3:]
+    starts, opened, real = [], [], empirical_study.minimax
 
-    def spy(*args, warm=()):
+    def spy(*args, warm=(), weights=None):
         starts.append(warm)
-        return real(*args, warm=warm)
+        opened.append(weights)
+        return real(*args, warm=warm, weights=weights)
 
     monkeypatch.setattr(empirical_study, "minimax", spy)
     run_convergence(motivating, (100, 400), trials=2, seed=0, cfg=CFG)
@@ -85,15 +86,75 @@ def test_trials_start_warm_at_the_population_point(motivating, monkeypatch):
     assert len(starts) == 5
     assert starts[0] == ()
     assert all(len(warm) == 1 and warm[0].tobytes() == point.tobytes() for warm in starts[1:])
+    # and resumes from the weights behind its lower bound, bit for bit
+    assert opened[0] is None
+    assert all(w.tobytes() == weights.tobytes() for w in opened[1:])
+
+
+def test_a_trial_solve_makes_one_weighted_minimization(motivating, three_group, monkeypatch):
+    # resumed from the population point and weights, the opening Newton try's
+    # one weighted minimization certifies each trial, and the uniform dual
+    # evaluation is skipped; started from the point alone, each trial made two
+    real, counts = empirical_study.minimax, []
+
+    def spy(method, model, *args, **kwargs):
+        if "warm" not in kwargs:  # the population solve
+            return real(method, model, *args, **kwargs)
+        calls, minimize = [], model.minimize
+
+        def counted(w, radius):
+            calls.append(1)
+            return minimize(w, radius)
+
+        model.minimize = counted
+        out = real(method, model, *args, **kwargs)
+        counts.append(len(calls))
+        return out
+
+    monkeypatch.setattr(empirical_study, "minimax", spy)
+    for spec in (motivating, three_group):
+        counts.clear()
+        run_convergence(spec, (100, 400, 1600), trials=5, seed=0, cfg=CFG)
+        assert counts == [1] * 15, counts
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (([100.7, 400.2], 2, 0), "sample_sizes"),
+        (([100, True], 2, 0), "sample_sizes"),
+        ((np.array([100.0, 400.0]), 2, 0), "sample_sizes"),
+        (((100, 400), 2.5, 0), "trials"),
+        (((100, 400), True, 0), "trials"),
+        (((100, 400), 2, 0.5), "seed"),
+        (((100, 400), 2, False), "seed"),
+        (((100, 400), 2, "0"), "seed"),
+    ],
+)
+def test_run_convergence_refuses_what_it_would_truncate(motivating, args, name):
+    # int(100.7) would run n = 100 without a word, and range(2.5) or
+    # SeedSequence(0.5) would raise a TypeError naming neither argument
+    with pytest.raises(ValueError, match=name):
+        run_convergence(motivating, *args, cfg=CFG)
+
+
+def test_run_convergence_takes_numpy_integers(motivating):
+    res = run_convergence(motivating, np.array([100, 400]), np.int64(2), np.uint8(3), cfg=CFG)
+    want = run_convergence(motivating, (100, 400), 2, 3, cfg=CFG)
+    assert res.sample_sizes == (100, 400) and (res.trials, res.seed) == (2, 3)
+    assert all(type(v) is int for v in (*res.sample_sizes, res.trials, res.seed))
+    assert res.gaps.tobytes() == want.gaps.tobytes()
 
 
 def test_population_value_is_the_reported_ri_objective(motivating, three_group):
     # f = (R - b) / gap is exactly -rho, so -upper is the ri objective at the point
     for spec in (motivating, three_group):
-        model, frame, value, point = _population_target(spec, CFG)
+        model, frame, value, point, weights = _population_target(spec, CFG)
         report = solve("ri", model, frame, spec.radius, CFG)
         assert value == report.objective_value
         assert point.tobytes() == np.asarray(report.parameter).tobytes()
+        # the weights are those minimax returns as its fifth entry
+        assert weights.tobytes() == minimax("ri", model, frame, spec.radius, CFG)[4].tobytes()
 
 
 def test_gap_decreases_with_n(motivating):
