@@ -9,7 +9,10 @@ improvement at that plug-in point. Each trial's solve resumes the
 population solve: it opens with one KKT Newton try from the population
 optimum and the multipliers behind its lower bound, which both lie
 O(n^-1/2) from the empirical ones, so when the empirical problem has several
-optima the gap is that of the optimum this resumed solve reaches. Its median should
+optima the gap is that of the optimum this resumed solve reaches. A study
+draws every trial first and then solves them all in one
+solvers.minimax_batch, which takes their tries stacked and gives each trial
+minimax's result. Its median should
 shrink like one over the square root of the sample size, and the result
 derives its log-log slope and per-size high quantiles from the gaps. A
 population or trial solve that stops short of tol raises ConvergenceError.
@@ -35,7 +38,7 @@ from fairgain.core import (
     relative_improvements,
 )
 from fairgain.risk_models import ProblemSpec, QuadraticGroupRisks, draw_moments
-from fairgain.solvers import SolverConfig, minimax
+from fairgain.solvers import SolverConfig, minimax, minimax_batch
 
 _GAP_FLOOR = 1e-8  # keeps log-log slope fits finite when a trial lands exactly
 QUANTILE_DELTA = 0.1  # the summary's per-size gap quantile is the (1 - delta) one
@@ -98,27 +101,16 @@ def _population_target(spec: ProblemSpec, cfg: SolverConfig) -> Target:
     return model, frame, -upper + 0.0, theta, weights  # the ri objective f = (R - b) / gap is -rho
 
 
-def _trial_gap(
-    spec: ProblemSpec,
-    n: int,
-    trial: int,
-    seed: int,
-    cfg: SolverConfig,
-    target: Target,
-) -> tuple[float, int]:
-    """One empirical solve scored under the population, and the draws rejected first.
+def _draw(
+    spec: ProblemSpec, n: int, trial: int, seed: int, min_gap: float
+) -> tuple[QuadraticGroupRisks, BargainingFrame, int]:
+    """One trial's empirical risks and frame, and the draws rejected first.
 
     A draw whose empirical frame is degenerate, or whose smallest
-    baseline-to-ideal gap is at most half the population's, is too degenerate
-    to define a stable empirical frame, so it is resampled under the next
-    attempt's seed. The solve resumes from the population point and weights,
-    which lie O(n^-1/2) from the empirical optimum and its multipliers, so one
-    Newton try and its one weighted minimization usually certify it; only its
-    point and certificate are read, and one that stops short of tol raises
-    ConvergenceError.
+    baseline-to-ideal gap is at most min_gap, half the population's, is too
+    degenerate to define a stable empirical frame, so it is resampled under
+    the next attempt's seed; 200 failed attempts raise ConvergenceError.
     """
-    pop_model, pop_frame, pop_value, pop_point, pop_weights = target
-    min_gap_required = 0.5 * float(pop_frame.gap_array().min())
     for attempt in range(200):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(n, trial, attempt))
@@ -128,13 +120,19 @@ def _trial_gap(
             frame = emp.frame(spec.radius)
         except DegenerateFrameError:
             continue
-        if frame.gap_array().min() > min_gap_required:
-            break
-    else:
-        raise ConvergenceError(f"could not draw a usable sample of size {n} in 200 attempts")
-    theta, upper, lower, _, _ = minimax(
-        "ri", emp, frame, spec.radius, cfg, warm=(pop_point,), weights=pop_weights
-    )
+        if frame.gap_array().min() > min_gap:
+            return emp, frame, attempt
+    raise ConvergenceError(f"could not draw a usable sample of size {n} in 200 attempts")
+
+
+def _trial_gap(n: int, trial: int, solved: tuple, cfg: SolverConfig, target: Target) -> float:
+    """One trial's gap: its solve's point scored under the population.
+
+    solved is the trial's minimax tuple; only its point and certificate are
+    read, and one that stops short of tol raises ConvergenceError.
+    """
+    pop_model, pop_frame, pop_value = target[:3]
+    theta, upper, lower = solved[:3]
     if upper - lower > cfg.tol:
         raise ConvergenceError(
             f"the ri solve of trial {trial} at n = {n} stopped at gap {upper - lower:.3e} above tol {cfg.tol:.1e}"
@@ -146,7 +144,7 @@ def _trial_gap(
             f"empirical point beat the population optimum by {-raw:.3e}; "
             "the population solve is inconsistent"
         )
-    return max(raw, 0.0), attempt
+    return max(raw, 0.0)
 
 
 def _integer(value, name: str) -> int:
@@ -168,8 +166,11 @@ def run_convergence(
     Each (size, trial, attempt) triple keys its own generator, so results are
     reproducible regardless of execution order. Draws whose empirical frame is
     degenerate or whose gap is at most half the population's are resampled
-    and counted in `rejected`. The result derives its summary from the gaps.
-    Sizes, trials and seed must be integers (numpy's too), never bools.
+    and counted in `rejected`. Every trial is drawn first, and one batch
+    solves them all from the population point and weights; a ConvergenceError
+    names the first failing trial in (size, trial) order. The result derives
+    its summary from the gaps. Sizes, trials and seed must be integers
+    (numpy's too), never bools.
     """
     sizes = [_integer(n, "sample_sizes") for n in sample_sizes]
     if len(sizes) < 2 or any(n < 2 for n in sizes):
@@ -184,12 +185,27 @@ def run_convergence(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     cfg = cfg or SolverConfig()
     target = _population_target(spec, cfg)
+    min_gap = 0.5 * float(target[1].gap_array().min())
+    keys = [(i, n, trial) for i, n in enumerate(sizes) for trial in range(trials)]
+    draws, failed = [], None
+    for i, n, trial in keys:
+        try:
+            draws.append(_draw(spec, n, trial, seed, min_gap))
+        except ConvergenceError as exc:  # raised once the trials drawn before it are scored
+            failed = exc
+            break
+    # every trial resumes from the population point and weights, so one batch solves them all
+    solved = minimax_batch(
+        "ri", [emp for emp, _, _ in draws], [frame for _, frame, _ in draws], spec.radius, cfg,
+        target[3], target[4],
+    )
     gaps = np.empty((len(sizes), trials))
     rejected = [0] * len(sizes)
-    for i, n in enumerate(sizes):
-        for trial in range(trials):
-            gaps[i, trial], skipped = _trial_gap(spec, n, trial, seed, cfg, target)
-            rejected[i] += skipped
+    for (i, n, trial), (_, _, skipped), out in zip(keys, draws, solved):
+        gaps[i, trial] = _trial_gap(n, trial, out, cfg, target)
+        rejected[i] += skipped
+    if failed is not None:
+        raise failed
     return ConvergenceResult(
         sample_sizes=tuple(sizes),
         gaps=gaps,

@@ -599,7 +599,9 @@ def draw_moments(
         below, diag = _bartlett_pattern(r, g.dim)
         R = rng.standard_normal((r, g.dim))
         R[below] = 0.0
-        R[diag, diag] = np.sqrt(rng.chisquare(n - diag))
+        # scalar draws in index order: the stream and bits of one array-argument
+        # call, which costs ten times as much at d <= 3
+        R[diag, diag] = np.sqrt([rng.chisquare(n - i) for i in range(r)])
         B = g.factor @ R.T
         qy = B.T @ g.beta + rng.normal(0.0, np.sqrt(g.sigma2), r)
         # chisquare(0) is not allowed: with n == r no noise lies outside Q

@@ -52,8 +52,12 @@ core.criterion_value at the reported risks, clamped at 0. Beside it,
 minimax(method, model, frame, ball, cfg, warm, weights) returns a
 worst-group criterion's point, certificate bounds, evaluations and the
 weights behind its lower bound without a report, and takes warm points and
-weights to resume from: the convergence study resumes each trial's solve
-from the population optimum and its weights.
+weights to resume from. minimax_batch(method, models, frames, ball, cfg,
+point, weights) resumes many quadratic problems of one shape from one point
+and weights, as the convergence study resumes its trials from the population
+optimum and its weights: their opening Newton tries run stacked, one
+least-squares call a step for all of them, so numpy's per-call cost is paid
+once a study, and an item whose try leaves its gap open goes through minimax.
 """
 
 from __future__ import annotations
@@ -212,6 +216,17 @@ _lstsq = getattr(getattr(np.linalg, "_umath_linalg", None), "lstsq", _lstsq_publ
 _EPS = float(np.finfo(float).eps)  # lstsq's rcond is _EPS times the larger dimension, as numpy's default
 
 
+def _dual_bound(model, w: np.ndarray, const: float, ball: float) -> tuple[np.ndarray, float]:
+    """The weighted minimizer over the ball, and const plus its certified bound, less rounding.
+
+    By weak duality that is a lower bound on the minimax value for any weights
+    w >= 0 whose constant is const. The sum rounds at its terms' scale, which
+    grows with the multipliers, so it gives up 128 ulps of both terms.
+    """
+    theta_hat, _, low = model.minimize(w, ball)
+    return theta_hat, low + const - 128.0 * _EPS * (abs(low) + abs(const))
+
+
 def _dual_minimax(
     model,
     shifts: np.ndarray,
@@ -300,10 +315,8 @@ def _dual_minimax(
             w = np.zeros(m)
             w[free], w[pin_idx] = lam * inv_free, mu * inv_pin
             const -= float(mu @ shift_pin)
-        theta_hat, _, low = model.minimize(w, ball)
+        theta_hat, bound = _dual_bound(model, w, const, ball)
         evals += 1
-        # the sum rounds at its terms' scale, which grows with the multipliers
-        bound = low + const - 128.0 * _EPS * (abs(low) + abs(const))
         if bound > best_lower:
             best_lower, best_lam, best_mu = bound, lam, mu
         # the ball solve meets the sphere only to its tolerance: a minimizer
@@ -480,6 +493,155 @@ def _kkt_newton(
     return project_ball(theta, ball), y
 
 
+def _lstsq_stack(kkt: np.ndarray, rhs: np.ndarray, rcond: float) -> np.ndarray:
+    """The least-squares solutions (T, n) of stacked systems kkt (T, n, n) x = rhs (T, n).
+
+    One gufunc call solves them all, each as _kkt_newton solves one; where
+    _lstsq is numpy's wrapper, which refuses a stack, they are solved one by
+    one with the same bits.
+    """
+    if _lstsq is _lstsq_public:
+        return np.array([_lstsq(a, b[:, None], rcond)[0][:, 0] for a, b in zip(kkt, rhs)])
+    return _lstsq(kkt, rhs[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+
+
+def minimax_batch(
+    method: str,
+    models: Sequence[QuadraticGroupRisks],
+    frames: Sequence[BargainingFrame],
+    ball: float,
+    cfg: SolverConfig,
+    point: np.ndarray,
+    weights: np.ndarray,
+) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
+    """minimax(method, model, frame, ball, cfg, warm=(point,), weights=weights) of each item, stacked.
+
+    The items are quadratic risk models of one shape (m, d) with their
+    frames, all resumed from one point and weights, as a convergence study's
+    trials resume the population solve; anything else raises ValueError.
+    Each item opens as minimax does: theta = 0, cfg.seed's point and the
+    point are scored, t is the best of them, and y the weights on the groups
+    they weigh, normalized. The items' KKT Newton steps then run stacked, one
+    least-squares call a step, by _kkt_newton's rules applied to each item:
+    at most _KKT_STEPS, a stop within _FEAS_TOL or at a non-finite step, the
+    item dropped once its residual stops halving from the third step, and
+    the sphere's row joined once its step leaves the ball. Each Newton point
+    is scored, and the dual is evaluated at its multipliers, clipped at 0 and
+    put on the simplex, through the item's own model.minimize with
+    dual_at's constant and allowance: every lower bound is one weighted
+    minimization, sound by weak duality. An item whose gap closes within
+    tol/2 returns what minimax returns after that try, its theta and weights
+    read-only; every other item returns minimax's own result.
+    """
+    if method not in WORST_GROUP:
+        raise ValueError(f"minimax_batch takes one of {tuple(WORST_GROUP)}, got {method!r}")
+    if len(models) != len(frames):
+        raise ValueError(f"minimax_batch needs one frame per model, got {len(models)} and {len(frames)}")
+    if not all(isinstance(model, QuadraticGroupRisks) for model in models):
+        raise ValueError("minimax_batch stacks quadratic risk models only")
+    if not models:
+        return []
+    m, d = models[0].num_groups, models[0].dim
+    if any((model.num_groups, model.dim) != (m, d) for model in models) or any(
+        frame.num_groups != m for frame in frames
+    ):
+        raise ValueError(f"minimax_batch stacks items of one shape, the first's: {m} groups in dimension {d}")
+    start, lam = _warm_point(point, d, ball), _warm_weights(weights, m)
+    starts = [np.zeros(d), *_initial_point(d, ball, cfg), start]
+    shifts, scales = (np.array(part) for part in zip(*(WORST_GROUP[method](frame)[:2] for frame in frames)))
+    inv_scales = 1.0 / scales
+    shift_free = shifts * inv_scales
+    A, c, k = (np.array([getattr(model, key) for model in models]) for key in ("A", "c", "k"))
+    c2 = 2.0 * c
+
+    def derivatives(rows: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Items rows' normalized risks (r, m) and risk gradients (r, m, d) at theta (r, d), as model.derivatives."""
+        At = (A[rows] @ theta[:, None, :, None])[..., 0]
+        risks = (At @ theta[:, :, None])[..., 0] - (c2[rows] @ theta[:, :, None])[..., 0] + k[rows]
+        return (risks - shifts[rows]) / scales[rows], 2.0 * (At - c[rows])
+
+    T, every = len(models), np.arange(len(models))
+    best_upper, best_theta = np.full(T, np.inf), np.empty((T, d))
+    for theta in starts:
+        value = derivatives(every, np.broadcast_to(theta, (T, d)))[0].max(axis=1)
+        better = value < best_upper
+        best_upper[better], best_theta[better] = value[better], theta
+
+    # the opening try of every item at once: the weighted groups held at t
+    idx = np.flatnonzero(lam > 0.0)
+    size, row, r2 = len(idx), d + 1, ball * ball
+    n = d + 2 + size  # nu's row is d, t's is row, and the multipliers' follow
+    inv, hessians = inv_scales[:, idx], (2.0 * A[:, idx]).reshape(T, size, d * d)
+    theta, t, nu = np.tile(start, (T, 1)), best_upper.copy(), np.zeros(T)
+    y = np.tile(lam[idx] / float(lam[idx].sum()), (T, 1))
+    sphere = np.full(T, float(start @ start) >= r2 * (1.0 - 1e-9))
+    last, live, dropped = np.full(T, math.inf), np.ones(T, dtype=bool), np.zeros(T, dtype=bool)
+    diag = np.arange(d)
+    for step in range(_KKT_STEPS):
+        rows = np.flatnonzero(live)
+        th = theta[rows]
+        f, grads = derivatives(rows, th)
+        sq = (th[:, None, :] @ th[:, :, None])[:, 0, 0]
+        joins = rows[~sphere[rows] & (sq > r2)]  # the ball turns active: its row joins, the residual restarts
+        sphere[joins], last[joins] = True, math.inf
+        on = sphere[rows]
+        g = grads[:, idx] * inv[rows][:, :, None]
+        resid = np.empty((len(rows), n))
+        resid[:, :d] = (y[rows][:, None, :] @ g)[:, 0] + nu[rows][:, None] * th
+        resid[:, d] = np.where(on, 0.5 * (sq - r2), nu[rows])
+        resid[:, row] = 1.0 - y[rows].sum(axis=1)
+        resid[:, row + 1 :] = f[:, idx] - t[rows][:, None]
+        norm = np.sqrt((resid[:, None, :] @ resid[:, :, None])[:, 0, 0])
+        done = norm <= _FEAS_TOL
+        drop = ~done & (norm > 0.5 * last[rows]) & (step >= 2)
+        live[rows[done | drop]], dropped[rows[drop]] = False, True
+        last[rows] = norm
+        go = ~(done | drop)
+        rows, th, on, g, resid = rows[go], th[go], on[go], g[go], resid[go]
+        if not len(rows):
+            break
+        kkt = np.zeros((len(rows), n, n))
+        kkt[:, row, row + 1 :] = kkt[:, row + 1 :, row] = -1.0
+        kkt[:, d, d] = np.where(on, 0.0, 1.0)
+        kkt[:, :d, :d] = ((y[rows] * inv[rows])[:, None, :] @ hessians[rows]).reshape(len(rows), d, d)
+        kkt[:, :d, row + 1 :] = g.transpose(0, 2, 1)
+        kkt[:, row + 1 :, :d] = g
+        ball_rows = np.flatnonzero(on)
+        kkt[ball_rows[:, None], diag, diag] += nu[rows[ball_rows]][:, None]
+        kkt[ball_rows, :d, d] = kkt[ball_rows, d, :d] = th[ball_rows]
+        move = _lstsq_stack(kkt, -resid, _EPS * n)
+        finite = np.isfinite(move).all(axis=1)
+        live[rows[~finite]] = False
+        rows, move = rows[finite], move[finite]
+        theta[rows] += move[:, :d]
+        nu[rows] += move[:, d]
+        t[rows] += move[:, row]
+        y[rows] += move[:, row + 1 :]
+
+    # score each Newton point, and evaluate the dual at its multipliers clipped at 0 and put on the simplex
+    ok = np.flatnonzero(~dropped)
+    newton = np.array([project_ball(theta[i], ball) for i in ok]).reshape(len(ok), d)
+    value = derivatives(ok, newton)[0].max(axis=1)
+    better = value < best_upper[ok]
+    best_upper[ok[better]], best_theta[ok[better]] = value[better], newton[better]
+    best_theta.setflags(write=False)
+    clipped = np.maximum(y[ok], 0.0)
+    total = clipped.sum(axis=1)
+    lower, lams = np.full(T, -np.inf), np.zeros((T, m))
+    for i, clip, mass in zip(ok, clipped, total):
+        if mass > 0.0:
+            lams[i, idx] = clip / mass
+            const = -float(lams[i] @ shift_free[i])
+            lower[i] = _dual_bound(models[i], lams[i] * inv_scales[i], const, ball)[1]
+    lams.setflags(write=False)
+    return [
+        (best_theta[i], float(best_upper[i]), float(min(lower[i], best_upper[i])), len(starts) + 1, lams[i])
+        if best_upper[i] - lower[i] <= 0.5 * cfg.tol
+        else minimax(method, models[i], frames[i], ball, cfg, warm=(point,), weights=weights)
+        for i in range(T)
+    ]
+
+
 def minimax(
     method: str,
     model,
@@ -511,20 +673,11 @@ def minimax(
     if method not in WORST_GROUP:
         raise ValueError(f"minimax takes one of {tuple(WORST_GROUP)}, got {method!r}")
     shifts, scales, _ = WORST_GROUP[method](frame)
-    seeded, given = _initial_point(model.dim, ball, cfg), []
-    for point in warm:
-        point = np.array(point, dtype=float)  # a copy: the caller's array is not frozen below
-        if point.shape != (model.dim,) or not np.isfinite(point).all():
-            raise ValueError(f"a warm point must be finite with shape ({model.dim},), got {point.tolist()}")
-        given.append(project_ball(point, ball))
+    seeded = _initial_point(model.dim, ball, cfg)
+    given = [_warm_point(point, model.dim, ball) for point in warm]
     opening = None
     if weights is not None:
-        lam = np.array(weights, dtype=float)  # a copy, as for the warm points
-        m = model.num_groups
-        if lam.shape != (m,) or not (np.isfinite(lam).all() and (lam >= 0.0).all() and lam.sum() > 0.0):
-            raise ValueError(
-                f"weights must be finite and nonnegative with shape ({m},) and a positive sum, got {lam.tolist()}"
-            )
+        lam = _warm_weights(weights, model.num_groups)
         if not given:
             raise ValueError("weights open the solve from the first warm point, and none was given")
         opening = given[0], lam, np.zeros(0)
@@ -532,6 +685,24 @@ def minimax(
     out[0].setflags(write=False)
     out[4].setflags(write=False)
     return out
+
+
+def _warm_point(point, dim: int, ball: float) -> np.ndarray:
+    """A copy of a finite (dim,) warm point, projected onto the ball; else ValueError."""
+    point = np.array(point, dtype=float)  # a copy: the caller's array is not frozen by the solve
+    if point.shape != (dim,) or not np.isfinite(point).all():
+        raise ValueError(f"a warm point must be finite with shape ({dim},), got {point.tolist()}")
+    return project_ball(point, ball)
+
+
+def _warm_weights(weights, m: int) -> np.ndarray:
+    """A copy of finite, nonnegative (m,) weights with a positive sum; else ValueError."""
+    lam = np.array(weights, dtype=float)
+    if lam.shape != (m,) or not (np.isfinite(lam).all() and (lam >= 0.0).all() and lam.sum() > 0.0):
+        raise ValueError(
+            f"weights must be finite and nonnegative with shape ({m},) and a positive sum, got {lam.tolist()}"
+        )
+    return lam
 
 
 # the last ri solve, keyed by the model's identity and the frame, ball and config by value

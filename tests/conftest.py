@@ -73,6 +73,30 @@ def three_group_spec() -> ProblemSpec:
     )
 
 
+
+def cube_spec(radius: float = 2.0) -> ProblemSpec:
+    # d = 3 with identity covariances, the CI's cube.json; its ri point lies
+    # inside the default ball and on the sphere of radius 0.5
+    return ProblemSpec(
+        groups=(
+            GroupLinearModel(beta=np.array([1.0, 0.5, -0.5]), sigma2=1.0, cov=np.eye(3)),
+            GroupLinearModel(beta=np.array([-0.5, 1.0, 0.5]), sigma2=2.0, cov=np.eye(3)),
+        ),
+        radius=radius,
+    )
+
+
+def lex_spec() -> ProblemSpec:
+    # three correlated groups in d = 2, the CI's lex.json
+    return ProblemSpec(
+        groups=(
+            GroupLinearModel(beta=np.array([-3.57, -0.68]), sigma2=10.6, cov=np.array([[0.94, 0.31], [0.31, 0.38]])),
+            GroupLinearModel(beta=np.array([1.19, 0.17]), sigma2=10.49, cov=np.array([[0.8, -0.83], [-0.83, 0.98]])),
+            GroupLinearModel(beta=np.array([-0.52, 1.89]), sigma2=4.74, cov=np.array([[2.34, -1.17], [-1.17, 0.77]])),
+        ),
+        radius=3.0,
+    )
+
 def centred_risks(spec: ProblemSpec, thetas: np.ndarray) -> np.ndarray:
     """Reference risk rows (theta - beta)' cov (theta - beta) + sigma2, shape (n, m).
 

@@ -7,16 +7,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fairgain import empirical_study, risk_models
+from fairgain import empirical_study, risk_models, solvers
 from fairgain.core import ConvergenceError
 from fairgain.empirical_study import (
     ConvergenceResult,
+    _draw,
     _population_target,
     _trial_gap,
     fit_rate_slope,
     run_convergence,
 )
-from fairgain.solvers import SolverConfig, minimax, solve
+from fairgain.solvers import SolverConfig, minimax, minimax_batch, solve
+from tests.conftest import cube_spec
 
 CFG = SolverConfig(tol=1e-6)
 
@@ -67,27 +69,59 @@ def test_an_uncertified_solve_stops_the_study(motivating):
     with pytest.raises(ConvergenceError, match="population ri solve stopped at gap"):
         run_convergence(motivating, (100, 400), trials=2, seed=0, cfg=tight)
     target = _population_target(motivating, CFG)
+    emp, frame, _ = _draw(motivating, 400, 1, 0, 0.5 * float(target[1].gap_array().min()))
+    solved = minimax_batch("ri", [emp], [frame], motivating.radius, tight, target[3], target[4])[0]
     with pytest.raises(ConvergenceError, match="solve of trial 1 at n = 400 stopped at gap"):
-        _trial_gap(motivating, 400, 1, 0, tight, target)
+        _trial_gap(400, 1, solved, tight, target)
 
+
+
+def test_a_study_raises_for_its_first_failing_trial(motivating, monkeypatch):
+    # trials are drawn before they are solved, yet an uncertified solve of
+    # trial 0 still stops the study before a failed draw of trial 1 does
+    real_draw, real_batch = empirical_study._draw, empirical_study.minimax_batch
+
+    def draw(spec, n, trial, *args):
+        if trial == 1:
+            raise ConvergenceError(f"could not draw a usable sample of size {n} in 200 attempts")
+        return real_draw(spec, n, trial, *args)
+
+    def batch(*args):
+        (theta, upper, _, evals, weights), *rest = real_batch(*args)
+        return [(theta, upper, upper - 1.0, evals, weights), *rest]
+
+    monkeypatch.setattr(empirical_study, "_draw", draw)
+    with pytest.raises(ConvergenceError, match="could not draw a usable sample of size 100"):
+        run_convergence(motivating, (100, 400), trials=2, seed=0, cfg=CFG)
+    monkeypatch.setattr(empirical_study, "minimax_batch", batch)
+    with pytest.raises(ConvergenceError, match="solve of trial 0 at n = 100 stopped at gap 1.000e"):
+        run_convergence(motivating, (100, 400), trials=2, seed=0, cfg=CFG)
 
 def test_trials_start_warm_at_the_population_point(motivating, monkeypatch):
     point, weights = _population_target(motivating, CFG)[3:]
-    starts, opened, real = [], [], empirical_study.minimax
+    starts, opened, batches = [], [], []
+    real, real_batch = empirical_study.minimax, empirical_study.minimax_batch
 
     def spy(*args, warm=(), weights=None):
         starts.append(warm)
         opened.append(weights)
         return real(*args, warm=warm, weights=weights)
 
+    def batch_spy(method, models, frames, ball, cfg, point, weights):
+        batches.append((len(models), point, weights))
+        return real_batch(method, models, frames, ball, cfg, point, weights)
+
     monkeypatch.setattr(empirical_study, "minimax", spy)
+    monkeypatch.setattr(empirical_study, "minimax_batch", batch_spy)
+    monkeypatch.setattr(solvers, "minimax", spy)  # a batch item that stays open solves through it
     run_convergence(motivating, (100, 400), trials=2, seed=0, cfg=CFG)
-    # the population target's solve runs cold, then each trial starts at its point
-    assert len(starts) == 5
-    assert starts[0] == ()
+    # the population target's solve runs cold, then one batch resumes every trial from its point
+    assert starts[0] == () and opened[0] is None
+    assert [size for size, _, _ in batches] == [4]
+    assert batches[0][1].tobytes() == point.tobytes()
     assert all(len(warm) == 1 and warm[0].tobytes() == point.tobytes() for warm in starts[1:])
-    # and resumes from the weights behind its lower bound, bit for bit
-    assert opened[0] is None
+    # and from the weights behind its lower bound, bit for bit
+    assert batches[0][2].tobytes() == weights.tobytes()
     assert all(w.tobytes() == weights.tobytes() for w in opened[1:])
 
 
@@ -95,27 +129,43 @@ def test_a_trial_solve_makes_one_weighted_minimization(motivating, three_group, 
     # resumed from the population point and weights, the opening Newton try's
     # one weighted minimization certifies each trial, and the uniform dual
     # evaluation is skipped; started from the point alone, each trial made two
-    real, counts = empirical_study.minimax, []
+    real, counts = empirical_study.minimax_batch, []
 
-    def spy(method, model, *args, **kwargs):
-        if "warm" not in kwargs:  # the population solve
-            return real(method, model, *args, **kwargs)
-        calls, minimize = [], model.minimize
+    def counted(model, calls):
+        minimize = model.minimize
 
-        def counted(w, radius):
+        def count(w, radius):
             calls.append(1)
             return minimize(w, radius)
 
-        model.minimize = counted
-        out = real(method, model, *args, **kwargs)
-        counts.append(len(calls))
+        model.minimize = count
+
+    def spy(method, models, *args):
+        calls = [[] for _ in models]
+        for model, seen in zip(models, calls):  # the frames are built: only the solve counts
+            counted(model, seen)
+        out = real(method, models, *args)
+        counts.extend(len(seen) for seen in calls)
         return out
 
-    monkeypatch.setattr(empirical_study, "minimax", spy)
+    monkeypatch.setattr(empirical_study, "minimax_batch", spy)
     for spec in (motivating, three_group):
         counts.clear()
         run_convergence(spec, (100, 400, 1600), trials=5, seed=0, cfg=CFG)
         assert counts == [1] * 15, counts
+
+
+def test_a_study_without_a_stacked_lstsq_gets_the_same_gaps(motivating, monkeypatch):
+    # numpy 1.x has no private lstsq gufunc, and its public wrapper takes no
+    # stack: the batch then solves its Newton systems one by one, with the
+    # same bits; in this ball some of cube's trials (d = 3) step out of it and
+    # take the sphere's row on
+    for spec in (motivating, cube_spec(0.8)):
+        want = run_convergence(spec, (100, 400, 1600), trials=5, seed=0, cfg=CFG)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_lstsq", solvers._lstsq_public)
+            got = run_convergence(spec, (100, 400, 1600), trials=5, seed=0, cfg=CFG)
+        assert got.gaps.tobytes() == want.gaps.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from fairgain.risk_models import (
 )
 from tests.conftest import (
     LOGISTIC_RADIUS,
+    cube_spec,
     draw_dataset,
     motivating_spec,
     planar_spec,
@@ -729,11 +730,13 @@ def _triu_draw_moments(spec, n, rng):
 
 
 def test_draw_moments_gives_the_bits_of_the_triu_form(motivating):
-    # the cached masks leave every moment, and the stream after the draw,
-    # bit for bit those of the per-group np.triu form, at n below and above d
-    specs = (motivating, planar_spec(), three_group_spec(), _zero_eigenvalue_spec())
+    # the cached masks, and a scalar chisquare per Bartlett diagonal in index
+    # order, leave every moment, and the stream after the draw, bit for bit
+    # those of the per-group np.triu form with its one array-argument call,
+    # at n below and above d and up to 10^6
+    specs = (motivating, planar_spec(), three_group_spec(), cube_spec(), _zero_eigenvalue_spec())
     for spec in specs:
-        for n in (1, 2, 3, 5, 400):
+        for n in (1, 2, 3, 5, 100, 400, 25600, 10**6):
             for seed in range(5):
                 rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                 model = draw_moments(spec, n, rng)
@@ -741,6 +744,7 @@ def test_draw_moments_gives_the_bits_of_the_triu_form(motivating):
                 for got, exp in zip((model.A, model.c, model.k), (want.A, want.c, want.k)):
                     assert got.tobytes() == exp.tobytes(), (spec.dim, n, seed)
                 assert rng.random() == ref.random()
+
 
 
 def test_draw_moments_needs_a_sample(motivating):

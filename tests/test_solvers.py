@@ -44,7 +44,9 @@ from tests.conftest import (
     _random_psd,
     assert_oracle_within_certificate,
     centred_risks,
+    cube_spec,
     draw_dataset,
+    lex_spec,
     motivating_spec,
     objective_and_supergradient,
     planar_spec,
@@ -1691,6 +1693,89 @@ def test_a_resumed_minimax_certifies(monkeypatch):
                     evals["resumed"] += used
                     masters["resumed"] += len(rounds)
     assert evals["resumed"] < evals["point"] and masters["resumed"] < masters["point"], (evals, masters)
+
+
+def _trials(spec, sizes, trials):
+    """The population ri solve, and the empirical models and frames of draws from spec."""
+    model, frame = _setup(spec)
+    cold = minimax("ri", model, frame, spec.radius, CFG)
+    models, frames = [], []
+    for n in sizes:
+        for trial in range(trials):
+            emp = risk_models.draw_moments(spec, n, np.random.default_rng([n, trial]))
+            try:
+                frames.append(emp.frame(spec.radius))
+            except DegenerateFrameError:
+                continue
+            models.append(emp)
+    return cold, models, frames
+
+
+def test_a_batch_certifies_each_trial_within_its_minimax_bracket(monkeypatch):
+    # the motivating, three-group, cube (d = 3) and lex specs' trials, and
+    # cube's in a ball of radius 0.8, which some trials' steps leave, and of
+    # radius 0.5, whose optimum lies on the sphere, resumed from the
+    # population point and weights: each closes in the stacked try, and its
+    # bracket meets that of its own minimax
+    fallbacks, real = [], solvers.minimax
+    monkeypatch.setattr(solvers, "minimax", lambda *a, **k: fallbacks.append(a) or real(*a, **k))
+    for spec in (motivating_spec(), three_group_spec(), cube_spec(), cube_spec(0.8), cube_spec(0.5), lex_spec()):
+        cold, models, frames = _trials(spec, (100, 400, 1600, 6400, 25600), 10)
+        assert len(models) >= 45
+        fallbacks.clear()
+        got = solvers.minimax_batch("ri", models, frames, spec.radius, CFG, cold[0], cold[4])
+        # the stacked try closes all but a few: 0, 0, 0, 0, 0 and 1 of these 50
+        assert len(got) == len(models) and len(fallbacks) <= 2, len(fallbacks)
+        # an item closed in the try made one dual evaluation after its two starting points
+        assert sum(out[3] != 3 for out in got) == len(fallbacks)
+        for model, frame, (theta, hi, lo, _, weights) in zip(models, frames, got):
+            want = real("ri", model, frame, spec.radius, CFG, warm=(cold[0],), weights=cold[4])
+            assert hi - lo <= CFG.tol and lo <= want[1] and want[2] <= hi
+            assert np.linalg.norm(theta) <= spec.radius * (1.0 + 4.0 * solvers._EPS)
+            assert not theta.flags.writeable and not weights.flags.writeable
+            assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
+
+
+def test_a_batch_item_left_open_returns_minimax_bit_for_bit(monkeypatch):
+    # tol 1e-300 leaves every item's gap open, and weights on group 3 of the
+    # three-group spec, slack at the optimum, open a try whose dual bound is
+    # group 3's ideal, far below the maximin value
+    fallbacks, real = [], solvers.minimax
+    monkeypatch.setattr(solvers, "minimax", lambda *a, **k: fallbacks.append(a) or real(*a, **k))
+    for spec, weights, cfg in (
+        (motivating_spec(), None, SolverConfig(tol=1e-300)),
+        (three_group_spec(), np.array([0.0, 0.0, 1.0]), CFG),
+    ):
+        cold, models, frames = _trials(spec, (100, 1600), 3)
+        weights = cold[4] if weights is None else weights
+        fallbacks.clear()
+        got = solvers.minimax_batch("ri", models, frames, spec.radius, cfg, cold[0], weights)
+        assert len(fallbacks) == len(models) == 6
+        for model, frame, out in zip(models, frames, got):
+            want = real("ri", model, frame, spec.radius, cfg, warm=(cold[0],), weights=weights)
+            assert out[1:4] == want[1:4]
+            assert out[0].tobytes() == want[0].tobytes() and out[4].tobytes() == want[4].tobytes()
+
+
+def test_minimax_batch_refuses_what_it_cannot_stack():
+    cold, models, frames = _trials(motivating_spec(), (100,), 2)
+    _, planar, planar_frames = _trials(planar_spec(), (100,), 1)
+    three_frames = _trials(three_group_spec(), (100,), 1)[2]
+    rows = random_logistic_dataset(np.random.default_rng(0), m=2, d=1)
+    logistic = LogisticGroupRisks(*rows)
+    ball, point, weights = 10.0, cold[0], cold[4]
+    for args, match in (
+        (("ri", models + planar, frames + planar_frames, ball, CFG, point, weights), "one shape"),
+        (("ri", models, frames[:1] + three_frames, ball, CFG, point, weights), "one shape"),
+        (("ri", models + [logistic], frames + [logistic.frame(ball)], ball, CFG, point, weights), "quadratic"),
+        (("ri", models, frames[:1], ball, CFG, point, weights), "one frame per model"),
+        (("nash", models, frames, ball, CFG, point, weights), "takes one of"),
+        (("ri", models, frames, ball, CFG, np.zeros(2), weights), "warm point"),
+        (("ri", models, frames, ball, CFG, point, np.zeros(2)), "weights"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            solvers.minimax_batch(*args)
+    assert solvers.minimax_batch("ri", [], [], ball, CFG, point, weights) == []
 
 
 def test_a_larger_ball_that_keeps_one_ideal_never_hurts_the_other_group():
